@@ -72,7 +72,7 @@ def analyze(g: int, r: int, d: int, k: int, *, oracle: bool = False) -> Analysis
         return Analysis(params=p, status="hypothesis_failed", detail=str(exc), rho=brill_noether_rho(p))
     skeleton = construct(p)
     report = verify(skeleton)
-    audit = audit_equals_rho(p)
+    audit = audit_equals_rho(skeleton)
     cross = cross_validate(skeleton) if oracle else None
     if not report.overall:
         status, detail = "verify_fail", "verification failed"
@@ -341,7 +341,7 @@ def cmd_dump(args: argparse.Namespace) -> int:
 def load_skeleton_file(path: str) -> LimitSeriesSkeleton:
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    if "canonical" in doc and "schema" not in doc:
+    if isinstance(doc, dict) and "canonical" in doc and "schema" not in doc:
         doc = doc["canonical"]
     return skeleton_from_json_dict(doc)
 
@@ -354,16 +354,26 @@ def cmd_verify_file(args: argparse.Namespace) -> int:
         return EXIT_VERIFICATION_FAILED
     report = verify(skeleton)
     cross = cross_validate(skeleton) if args.oracle else None
+    try:
+        audit = audit_equals_rho(skeleton)
+        audit_ok = audit.ok
+        audit_line = f"audit: total {audit.total} == rho {audit.rho}: {'ok' if audit_ok else 'MISMATCH'}"
+    except EngineError as exc:
+        audit_ok = False
+        audit_line = f"audit: cannot audit: {exc}"
     if args.format == "json":
         print(report.to_canonical_json())
+        if not audit_ok:
+            print(audit_line, file=sys.stderr)
     else:
         for name, entry in report.checks:
             print(f"verify {name}: {entry.status}")
-        print(f"overall: {'pass' if report.overall else 'fail'}")
+        print(audit_line)
+        print(f"overall: {'pass' if report.overall and audit_ok else 'fail'}")
     if cross is not None and not cross.ok:
         print("oracle cross-validation: DISAGREE")
         return EXIT_VERIFICATION_FAILED
-    return EXIT_OK if report.overall else EXIT_VERIFICATION_FAILED
+    return EXIT_OK if report.overall and audit_ok else EXIT_VERIFICATION_FAILED
 
 
 def _parse_range(text: str) -> tuple[int, int]:

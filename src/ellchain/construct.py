@@ -7,26 +7,31 @@ family dimension. Component 1 carries degree d; every other component carries
 degree r*d1, which is the unique choice balancing total degree against the
 twist.
 
-Regime layouts (t is the regime's tail threshold):
+Regime layouts (t is the regime's tail threshold, `params.tail_threshold`):
 
 * LARGE_SECTIONS (d + r(1-g) >= k): special first bundle, then generic lines
   everywhere, generic gluings; the section space slides one vanishing step
   per component.
-* SMALL_A (d2 < k2, t = g+k1-d1): special first bundle; components 2..k1+2
-  carry O((2i-3)P+(d1-2i+3)Q)^(k2-d2) plus generic lines; then alpha-blocks
-  of k1+1 components each (alpha = 1..t-1), the first of each block carrying
-  O((k1*alpha+1)P+...)^(k2) plus lines and the rest fully twisted; then a
-  generic-line tail of g-(k1+1)t-1 components.
-* SMALL_B (0 != d2 >= k2, t = g+k1-d1-1): special first bundle; component 2
-  carries O(d1*Q)^(k2) plus lines; components 3..k1+2 carry
-  O((2i-4)P+...)^(r+k2-d2) plus d2-k2 lines; alpha-blocks as in SMALL_A but
-  with the block twists shifted down by one; generic-line tail.
+* SMALL_A (d2 < k2) and SMALL_B (0 != d2 >= k2) share one recipe with a
+  shift s, 0 for SMALL_A and 1 for SMALL_B. With t = g+k1-d1-s and the
+  early excess e = k2-d2+s*r: special first bundle; components 3..k1+2
+  carry O((2i-3-s)P+...)^e plus r-e generic lines; then alpha-blocks of k1+1
+  components each (alpha = 1..t-1), the first of each block carrying
+  O((k1*alpha+1-s)P+...)^(k2) plus lines and the rest fully twisted; then a
+  generic-line tail of g-(k1+1)t-1 components. Every order window, block
+  twist and tail offset of SMALL_B is SMALL_A's shifted by s. Only three
+  things depend on the case: component 2 carries O(P+(d1-1)Q)^e plus lines
+  in SMALL_A (the early pattern) but O(d1*Q)^(k2) plus lines in SMALL_B; the
+  gluing at node 1; and SMALL_B's note on node 2.
 * SMALL_C (d2 = k2 = 0, t = g-d1+k1-1): r generic lines on component 1;
   blocks of k1 fully twisted components O((2*beta+alpha*(k1-1)-1)P+...)^r for
   alpha = 0..t-1; generic-line tail (nonempty under the strict hypothesis).
 
 The verifier re-derives nothing from here: it checks the emitted data against
-the balance, pairing, feasibility and boundary rules independently.
+the balance, pairing, feasibility and boundary rules independently. The
+ledger reads its small-case terms (bundle moduli and automorphisms, gluing
+dimensions) off the emitted skeleton, so this module is the single source of
+every dimension fact.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InternalCoverage, MultiplicityMismatch
-from .params import Case, Decomposition, Params, classify, decompose
+from .params import Case, Decomposition, Params, classify, decompose, tail_threshold
 from .skeleton import (
     ComponentBundle,
     GluingSpec,
@@ -87,20 +92,6 @@ def _run(lo: int, hi: int) -> range:
     return range(lo, hi + 1)
 
 
-def _skip_run_table(
-    runs: list[range], head_mult: int, base_mult: int, *, component: int, point: str
-) -> dict[int, int]:
-    """Concatenated runs where the first listed order takes head_mult and
-    every other order takes base_mult."""
-    entries: list[tuple[int, int]] = []
-    first = True
-    for run in runs:
-        for order in run:
-            entries.append((order, head_mult if first else base_mult))
-            first = False
-    return _table(entries, component=component, point=point)
-
-
 def _lines(mult: int) -> tuple[Summand, ...]:
     return (Summand(mult=mult),) if mult else ()
 
@@ -115,30 +106,29 @@ def _mixed(component: int, degree: int, summands: tuple[Summand, ...]) -> Compon
 
 def tail_count(p: Params, case: Case | None = None) -> int:
     """Number of trailing generic-line components for a small-case tuple."""
-    dec = decompose(p)
     actual = classify(p).case if case is None else case
-    g, d1, k1 = p.g, dec.d1, dec.k1
-    if actual is Case.SMALL_A:
-        return g - (k1 + 1) * (g + k1 - d1) - 1
-    if actual is Case.SMALL_B:
-        return g - (k1 + 1) * (g + k1 - d1 - 1) - 1
-    if actual is Case.SMALL_C:
-        return g - k1 * (g - d1 + k1 - 1) - 1
-    raise ValueError(f"tail_count applies to small cases only, got {actual}")
+    dec = decompose(p)
+    t = tail_threshold(actual, dec, p.g)
+    width = dec.k1 if actual is Case.SMALL_C else dec.k1 + 1
+    return p.g - width * t - 1
 
 
 PerComponent = dict[int, tuple[ComponentBundle, dict[int, int], dict[int, int]]]
 
 
-def _build_large(p: Params, dec: Decomposition) -> tuple[PerComponent, list[GluingSpec], list[str]]:
+def _first_special(p: Params, dec: Decomposition) -> ComponentBundle:
+    return ComponentBundle(
+        component=1, kind="first_special", degree=p.d,
+        blocks=dec.h, block_rank=dec.rbar, block_degree=dec.dbar,
+    )
+
+
+def _build_large(p: Params, dec: Decomposition, case: Case) -> tuple[PerComponent, list[GluingSpec], list[str]]:
     g, r = p.g, p.r
     d1, d2, k1, k2 = dec.d1, dec.d2, dec.k1, dec.k2
     comps: PerComponent = {}
     comps[1] = (
-        ComponentBundle(
-            component=1, kind="first_special", degree=p.d,
-            blocks=dec.h, block_rank=dec.rbar, block_degree=dec.dbar,
-        ),
+        _first_special(p, dec),
         minimal_boundary_table(r, k1, k2),
         _table(
             [(g - 1 + j, r) for j in range(k1)] + [(g + k1 - 1, k2)],
@@ -168,123 +158,78 @@ def _build_large(p: Params, dec: Decomposition) -> tuple[PerComponent, list[Glui
     return comps, gluings, notes
 
 
-def _small_gluings(
-    p: Params,
-    dec: Decomposition,
-    t: int,
-    *,
-    node1_dim: int,
-    node1_desc: str,
-    chain_dim: int,
-    chain_desc: str,
-) -> list[GluingSpec]:
-    """Shared SMALL_A / SMALL_B gluing layout.
-
-    Node 1 links the special first bundle into component 2; nodes 2..k1+1
-    chain the generic-line blocks; the node entering each block's first
-    component links its twisted block into the descending section chain;
-    every other node is generic.
-    """
-    g, r = p.g, p.r
-    k1, k2 = dec.k1, dec.k2
-    beta1_nodes = {(k1 + 1) * alpha + 1 for alpha in range(1, t)}
-    gluings = []
-    for n in range(1, g):
-        if n == 1:
-            gluings.append(GluingSpec(node=1, tag="constrained", parameter_dim=node1_dim, description=node1_desc))
-        elif 2 <= n <= k1 + 1:
-            gluings.append(GluingSpec(node=n, tag="constrained", parameter_dim=chain_dim, description=chain_desc))
-        elif n in beta1_nodes:
-            gluings.append(
-                GluingSpec(
-                    node=n, tag="constrained",
-                    parameter_dim=k2 * k2 + r * (r - k2),
-                    description="twisted_block->section_chain",
-                )
-            )
-        else:
-            gluings.append(GluingSpec(node=n, tag="generic", parameter_dim=r * r))
-    return gluings
+def _early_run(near: int, far: int, mid: int, *, r: int, k2: int, e: int) -> list[tuple[int, int]]:
+    """Orders from `near` to `far` inclusive (either direction): `near`
+    carries k2, `mid` carries r-e, `far` carries e, every other order r."""
+    return [
+        (o, k2 if o == near else r - e if o == mid else e if o == far else r)
+        for o in _run(min(near, far), max(near, far))
+    ]
 
 
-def _build_small_a(p: Params, dec: Decomposition) -> tuple[PerComponent, list[GluingSpec], list[str]]:
+def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerComponent, list[GluingSpec], list[str]]:
+    """The SMALL_A (s = 0) / SMALL_B (s = 1) recipe."""
     g, r = p.g, p.r
     d1, d2, k1, k2 = dec.d1, dec.d2, dec.k1, dec.k2
-    t = g + k1 - d1
+    s = 0 if case is Case.SMALL_A else 1
+    t = tail_threshold(case, dec, g)
+    e = k2 - d2 + s * r
     comps: PerComponent = {}
 
     comps[1] = (
-        ComponentBundle(
-            component=1, kind="first_special", degree=p.d,
-            blocks=dec.h, block_rank=dec.rbar, block_degree=dec.dbar,
-        ),
+        _first_special(p, dec),
         minimal_boundary_table(r, k1, k2),
         _table(
-            [(d1, d2)] + [(d1 - j, r) for j in _run(1, k1)] + [(d1 - k1 - 1, k2 - d2)],
+            [(d1, d2)] + [(d1 - j, r) for j in _run(1, k1 - s)] + [(d1 - k1 - 1 + s, e)],
             component=1, point="Q",
         ),
     )
 
     def early_q(i: int) -> dict[int, int]:
-        # Orders d1-i+1 down to d1-k1-i; head k2, the order d1-2i+2 carries
-        # r+d2-k2, the last carries k2-d2. The list degenerates at i = k1+2,
-        # where it merges into head k2 followed by k1 full-multiplicity rows.
+        # Orders d1-i+1+s down to d1-k1-i+s; the list degenerates at
+        # i = k1+2, where it merges into head k2 followed by k1
+        # full-multiplicity rows.
         if i == k1 + 2:
             return _table(
-                [(d1 - k1 - 1, k2)] + [(o, r) for o in _run(d1 - 2 * k1 - 1, d1 - k1 - 2)],
+                [(d1 - k1 - 1 + s, k2)] + [(o, r) for o in _run(d1 - 2 * k1 - 1 + s, d1 - k1 - 2 + s)],
                 component=i, point="Q",
             )
-        hi, lo, mid = d1 - i + 1, d1 - k1 - i, d1 - 2 * i + 2
-        entries = []
-        for order in _run(lo, hi):
-            if order == hi:
-                entries.append((order, k2))
-            elif order == mid:
-                entries.append((order, r + d2 - k2))
-            elif order == lo:
-                entries.append((order, k2 - d2))
-            else:
-                entries.append((order, r))
+        entries = _early_run(d1 - i + 1 + s, d1 - k1 - i + s, d1 - 2 * i + 2 + s, r=r, k2=k2, e=e)
         return _table(entries, component=i, point="Q")
 
+    second = _twisted(0, k2) + _lines(r - k2) if s else _twisted(1, e) + _lines(r - e)
     comps[2] = (
-        _mixed(2, r * d1, _twisted(1, k2 - d2) + _lines(r - k2 + d2)),
+        _mixed(2, r * d1, second),
         _table(
-            [(0, d2)] + [(j, r) for j in _run(1, k1)] + [(k1 + 1, k2 - d2)],
+            [(0, d2)] + [(j, r) for j in _run(1, k1 - s)] + [(k1 + 1 - s, e)],
             component=2, point="P",
         ),
         early_q(2),
     )
 
     for i in _run(3, k1 + 2):
-        lo, hi, mid = i - 2, k1 + i - 1, 2 * i - 4
-        entries = []
-        for order in _run(lo, hi):
-            if order == lo:
-                entries.append((order, k2))
-            elif order == mid:
-                entries.append((order, r + d2 - k2))
-            elif order == hi:
-                entries.append((order, k2 - d2))
-            else:
-                entries.append((order, r))
+        entries = _early_run(i - 2 - s, k1 + i - 1 - s, 2 * i - 4 - s, r=r, k2=k2, e=e)
         comps[i] = (
-            _mixed(i, r * d1, _twisted(2 * i - 3, k2 - d2) + _lines(r - k2 + d2)),
+            _mixed(i, r * d1, _twisted(2 * i - 3 - s, e) + _lines(r - e)),
             _table(entries, component=i, point="P"),
             early_q(i),
         )
 
     for alpha in _run(1, t - 1):
-        a0 = alpha * k1
+        a0 = alpha * k1 - s
         for beta in _run(1, k1 + 1):
             i = BlockIndex(alpha, beta).component(k1 + 1)
             if beta == 1:
+                # The block's exceptional sections sit on O((a0+1)P+...);
+                # in SMALL_B the recipe's own gluing and section-space lines
+                # fix this twist at k1*alpha, one below SMALL_A's.
                 bundle = _mixed(i, r * d1, _twisted(a0 + 1, k2) + _lines(r - k2))
             else:
                 bundle = _mixed(i, r * d1, _twisted(a0 + 2 * beta - 1, r))
-            at_p = _skip_run_table(
-                [_run(a0 + beta - 1, a0 + 2 * beta - 3), _run(a0 + 2 * beta - 1, a0 + k1 + beta)],
-                head_mult=k2, base_mult=r, component=i, point="P",
+            # P runs ascend from the k2 head, skipping the order a0+2*beta-2.
+            at_p_orders = [*_run(a0 + beta - 1, a0 + 2 * beta - 3), *_run(a0 + 2 * beta - 1, a0 + k1 + beta)]
+            at_p = _table(
+                [(o, k2 if o == at_p_orders[0] else r) for o in at_p_orders], component=i, point="P"
             )
             # Q runs descend from d1-a0-beta; build ascending runs and mark
             # the top order with the k2 head.
@@ -298,145 +243,49 @@ def _build_small_a(p: Params, dec: Decomposition) -> tuple[PerComponent, list[Gl
             comps[i] = (bundle, at_p, at_q)
 
     for i in _run(t * (k1 + 1) + 2, g):
-        lo = i - t - 1
-        hi = d1 - i + t
+        lo = i - t - 1 - s
+        hi = d1 - i + t + s
         comps[i] = (
             _mixed(i, r * d1, _lines(r)),
             _table([(lo, k2)] + [(o, r) for o in _run(lo + 1, lo + k1)], component=i, point="P"),
             _table([(hi, k2)] + [(o, r) for o in _run(hi - k1, hi - 1)], component=i, point="Q"),
         )
 
-    gluings = _small_gluings(
-        p, dec, t,
-        node1_dim=d2 * (r - (k2 - d2)) + r * (r - d2),
-        node1_desc="full_vanishing_block->line_block",
-        chain_dim=(r - k2 + d2) ** 2 + r * (k2 - d2),
-        chain_desc="line_block->line_block",
-    )
-    return comps, gluings, []
-
-
-def _build_small_b(p: Params, dec: Decomposition) -> tuple[PerComponent, list[GluingSpec], list[str]]:
-    g, r = p.g, p.r
-    d1, d2, k1, k2 = dec.d1, dec.d2, dec.k1, dec.k2
-    t = g + k1 - d1 - 1
-    comps: PerComponent = {}
-
-    comps[1] = (
-        ComponentBundle(
-            component=1, kind="first_special", degree=p.d,
-            blocks=dec.h, block_rank=dec.rbar, block_degree=dec.dbar,
-        ),
-        minimal_boundary_table(r, k1, k2),
-        _table(
-            [(d1, d2)] + [(d1 - j, r) for j in _run(1, k1 - 1)] + [(d1 - k1, r + k2 - d2)],
-            component=1, point="Q",
-        ),
-    )
-
-    comps[2] = (
-        _mixed(2, r * d1, _twisted(0, k2) + _lines(r - k2)),
-        _table(
-            [(0, d2)] + [(j, r) for j in _run(1, k1 - 1)] + [(k1, r + k2 - d2)],
-            component=2, point="P",
-        ),
-        _table(
-            [(d1, k2), (d1 - 1, d2 - k2)]
-            + [(d1 - j, r) for j in _run(2, k1)]
-            + [(d1 - k1 - 1, r + k2 - d2)],
-            component=2, point="Q",
-        ),
-    )
-
-    def mid_q(i: int) -> dict[int, int]:
-        # Orders d1-i+2 down to d1-k1-i+1; head k2, the order d1-2i+3 carries
-        # d2-k2, the last carries r+k2-d2; merged at i = k1+2 as in SMALL_A.
-        if i == k1 + 2:
-            return _table(
-                [(d1 - k1, k2)] + [(o, r) for o in _run(d1 - 2 * k1, d1 - k1 - 1)],
-                component=i, point="Q",
-            )
-        hi, lo, mid = d1 - i + 2, d1 - k1 - i + 1, d1 - 2 * i + 3
-        entries = []
-        for order in _run(lo, hi):
-            if order == hi:
-                entries.append((order, k2))
-            elif order == mid:
-                entries.append((order, d2 - k2))
-            elif order == lo:
-                entries.append((order, r + k2 - d2))
-            else:
-                entries.append((order, r))
-        return _table(entries, component=i, point="Q")
-
-    for i in _run(3, k1 + 2):
-        lo, hi, mid = i - 3, k1 + i - 2, 2 * i - 5
-        entries = []
-        for order in _run(lo, hi):
-            if order == lo:
-                entries.append((order, k2))
-            elif order == mid:
-                entries.append((order, d2 - k2))
-            elif order == hi:
-                entries.append((order, r + k2 - d2))
-            else:
-                entries.append((order, r))
-        comps[i] = (
-            _mixed(i, r * d1, _twisted(2 * i - 4, r + k2 - d2) + _lines(d2 - k2)),
-            _table(entries, component=i, point="P"),
-            mid_q(i),
-        )
-
-    for alpha in _run(1, t - 1):
-        a0 = alpha * k1
-        for beta in _run(1, k1 + 1):
-            i = BlockIndex(alpha, beta).component(k1 + 1)
-            if beta == 1:
-                # The block's exceptional sections sit on O(a0*P+(d1-a0)*Q):
-                # the recipe's own gluing and section-space lines fix a = a0.
-                bundle = _mixed(i, r * d1, _twisted(a0, k2) + _lines(r - k2))
-            else:
-                bundle = _mixed(i, r * d1, _twisted(a0 + 2 * beta - 2, r))
-            at_p = _skip_run_table(
-                [_run(a0 + beta - 2, a0 + 2 * beta - 4), _run(a0 + 2 * beta - 2, a0 + k1 + beta - 1)],
-                head_mult=k2, base_mult=r, component=i, point="P",
-            )
-            upper = _run(d1 - a0 - 2 * beta + 2, d1 - a0 - beta + 1)
-            lower = _run(d1 - a0 - k1 - beta, d1 - a0 - 2 * beta)
-            top = d1 - a0 - beta + 1
-            at_q = _table(
-                [(o, k2 if o == top else r) for o in upper] + [(o, r) for o in lower],
-                component=i, point="Q",
-            )
-            comps[i] = (bundle, at_p, at_q)
-
-    for i in _run(t * (k1 + 1) + 2, g):
-        lo = i - t - 2
-        hi = d1 - i + t + 1
-        comps[i] = (
-            _mixed(i, r * d1, _lines(r)),
-            _table([(lo, k2)] + [(o, r) for o in _run(lo + 1, lo + k1)], component=i, point="P"),
-            _table([(hi, k2)] + [(o, r) for o in _run(hi - k1, hi - 1)], component=i, point="Q"),
-        )
-
-    gluings = _small_gluings(
-        p, dec, t,
-        node1_dim=d2 * k2 + r * (r - k2),
-        node1_desc="max_vanishing_block->first_bundle_sections",
-        chain_dim=(d2 - k2) ** 2 + r * (r - d2 + k2),
-        chain_desc="line_block->line_block",
-    )
-    notes = [
-        "node 2 links the line block into the glued section space of dimension d2-k2 "
-        "on component 2"
-    ]
+    # Node 1 links the special first bundle into component 2; nodes 2..k1+1
+    # chain the generic-line blocks; the node entering each block's first
+    # component links its twisted block into the descending section chain;
+    # every other node is generic.
+    if s:
+        node1 = (d2 * k2 + r * (r - k2), "max_vanishing_block->first_bundle_sections")
+        notes = [
+            "node 2 links the line block into the glued section space of dimension d2-k2 "
+            "on component 2"
+        ]
+    else:
+        node1 = (d2 * (r - e) + r * (r - d2), "full_vanishing_block->line_block")
+        notes = []
+    line_chain = ((r - e) ** 2 + r * e, "line_block->line_block")
+    block_head = (k2 * k2 + r * (r - k2), "twisted_block->section_chain")
+    beta1_nodes = {(k1 + 1) * alpha + 1 for alpha in range(1, t)}
+    gluings = []
+    for n in range(1, g):
+        if n == 1:
+            dim, desc = node1
+        elif n <= k1 + 1:
+            dim, desc = line_chain
+        elif n in beta1_nodes:
+            dim, desc = block_head
+        else:
+            gluings.append(GluingSpec(node=n, tag="generic", parameter_dim=r * r))
+            continue
+        gluings.append(GluingSpec(node=n, tag="constrained", parameter_dim=dim, description=desc))
     return comps, gluings, notes
 
 
-def _build_small_c(p: Params, dec: Decomposition) -> tuple[PerComponent, list[GluingSpec], list[str]]:
+def _build_small_c(p: Params, dec: Decomposition, case: Case) -> tuple[PerComponent, list[GluingSpec], list[str]]:
     g, r = p.g, p.r
     d1, k1 = dec.d1, dec.k1
-    t = g - d1 + k1 - 1
+    t = tail_threshold(case, dec, g)
     comps: PerComponent = {}
 
     comps[1] = (
@@ -475,8 +324,8 @@ def _build_small_c(p: Params, dec: Decomposition) -> tuple[PerComponent, list[Gl
 
 _BUILDERS = {
     Case.LARGE_SECTIONS: _build_large,
-    Case.SMALL_A: _build_small_a,
-    Case.SMALL_B: _build_small_b,
+    Case.SMALL_A: _build_shifted,
+    Case.SMALL_B: _build_shifted,
     Case.SMALL_C: _build_small_c,
 }
 
@@ -491,7 +340,7 @@ def construct(p: Params) -> LimitSeriesSkeleton:
     """
     classification = classify(p)
     dec = decompose(p)
-    comps, gluings, notes = _BUILDERS[classification.case](p, dec)
+    comps, gluings, notes = _BUILDERS[classification.case](p, dec, classification.case)
 
     covered = sorted(comps)
     if covered != list(range(1, p.g + 1)):
@@ -523,11 +372,3 @@ def construct(p: Params) -> LimitSeriesSkeleton:
     )
     check_table_totals(skeleton)
     return skeleton
-
-
-def vanishing_tables(p: Params, case: Case | None = None) -> tuple[VanishingTable, ...]:
-    """The per-component tables of the constructed skeleton."""
-    skeleton = construct(p)
-    if case is not None and skeleton.case is not case:
-        raise ValueError(f"tuple classifies as {skeleton.case.value}, not {case.value}")
-    return skeleton.tables

@@ -1,12 +1,20 @@
 """Dimension bookkeeping: per-component moduli, automorphism and gluing
 counts whose signed total must equal the Brill-Noether number.
 
-Each row mirrors one bracket of the regime's dimension count, so a mismatch
-localizes to a single term. A row covers a set of components with identical
-contributions; its gluing entry is the family dimension of the node entering
-each covered component (the first component has no such node). The closing
-+1 accounts for the one-dimensional automorphism family of the glued stable
-bundle.
+In the small cases every term is read off the constructed skeleton, so the
+audit certifies the data the engine emits rather than a parallel formula:
+
+* a first_special bundle with h blocks gives moduli h and autos h;
+* m copies of one twisted line give moduli 0 and autos m^2;
+* m generic lines give moduli m and autos m;
+* the gluing term is the parameter_dim of the node entering the component
+  (the first component has no such node).
+
+Rows group the components of one part of the regime's layout (first
+component, line chain, block heads, ...); a row whose components disagree is
+split into one row per component, so a mismatch localizes to a single term.
+The closing +1 accounts for the one-dimensional automorphism family of the
+glued stable bundle.
 
 For the regime with surplus sections the count is global instead: the stable
 bundle moduli r^2(g-1) plus the Grassmannian choice k(d-r(g-1)-k), plus one.
@@ -17,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .params import Case, Params, brill_noether_rho, classify, decompose
-from .skeleton import canonical_dumps
+from .errors import ParameterError
+from .params import Case, Params, brill_noether_rho, classify, tail_threshold
+from .skeleton import LimitSeriesSkeleton, canonical_dumps
 
 
 @dataclass(frozen=True)
@@ -122,24 +131,40 @@ def _compact_indices(indices: tuple[int, ...]) -> str:
     return ",".join(parts)
 
 
-def _row(label: str, components: tuple[int, ...], moduli: int, autos: int, gluing: int) -> LedgerRow:
-    return LedgerRow(
-        label=label, components=components, count=len(components),
-        moduli=moduli, autos=autos, gluing=gluing,
+def _layout(s: LimitSeriesSkeleton, case: Case) -> tuple[tuple[str, range | list[int]], ...]:
+    """The labelled component groups of a small case, in chain order."""
+    g, k1 = s.params.g, s.decomposition.k1
+    t = tail_threshold(case, s.decomposition, g)
+    if case is Case.SMALL_C:
+        return (
+            ("first_component", range(1, 2)),
+            ("twisted_blocks", range(2, t * k1 + 2)),
+            ("tail", range(t * k1 + 2, g + 1)),
+        )
+    w = k1 + 1
+    return (
+        ("first_component", range(1, 2)),
+        ("second_component", range(2, 3)),
+        ("line_chain", range(3, k1 + 3)),
+        ("block_first", range(w + 2, t * w + 2, w)),
+        ("block_rest", [i for i in range(w + 2, t * w + 2) if (i - 2) % w]),
+        ("tail", range(t * w + 2, g + 1)),
     )
 
 
-def ledger(p: Params, case: Case | None = None) -> DimensionLedger:
-    """The termwise dimension count for a tuple whose hypotheses pass."""
-    classification = classify(p)
-    actual = classification.case
-    if case is not None and actual is not case:
-        raise ValueError(f"tuple classifies as {actual.value}, not {case.value}")
-    dec = decompose(p)
-    g, r = p.g, p.r
-    d1, d2, k1, k2 = dec.d1, dec.d2, dec.k1, dec.k2
+def ledger(s: LimitSeriesSkeleton) -> DimensionLedger:
+    """The termwise dimension count of a skeleton whose hypotheses pass.
 
-    if actual is Case.LARGE_SECTIONS:
+    The case comes from classifying the skeleton's parameters; a skeleton
+    tagged with another case raises ParameterError.
+    """
+    p = s.params
+    case = classify(p).case
+    if case is not s.case:
+        raise ParameterError(f"skeleton is tagged {s.case.value} but the tuple classifies as {case.value}")
+    g, r = p.g, p.r
+
+    if case is Case.LARGE_SECTIONS:
         rows = (
             LedgerRow(
                 label="stable_bundle_family", components=None, count=1,
@@ -150,50 +175,33 @@ def ledger(p: Params, case: Case | None = None) -> DimensionLedger:
                 moduli=p.k * (p.d - r * (g - 1) - p.k), autos=0, gluing=0,
             ),
         )
-        return DimensionLedger(case=actual, rows=rows)
+        return DimensionLedger(case=case, rows=rows)
 
-    if actual is Case.SMALL_C:
-        t = g - d1 + k1 - 1
-        blocks = tuple(range(2, t * k1 + 2))
-        tail = tuple(range(t * k1 + 2, g + 1))
-        rows = (
-            _row("first_component", (1,), r, r, 0),
-            _row("twisted_blocks", blocks, 0, r * r, r * r),
-            _row("tail", tail, r, r, r * r),
-        )
-        return DimensionLedger(case=actual, rows=rows)
-
-    if actual is Case.SMALL_A:
-        t = g + k1 - d1
-        early_moduli = r - k2 + d2
-        early_autos = (k2 - d2) ** 2 + (r - k2 + d2)
-        node1 = d2 * (r - (k2 - d2)) + r * (r - d2)
-        chain_glue = (r - (k2 - d2)) ** 2 + r * (k2 - d2)
-    else:  # SMALL_B
-        t = g + k1 - d1 - 1
-        early_moduli = d2 - k2
-        early_autos = (r - (d2 - k2)) ** 2 + (d2 - k2)
-        node1 = d2 * k2 + r * (r - k2)
-        chain_glue = (d2 - k2) ** 2 + r * (r - d2 + k2)
-
-    beta1 = tuple((k1 + 1) * alpha + 2 for alpha in range(1, t))
-    beta_rest = tuple(
-        (k1 + 1) * alpha + beta + 1
-        for alpha in range(1, t)
-        for beta in range(2, k1 + 2)
-    )
-    tail = tuple(range(t * (k1 + 1) + 2, g + 1))
-    second_moduli = early_moduli if actual is Case.SMALL_A else r - k2
-    second_autos = early_autos if actual is Case.SMALL_A else k2 * k2 + (r - k2)
-    rows = (
-        _row("first_component", (1,), dec.h, dec.h, 0),
-        _row("second_component", (2,), second_moduli, second_autos, node1),
-        _row("line_chain", tuple(range(3, k1 + 3)), early_moduli, early_autos, chain_glue),
-        _row("block_first", beta1, r - k2, k2 * k2 + (r - k2), k2 * k2 + r * (r - k2)),
-        _row("block_rest", beta_rest, 0, r * r, r * r),
-        _row("tail", tail, r, r, r * r),
-    )
-    return DimensionLedger(case=actual, rows=rows)
+    # (moduli, autos, gluing) per component; each summand is m copies of
+    # one line bundle, twisted (0, m^2) or generic (m, m).
+    terms: list[tuple[int, int, int]] = []
+    for i, bundle in enumerate(s.bundles):
+        if bundle.kind == "first_special":
+            moduli = autos = bundle.blocks  # type: ignore[assignment]
+        else:
+            moduli = autos = 0
+            for summand in bundle.summands:
+                if summand.twist is None:
+                    moduli += summand.mult
+                    autos += summand.mult
+                else:
+                    autos += summand.mult * summand.mult
+        terms.append((moduli, autos, s.gluings[i - 1].parameter_dim if i else 0))
+    out: list[LedgerRow] = []
+    for label, components in _layout(s, case):
+        group = [terms[c - 1] for c in components]
+        if not group:
+            continue
+        if group.count(group[0]) == len(group):
+            out.append(LedgerRow(label, tuple(components), len(group), *group[0]))
+        else:
+            out.extend(LedgerRow(f"{label}[C{c}]", (c,), 1, *term) for c, term in zip(components, group))
+    return DimensionLedger(case=case, rows=tuple(out))
 
 
 @dataclass(frozen=True)
@@ -219,12 +227,13 @@ class AuditResult:
         }
 
 
-def audit_equals_rho(p: Params) -> AuditResult:
-    """Exact comparison of the ledger total against the Brill-Noether number.
+def audit_equals_rho(s: LimitSeriesSkeleton) -> AuditResult:
+    """Exact comparison of the skeleton's ledger total against the
+    Brill-Noether number.
 
     A mismatch is a hard failure; the termwise ledger is the witness.
     """
-    led = ledger(p)
+    led = ledger(s)
     return AuditResult(
-        params=p, case=led.case, rho=brill_noether_rho(p), total=led.total, ledger=led
+        params=s.params, case=led.case, rho=brill_noether_rho(s.params), total=led.total, ledger=led
     )

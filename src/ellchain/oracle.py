@@ -201,7 +201,7 @@ def cross_validate(s: LimitSeriesSkeleton, bound: int = DEFAULT_BOUND) -> CrossV
     """Compare the greedy verifier verdicts against the oracle on every node
     and component of a skeleton. Instances beyond the bound are skipped with
     a notice, not failed."""
-    from .verify import component_feasible_greedy, node_min_sum_greedy
+    from .verify import check_component_feasibility, induced_pairs, node_min_sum_greedy
 
     checks: list[CrossCheck] = []
     skipped: list[str] = []
@@ -220,7 +220,9 @@ def cross_validate(s: LimitSeriesSkeleton, bound: int = DEFAULT_BOUND) -> CrossV
     for i in range(1, s.chain.components + 1):
         bundle = s.bundle(i)
         table = s.table(i)
-        greedy_ok = component_feasible_greedy(bundle, table, d1=d1, d2=d2, r=s.params.r)
+        greedy_ok = check_component_feasibility(
+            bundle, table, induced_pairs(table), d1=d1, d2=d2, r=s.params.r
+        ).ok
         if bundle.kind == "first_special":
             budget = {a: d2 for a in range(0, d1 + 1)} if d2 else {}
         else:

@@ -92,6 +92,19 @@ class Case(str, Enum):
     SMALL_C = "small_c"
 
 
+def tail_threshold(case: Case, dec: Decomposition, g: int) -> int:
+    """The small cases' tail threshold t = g + k1 - d1 - s.
+
+    The shift s is 0 for SMALL_A and 1 for SMALL_B and SMALL_C. The
+    hypotheses bound g against t, the recipes lay out t-1 (SMALL_A, SMALL_B)
+    or t (SMALL_C) twisted blocks, and the generic-line tail starts after
+    them.
+    """
+    if case is Case.LARGE_SECTIONS:
+        raise ValueError("the tail threshold applies to small cases only")
+    return g + dec.k1 - dec.d1 - (0 if case is Case.SMALL_A else 1)
+
+
 @dataclass(frozen=True)
 class HypothesisCheck:
     """One inequality `value >= min_pass`, with its evaluated left side.
@@ -159,43 +172,46 @@ def classify(p: Params) -> Classification:
 
     if d2 < k2:
         case = Case.SMALL_A
+        t = tail_threshold(case, dec, g)
         checks = (
             HypothesisCheck(
                 name="(***)",
-                statement=f"g - (k1+1)*(g-d1+k1) = {g} - {k1 + 1}*{g - d1 + k1}",
-                value=g - (k1 + 1) * (g - d1 + k1),
+                statement=f"g - (k1+1)*(g-d1+k1) = {g} - {k1 + 1}*{t}",
+                value=g - (k1 + 1) * t,
                 min_pass=1,
             ),
             HypothesisCheck(
                 name="generic_bundle_deficit",
                 statement=f"g - d1 + k1 = {g} - {d1} + {k1}",
-                value=g - d1 + k1,
+                value=t,
                 min_pass=1,
             ),
         )
     elif d2 != 0:
         case = Case.SMALL_B
+        t = tail_threshold(case, dec, g)
         checks = (
             HypothesisCheck(
                 name="(*)",
-                statement=f"g - (k1+1)*(g-d1+k1-1) = {g} - {k1 + 1}*{g - d1 + k1 - 1}",
-                value=g - (k1 + 1) * (g - d1 + k1 - 1),
+                statement=f"g - (k1+1)*(g-d1+k1-1) = {g} - {k1 + 1}*{t}",
+                value=g - (k1 + 1) * t,
                 min_pass=1,
             ),
             HypothesisCheck(
                 name="generic_bundle_deficit",
                 statement=f"g + k1 - d1 = {g} + {k1} - {d1}",
-                value=g + k1 - d1,
+                value=t + 1,
                 min_pass=2,
             ),
         )
     else:
         case = Case.SMALL_C
+        t = tail_threshold(case, dec, g)
         checks = (
             HypothesisCheck(
                 name="(**)",
-                statement=f"g - k1*(g-d1+k1-1) = {g} - {k1}*{g - d1 + k1 - 1}",
-                value=g - k1 * (g - d1 + k1 - 1),
+                statement=f"g - k1*(g-d1+k1-1) = {g} - {k1}*{t}",
+                value=g - k1 * t,
                 min_pass=2,  # strict "> 1"
             ),
         )

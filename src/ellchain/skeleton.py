@@ -280,8 +280,25 @@ def skeleton_to_canonical_json(s: LimitSeriesSkeleton) -> str:
     return canonical_dumps(skeleton_to_json_dict(s))
 
 
+def _exact_int(value: Any) -> int:
+    """An exact int: bool, float and str are rejected, never converted."""
+    if type(value) is not int:
+        raise ParameterError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _optional_int(value: Any) -> int | None:
+    return None if value is None else _exact_int(value)
+
+
+def _table_side(entries: Iterable[Any]) -> tuple[tuple[int, int], ...]:
+    return tuple((_exact_int(o), _exact_int(m)) for o, m in entries)
+
+
 def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
     """Rebuild a skeleton from its canonical JSON document."""
+    if not isinstance(doc, Mapping):
+        raise ParameterError(f"a skeleton document is a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != SCHEMA_VERSION:
         raise ParameterError(f"unsupported schema {doc.get('schema')!r}")
     try:
@@ -293,38 +310,39 @@ def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
             if bd["kind"] == "first_special":
                 bundles.append(
                     ComponentBundle(
-                        component=bd["component"],
+                        component=_exact_int(bd["component"]),
                         kind="first_special",
-                        degree=bd["degree"],
-                        blocks=bd["blocks"],
-                        block_rank=bd["block_rank"],
-                        block_degree=bd["block_degree"],
+                        degree=_exact_int(bd["degree"]),
+                        blocks=_exact_int(bd["blocks"]),
+                        block_rank=_exact_int(bd["block_rank"]),
+                        block_degree=_exact_int(bd["block_degree"]),
                     )
                 )
             else:
                 bundles.append(
                     ComponentBundle(
-                        component=bd["component"],
+                        component=_exact_int(bd["component"]),
                         kind="mixed",
-                        degree=bd["degree"],
+                        degree=_exact_int(bd["degree"]),
                         summands=tuple(
-                            Summand(mult=sd["mult"], twist=sd.get("a")) for sd in bd["summands"]
+                            Summand(mult=_exact_int(sd["mult"]), twist=_optional_int(sd.get("a")))
+                            for sd in bd["summands"]
                         ),
                     )
                 )
         tables = [
             VanishingTable(
-                component=td["component"],
-                at_p=tuple((int(o), int(m)) for o, m in td["at_p"]),
-                at_q=tuple((int(o), int(m)) for o, m in td["at_q"]),
+                component=_exact_int(td["component"]),
+                at_p=_table_side(td["at_p"]),
+                at_q=_table_side(td["at_q"]),
             )
             for td in doc["tables"]
         ]
         gluings = [
             GluingSpec(
-                node=gd["node"],
+                node=_exact_int(gd["node"]),
                 tag=gd["tag"],
-                parameter_dim=gd["parameter_dim"],
+                parameter_dim=_exact_int(gd["parameter_dim"]),
                 description=gd.get("description"),
             )
             for gd in doc["gluings"]
@@ -332,14 +350,14 @@ def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
         skeleton = LimitSeriesSkeleton(
             params=params,
             case=case,
-            b=doc["b"],
-            chain=build_chain(doc["components"]),
+            b=_exact_int(doc["b"]),
+            chain=build_chain(_exact_int(doc["components"])),
             bundles=tuple(bundles),
             tables=tuple(tables),
             gluings=tuple(gluings),
             notes=tuple(doc.get("notes", ())),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParameterError):
             raise
         raise ParameterError(f"malformed skeleton document: {exc}") from exc

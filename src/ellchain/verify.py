@@ -43,25 +43,12 @@ from .skeleton import (
     minimal_boundary_table,
 )
 
-@dataclass(frozen=True)
-class SlopeQuery:
-    """Exact slope comparison k'/r' <= k/r via cross multiplication."""
-
-    kprime: int
-    rprime: int
-    k: int
-    r: int
-
 
 def slope_ok(kprime: int, rprime: int, k: int, r: int) -> bool:
     """True iff k'/r' <= k/r, computed as k'*r <= k*r' on exact integers."""
     if rprime < 1 or r < 1:
         raise ValueError("ranks must be >= 1")
     return kprime * r <= k * rprime
-
-
-def slope_query_ok(q: SlopeQuery) -> bool:
-    return slope_ok(q.kprime, q.rprime, q.k, q.r)
 
 
 def node_min_sum_greedy(at_q: Mapping[int, int], at_p_next: Mapping[int, int]) -> int:
@@ -198,16 +185,6 @@ def check_component_feasibility(
         violations=tuple(violations),
         exceptional=tuple(exceptional),
     )
-
-
-def component_feasible_greedy(
-    bundle: ComponentBundle, table: VanishingTable, *, d1: int, d2: int, r: int
-) -> bool:
-    """Convenience: feasibility of the induced pairing, as a bare verdict."""
-    verdict = check_component_feasibility(
-        bundle, table, induced_pairs(table), d1=d1, d2=d2, r=r
-    )
-    return verdict.ok
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ def test_criterion_1_ledger_rho_identity():
     checked = 0
     mismatches = []
     for p, _ in constructible_tuples(ACCEPTANCE_SWEEP):
-        audit = audit_equals_rho(p)
+        audit = audit_equals_rho(construct(p))
         checked += 1
         if not audit.ok:
             mismatches.append((p, audit.total, audit.rho))
@@ -124,7 +124,7 @@ def test_criterion_4_worked_instance():
     classification = classify(p)
     skeleton = construct(p)
     report = verify(skeleton)
-    audit = audit_equals_rho(p)
+    audit = audit_equals_rho(skeleton)
     ok = (
         classification.case is Case.SMALL_A
         and classification.main_check.name == "(***)"

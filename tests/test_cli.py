@@ -115,6 +115,66 @@ class TestDumpAndVerifyFile:
         assert doc["checks"]["node_pairing"]["status"] == "pass"
 
 
+
+def _dumped(tmp_path, capsys):
+    """Path and parsed document of a fresh `dump 7 3 16 5`."""
+    path = tmp_path / "skel.json"
+    assert main(["dump", "7", "3", "16", "5", "--out", str(path)]) == 0
+    capsys.readouterr()
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+class TestVerifyFileAuditAndLoad:
+    def test_fresh_dump_audits_ok(self, tmp_path, capsys):
+        path, _ = _dumped(tmp_path, capsys)
+        assert main(["verify-file", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "audit: total 20 == rho 20: ok" in out
+        assert "overall: pass" in out
+
+    def test_bogus_gluing_dimension_fails_audit(self, tmp_path, capsys):
+        path, doc = _dumped(tmp_path, capsys)
+        doc["gluings"][0]["parameter_dim"] = 999
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-file", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "audit: total 1011 == rho 20: MISMATCH" in out
+        assert "overall: fail" in out
+        assert main(["verify-file", str(path), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["overall"] == "pass"
+        assert "MISMATCH" in captured.err
+
+    def test_wrong_case_tag_fails_audit(self, tmp_path, capsys):
+        path, doc = _dumped(tmp_path, capsys)
+        doc["case"] = "small_c"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-file", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "audit: cannot audit: skeleton is tagged small_c but the tuple classifies as small_a" in out
+
+    def test_float_order_rejected(self, tmp_path, capsys):
+        path, doc = _dumped(tmp_path, capsys)
+        assert doc["tables"][1]["at_p"][2] == [2, 1]
+        doc["tables"][1]["at_p"][2][0] = 2.7
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-file", str(path)]) == 1
+        assert "cannot load" in capsys.readouterr().out
+
+    def test_string_multiplicity_rejected(self, tmp_path, capsys):
+        path, doc = _dumped(tmp_path, capsys)
+        assert doc["tables"][1]["at_p"][1] == [1, 3]
+        doc["tables"][1]["at_p"][1][1] = "3"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-file", str(path)]) == 1
+        assert "cannot load" in capsys.readouterr().out
+
+    def test_top_level_list_rejected(self, tmp_path, capsys):
+        path, doc = _dumped(tmp_path, capsys)
+        path.write_text(json.dumps([doc]), encoding="utf-8")
+        assert main(["verify-file", str(path)]) == 1
+        assert "cannot load" in capsys.readouterr().out
+
 class TestSweep:
     def test_lattice_order_and_defaults(self):
         cfg = SweepConfig(g=(2, 2), r=(2, 2))

@@ -12,7 +12,6 @@ from ellchain import (
     degree_balance,
     minimal_boundary_table,
     tail_count,
-    vanishing_tables,
 )
 from ellchain.cli import SweepConfig
 from ellchain.errors import HypothesisFailed
@@ -150,13 +149,6 @@ def test_large_sections_worked_instance():
     assert s.table(2).q_map() == {0: 2, 1: 1}
     assert all(gl.tag == "generic" for gl in s.gluings)
     assert degree_balance(s) == 0
-
-
-def test_vanishing_tables_wrapper():
-    tables = vanishing_tables(Params(7, 3, 16, 5), Case.SMALL_A)
-    assert tables[0].p_map() == {0: 3, 1: 2}
-    with pytest.raises(ValueError):
-        vanishing_tables(Params(7, 3, 16, 5), Case.SMALL_B)
 
 
 def test_block_index_recovery():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from conftest import constructible_tuples
@@ -13,6 +15,7 @@ from ellchain import (
     rho_value,
 )
 from ellchain.cli import SweepConfig
+from ellchain.errors import ParameterError
 
 
 @pytest.mark.parametrize(
@@ -21,18 +24,18 @@ from ellchain.cli import SweepConfig
 )
 def test_ledger_totals(tup, expected_total):
     p = Params(*tup)
-    led = ledger(p)
+    led = ledger(construct(p))
     assert led.total == expected_total == brill_noether_rho(p)
 
 
 def test_audit_worked_instance():
-    audit = audit_equals_rho(Params(7, 3, 16, 5))
+    audit = audit_equals_rho(construct(Params(7, 3, 16, 5)))
     assert audit.ok and audit.rho == audit.total == 20
 
 
 def test_large_sections_rows_are_the_global_count():
     p = Params(2, 2, 6, 3)
-    led = ledger(p)
+    led = ledger(construct(p))
     labels = [row.label for row in led.rows]
     assert labels == ["stable_bundle_family", "section_space_grassmannian"]
     g, r, d, k = 2, 2, 6, 3
@@ -42,7 +45,7 @@ def test_large_sections_rows_are_the_global_count():
 
 
 def test_block_rest_rows_net_zero():
-    led = ledger(Params(7, 3, 16, 5))
+    led = ledger(construct(Params(7, 3, 16, 5)))
     by_label = {row.label: row for row in led.rows}
     row = by_label["block_rest"]
     assert row.moduli == 0 and row.autos == 9 and row.gluing == 9
@@ -52,7 +55,7 @@ def test_block_rest_rows_net_zero():
 def test_tail_rows_net_r_squared_each():
     # g = 8 with the (7,3,16,5) small-B shape gives a one-component tail
     p = Params(8, 3, 17, 4)
-    led = ledger(p)
+    led = ledger(construct(p))
     by_label = {row.label: row for row in led.rows}
     tail = by_label["tail"]
     assert tail.count >= 1
@@ -64,14 +67,14 @@ def test_tail_rows_net_r_squared_each():
 def test_rows_cover_components_exactly_once():
     for tup in [(7, 3, 16, 5), (7, 3, 14, 4), (4, 2, 8, 4), (6, 3, 16, 5), (7, 3, 21, 6)]:
         p = Params(*tup)
-        led = ledger(p)
+        led = ledger(construct(p))
         covered = [c for row in led.rows if row.components for c in row.components]
         assert sorted(covered) == list(range(1, p.g + 1))
 
 
 def test_split_preserves_total():
     for tup in [(7, 3, 16, 5), (7, 3, 14, 4), (4, 2, 8, 4), (2, 2, 6, 3)]:
-        led = ledger(Params(*tup))
+        led = ledger(construct(Params(*tup)))
         split = led.split_rows()
         assert split.total == led.total
         assert all(row.count <= 1 or row.components is None for row in split.rows)
@@ -80,7 +83,7 @@ def test_split_preserves_total():
 def test_row_dimensions_nonnegative_over_sweep():
     cfg = SweepConfig(g=(2, 9), r=(1, 4))
     for p, _ in constructible_tuples(cfg):
-        for row in ledger(p).rows:
+        for row in ledger(construct(p)).rows:
             assert row.moduli >= 0 and row.autos >= 0 and row.gluing >= 0
 
 
@@ -90,7 +93,7 @@ def test_ledger_gluing_matches_skeleton_gluings():
     # per-node itemization)
     for tup in [(7, 3, 16, 5), (7, 3, 14, 4), (4, 2, 8, 4), (6, 3, 16, 5), (8, 3, 17, 4)]:
         p = Params(*tup)
-        led = ledger(p)
+        led = ledger(construct(p))
         if led.case is Case.LARGE_SECTIONS:
             continue
         s = construct(p)
@@ -110,7 +113,7 @@ def test_small_c_closed_form():
     # total = r^2 (g - 1 - k1 t) + 1 with t = g - d1 + k1 - 1
     for tup in [(4, 2, 8, 4), (5, 2, 10, 4), (7, 3, 21, 6)]:
         p = Params(*tup)
-        led = ledger(p)
+        led = ledger(construct(p))
         if led.case is not Case.SMALL_C:
             continue
         g, r = p.g, p.r
@@ -121,12 +124,31 @@ def test_small_c_closed_form():
 
 
 def test_audit_json_carries_termwise_breakdown():
-    doc = audit_equals_rho(Params(7, 3, 14, 4)).to_json_dict()
+    doc = audit_equals_rho(construct(Params(7, 3, 14, 4))).to_json_dict()
     assert doc["ok"] is True and doc["rho"] == doc["total"] == 23
     assert [row["label"] for row in doc["ledger"]["rows"]][0] == "first_component"
 
 
 def test_ledger_text_rendering():
-    text = ledger(Params(7, 3, 16, 5)).to_text()
+    text = ledger(construct(Params(7, 3, 16, 5))).to_text()
     assert "total = 20" in text
     assert "block_rest" in text
+
+
+def test_ledger_reads_gluing_dims_off_the_skeleton():
+    # (7,3,16,5): block_first covers components 4 and 6, entered by nodes 3
+    # and 5. A different dimension at node 5 splits the row per component.
+    s = construct(Params(7, 3, 16, 5))
+    gluings = list(s.gluings)
+    gluings[4] = dataclasses.replace(gluings[4], parameter_dim=99)
+    led = ledger(dataclasses.replace(s, gluings=tuple(gluings)))
+    labels = [row.label for row in led.rows]
+    assert "block_first" not in labels
+    assert "block_first[C4]" in labels and "block_first[C6]" in labels
+    assert led.total == 20 + 99 - 7
+
+
+def test_ledger_rejects_wrong_case_tag():
+    s = construct(Params(7, 3, 16, 5))
+    with pytest.raises(ParameterError, match="classifies as small_a"):
+        ledger(dataclasses.replace(s, case=Case.SMALL_B))

@@ -105,3 +105,16 @@ def test_malformed_document_rejected():
     del doc["tables"]
     with pytest.raises(ParameterError):
         skeleton_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_loader_requires_exact_int_table_entries(bad):
+    doc = skeleton_to_json_dict(construct(Params(7, 3, 16, 5)))
+    doc["tables"][0]["at_p"][0][1] = bad
+    with pytest.raises(ParameterError):
+        skeleton_from_json_dict(doc)
+
+
+def test_loader_rejects_non_object_document():
+    with pytest.raises(ParameterError):
+        skeleton_from_json_dict([skeleton_to_json_dict(construct(Params(2, 2, 6, 3)))])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ellchain import (
     ComponentBundle,
     Params,
-    SlopeQuery,
     Summand,
     VanishingTable,
     check_component_feasibility,
@@ -18,7 +17,6 @@ from ellchain import (
     induced_pairs,
     node_min_sum_greedy,
     slope_ok,
-    slope_query_ok,
     verify,
 )
 from ellchain.errors import PairingNotGiven
@@ -128,9 +126,7 @@ class TestSlope:
     def test_scale_invariance(self, kp, rp, k, r, a, b):
         assert slope_ok(a * kp, a * rp, b * k, b * r) == slope_ok(kp, rp, k, r)
 
-    def test_query_wrapper(self):
-        assert slope_query_ok(SlopeQuery(kprime=1, rprime=1, k=5, r=3))
-        assert not slope_query_ok(SlopeQuery(kprime=2, rprime=1, k=5, r=3))
+    def test_zero_rank_rejected(self):
         with pytest.raises(ValueError):
             slope_ok(1, 0, 5, 3)
 
