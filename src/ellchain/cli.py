@@ -135,6 +135,24 @@ def iter_tuples(cfg: SweepConfig) -> Iterator[tuple[int, int, int, int]]:
                     yield g, r, d, k
 
 
+def selected_tuples(cfg: SweepConfig) -> Iterator[tuple[int, int, int, int]]:
+    """Lattice tuples in order, keeping only those whose case `cfg.cases`
+    selects. Classifying is cheap next to construct, verify and audit, and
+    tuples that fail their hypotheses carry no case, so the filter runs
+    before any of those."""
+    tuples = iter_tuples(cfg)
+    if cfg.cases is None:
+        return tuples
+    return (t for t in tuples if _case_of(t) in cfg.cases)
+
+
+def _case_of(t: tuple[int, int, int, int]) -> Case | None:
+    try:
+        return classify(Params(*t)).case
+    except (KLERegime, HypothesisFailed):
+        return None
+
+
 def evaluate_tuple(args: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int], str, str, int]:
     """One sweep cell: ((g,r,d,k), status, case or '-', rho)."""
     g, r, d, k = args
@@ -169,7 +187,7 @@ def run_sweep(
     """Stream per-tuple verdicts in lattice order and return the aggregate.
 
     `corrupt` is a test hook mapping (tuple, status) -> status, applied before
-    aggregation; it requires jobs=1.
+    aggregation to the tuples `cfg.cases` selects; it requires jobs=1.
     """
     emit = emit or (lambda line: print(line))
     summary = SweepSummary()
@@ -177,7 +195,7 @@ def run_sweep(
         raise ParameterError("the corrupt hook requires jobs=1")
 
     def results() -> Iterable[tuple[tuple[int, int, int, int], str, str, int]]:
-        tuples = iter_tuples(cfg)
+        tuples = selected_tuples(cfg)
         if cfg.jobs == 1:
             for item in tuples:
                 yield evaluate_tuple(item)
@@ -188,8 +206,6 @@ def run_sweep(
     for (g, r, d, k), status, case, rho in results():
         if corrupt is not None:
             status = corrupt((g, r, d, k), status)
-        if cfg.cases is not None and case not in {c.value for c in cfg.cases}:
-            continue
         summary.tried += 1
         constructed = status in ("pass", "verify_fail", "audit_fail")
         if constructed:

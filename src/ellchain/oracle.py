@@ -201,7 +201,7 @@ def cross_validate(s: LimitSeriesSkeleton, bound: int = DEFAULT_BOUND) -> CrossV
     """Compare the greedy verifier verdicts against the oracle on every node
     and component of a skeleton. Instances beyond the bound are skipped with
     a notice, not failed."""
-    from .verify import check_component_feasibility, induced_pairs, node_min_sum_greedy
+    from .verify import check_component_feasibility, induced_stretches, node_min_sum_greedy
 
     checks: list[CrossCheck] = []
     skipped: list[str] = []
@@ -211,17 +211,17 @@ def cross_validate(s: LimitSeriesSkeleton, bound: int = DEFAULT_BOUND) -> CrossV
     d1 = s.decomposition.d1
     d2 = s.decomposition.d2
     for node in range(1, s.chain.components):
-        q = s.table(node).q_map()
-        p_next = s.table(node + 1).p_map()
+        q = s.table(node).at_q
+        p_next = s.table(node + 1).at_p
         greedy = node_min_sum_greedy(q, p_next) >= s.b
-        oracle = min_sum_pairing_exists(q, p_next, s.b, bound=bound)
+        oracle = min_sum_pairing_exists(dict(q), dict(p_next), s.b, bound=bound)
         checks.append(CrossCheck(kind="node", index=node, greedy=greedy, oracle=oracle))
 
     for i in range(1, s.chain.components + 1):
         bundle = s.bundle(i)
         table = s.table(i)
         greedy_ok = check_component_feasibility(
-            bundle, table, induced_pairs(table), d1=d1, d2=d2, r=s.params.r
+            bundle, table, induced_stretches(table), d1=d1, d2=d2, r=s.params.r
         ).ok
         if bundle.kind == "first_special":
             budget = {a: d2 for a in range(0, d1 + 1)} if d2 else {}

@@ -99,8 +99,9 @@ class ComponentBundle:
 class VanishingTable:
     """Vanishing multisets of the section space at P_i and at Q_i.
 
-    Stored as sorted (order, multiplicity) pairs; orders are distinct within
-    a point and multiplicities are positive.
+    Stored as (order, multiplicity) runs with strictly ascending distinct
+    orders and positive multiplicities; the verifier's run merge relies on
+    this, and the JSON loader rejects a side that breaks it.
     """
 
     component: int
@@ -130,17 +131,18 @@ class VanishingTable:
         return sum(m for _, m in self.at_q)
 
 
-def expand_ascending(table: Mapping[int, int] | Iterable[tuple[int, int]]) -> list[int]:
-    """Flatten an order -> multiplicity map into an ascending list of orders."""
-    items = table.items() if isinstance(table, Mapping) else table
+def expand_ascending(runs: Iterable[tuple[int, int]]) -> list[int]:
+    """Flatten (order, multiplicity) runs into an ascending list of orders,
+    one entry per section. The verifier never expands; this is the
+    per-section reference its run merge is tested against."""
     out: list[int] = []
-    for order, mult in sorted(items):
+    for order, mult in sorted(runs):
         out.extend([order] * mult)
     return out
 
 
-def expand_descending(table: Mapping[int, int] | Iterable[tuple[int, int]]) -> list[int]:
-    return expand_ascending(table)[::-1]
+def expand_descending(runs: Iterable[tuple[int, int]]) -> list[int]:
+    return expand_ascending(runs)[::-1]
 
 
 def minimal_boundary_table(r: int, k1: int, k2: int) -> dict[int, int]:
@@ -241,23 +243,23 @@ def _bundle_to_json(b: ComponentBundle) -> dict[str, Any]:
     return doc
 
 
+def _decomposition_to_json(dec: Decomposition) -> dict[str, int]:
+    return {"d1": dec.d1, "d2": dec.d2, "k1": dec.k1, "k2": dec.k2, "h": dec.h, "rbar": dec.rbar, "dbar": dec.dbar}
+
+
+def _nodes_to_json(chain: ChainCurve) -> list[list[str]]:
+    return [list(pair) for pair in chain.nodes]
+
+
 def skeleton_to_json_dict(s: LimitSeriesSkeleton) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
         "params": {"g": s.params.g, "r": s.params.r, "d": s.params.d, "k": s.params.k},
-        "decomposition": {
-            "d1": s.decomposition.d1,
-            "d2": s.decomposition.d2,
-            "k1": s.decomposition.k1,
-            "k2": s.decomposition.k2,
-            "h": s.decomposition.h,
-            "rbar": s.decomposition.rbar,
-            "dbar": s.decomposition.dbar,
-        },
+        "decomposition": _decomposition_to_json(s.decomposition),
         "case": s.case.value,
         "b": s.b,
         "components": s.chain.components,
-        "nodes": [list(pair) for pair in s.chain.nodes],
+        "nodes": _nodes_to_json(s.chain),
         "bundles": [_bundle_to_json(b) for b in s.bundles],
         "tables": [
             {"component": t.component, "at_p": [list(x) for x in t.at_p], "at_q": [list(x) for x in t.at_q]}
@@ -292,11 +294,36 @@ def _optional_int(value: Any) -> int | None:
 
 
 def _table_side(entries: Iterable[Any]) -> tuple[tuple[int, int], ...]:
-    return tuple((_exact_int(o), _exact_int(m)) for o, m in entries)
+    """One side of a table, held to the VanishingTable invariant that the
+    verifier's run merge trusts: non-empty, strictly ascending distinct
+    orders, positive multiplicities."""
+    side = tuple((_exact_int(o), _exact_int(m)) for o, m in entries)
+    if not side:
+        raise ParameterError("a table side needs at least one (order, multiplicity) entry")
+    for (prev, _), (order, _) in zip(side, side[1:]):
+        if order <= prev:
+            raise ParameterError(f"table orders must be strictly ascending, got {order} after {prev}")
+    for order, mult in side:
+        if mult <= 0:
+            raise ParameterError(f"order {order} has multiplicity {mult}; multiplicities must be positive")
+    return side
+
+
+def _require_derived(doc: Mapping[str, Any], key: str, expected: Any) -> None:
+    """Reject a stored field that differs from its value recomputed from the
+    rest of the document."""
+    if canonical_dumps(doc[key]) != canonical_dumps(expected):
+        raise ParameterError(f"stale {key!r}: the document has {doc[key]!r}, the skeleton gives {expected!r}")
 
 
 def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
-    """Rebuild a skeleton from its canonical JSON document."""
+    """Rebuild a skeleton from its canonical JSON document.
+
+    Raises ParameterError for any document it cannot load, including one
+    whose `decomposition` or `nodes` differ from what `params` and
+    `components` give, and one with a table side that breaks the
+    VanishingTable invariant.
+    """
     if not isinstance(doc, Mapping):
         raise ParameterError(f"a skeleton document is a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != SCHEMA_VERSION:
@@ -357,6 +384,8 @@ def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
             gluings=tuple(gluings),
             notes=tuple(doc.get("notes", ())),
         )
+        _require_derived(doc, "decomposition", _decomposition_to_json(skeleton.decomposition))
+        _require_derived(doc, "nodes", _nodes_to_json(skeleton.chain))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParameterError):
             raise

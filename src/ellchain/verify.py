@@ -20,15 +20,38 @@ Checks performed:
 * multiplicity bounds: every order lies in [0, d1] with multiplicity <= r and
   each point's multiplicities total k.
 
+Both pairings are read off the (order, multiplicity) runs a VanishingTable
+stores, never off per-section lists: `merge_runs` walks one side's runs
+upward and the other's from the top with two pointers and yields
+(x, y, count) stretches, so a check costs O(distinct orders), not O(k).
+
+Why the anti-sorted pairing decides both rules (an exchange argument). Call
+two pairs (x, y), (x', y') concordant when x < x' and y < y'; the anti-sorted
+pairing is, up to ties, the only one with no concordant pair, and swapping
+partners of a concordant pair, to (x, y') and (x', y), removes it. At a node
+the swap cannot lower the minimum: both new sums are >= x + y, the smaller
+old sum (the rearrangement inequality). On a component the swap keeps every
+rule: both new sums are < x' + y' <= d1, so no sum exceeds d1, and no new
+sum equals d1, so no order's exceptional count grows; the multiplicity rule
+does not depend on the pairing. Swapping until no concordant pair is left
+ends, since each swap lowers the sum of the products x*y by
+(x' - x)(y' - y) > 0, at the anti-sorted pairing, so the anti-sorted pairing
+is valid whenever any pairing is.
+
 The genericity condition (sections determined by their nodal values) is not
 machine-checkable in this model and is carried as an assumption with its own
 status, so an overall pass reads "pass modulo genericity assumptions".
+
+Witnesses are built only when read: a report's JSON expands each node's
+stretches into its pairs and sums, and a sweep, which reads statuses only,
+never pays for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from .errors import PairingNotGiven
 from .oracle import min_sum_pairing_exists
@@ -38,10 +61,11 @@ from .skeleton import (
     VanishingTable,
     canonical_dumps,
     degree_balance,
-    expand_ascending,
-    expand_descending,
     minimal_boundary_table,
 )
+
+Runs = Sequence[tuple[int, int]]
+Stretch = tuple[int, int, int]
 
 
 def slope_ok(kprime: int, rprime: int, k: int, r: int) -> bool:
@@ -51,35 +75,73 @@ def slope_ok(kprime: int, rprime: int, k: int, r: int) -> bool:
     return kprime * r <= k * rprime
 
 
-def node_min_sum_greedy(at_q: Mapping[int, int], at_p_next: Mapping[int, int]) -> int:
+def merge_runs(up: Runs, down: Runs) -> list[Stretch]:
+    """Anti-sorted pairing of two run tables, as (x, y, count) stretches.
+
+    `up`'s orders are read ascending and `down`'s from the top, so x rises
+    and y falls from one stretch to the next. Both sides must hold strictly
+    ascending distinct orders with positive multiplicities (the
+    VanishingTable invariant). Unequal totals stop the pairing at the
+    shorter side, as `zip` over the expanded lists would.
+    """
+    out: list[Stretch] = []
+    if not up or not down:
+        return out
+    i, j = 0, len(down) - 1
+    x, mx = up[0]
+    y, my = down[j]
+    while True:
+        count = mx if mx < my else my
+        out.append((x, y, count))
+        mx -= count
+        my -= count
+        if not mx:
+            i += 1
+            if i == len(up):
+                return out
+            x, mx = up[i]
+        if not my:
+            j -= 1
+            if j < 0:
+                return out
+            y, my = down[j]
+
+
+def node_min_sum_greedy(at_q: Runs, at_p_next: Runs) -> int:
     """Minimum pair sum of the greedy pairing (Q descending vs P ascending).
 
     Sorting one side up and the other down maximizes the minimum sum over
     all bijections, so this value decides satisfiability of the node rule.
     """
-    pairs = zip(expand_descending(at_q), expand_ascending(at_p_next))
-    return min(q + p for q, p in pairs)
+    return min(p + q for p, q, _ in merge_runs(at_p_next, at_q))
 
 
-def induced_pairs(table: VanishingTable) -> list[tuple[int, int]]:
-    """Component pairing: P-orders ascending against Q-orders descending."""
-    return list(zip(expand_ascending(table.at_p), expand_descending(table.at_q)))
+def induced_stretches(table: VanishingTable) -> list[Stretch]:
+    """Component pairing as (P-order, Q-order, count): P-orders ascending
+    against Q-orders descending."""
+    return merge_runs(table.at_p, table.at_q)
 
 
 @dataclass(frozen=True)
 class NodeVerdict:
     node: int
-    pairs: tuple[tuple[int, int], ...]
+    stretches: tuple[Stretch, ...]  # (P-order, Q-order, count), P ascending
     min_sum: int
     satisfiable: bool
     exact: bool
     oracle_used: bool
 
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(Q-order, P-order) per section, Q descending."""
+        return tuple((q, p) for p, q, count in self.stretches for _ in range(count))
+
     def to_json_dict(self) -> dict[str, Any]:
+        pairs = self.pairs
         return {
             "node": self.node,
-            "pairs": [list(p) for p in self.pairs],
-            "sums": [q + p for q, p in self.pairs],
+            "pairs": [[q, p] for q, p in pairs],
+            "sums": [q + p for q, p in pairs],
             "min_sum": self.min_sum,
             "satisfiable": self.satisfiable,
             "exact": self.exact,
@@ -89,26 +151,32 @@ class NodeVerdict:
 
 def check_node_pairing(s: LimitSeriesSkeleton, oracle_bound: int = 8) -> tuple[NodeVerdict, ...]:
     """Per-node verdicts. Greedy decides; the oracle is consulted only when
-    the greedy pairing fails and the instance is small enough."""
+    the greedy pairing fails and the instance is small enough. Sides with
+    different totals admit no bijection, so the oracle is not asked; the
+    multiplicity_bounds check fails such a table."""
     verdicts = []
+    tables = s.tables
+    b = s.b
     for node in range(1, s.chain.components):
-        at_q = s.table(node).q_map()
-        at_p = s.table(node + 1).p_map()
-        pairs = tuple(zip(expand_descending(at_q), expand_ascending(at_p)))
-        sums = [q + p for q, p in pairs]
+        at_q = tables[node - 1].at_q
+        at_p = tables[node].at_p
+        stretches = tuple(merge_runs(at_p, at_q))
+        sums = [p + q for p, q, _ in stretches]
         min_sum = min(sums)
-        satisfiable = min_sum >= s.b
+        satisfiable = min_sum >= b
         oracle_used = False
-        if not satisfiable and s.params.k <= oracle_bound:
-            satisfiable = min_sum_pairing_exists(at_q, at_p, s.b, bound=oracle_bound)
-            oracle_used = True
+        if not satisfiable:
+            size = sum(m for _, m in at_q)
+            if size == sum(m for _, m in at_p) and size <= oracle_bound:
+                satisfiable = min_sum_pairing_exists(dict(at_q), dict(at_p), b, bound=oracle_bound)
+                oracle_used = True
         verdicts.append(
             NodeVerdict(
                 node=node,
-                pairs=pairs,
+                stretches=stretches,
                 min_sum=min_sum,
                 satisfiable=satisfiable,
-                exact=all(v == s.b for v in sums),
+                exact=min_sum == b and max(sums) == b,
                 oracle_used=oracle_used,
             )
         )
@@ -140,7 +208,7 @@ def _exceptional_capacity(bundle: ComponentBundle, a: int, d2: int) -> int:
 def check_component_feasibility(
     bundle: ComponentBundle,
     table: VanishingTable,
-    pairs: Sequence[tuple[int, int]] | None,
+    stretches: Sequence[Stretch] | None,
     *,
     d1: int,
     d2: int,
@@ -148,14 +216,15 @@ def check_component_feasibility(
 ) -> ComponentVerdict:
     """Check one component's pairing against the elliptic section rules.
 
-    `pairs` must be a multiplicity-respecting pairing of the P-orders with
-    the Q-orders; pass `pairs=None` to get PairingNotGiven (callers either
-    supply the induced pairing or ask the oracle instead).
+    `stretches` must be a multiplicity-respecting pairing of the P-orders
+    with the Q-orders, as (P-order, Q-order, count); pass `stretches=None`
+    to get PairingNotGiven (callers either supply the induced pairing or ask
+    the oracle instead). A pair above d1 yields one violation per section.
     """
-    if pairs is None:
+    if stretches is None:
         raise PairingNotGiven(
             f"component {table.component}: no pairing supplied; "
-            "use induced_pairs() or the matching oracle"
+            "use induced_stretches() or the matching oracle"
         )
     violations: list[dict[str, Any]] = []
     for point, side in (("P", table.at_p), ("Q", table.at_q)):
@@ -165,12 +234,14 @@ def check_component_feasibility(
                     {"rule": "order_multiplicity", "point": point, "order": order, "mult": mult, "max": r}
                 )
     top_groups: dict[int, int] = {}
-    for x, y in pairs:
+    for x, y, count in stretches:
         total = x + y
         if total > d1:
-            violations.append({"rule": "pair_sum", "pair": [x, y], "sum": total, "max": d1})
+            violations.extend(
+                {"rule": "pair_sum", "pair": [x, y], "sum": total, "max": d1} for _ in range(count)
+            )
         elif total == d1:
-            top_groups[x] = top_groups.get(x, 0) + 1
+            top_groups[x] = top_groups.get(x, 0) + count
     exceptional = []
     for a in sorted(top_groups):
         capacity = _exceptional_capacity(bundle, a, d2)
@@ -187,10 +258,25 @@ def check_component_feasibility(
     )
 
 
-@dataclass(frozen=True)
 class CheckEntry:
-    status: str  # "pass" | "fail" | "assumed"
-    witness: Any
+    """A check's status and its witness.
+
+    The witness is given either as a value or as `build`, a function of no
+    arguments that is called once, on the first read of `witness`.
+    """
+
+    __slots__ = ("status", "_witness", "_build")
+
+    def __init__(self, status: str, witness: Any = None, *, build: Callable[[], Any] | None = None) -> None:
+        self.status = status  # "pass" | "fail" | "assumed"
+        self._witness = witness
+        self._build = build
+
+    @property
+    def witness(self) -> Any:
+        if self._build is not None:
+            self._witness, self._build = self._build(), None
+        return self._witness
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"status": self.status, "witness": self.witness}
@@ -263,6 +349,17 @@ def check_multiplicity_bounds(s: LimitSeriesSkeleton) -> CheckEntry:
     return CheckEntry("pass", {"components": len(s.tables), "max_multiplicity": r})
 
 
+def _node_witness(nodes: tuple[NodeVerdict, ...]) -> dict[str, Any]:
+    return {
+        "nodes": [n.to_json_dict() for n in nodes],
+        "all_exact": all(n.exact for n in nodes),
+    }
+
+
+def _component_witness(comps: list[ComponentVerdict]) -> dict[str, Any]:
+    return {"components": [c.to_json_dict() for c in comps]}
+
+
 def verify(s: LimitSeriesSkeleton, oracle_bound: int = 8) -> VerificationReport:
     """Run every check and aggregate the verdicts into one report."""
     dec = s.decomposition
@@ -277,34 +374,33 @@ def verify(s: LimitSeriesSkeleton, oracle_bound: int = 8) -> VerificationReport:
     )
 
     nodes = check_node_pairing(s, oracle_bound=oracle_bound)
-    node_witness = {
-        "nodes": [n.to_json_dict() for n in nodes],
-        "all_exact": all(n.exact for n in nodes),
-    }
     checks.append(
         (
             "node_pairing",
-            CheckEntry("pass" if all(n.satisfiable for n in nodes) else "fail", node_witness),
+            CheckEntry(
+                "pass" if all(n.satisfiable for n in nodes) else "fail",
+                build=partial(_node_witness, nodes),
+            ),
         )
     )
 
     comps = [
         check_component_feasibility(
-            s.bundle(i),
-            s.table(i),
-            induced_pairs(s.table(i)),
+            bundle,
+            table,
+            induced_stretches(table),
             d1=dec.d1,
             d2=dec.d2,
             r=s.params.r,
         )
-        for i in range(1, s.chain.components + 1)
+        for bundle, table in zip(s.bundles, s.tables)
     ]
     checks.append(
         (
             "component_feasibility",
             CheckEntry(
                 "pass" if all(c.ok for c in comps) else "fail",
-                {"components": [c.to_json_dict() for c in comps]},
+                build=partial(_component_witness, comps),
             ),
         )
     )

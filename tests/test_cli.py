@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ellchain import Params, construct, verify
+from ellchain import Case, Params, construct, verify
 from ellchain.cli import (
     SweepConfig,
     analyze,
@@ -175,6 +175,40 @@ class TestVerifyFileAuditAndLoad:
         assert main(["verify-file", str(path)]) == 1
         assert "cannot load" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            (("tables", 0, "at_q"), []),
+            (("tables", 1, "at_p"), [[0, 2], [0, 3]]),
+            (("tables", 1, "at_p"), [[3, 2], [1, 3]]),
+            (("tables", 1, "at_p"), [[0, 2], [1, 0], [2, 3]]),
+            (("decomposition", "d1"), 99),
+            (("nodes",), []),
+        ],
+        ids=["empty_side", "duplicate_order", "unsorted_side", "zero_multiplicity",
+             "stale_decomposition", "emptied_nodes"],
+    )
+    def test_inconsistent_document_rejected(self, tmp_path, capsys, field, value):
+        path, doc = _dumped(tmp_path, capsys)
+        parent = doc
+        for key in field[:-1]:
+            parent = parent[key]
+        parent[field[-1]] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-file", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"cannot load {path}:")
+        assert "overall" not in out
+
+    def test_unequal_node_totals_fail_without_traceback(self, tmp_path, capsys):
+        path, doc = _dumped(tmp_path, capsys)
+        doc["tables"][1]["at_p"] = [[0, 4]]  # totals 4 against node 1's 5 Q-orders
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-file", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "verify node_pairing: fail" in out and "overall: fail" in out
+
+
 class TestSweep:
     def test_lattice_order_and_defaults(self):
         cfg = SweepConfig(g=(2, 2), r=(2, 2))
@@ -203,6 +237,32 @@ class TestSweep:
         out = capsys.readouterr().out.strip().splitlines()
         assert code == 0
         assert all("case=small_c" in line for line in out[:-1])
+
+    def test_case_filter_equals_filtered_full_output(self):
+        def run(cfg, corrupt=None):
+            lines: list[str] = []
+            summary = run_sweep(cfg, emit=lines.append, corrupt=corrupt)
+            return lines, summary
+
+        full, _ = run(SweepConfig(g=(2, 6), r=(1, 2)))
+        wanted = [line for line in full if "case=small_c" in line]
+        assert len(wanted) >= 3 and all("status=pass" in line for line in wanted)
+        lines, summary = run(SweepConfig(g=(2, 6), r=(1, 2), cases=frozenset({Case.SMALL_C})))
+        assert lines == wanted
+        assert (summary.tried, summary.constructed, summary.verified, summary.failures) == (
+            len(wanted), len(wanted), len(wanted), [])
+
+        # A corrupted verdict on the second selected tuple stops a fail-fast
+        # sweep right after its line.
+        second = tuple(int(f.split("=")[1]) for f in wanted[1].split()[:4])
+
+        def corrupt(tup, status):
+            return "verify_fail" if tup == second else status
+
+        lines, summary = run(
+            SweepConfig(g=(2, 6), r=(1, 2), cases=frozenset({Case.SMALL_C}), fail_fast=True), corrupt)
+        assert lines == [wanted[0], wanted[1].replace("status=pass", "status=verify_fail")]
+        assert summary.failures == [second]
 
     def test_json_lines(self, capsys):
         main(["sweep", "--g", "2:2", "--r", "1:1", "--format", "json"])

@@ -3,7 +3,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellchain import (
@@ -14,12 +14,14 @@ from ellchain import (
     check_component_feasibility,
     check_node_pairing,
     construct,
-    induced_pairs,
+    induced_stretches,
+    merge_runs,
     node_min_sum_greedy,
     slope_ok,
     verify,
 )
 from ellchain.errors import PairingNotGiven
+from ellchain.skeleton import expand_ascending, expand_descending
 
 
 def _mixed(summands, component=1, degree=0):
@@ -40,12 +42,12 @@ class TestNodePairing:
 
     def test_forced_failure(self):
         # best bijection of {2,1} against {0,1} has a pair summing to 2 < 3
-        assert node_min_sum_greedy({2: 1, 1: 1}, {0: 1, 1: 1}) == 2
+        assert node_min_sum_greedy(((1, 1), (2, 1)), ((0, 1), (1, 1))) == 2
 
     def test_saturated_orders_pass(self):
         for d1 in (3, 5):
             k = 4
-            assert node_min_sum_greedy({d1: k}, {0: k}) == d1
+            assert node_min_sum_greedy(((d1, k),), ((0, k),)) == d1
 
     def test_corrupted_order_fails_at_node_three(self):
         s = construct(Params(7, 3, 16, 5))
@@ -67,7 +69,7 @@ class TestComponentFeasibility:
         bundle = _mixed((Summand(mult=1, twist=2), Summand(mult=1)))
         table = _table({0: 1, 2: 1}, {1: 1, 2: 1})
         verdict = check_component_feasibility(
-            bundle, table, induced_pairs(table), d1=3, d2=0, r=2
+            bundle, table, induced_stretches(table), d1=3, d2=0, r=2
         )
         assert verdict.ok
         assert verdict.exceptional == ((2, 1, 1),)
@@ -76,7 +78,7 @@ class TestComponentFeasibility:
         bundle = _mixed((Summand(mult=2),))
         table = _table({0: 1, 1: 1}, {2: 1, 3: 1})
         verdict = check_component_feasibility(
-            bundle, table, induced_pairs(table), d1=3, d2=0, r=2
+            bundle, table, induced_stretches(table), d1=3, d2=0, r=2
         )
         assert not verdict.ok
         assert any(v["rule"] == "exceptional_capacity" for v in verdict.violations)
@@ -84,7 +86,7 @@ class TestComponentFeasibility:
     def test_first_special_budget(self):
         s = construct(Params(7, 3, 16, 5))
         verdict = check_component_feasibility(
-            s.bundle(1), s.table(1), induced_pairs(s.table(1)), d1=5, d2=1, r=3
+            s.bundle(1), s.table(1), induced_stretches(s.table(1)), d1=5, d2=1, r=3
         )
         assert verdict.ok
         # groups of degree-5 pairs, one per P-order, each within the d2 budget
@@ -93,14 +95,14 @@ class TestComponentFeasibility:
     def test_pair_sum_above_degree_rejected(self):
         bundle = _mixed((Summand(mult=2),))
         table = _table({3: 2}, {3: 2})
-        verdict = check_component_feasibility(bundle, table, induced_pairs(table), d1=4, d2=0, r=2)
+        verdict = check_component_feasibility(bundle, table, induced_stretches(table), d1=4, d2=0, r=2)
         assert not verdict.ok
         assert any(v["rule"] == "pair_sum" for v in verdict.violations)
 
     def test_multiplicity_above_rank_rejected(self):
         bundle = _mixed((Summand(mult=2),))
         table = _table({0: 3}, {1: 3})
-        verdict = check_component_feasibility(bundle, table, induced_pairs(table), d1=4, d2=0, r=2)
+        verdict = check_component_feasibility(bundle, table, induced_stretches(table), d1=4, d2=0, r=2)
         assert any(v["rule"] == "order_multiplicity" for v in verdict.violations)
 
     def test_pairing_must_be_supplied(self):
@@ -175,3 +177,86 @@ class TestFullVerify:
         }
         for entry in doc["checks"].values():
             assert entry["status"] in ("pass", "fail", "assumed")
+
+
+def _runs(orders):
+    """(order, multiplicity) runs of a list of orders."""
+    return tuple((o, orders.count(o)) for o in sorted(set(orders)))
+
+
+# Random run tables; the two sides of a pairing may total differently.
+run_tables = st.lists(st.integers(0, 9), min_size=1, max_size=12).map(_runs)
+
+
+def _component_reference(bundle, table, d1, d2, r):
+    """The component rules applied pair by pair to the expanded anti-sorted
+    pairing."""
+    violations = [
+        {"rule": "order_multiplicity", "point": point, "order": order, "mult": mult, "max": r}
+        for point, side in (("P", table.at_p), ("Q", table.at_q))
+        for order, mult in side
+        if mult > r
+    ]
+    top_groups = {}
+    for x, y in zip(expand_ascending(table.at_p), expand_descending(table.at_q)):
+        if x + y > d1:
+            violations.append({"rule": "pair_sum", "pair": [x, y], "sum": x + y, "max": d1})
+        elif x + y == d1:
+            top_groups[x] = top_groups.get(x, 0) + 1
+    exceptional = []
+    for a in sorted(top_groups):
+        capacity = d2 if bundle.kind == "first_special" else bundle.twist_multiplicity(a)
+        exceptional.append([a, top_groups[a], capacity])
+        if top_groups[a] > capacity:
+            violations.append(
+                {"rule": "exceptional_capacity", "order": a, "pairs": top_groups[a], "capacity": capacity}
+            )
+    return {"component": table.component, "ok": not violations, "violations": violations,
+            "exceptional": exceptional}
+
+
+class TestRunMerge:
+    @given(p=run_tables, q=run_tables)
+    @settings(max_examples=300)
+    def test_stretches_expand_to_the_zipped_pairing(self, p, q):
+        stretches = merge_runs(p, q)
+        assert all(count > 0 for _, _, count in stretches)
+        expanded = [(y, x) for x, y, count in stretches for _ in range(count)]
+        assert expanded == list(zip(expand_descending(q), expand_ascending(p)))
+
+    @given(at_q=run_tables, at_p=run_tables, b=st.integers(0, 18))
+    @settings(max_examples=200)
+    def test_node_verdict_matches_expanded_reference(self, at_q, at_p, b):
+        s = construct(Params(2, 2, 6, 3))
+        tables = (
+            VanishingTable(1, s.table(1).at_p, at_q),
+            VanishingTable(2, at_p, s.table(2).at_q),
+        )
+        verdict = check_node_pairing(dataclasses.replace(s, tables=tables, b=b))[0]
+        pairs = list(zip(expand_descending(at_q), expand_ascending(at_p)))
+        sums = [q + p for q, p in pairs]
+        assert list(verdict.pairs) == pairs
+        assert verdict.min_sum == min(sums)
+        assert verdict.exact == all(v == b for v in sums)
+        assert verdict.to_json_dict()["sums"] == sums
+
+    @given(
+        at_p=run_tables,
+        at_q=run_tables,
+        d1=st.integers(1, 12),
+        d2=st.integers(0, 3),
+        r=st.integers(1, 4),
+        twists=st.lists(st.one_of(st.none(), st.integers(0, 12)), min_size=1, max_size=4),
+        first_special=st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_component_verdict_matches_expanded_reference(self, at_p, at_q, d1, d2, r, twists, first_special):
+        table = VanishingTable(1, at_p, at_q)
+        if first_special:
+            bundle = ComponentBundle(component=1, kind="first_special", degree=0, blocks=1, block_rank=r)
+        else:
+            bundle = _mixed(tuple(Summand(mult=1, twist=t) for t in twists))
+        verdict = check_component_feasibility(
+            bundle, table, induced_stretches(table), d1=d1, d2=d2, r=r
+        )
+        assert verdict.to_json_dict() == _component_reference(bundle, table, d1, d2, r)
