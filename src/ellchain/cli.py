@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Callable, Iterable, Iterator
 
@@ -168,11 +168,7 @@ class SweepSummary:
     constructed: int = 0
     verified: int = 0
     ledger_ok: int = 0
-    failures: list[tuple[int, int, int, int]] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.failures is None:
-            self.failures = []
+    failures: list[tuple[int, int, int, int]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:

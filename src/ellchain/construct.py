@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InternalCoverage, MultiplicityMismatch
+from .errors import InternalCoverage
 from .params import Case, Decomposition, Params, classify, decompose, tail_threshold
 from .skeleton import (
     ComponentBundle,
@@ -48,7 +48,6 @@ from .skeleton import (
     Summand,
     VanishingTable,
     build_chain,
-    check_table_totals,
     minimal_boundary_table,
 )
 
@@ -69,22 +68,13 @@ class BlockIndex:
         return width * self.alpha + self.beta + 1
 
 
-def _table(entries: Iterable[tuple[int, int]], *, component: int, point: str) -> dict[int, int]:
-    """Assemble order -> multiplicity, dropping zero rows, rejecting dupes."""
-    out: dict[int, int] = {}
-    for order, mult in entries:
-        if mult < 0:
-            raise MultiplicityMismatch(
-                f"component {component} at {point}: negative multiplicity {mult} for order {order}"
-            )
-        if mult == 0:
-            continue
-        if order in out:
-            raise MultiplicityMismatch(
-                f"component {component} at {point}: duplicate order {order}"
-            )
-        out[order] = mult
-    return out
+Runs = tuple[tuple[int, int], ...]
+
+
+def _table(entries: Iterable[tuple[int, int]]) -> Runs:
+    """(order, multiplicity) runs in ascending order, zero rows dropped.
+    VanishingTable rejects a duplicate order or a negative multiplicity."""
+    return tuple(sorted((order, mult) for order, mult in entries if mult))
 
 
 def _run(lo: int, hi: int) -> range:
@@ -113,7 +103,7 @@ def tail_count(p: Params, case: Case | None = None) -> int:
     return p.g - width * t - 1
 
 
-PerComponent = dict[int, tuple[ComponentBundle, dict[int, int], dict[int, int]]]
+PerComponent = dict[int, tuple[ComponentBundle, Runs, Runs]]
 
 
 def _first_special(p: Params, dec: Decomposition) -> ComponentBundle:
@@ -129,21 +119,12 @@ def _build_large(p: Params, dec: Decomposition, case: Case) -> tuple[PerComponen
     comps: PerComponent = {}
     comps[1] = (
         _first_special(p, dec),
-        minimal_boundary_table(r, k1, k2),
-        _table(
-            [(g - 1 + j, r) for j in range(k1)] + [(g + k1 - 1, k2)],
-            component=1, point="Q",
-        ),
+        _table(minimal_boundary_table(r, k1, k2).items()),
+        _table([(g - 1 + j, r) for j in range(k1)] + [(g + k1 - 1, k2)]),
     )
     for i in range(2, g + 1):
-        at_p = _table(
-            [(d1 - g + i - 1 - j, r) for j in range(k1)] + [(d1 - g + i - k1 - 1, k2)],
-            component=i, point="P",
-        )
-        at_q = _table(
-            [(g - i + j, r) for j in range(k1)] + [(g - i + k1, k2)],
-            component=i, point="Q",
-        )
+        at_p = _table([(d1 - g + i - 1 - j, r) for j in range(k1)] + [(d1 - g + i - k1 - 1, k2)])
+        at_q = _table([(g - i + j, r) for j in range(k1)] + [(g - i + k1, k2)])
         comps[i] = (_mixed(i, r * d1, _lines(r)), at_p, at_q)
     gluings = [
         GluingSpec(node=n, tag="generic", parameter_dim=r * r) for n in range(1, g)
@@ -178,11 +159,8 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
 
     comps[1] = (
         _first_special(p, dec),
-        minimal_boundary_table(r, k1, k2),
-        _table(
-            [(d1, d2)] + [(d1 - j, r) for j in _run(1, k1 - s)] + [(d1 - k1 - 1 + s, e)],
-            component=1, point="Q",
-        ),
+        _table(minimal_boundary_table(r, k1, k2).items()),
+        _table([(d1, d2)] + [(d1 - j, r) for j in _run(1, k1 - s)] + [(d1 - k1 - 1 + s, e)]),
     )
 
     def early_q(i: int) -> dict[int, int]:
@@ -191,19 +169,15 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
         # full-multiplicity rows.
         if i == k1 + 2:
             return _table(
-                [(d1 - k1 - 1 + s, k2)] + [(o, r) for o in _run(d1 - 2 * k1 - 1 + s, d1 - k1 - 2 + s)],
-                component=i, point="Q",
+                [(d1 - k1 - 1 + s, k2)] + [(o, r) for o in _run(d1 - 2 * k1 - 1 + s, d1 - k1 - 2 + s)]
             )
         entries = _early_run(d1 - i + 1 + s, d1 - k1 - i + s, d1 - 2 * i + 2 + s, r=r, k2=k2, e=e)
-        return _table(entries, component=i, point="Q")
+        return _table(entries)
 
     second = _twisted(0, k2) + _lines(r - k2) if s else _twisted(1, e) + _lines(r - e)
     comps[2] = (
         _mixed(2, r * d1, second),
-        _table(
-            [(0, d2)] + [(j, r) for j in _run(1, k1 - s)] + [(k1 + 1 - s, e)],
-            component=2, point="P",
-        ),
+        _table([(0, d2)] + [(j, r) for j in _run(1, k1 - s)] + [(k1 + 1 - s, e)]),
         early_q(2),
     )
 
@@ -211,7 +185,7 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
         entries = _early_run(i - 2 - s, k1 + i - 1 - s, 2 * i - 4 - s, r=r, k2=k2, e=e)
         comps[i] = (
             _mixed(i, r * d1, _twisted(2 * i - 3 - s, e) + _lines(r - e)),
-            _table(entries, component=i, point="P"),
+            _table(entries),
             early_q(i),
         )
 
@@ -228,18 +202,13 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
                 bundle = _mixed(i, r * d1, _twisted(a0 + 2 * beta - 1, r))
             # P runs ascend from the k2 head, skipping the order a0+2*beta-2.
             at_p_orders = [*_run(a0 + beta - 1, a0 + 2 * beta - 3), *_run(a0 + 2 * beta - 1, a0 + k1 + beta)]
-            at_p = _table(
-                [(o, k2 if o == at_p_orders[0] else r) for o in at_p_orders], component=i, point="P"
-            )
+            at_p = _table([(o, k2 if o == at_p_orders[0] else r) for o in at_p_orders])
             # Q runs descend from d1-a0-beta; build ascending runs and mark
             # the top order with the k2 head.
             upper = _run(d1 - a0 - 2 * beta + 1, d1 - a0 - beta)
             lower = _run(d1 - a0 - k1 - beta - 1, d1 - a0 - 2 * beta - 1)
             top = d1 - a0 - beta
-            at_q = _table(
-                [(o, k2 if o == top else r) for o in upper] + [(o, r) for o in lower],
-                component=i, point="Q",
-            )
+            at_q = _table([(o, k2 if o == top else r) for o in upper] + [(o, r) for o in lower])
             comps[i] = (bundle, at_p, at_q)
 
     for i in _run(t * (k1 + 1) + 2, g):
@@ -247,8 +216,8 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
         hi = d1 - i + t + s
         comps[i] = (
             _mixed(i, r * d1, _lines(r)),
-            _table([(lo, k2)] + [(o, r) for o in _run(lo + 1, lo + k1)], component=i, point="P"),
-            _table([(hi, k2)] + [(o, r) for o in _run(hi - k1, hi - 1)], component=i, point="Q"),
+            _table([(lo, k2)] + [(o, r) for o in _run(lo + 1, lo + k1)]),
+            _table([(hi, k2)] + [(o, r) for o in _run(hi - k1, hi - 1)]),
         )
 
     # Node 1 links the special first bundle into component 2; nodes 2..k1+1
@@ -290,8 +259,8 @@ def _build_small_c(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
 
     comps[1] = (
         _mixed(1, r * d1, _lines(r)),
-        {j: r for j in range(k1)},
-        {d1 - j: r for j in _run(1, k1)},
+        _table((j, r) for j in range(k1)),
+        _table((d1 - j, r) for j in _run(1, k1)),
     )
 
     for alpha in _run(0, t - 1):
@@ -301,21 +270,19 @@ def _build_small_c(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
             a = base + 2 * beta - 1
             at_p = _table(
                 [(o, r) for o in _run(base + beta - 1, base + 2 * beta - 3)]
-                + [(o, r) for o in _run(base + 2 * beta - 1, base + k1 + beta - 1)],
-                component=i, point="P",
+                + [(o, r) for o in _run(base + 2 * beta - 1, base + k1 + beta - 1)]
             )
             at_q = _table(
                 [(o, r) for o in _run(d1 - base - 2 * beta + 1, d1 - base - beta)]
-                + [(o, r) for o in _run(d1 - base - k1 - beta, d1 - base - 2 * beta - 1)],
-                component=i, point="Q",
+                + [(o, r) for o in _run(d1 - base - k1 - beta, d1 - base - 2 * beta - 1)]
             )
             comps[i] = (_mixed(i, r * d1, _twisted(a, r)), at_p, at_q)
 
     for i in _run(t * k1 + 2, g):
         comps[i] = (
             _mixed(i, r * d1, _lines(r)),
-            {o: r for o in _run(i - t - 1, i - t + k1 - 2)},
-            {o: r for o in _run(d1 - i + t - k1 + 1, d1 - i + t)},
+            _table((o, r) for o in _run(i - t - 1, i - t + k1 - 2)),
+            _table((o, r) for o in _run(d1 - i + t - k1 + 1, d1 - i + t)),
         )
 
     gluings = [GluingSpec(node=n, tag="generic", parameter_dim=r * r) for n in range(1, g)]
@@ -335,8 +302,8 @@ def construct(p: Params) -> LimitSeriesSkeleton:
 
     Propagates KLERegime / HypothesisFailed from classification. A component
     index left uncovered (or covered twice) by the case's ranges raises
-    InternalCoverage; a table failing its structural guards raises
-    MultiplicityMismatch. Neither can fire on a tuple that classifies.
+    InternalCoverage; a table side breaking the VanishingTable invariant
+    raises ParameterError. Neither can fire on a tuple that classifies.
     """
     classification = classify(p)
     dec = decompose(p)
@@ -358,9 +325,9 @@ def construct(p: Params) -> LimitSeriesSkeleton:
                 f"component {i}: bundle rank {bundle.rank} != r={p.r}"
             )
         bundles.append(bundle)
-        tables.append(VanishingTable.from_maps(i, at_p, at_q))
+        tables.append(VanishingTable(i, at_p, at_q))
 
-    skeleton = LimitSeriesSkeleton(
+    return LimitSeriesSkeleton(
         params=p,
         case=classification.case,
         b=dec.d1,
@@ -370,5 +337,3 @@ def construct(p: Params) -> LimitSeriesSkeleton:
         gluings=tuple(gluings),
         notes=tuple(notes),
     )
-    check_table_totals(skeleton)
-    return skeleton

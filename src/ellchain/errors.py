@@ -35,13 +35,5 @@ class InternalCoverage(EngineError):
     """
 
 
-class MultiplicityMismatch(EngineError):
-    """A vanishing table failed a structural guard (totals, bounds, dupes)."""
-
-
-class PairingNotGiven(EngineError):
-    """Component feasibility was invoked without a pairing to check."""
-
-
 class InstanceTooLarge(EngineError):
     """A pairing instance exceeds the exhaustive-search bound."""

@@ -22,6 +22,7 @@ from typing import Mapping
 
 from .errors import InstanceTooLarge
 from .skeleton import LimitSeriesSkeleton
+from .verify import check_component_feasibility, check_node_pairing
 
 DEFAULT_BOUND = 8
 
@@ -199,10 +200,10 @@ class CrossValidation:
 
 def cross_validate(s: LimitSeriesSkeleton, bound: int = DEFAULT_BOUND) -> CrossValidation:
     """Compare the greedy verifier verdicts against the oracle on every node
-    and component of a skeleton. Instances beyond the bound are skipped with
-    a notice, not failed."""
-    from .verify import check_component_feasibility, induced_stretches, node_min_sum_greedy
-
+    and component of a skeleton. Instances beyond the bound, and nodes or
+    components whose two sides total differently (no bijection exists, and
+    `verify` already fails the table), are skipped with a notice, not
+    failed."""
     checks: list[CrossCheck] = []
     skipped: list[str] = []
     if s.params.k > bound:
@@ -210,19 +211,22 @@ def cross_validate(s: LimitSeriesSkeleton, bound: int = DEFAULT_BOUND) -> CrossV
 
     d1 = s.decomposition.d1
     d2 = s.decomposition.d2
-    for node in range(1, s.chain.components):
-        q = s.table(node).at_q
-        p_next = s.table(node + 1).at_p
-        greedy = node_min_sum_greedy(q, p_next) >= s.b
-        oracle = min_sum_pairing_exists(dict(q), dict(p_next), s.b, bound=bound)
-        checks.append(CrossCheck(kind="node", index=node, greedy=greedy, oracle=oracle))
+    for verdict in check_node_pairing(s):
+        node = verdict.node
+        q_table, p_table = s.table(node), s.table(node + 1)
+        if q_table.total_q != p_table.total_p:
+            skipped.append(f"node {node}: sides total {q_table.total_q} and {p_table.total_p}")
+            continue
+        oracle = min_sum_pairing_exists(q_table.q_map(), p_table.p_map(), s.b, bound=bound)
+        checks.append(CrossCheck(kind="node", index=node, greedy=verdict.satisfiable, oracle=oracle))
 
     for i in range(1, s.chain.components + 1):
         bundle = s.bundle(i)
         table = s.table(i)
-        greedy_ok = check_component_feasibility(
-            bundle, table, induced_stretches(table), d1=d1, d2=d2, r=s.params.r
-        ).ok
+        if table.total_p != table.total_q:
+            skipped.append(f"component {i}: sides total {table.total_p} and {table.total_q}")
+            continue
+        greedy_ok = check_component_feasibility(bundle, table, d1=d1, d2=d2, r=s.params.r).ok
         if bundle.kind == "first_special":
             budget = {a: d2 for a in range(0, d1 + 1)} if d2 else {}
         else:

@@ -2,10 +2,11 @@
 lists, vanishing tables, gluing tags, and the assembled skeleton.
 
 Points P_i, Q_i are symbolic; "generic" is a tag, not a witness. A vanishing
-table stores order -> multiplicity maps at both marked points of a component;
-multiplicities at each point always sum to k. Skeletons serialize to a
-canonical JSON document (schema 1, sorted keys, no floats) used by the CLI
-and the test fixtures.
+table stores (order, multiplicity) runs at both marked points of a component,
+and the type itself rejects a side that is empty, out of order or has a
+multiplicity below 1; that multiplicities at each point sum to k is a rule
+`verify` checks. Skeletons serialize to a canonical JSON document (schema 1,
+sorted keys, no floats) used by the CLI and the test fixtures.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from .errors import MultiplicityMismatch, ParameterError
+from .errors import ParameterError
 from .params import Case, Decomposition, Params, decompose
 
 
@@ -99,22 +100,33 @@ class ComponentBundle:
 class VanishingTable:
     """Vanishing multisets of the section space at P_i and at Q_i.
 
-    Stored as (order, multiplicity) runs with strictly ascending distinct
-    orders and positive multiplicities; the verifier's run merge relies on
-    this, and the JSON loader rejects a side that breaks it.
+    Stored as (order, multiplicity) runs. Each side is non-empty, with
+    strictly ascending distinct orders and positive multiplicities; the
+    verifier's run merge relies on this, so a side that breaks it raises
+    ParameterError here, whoever builds the table.
     """
 
     component: int
     at_p: tuple[tuple[int, int], ...]
     at_q: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def from_maps(cls, component: int, at_p: Mapping[int, int], at_q: Mapping[int, int]) -> "VanishingTable":
-        return cls(
-            component=component,
-            at_p=tuple(sorted((int(o), int(m)) for o, m in at_p.items() if m)),
-            at_q=tuple(sorted((int(o), int(m)) for o, m in at_q.items() if m)),
-        )
+    def __post_init__(self) -> None:
+        for point, side in (("P", self.at_p), ("Q", self.at_q)):
+            if not side:
+                raise ParameterError(f"component {self.component} at {point}: empty table side")
+            prev = None
+            for order, mult in side:
+                if prev is not None and order <= prev:
+                    raise ParameterError(
+                        f"component {self.component} at {point}: order {order} after {prev}, "
+                        "orders must be strictly ascending"
+                    )
+                if mult <= 0:
+                    raise ParameterError(
+                        f"component {self.component} at {point}: order {order} has multiplicity {mult}, "
+                        "multiplicities must be positive"
+                    )
+                prev = order
 
     def p_map(self) -> dict[int, int]:
         return dict(self.at_p)
@@ -294,19 +306,8 @@ def _optional_int(value: Any) -> int | None:
 
 
 def _table_side(entries: Iterable[Any]) -> tuple[tuple[int, int], ...]:
-    """One side of a table, held to the VanishingTable invariant that the
-    verifier's run merge trusts: non-empty, strictly ascending distinct
-    orders, positive multiplicities."""
-    side = tuple((_exact_int(o), _exact_int(m)) for o, m in entries)
-    if not side:
-        raise ParameterError("a table side needs at least one (order, multiplicity) entry")
-    for (prev, _), (order, _) in zip(side, side[1:]):
-        if order <= prev:
-            raise ParameterError(f"table orders must be strictly ascending, got {order} after {prev}")
-    for order, mult in side:
-        if mult <= 0:
-            raise ParameterError(f"order {order} has multiplicity {mult}; multiplicities must be positive")
-    return side
+    """One side of a table as exact-int runs; VanishingTable checks the rest."""
+    return tuple((_exact_int(o), _exact_int(m)) for o, m in entries)
 
 
 def _require_derived(doc: Mapping[str, Any], key: str, expected: Any) -> None:
@@ -392,25 +393,3 @@ def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
         raise ParameterError(f"malformed skeleton document: {exc}") from exc
     return skeleton
 
-
-def check_table_totals(s: LimitSeriesSkeleton) -> None:
-    """Guard: every table's multiplicities sum to k at both points, with
-    orders inside [0, d1] and positive multiplicities."""
-    k = s.params.k
-    d1 = s.decomposition.d1
-    for t in s.tables:
-        for label, side in (("P", t.at_p), ("Q", t.at_q)):
-            total = sum(m for _, m in side)
-            if total != k:
-                raise MultiplicityMismatch(
-                    f"component {t.component} at {label}: multiplicities sum to {total}, expected k={k}"
-                )
-            for order, mult in side:
-                if mult <= 0:
-                    raise MultiplicityMismatch(
-                        f"component {t.component} at {label}: order {order} has multiplicity {mult}"
-                    )
-                if not 0 <= order <= d1:
-                    raise MultiplicityMismatch(
-                        f"component {t.component} at {label}: order {order} outside [0, {d1}]"
-                    )

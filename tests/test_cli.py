@@ -201,12 +201,17 @@ class TestVerifyFileAuditAndLoad:
         assert "overall" not in out
 
     def test_unequal_node_totals_fail_without_traceback(self, tmp_path, capsys):
-        path, doc = _dumped(tmp_path, capsys)
-        doc["tables"][1]["at_p"] = [[0, 4]]  # totals 4 against node 1's 5 Q-orders
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["verify-file", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "verify node_pairing: fail" in out and "overall: fail" in out
+        # Each component-2 P side totals 4 against node 1's 5 Q-orders; in
+        # the second the pairing truncated at the shorter side still clears
+        # b. No bijection exists, so the node fails, and --oracle skips it.
+        for at_p in ([[0, 4]], [[0, 1], [1, 3]]):
+            path, doc = _dumped(tmp_path, capsys)
+            doc["tables"][1]["at_p"] = at_p
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            for extra in ([], ["--oracle"]):
+                assert main(["verify-file", str(path), *extra]) == 1
+                out = capsys.readouterr().out
+                assert "verify node_pairing: fail" in out and "overall: fail" in out
 
 
 class TestSweep:

@@ -104,6 +104,17 @@ class TestCrossValidation:
             kinds = {c.kind for c in cv.checks}
             assert kinds == {"node", "component"}
 
+    def test_unequal_sides_skipped_with_notice(self):
+        import dataclasses
+
+        s = construct(Params(7, 3, 16, 5))
+        tables = list(s.tables)
+        tables[1] = VanishingTable(2, ((0, 4),), s.table(2).at_q)
+        cv = cross_validate(dataclasses.replace(s, tables=tuple(tables)))
+        assert cv.skipped == ("node 1: sides total 5 and 4", "component 2: sides total 4 and 5")
+        g = s.params.g
+        assert cv.ok and len(cv.checks) == (g - 2) + (g - 1)  # every other node and component
+
     def test_oversized_instances_skipped_with_notice(self):
         s = construct(Params(3, 4, 40, 9))  # k = 9 exceeds the default bound
         cv = cross_validate(s)
@@ -126,10 +137,11 @@ class TestCrossValidation:
             dst = rng.randrange(0, d1 + 1)
             side[src] -= 1
             side[dst] = side.get(dst, 0) + 1
+            runs = tuple(sorted((o, m) for o, m in side.items() if m))
             if side_name == "p":
-                tables[idx] = VanishingTable.from_maps(t.component, side, t.q_map())
+                tables[idx] = VanishingTable(t.component, runs, t.at_q)
             else:
-                tables[idx] = VanishingTable.from_maps(t.component, t.p_map(), side)
+                tables[idx] = VanishingTable(t.component, t.at_p, runs)
             corrupted = dataclasses.replace(base, tables=tuple(tables))
             cv = cross_validate(corrupted)
             assert cv.ok, f"greedy/oracle disagreement after corrupting C{t.component} at {side_name}"

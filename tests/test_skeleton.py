@@ -3,9 +3,12 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ellchain import (
     Params,
+    VanishingTable,
     build_chain,
     canonical_dumps,
     construct,
@@ -13,6 +16,7 @@ from ellchain import (
     skeleton_from_json_dict,
     skeleton_to_canonical_json,
     skeleton_to_json_dict,
+    verify,
 )
 from ellchain.errors import ParameterError
 
@@ -81,18 +85,52 @@ def test_canonical_json_is_sorted_and_compact():
 
 
 def test_table_total_guard():
-    import dataclasses
-
-    from ellchain import VanishingTable
-    from ellchain.errors import MultiplicityMismatch
-    from ellchain.skeleton import check_table_totals
-
     s = construct(Params(7, 3, 16, 5))
     tables = list(s.tables)
-    broken = VanishingTable.from_maps(2, {0: 1, 1: 3}, s.table(2).q_map())  # sums to 4, not k=5
+    broken = VanishingTable(2, ((0, 1), (1, 3)), s.table(2).at_q)  # sums to 4, not k=5
     tables[1] = broken
-    with pytest.raises(MultiplicityMismatch):
-        check_table_totals(dataclasses.replace(s, tables=tuple(tables)))
+    entry = verify(dataclasses.replace(s, tables=tuple(tables))).entry("multiplicity_bounds")
+    assert entry.status == "fail"
+    assert entry.witness["offenders"] == [{"component": 2, "point": "P", "total": 4, "expected": 5}]
+
+
+# Valid run tables: distinct orders, ascending, positive multiplicities.
+valid_sides = st.lists(
+    st.tuples(st.integers(-5, 20), st.integers(1, 6)), min_size=1, max_size=8, unique_by=lambda e: e[0]
+).map(lambda entries: tuple(sorted(entries)))
+
+
+@st.composite
+def broken_sides(draw):
+    """A valid side with one defect: emptied, an order repeated, an order
+    out of ascending order, or a multiplicity <= 0."""
+    side = list(draw(valid_sides))
+    defect = draw(st.sampled_from(["empty", "repeat", "unsorted", "multiplicity"]))
+    i = draw(st.integers(0, len(side) - 1))
+    if defect == "empty":
+        return ()
+    if defect == "repeat":
+        side.insert(i + 1, (side[i][0], draw(st.integers(1, 6))))
+    elif defect == "unsorted":
+        side.append((side[-1][0] - draw(st.integers(1, 5)), draw(st.integers(1, 6))))
+    else:
+        side[i] = (side[i][0], draw(st.integers(-3, 0)))
+    return tuple(side)
+
+
+@given(at_p=valid_sides, at_q=valid_sides)
+def test_vanishing_table_accepts_valid_runs(at_p, at_q):
+    table = VanishingTable(3, at_p, at_q)
+    assert table.at_p == at_p and table.at_q == at_q
+
+
+@given(good=valid_sides, bad=broken_sides(), bad_at_p=st.booleans())
+def test_vanishing_table_rejects_broken_side(good, bad, bad_at_p):
+    with pytest.raises(ParameterError):
+        if bad_at_p:
+            VanishingTable(3, bad, good)
+        else:
+            VanishingTable(3, good, bad)
 
 
 def test_malformed_document_rejected():
