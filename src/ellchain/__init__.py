@@ -2,7 +2,7 @@
 components: parameter classification, explicit construction, combinatorial
 certification, and the dimension audit against the Brill-Noether number."""
 
-from .construct import BlockIndex, construct, tail_count
+from .construct import construct, layout, tail_count
 from .errors import (
     EngineError,
     HypothesisFailed,
@@ -33,13 +33,11 @@ from .params import (
     tail_threshold,
 )
 from .skeleton import (
-    ChainCurve,
     ComponentBundle,
     GluingSpec,
     LimitSeriesSkeleton,
     Summand,
     VanishingTable,
-    build_chain,
     canonical_dumps,
     degree_balance,
     minimal_boundary_table,
@@ -61,9 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditResult",
-    "BlockIndex",
     "Case",
-    "ChainCurve",
     "Classification",
     "ComponentBundle",
     "CrossValidation",
@@ -87,7 +83,6 @@ __all__ = [
     "VerificationReport",
     "audit_equals_rho",
     "brill_noether_rho",
-    "build_chain",
     "canonical_dumps",
     "check_boundary",
     "check_component_feasibility",
@@ -98,6 +93,7 @@ __all__ = [
     "decompose",
     "degree_balance",
     "exists_feasible_pairing",
+    "layout",
     "ledger",
     "merge_runs",
     "min_sum_pairing_exists",

@@ -227,6 +227,16 @@ def run_sweep(
 # ---------------------------------------------------------------------------
 
 
+def _oracle_line(cross: CrossValidation) -> str:
+    """The one-line oracle verdict `check` and `verify-file` print. Skipped
+    instances are named, since they were not cross-validated."""
+    verdict = "agree" if cross.ok else "DISAGREE"
+    if not cross.skipped:
+        return f"oracle cross-validation: {verdict}"
+    skipped = f"skipped ({'; '.join(cross.skipped)})"
+    return f"oracle cross-validation: {f'{verdict}, ' if cross.checks else ''}{skipped}"
+
+
 def _render_check_text(analysis: Analysis) -> str:
     p = analysis.params
     lines = [f"tuple: g={p.g} r={p.r} d={p.d} k={p.k}", f"rho: {analysis.rho}"]
@@ -238,16 +248,13 @@ def _render_check_text(analysis: Analysis) -> str:
     for check in analysis.classification.checks:
         lines.append(f"hypothesis {check.describe()} (slack {check.slack})")
     s = analysis.skeleton
-    lines.append(f"skeleton: {s.chain.components} components, b={s.b}, degrees "
+    lines.append(f"skeleton: {s.params.g} components, b={s.b}, degrees "
                  f"{[b.degree for b in s.bundles]}")
     for name, entry in analysis.report.checks:
         lines.append(f"verify {name}: {entry.status}")
     lines.append(f"node pairing exact: {analysis.report.all_nodes_exact}")
     if analysis.cross is not None:
-        if analysis.cross.skipped:
-            lines.append(f"oracle cross-validation: skipped ({'; '.join(analysis.cross.skipped)})")
-        else:
-            lines.append(f"oracle cross-validation: {'agree' if analysis.cross.ok else 'DISAGREE'}")
+        lines.append(_oracle_line(analysis.cross))
     lines.append("ledger:")
     lines.extend("  " + row for row in analysis.audit.ledger.to_text().splitlines())
     lines.append(f"audit: total {analysis.audit.total} == rho {analysis.audit.rho}: "
@@ -326,11 +333,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_dump(args: argparse.Namespace) -> int:
     try:
-        classify(Params(g=args.g, r=args.r, d=args.d, k=args.k))
+        skeleton = construct(Params(g=args.g, r=args.r, d=args.d, k=args.k))
     except (KLERegime, HypothesisFailed) as exc:
         print(f"rejected: {exc}")
         return EXIT_HYPOTHESIS
-    skeleton = construct(Params(g=args.g, r=args.r, d=args.d, k=args.k))
     payload = skeleton_to_canonical_json(skeleton)
     if args.timestamps:
         payload = canonical_dumps(
@@ -373,19 +379,22 @@ def cmd_verify_file(args: argparse.Namespace) -> int:
     except EngineError as exc:
         audit_ok = False
         audit_line = f"audit: cannot audit: {exc}"
+    ok = report.overall and audit_ok and (cross is None or cross.ok)
     if args.format == "json":
+        # stdout carries the report alone; the other lines go to stderr
         print(report.to_canonical_json())
+        if cross is not None:
+            print(_oracle_line(cross), file=sys.stderr)
         if not audit_ok:
             print(audit_line, file=sys.stderr)
     else:
         for name, entry in report.checks:
             print(f"verify {name}: {entry.status}")
+        if cross is not None:
+            print(_oracle_line(cross))
         print(audit_line)
-        print(f"overall: {'pass' if report.overall and audit_ok else 'fail'}")
-    if cross is not None and not cross.ok:
-        print("oracle cross-validation: DISAGREE")
-        return EXIT_VERIFICATION_FAILED
-    return EXIT_OK if report.overall and audit_ok else EXIT_VERIFICATION_FAILED
+        print(f"overall: {'pass' if ok else 'fail'}")
+    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
 def _parse_range(text: str) -> tuple[int, int]:

@@ -27,6 +27,10 @@ Regime layouts (t is the regime's tail threshold, `params.tail_threshold`):
   blocks of k1 fully twisted components O((2*beta+alpha*(k1-1)-1)P+...)^r for
   alpha = 0..t-1; generic-line tail (nonempty under the strict hypothesis).
 
+`layout(case, dec, g)` states these parts once: the small recipes fill its
+line chain and tail, each node takes the gluing of the part of the component
+it enters, and the ledger groups its rows by the same parts.
+
 The verifier re-derives nothing from here: it checks the emitted data against
 the balance, pairing, feasibility and boundary rules independently. The
 ledger reads its small-case terms (bundle moduli and automorphisms, gluing
@@ -36,8 +40,7 @@ every dimension fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InternalCoverage
 from .params import Case, Decomposition, Params, classify, decompose, tail_threshold
@@ -47,25 +50,8 @@ from .skeleton import (
     LimitSeriesSkeleton,
     Summand,
     VanishingTable,
-    build_chain,
     minimal_boundary_table,
 )
-
-
-@dataclass(frozen=True)
-class BlockIndex:
-    """Position inside the alpha-block region: block number and offset.
-
-    Blocks are `width` components wide (k1+1 in the regimes with nonzero
-    remainders, k1 when d2 = k2 = 0) and start right after the initial run,
-    so the chain index recovers as width*alpha + beta + 1.
-    """
-
-    alpha: int
-    beta: int
-
-    def component(self, width: int) -> int:
-        return width * self.alpha + self.beta + 1
 
 
 Runs = tuple[tuple[int, int], ...]
@@ -90,17 +76,38 @@ def _twisted(a: int, mult: int) -> tuple[Summand, ...]:
     return (Summand(mult=mult, twist=a),) if mult else ()
 
 
-def _mixed(component: int, degree: int, summands: tuple[Summand, ...]) -> ComponentBundle:
-    return ComponentBundle(component=component, kind="mixed", degree=degree, summands=summands)
+def _mixed(degree: int, summands: tuple[Summand, ...]) -> ComponentBundle:
+    return ComponentBundle(kind="mixed", degree=degree, summands=summands)
+
+
+def layout(case: Case, dec: Decomposition, g: int) -> dict[str, Sequence[int]]:
+    """The labelled parts of a small case's chain (see the module docstring),
+    each a run of component indices; together they cover 1..g once. An
+    alpha-block's first component is in `block_first`, the rest of it in
+    `block_rest`. Raises ValueError for LARGE_SECTIONS, which has none."""
+    k1 = dec.k1
+    t = tail_threshold(case, dec, g)
+    if case is Case.SMALL_C:
+        return {
+            "first_component": range(1, 2),
+            "twisted_blocks": range(2, t * k1 + 2),
+            "tail": range(t * k1 + 2, g + 1),
+        }
+    w = k1 + 1
+    return {
+        "first_component": range(1, 2),
+        "second_component": range(2, 3),
+        "line_chain": range(3, k1 + 3),
+        "block_first": range(w + 2, t * w + 2, w),
+        "block_rest": [i for i in range(w + 2, t * w + 2) if (i - 2) % w],
+        "tail": range(t * w + 2, g + 1),
+    }
 
 
 def tail_count(p: Params, case: Case | None = None) -> int:
     """Number of trailing generic-line components for a small-case tuple."""
     actual = classify(p).case if case is None else case
-    dec = decompose(p)
-    t = tail_threshold(actual, dec, p.g)
-    width = dec.k1 if actual is Case.SMALL_C else dec.k1 + 1
-    return p.g - width * t - 1
+    return len(layout(actual, decompose(p), p.g)["tail"])
 
 
 PerComponent = dict[int, tuple[ComponentBundle, Runs, Runs]]
@@ -108,7 +115,7 @@ PerComponent = dict[int, tuple[ComponentBundle, Runs, Runs]]
 
 def _first_special(p: Params, dec: Decomposition) -> ComponentBundle:
     return ComponentBundle(
-        component=1, kind="first_special", degree=p.d,
+        kind="first_special", degree=p.d,
         blocks=dec.h, block_rank=dec.rbar, block_degree=dec.dbar,
     )
 
@@ -125,10 +132,8 @@ def _build_large(p: Params, dec: Decomposition, case: Case) -> tuple[PerComponen
     for i in range(2, g + 1):
         at_p = _table([(d1 - g + i - 1 - j, r) for j in range(k1)] + [(d1 - g + i - k1 - 1, k2)])
         at_q = _table([(g - i + j, r) for j in range(k1)] + [(g - i + k1, k2)])
-        comps[i] = (_mixed(i, r * d1, _lines(r)), at_p, at_q)
-    gluings = [
-        GluingSpec(node=n, tag="generic", parameter_dim=r * r) for n in range(1, g)
-    ]
+        comps[i] = (_mixed(r * d1, _lines(r)), at_p, at_q)
+    gluings = [GluingSpec("generic", r * r)] * (g - 1)
     notes = []
     if d2 != k2:
         notes.append(
@@ -155,6 +160,7 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
     s = 0 if case is Case.SMALL_A else 1
     t = tail_threshold(case, dec, g)
     e = k2 - d2 + s * r
+    parts = layout(case, dec, g)
     comps: PerComponent = {}
 
     comps[1] = (
@@ -176,15 +182,15 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
 
     second = _twisted(0, k2) + _lines(r - k2) if s else _twisted(1, e) + _lines(r - e)
     comps[2] = (
-        _mixed(2, r * d1, second),
+        _mixed(r * d1, second),
         _table([(0, d2)] + [(j, r) for j in _run(1, k1 - s)] + [(k1 + 1 - s, e)]),
         early_q(2),
     )
 
-    for i in _run(3, k1 + 2):
+    for i in parts["line_chain"]:
         entries = _early_run(i - 2 - s, k1 + i - 1 - s, 2 * i - 4 - s, r=r, k2=k2, e=e)
         comps[i] = (
-            _mixed(i, r * d1, _twisted(2 * i - 3 - s, e) + _lines(r - e)),
+            _mixed(r * d1, _twisted(2 * i - 3 - s, e) + _lines(r - e)),
             _table(entries),
             early_q(i),
         )
@@ -192,14 +198,14 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
     for alpha in _run(1, t - 1):
         a0 = alpha * k1 - s
         for beta in _run(1, k1 + 1):
-            i = BlockIndex(alpha, beta).component(k1 + 1)
+            i = (k1 + 1) * alpha + beta + 1
             if beta == 1:
                 # The block's exceptional sections sit on O((a0+1)P+...);
                 # in SMALL_B the recipe's own gluing and section-space lines
                 # fix this twist at k1*alpha, one below SMALL_A's.
-                bundle = _mixed(i, r * d1, _twisted(a0 + 1, k2) + _lines(r - k2))
+                bundle = _mixed(r * d1, _twisted(a0 + 1, k2) + _lines(r - k2))
             else:
-                bundle = _mixed(i, r * d1, _twisted(a0 + 2 * beta - 1, r))
+                bundle = _mixed(r * d1, _twisted(a0 + 2 * beta - 1, r))
             # P runs ascend from the k2 head, skipping the order a0+2*beta-2.
             at_p_orders = [*_run(a0 + beta - 1, a0 + 2 * beta - 3), *_run(a0 + 2 * beta - 1, a0 + k1 + beta)]
             at_p = _table([(o, k2 if o == at_p_orders[0] else r) for o in at_p_orders])
@@ -211,44 +217,36 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
             at_q = _table([(o, k2 if o == top else r) for o in upper] + [(o, r) for o in lower])
             comps[i] = (bundle, at_p, at_q)
 
-    for i in _run(t * (k1 + 1) + 2, g):
+    for i in parts["tail"]:
         lo = i - t - 1 - s
         hi = d1 - i + t + s
         comps[i] = (
-            _mixed(i, r * d1, _lines(r)),
+            _mixed(r * d1, _lines(r)),
             _table([(lo, k2)] + [(o, r) for o in _run(lo + 1, lo + k1)]),
             _table([(hi, k2)] + [(o, r) for o in _run(hi - k1, hi - 1)]),
         )
 
-    # Node 1 links the special first bundle into component 2; nodes 2..k1+1
-    # chain the generic-line blocks; the node entering each block's first
-    # component links its twisted block into the descending section chain;
-    # every other node is generic.
+    # A node takes the gluing of the part of the component it enters: node 1
+    # links the special first bundle into component 2, the line chain's nodes
+    # chain the line blocks, a block head's node links its twisted block into
+    # the section chain; every other node is generic.
     if s:
-        node1 = (d2 * k2 + r * (r - k2), "max_vanishing_block->first_bundle_sections")
+        second_gluing = GluingSpec("constrained", d2 * k2 + r * (r - k2), "max_vanishing_block->first_bundle_sections")
         notes = [
             "node 2 links the line block into the glued section space of dimension d2-k2 "
             "on component 2"
         ]
     else:
-        node1 = (d2 * (r - e) + r * (r - d2), "full_vanishing_block->line_block")
+        second_gluing = GluingSpec("constrained", d2 * (r - e) + r * (r - d2), "full_vanishing_block->line_block")
         notes = []
-    line_chain = ((r - e) ** 2 + r * e, "line_block->line_block")
-    block_head = (k2 * k2 + r * (r - k2), "twisted_block->section_chain")
-    beta1_nodes = {(k1 + 1) * alpha + 1 for alpha in range(1, t)}
-    gluings = []
-    for n in range(1, g):
-        if n == 1:
-            dim, desc = node1
-        elif n <= k1 + 1:
-            dim, desc = line_chain
-        elif n in beta1_nodes:
-            dim, desc = block_head
-        else:
-            gluings.append(GluingSpec(node=n, tag="generic", parameter_dim=r * r))
-            continue
-        gluings.append(GluingSpec(node=n, tag="constrained", parameter_dim=dim, description=desc))
-    return comps, gluings, notes
+    gluing_of = {
+        "second_component": second_gluing,
+        "line_chain": GluingSpec("constrained", (r - e) ** 2 + r * e, "line_block->line_block"),
+        "block_first": GluingSpec("constrained", k2 * k2 + r * (r - k2), "twisted_block->section_chain"),
+    }
+    generic = GluingSpec("generic", r * r)
+    part_gluing = {i: gluing_of.get(label, generic) for label, part in parts.items() for i in part}
+    return comps, [part_gluing[i] for i in range(2, g + 1)], notes
 
 
 def _build_small_c(p: Params, dec: Decomposition, case: Case) -> tuple[PerComponent, list[GluingSpec], list[str]]:
@@ -258,7 +256,7 @@ def _build_small_c(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
     comps: PerComponent = {}
 
     comps[1] = (
-        _mixed(1, r * d1, _lines(r)),
+        _mixed(r * d1, _lines(r)),
         _table((j, r) for j in range(k1)),
         _table((d1 - j, r) for j in _run(1, k1)),
     )
@@ -266,7 +264,7 @@ def _build_small_c(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
     for alpha in _run(0, t - 1):
         base = alpha * (k1 - 1)
         for beta in _run(1, k1):
-            i = BlockIndex(alpha, beta).component(k1)
+            i = k1 * alpha + beta + 1
             a = base + 2 * beta - 1
             at_p = _table(
                 [(o, r) for o in _run(base + beta - 1, base + 2 * beta - 3)]
@@ -276,17 +274,16 @@ def _build_small_c(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
                 [(o, r) for o in _run(d1 - base - 2 * beta + 1, d1 - base - beta)]
                 + [(o, r) for o in _run(d1 - base - k1 - beta, d1 - base - 2 * beta - 1)]
             )
-            comps[i] = (_mixed(i, r * d1, _twisted(a, r)), at_p, at_q)
+            comps[i] = (_mixed(r * d1, _twisted(a, r)), at_p, at_q)
 
-    for i in _run(t * k1 + 2, g):
+    for i in layout(case, dec, g)["tail"]:
         comps[i] = (
-            _mixed(i, r * d1, _lines(r)),
+            _mixed(r * d1, _lines(r)),
             _table((o, r) for o in _run(i - t - 1, i - t + k1 - 2)),
             _table((o, r) for o in _run(d1 - i + t - k1 + 1, d1 - i + t)),
         )
 
-    gluings = [GluingSpec(node=n, tag="generic", parameter_dim=r * r) for n in range(1, g)]
-    return comps, gluings, []
+    return comps, [GluingSpec("generic", r * r)] * (g - 1), []
 
 
 _BUILDERS = {
@@ -325,13 +322,12 @@ def construct(p: Params) -> LimitSeriesSkeleton:
                 f"component {i}: bundle rank {bundle.rank} != r={p.r}"
             )
         bundles.append(bundle)
-        tables.append(VanishingTable(i, at_p, at_q))
+        tables.append(VanishingTable(at_p, at_q))
 
     return LimitSeriesSkeleton(
         params=p,
         case=classification.case,
         b=dec.d1,
-        chain=build_chain(p.g),
         bundles=tuple(bundles),
         tables=tuple(tables),
         gluings=tuple(gluings),

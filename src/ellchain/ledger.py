@@ -10,9 +10,10 @@ audit certifies the data the engine emits rather than a parallel formula:
 * the gluing term is the parameter_dim of the node entering the component
   (the first component has no such node).
 
-Rows group the components of one part of the regime's layout (first
-component, line chain, block heads, ...); a row whose components disagree is
-split into one row per component, so a mismatch localizes to a single term.
+Rows group the components of one part of `construct.layout` (first
+component, line chain, block heads, ...), the parts the recipes fill; a row
+whose components disagree is split into one row per component, so a
+mismatch localizes to a single term.
 The closing +1 accounts for the one-dimensional automorphism family of the
 glued stable bundle.
 
@@ -25,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from .construct import layout
 from .errors import ParameterError
-from .params import Case, Params, brill_noether_rho, classify, tail_threshold
+from .params import Case, Params, brill_noether_rho, classify
 from .skeleton import LimitSeriesSkeleton, canonical_dumps
 
 
@@ -64,29 +66,6 @@ class DimensionLedger:
     @property
     def total(self) -> int:
         return sum(row.net for row in self.rows) + self.closing
-
-    def split_rows(self) -> "DimensionLedger":
-        """Expand every multi-component row into per-component rows.
-
-        The total is invariant under this split.
-        """
-        rows: list[LedgerRow] = []
-        for row in self.rows:
-            if row.components is None or row.count <= 1:
-                rows.append(row)
-                continue
-            for c in row.components:
-                rows.append(
-                    LedgerRow(
-                        label=f"{row.label}[C{c}]",
-                        components=(c,),
-                        count=1,
-                        moduli=row.moduli,
-                        autos=row.autos,
-                        gluing=row.gluing,
-                    )
-                )
-        return DimensionLedger(case=self.case, rows=tuple(rows), closing=self.closing)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -131,27 +110,6 @@ def _compact_indices(indices: tuple[int, ...]) -> str:
     return ",".join(parts)
 
 
-def _layout(s: LimitSeriesSkeleton, case: Case) -> tuple[tuple[str, range | list[int]], ...]:
-    """The labelled component groups of a small case, in chain order."""
-    g, k1 = s.params.g, s.decomposition.k1
-    t = tail_threshold(case, s.decomposition, g)
-    if case is Case.SMALL_C:
-        return (
-            ("first_component", range(1, 2)),
-            ("twisted_blocks", range(2, t * k1 + 2)),
-            ("tail", range(t * k1 + 2, g + 1)),
-        )
-    w = k1 + 1
-    return (
-        ("first_component", range(1, 2)),
-        ("second_component", range(2, 3)),
-        ("line_chain", range(3, k1 + 3)),
-        ("block_first", range(w + 2, t * w + 2, w)),
-        ("block_rest", [i for i in range(w + 2, t * w + 2) if (i - 2) % w]),
-        ("tail", range(t * w + 2, g + 1)),
-    )
-
-
 def ledger(s: LimitSeriesSkeleton) -> DimensionLedger:
     """The termwise dimension count of a skeleton whose hypotheses pass.
 
@@ -193,7 +151,7 @@ def ledger(s: LimitSeriesSkeleton) -> DimensionLedger:
                     autos += summand.mult * summand.mult
         terms.append((moduli, autos, s.gluings[i - 1].parameter_dim if i else 0))
     out: list[LedgerRow] = []
-    for label, components in _layout(s, case):
+    for label, components in layout(case, s.decomposition, g).items():
         group = [terms[c - 1] for c in components]
         if not group:
             continue

@@ -198,12 +198,18 @@ class CrossValidation:
         return not self.disagreements
 
 
+def _skip_reason(total_a: int, total_b: int, bound: int) -> str | None:
+    """Why the oracle cannot take an instance whose sides total as given."""
+    if total_a != total_b:
+        return f"sides total {total_a} and {total_b}"
+    return f"instance size {total_a} exceeds oracle bound {bound}" if total_a > bound else None
+
+
 def cross_validate(s: LimitSeriesSkeleton, bound: int = DEFAULT_BOUND) -> CrossValidation:
     """Compare the greedy verifier verdicts against the oracle on every node
-    and component of a skeleton. Instances beyond the bound, and nodes or
-    components whose two sides total differently (no bijection exists, and
-    `verify` already fails the table), are skipped with a notice, not
-    failed."""
+    and component of a skeleton. An instance beyond the bound (all of them
+    when k is), or whose two sides total differently (no bijection exists,
+    and `verify` already fails it), is skipped with a notice, not failed."""
     checks: list[CrossCheck] = []
     skipped: list[str] = []
     if s.params.k > bound:
@@ -214,19 +220,21 @@ def cross_validate(s: LimitSeriesSkeleton, bound: int = DEFAULT_BOUND) -> CrossV
     for verdict in check_node_pairing(s):
         node = verdict.node
         q_table, p_table = s.table(node), s.table(node + 1)
-        if q_table.total_q != p_table.total_p:
-            skipped.append(f"node {node}: sides total {q_table.total_q} and {p_table.total_p}")
+        reason = _skip_reason(q_table.total_q, p_table.total_p, bound)
+        if reason:
+            skipped.append(f"node {node}: {reason}")
             continue
         oracle = min_sum_pairing_exists(q_table.q_map(), p_table.p_map(), s.b, bound=bound)
         checks.append(CrossCheck(kind="node", index=node, greedy=verdict.satisfiable, oracle=oracle))
 
-    for i in range(1, s.chain.components + 1):
+    for i in range(1, s.params.g + 1):
         bundle = s.bundle(i)
         table = s.table(i)
-        if table.total_p != table.total_q:
-            skipped.append(f"component {i}: sides total {table.total_p} and {table.total_q}")
+        reason = _skip_reason(table.total_p, table.total_q, bound)
+        if reason:
+            skipped.append(f"component {i}: {reason}")
             continue
-        greedy_ok = check_component_feasibility(bundle, table, d1=d1, d2=d2, r=s.params.r).ok
+        greedy_ok = check_component_feasibility(i, bundle, table, d1=d1, d2=d2, r=s.params.r).ok
         if bundle.kind == "first_special":
             budget = {a: d2 for a in range(0, d1 + 1)} if d2 else {}
         else:

@@ -1,49 +1,32 @@
-"""Combinatorial data model: chains of elliptic components, bundle summand
-lists, vanishing tables, gluing tags, and the assembled skeleton.
+"""Combinatorial data model: bundle summand lists, vanishing tables, gluing
+tags, and the skeleton that assembles them on a chain of g elliptic
+components.
 
-Points P_i, Q_i are symbolic; "generic" is a tag, not a witness. A vanishing
-table stores (order, multiplicity) runs at both marked points of a component,
-and the type itself rejects a side that is empty, out of order or has a
-multiplicity below 1; that multiplicities at each point sum to k is a rule
-`verify` checks. Skeletons serialize to a canonical JSON document (schema 1,
-sorted keys, no floats) used by the CLI and the test fixtures.
+The chain is implicit: g is `params.g`, and position is the index. The i-th
+bundle and table (1-based) sit on component i, and the n-th gluing on node
+n, which identifies Q_n on component n with P_{n+1}; no record stores its
+own index. Points P_i, Q_i are symbolic; "generic" is a tag, not a witness.
+A vanishing table stores (order, multiplicity) runs at both marked points
+of a component, and the type itself rejects a side that is empty, out of
+order or has a multiplicity below 1; that multiplicities at each point sum
+to k is a rule `verify` checks.
+
+Skeletons serialize to a canonical JSON document (schema 1, sorted keys, no
+floats) used by the CLI and the test fixtures. The writer derives
+`components`, `nodes`, `decomposition` and every `component`/`node` key
+from params and positions. The loader accepts a document iff the skeleton
+it builds writes back the same JSON value, integers exact; otherwise it
+names the first field that differs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import ParameterError
 from .params import Case, Decomposition, Params, decompose
-
-
-@dataclass(frozen=True)
-class ChainCurve:
-    """A linear chain of `components` elliptic curves.
-
-    Node i identifies the point Q_i on component i with P_{i+1} on component
-    i+1, for i = 1 .. components-1.
-    """
-
-    components: int
-
-    def __post_init__(self) -> None:
-        if self.components < 2:
-            raise ParameterError(f"a chain needs >= 2 components, got {self.components}")
-
-    @property
-    def node_count(self) -> int:
-        return self.components - 1
-
-    @property
-    def nodes(self) -> tuple[tuple[str, str], ...]:
-        return tuple((f"Q{i}", f"P{i + 1}") for i in range(1, self.components))
-
-
-def build_chain(g: int) -> ChainCurve:
-    return ChainCurve(components=g)
 
 
 @dataclass(frozen=True)
@@ -71,7 +54,6 @@ class ComponentBundle:
     a list of rank-1 summands totalling rank r (degree r*d1).
     """
 
-    component: int
     kind: str  # "first_special" | "mixed"
     degree: int
     blocks: int | None = None        # first_special: h
@@ -81,9 +63,9 @@ class ComponentBundle:
 
     def __post_init__(self) -> None:
         if self.kind not in ("first_special", "mixed"):
-            raise ParameterError(f"unknown bundle kind {self.kind!r}")
+            raise ParameterError(f"kind: unknown bundle kind {self.kind!r}")
         if self.kind == "first_special" and not (self.blocks and self.block_rank):
-            raise ParameterError("first_special bundle needs blocks and block_rank")
+            raise ParameterError("blocks: a first_special bundle needs blocks and block_rank")
 
     @property
     def rank(self) -> int:
@@ -106,25 +88,22 @@ class VanishingTable:
     ParameterError here, whoever builds the table.
     """
 
-    component: int
     at_p: tuple[tuple[int, int], ...]
     at_q: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        for point, side in (("P", self.at_p), ("Q", self.at_q)):
+        for name, side in (("at_p", self.at_p), ("at_q", self.at_q)):
             if not side:
-                raise ParameterError(f"component {self.component} at {point}: empty table side")
+                raise ParameterError(f"{name}: empty table side")
             prev = None
             for order, mult in side:
                 if prev is not None and order <= prev:
                     raise ParameterError(
-                        f"component {self.component} at {point}: order {order} after {prev}, "
-                        "orders must be strictly ascending"
+                        f"{name}: order {order} after {prev}, orders must be strictly ascending"
                     )
                 if mult <= 0:
                     raise ParameterError(
-                        f"component {self.component} at {point}: order {order} has multiplicity {mult}, "
-                        "multiplicities must be positive"
+                        f"{name}: order {order} has multiplicity {mult}, multiplicities must be positive"
                     )
                 prev = order
 
@@ -171,27 +150,26 @@ class GluingSpec:
     """Gluing family at one node: a tag, its parameter dimension, and for
     constrained gluings a short identifier of which blocks are linked."""
 
-    node: int
     tag: str  # "generic" | "constrained"
     parameter_dim: int
     description: str | None = None
 
     def __post_init__(self) -> None:
         if self.tag not in ("generic", "constrained"):
-            raise ParameterError(f"unknown gluing tag {self.tag!r}")
+            raise ParameterError(f"tag: unknown gluing tag {self.tag!r}")
         if self.parameter_dim < 0:
-            raise ParameterError(f"gluing dimension must be >= 0, got {self.parameter_dim}")
+            raise ParameterError(f"parameter_dim: gluing dimension must be >= 0, got {self.parameter_dim}")
 
 
 @dataclass(frozen=True)
 class LimitSeriesSkeleton:
     """The whole chain: per-component bundles and tables, per-node gluings,
-    the twist parameter b, and the case tag the recipe came from."""
+    the twist parameter b, and the case tag the recipe came from. There are
+    g = params.g bundles and tables and g-1 gluings, in chain order."""
 
     params: Params
     case: Case
     b: int
-    chain: ChainCurve
     bundles: tuple[ComponentBundle, ...]
     tables: tuple[VanishingTable, ...]
     gluings: tuple[GluingSpec, ...]
@@ -201,7 +179,7 @@ class LimitSeriesSkeleton:
     def __post_init__(self) -> None:
         object.__setattr__(self, "decomposition", decompose(self.params))
         g = self.params.g
-        if self.chain.components != g or len(self.bundles) != g or len(self.tables) != g:
+        if len(self.bundles) != g or len(self.tables) != g:
             raise ParameterError("skeleton component counts disagree with g")
         if len(self.gluings) != g - 1:
             raise ParameterError("skeleton needs exactly g-1 gluings")
@@ -211,9 +189,6 @@ class LimitSeriesSkeleton:
 
     def table(self, i: int) -> VanishingTable:
         return self.tables[i - 1]
-
-    def gluing(self, node: int) -> GluingSpec:
-        return self.gluings[node - 1]
 
 
 def degree_balance(s: LimitSeriesSkeleton) -> int:
@@ -244,8 +219,8 @@ def _summand_to_json(s: Summand) -> dict[str, Any]:
     return doc
 
 
-def _bundle_to_json(b: ComponentBundle) -> dict[str, Any]:
-    doc: dict[str, Any] = {"component": b.component, "kind": b.kind, "degree": b.degree}
+def _bundle_to_json(i: int, b: ComponentBundle) -> dict[str, Any]:
+    doc: dict[str, Any] = {"component": i, "kind": b.kind, "degree": b.degree}
     if b.kind == "first_special":
         doc["blocks"] = b.blocks
         doc["block_rank"] = b.block_rank
@@ -255,36 +230,27 @@ def _bundle_to_json(b: ComponentBundle) -> dict[str, Any]:
     return doc
 
 
-def _decomposition_to_json(dec: Decomposition) -> dict[str, int]:
-    return {"d1": dec.d1, "d2": dec.d2, "k1": dec.k1, "k2": dec.k2, "h": dec.h, "rbar": dec.rbar, "dbar": dec.dbar}
-
-
-def _nodes_to_json(chain: ChainCurve) -> list[list[str]]:
-    return [list(pair) for pair in chain.nodes]
-
-
 def skeleton_to_json_dict(s: LimitSeriesSkeleton) -> dict[str, Any]:
+    g = s.params.g
+    dec = s.decomposition
     return {
         "schema": SCHEMA_VERSION,
-        "params": {"g": s.params.g, "r": s.params.r, "d": s.params.d, "k": s.params.k},
-        "decomposition": _decomposition_to_json(s.decomposition),
+        "params": {"g": g, "r": s.params.r, "d": s.params.d, "k": s.params.k},
+        "decomposition": {
+            "d1": dec.d1, "d2": dec.d2, "k1": dec.k1, "k2": dec.k2, "h": dec.h, "rbar": dec.rbar, "dbar": dec.dbar,
+        },
         "case": s.case.value,
         "b": s.b,
-        "components": s.chain.components,
-        "nodes": _nodes_to_json(s.chain),
-        "bundles": [_bundle_to_json(b) for b in s.bundles],
+        "components": g,
+        "nodes": [[f"Q{n}", f"P{n + 1}"] for n in range(1, g)],
+        "bundles": [_bundle_to_json(i, b) for i, b in enumerate(s.bundles, 1)],
         "tables": [
-            {"component": t.component, "at_p": [list(x) for x in t.at_p], "at_q": [list(x) for x in t.at_q]}
-            for t in s.tables
+            {"component": i, "at_p": [list(x) for x in t.at_p], "at_q": [list(x) for x in t.at_q]}
+            for i, t in enumerate(s.tables, 1)
         ],
         "gluings": [
-            {
-                "node": gl.node,
-                "tag": gl.tag,
-                "parameter_dim": gl.parameter_dim,
-                "description": gl.description,
-            }
-            for gl in s.gluings
+            {"node": n, "tag": gl.tag, "parameter_dim": gl.parameter_dim, "description": gl.description}
+            for n, gl in enumerate(s.gluings, 1)
         ],
         "notes": list(s.notes),
     }
@@ -294,102 +260,113 @@ def skeleton_to_canonical_json(s: LimitSeriesSkeleton) -> str:
     return canonical_dumps(skeleton_to_json_dict(s))
 
 
-def _exact_int(value: Any) -> int:
+def _exact_int(value: Any, name: str) -> int:
     """An exact int: bool, float and str are rejected, never converted."""
     if type(value) is not int:
-        raise ParameterError(f"expected an integer, got {value!r}")
+        raise ParameterError(f"{name}: expected an integer, got {value!r}")
     return value
 
 
-def _optional_int(value: Any) -> int | None:
-    return None if value is None else _exact_int(value)
+def _optional_int(value: Any, name: str) -> int | None:
+    return None if value is None else _exact_int(value, name)
 
 
-def _table_side(entries: Iterable[Any]) -> tuple[tuple[int, int], ...]:
+def _table_side(entries: Iterable[Any], name: str) -> tuple[tuple[int, int], ...]:
     """One side of a table as exact-int runs; VanishingTable checks the rest."""
-    return tuple((_exact_int(o), _exact_int(m)) for o, m in entries)
+    return tuple((_exact_int(o, name), _exact_int(m, name)) for o, m in entries)
 
 
-def _require_derived(doc: Mapping[str, Any], key: str, expected: Any) -> None:
-    """Reject a stored field that differs from its value recomputed from the
-    rest of the document."""
-    if canonical_dumps(doc[key]) != canonical_dumps(expected):
-        raise ParameterError(f"stale {key!r}: the document has {doc[key]!r}, the skeleton gives {expected!r}")
+def _bundle_from_json(bd: Mapping[str, Any]) -> ComponentBundle:
+    return ComponentBundle(
+        kind=bd["kind"],
+        degree=_exact_int(bd["degree"], "degree"),
+        blocks=_optional_int(bd.get("blocks"), "blocks"),
+        block_rank=_optional_int(bd.get("block_rank"), "block_rank"),
+        block_degree=_optional_int(bd.get("block_degree"), "block_degree"),
+        summands=tuple(
+            Summand(mult=_exact_int(sd["mult"], "summands"), twist=_optional_int(sd.get("a"), "summands"))
+            for sd in bd.get("summands", ())
+        ),
+    )
+
+
+def _table_from_json(td: Mapping[str, Any]) -> VanishingTable:
+    return VanishingTable(_table_side(td["at_p"], "at_p"), _table_side(td["at_q"], "at_q"))
+
+
+def _gluing_from_json(gd: Mapping[str, Any]) -> GluingSpec:
+    return GluingSpec(
+        tag=gd["tag"], parameter_dim=_exact_int(gd["parameter_dim"], "parameter_dim"), description=gd["description"]
+    )
+
+
+def _entries(doc: Mapping[str, Any], key: str, build: Callable[[Any], Any]) -> tuple[Any, ...]:
+    """`build` applied to each entry of doc[key]; a rejection names the entry."""
+    out = []
+    for i, entry in enumerate(doc[key]):
+        try:
+            out.append(build(entry))
+        except ParameterError as exc:
+            raise ParameterError(f"{key}[{i}].{exc}") from None
+    return tuple(out)
+
+
+def _rebuilt_ints_exact(doc: Mapping[str, Any]) -> bool:
+    """Whether the integers the writer rebuilds rather than reads back are
+    exact ints, on a document equal to the written one: `==` equates 1, 1.0
+    and true."""
+    keys = [e["component"] for e in doc["bundles"] + doc["tables"]] + [e["node"] for e in doc["gluings"]]
+    return all(type(v) is int for v in (doc["components"], *doc["decomposition"].values(), *keys))
+
+
+class _Absent:
+    def __repr__(self) -> str:
+        return "no such key"
+
+
+def _first_difference(got: Any, want: Any, path: str = "") -> tuple[str, Any, Any] | None:
+    """(path, got, want) at the first place, in the writer's key order, where
+    two JSON values differ, types included, or None if there is none."""
+    if isinstance(want, dict) and isinstance(got, Mapping):
+        keys = [*want, *(k for k in got if k not in want)]
+        pairs = [(f"{path}.{k}" if path else str(k), got.get(k, _Absent()), want.get(k, _Absent())) for k in keys]
+    elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(got, want))]
+    else:
+        return None if type(got) is type(want) and got == want else (path, got, want)
+    return next(filter(None, (_first_difference(a, b, sub) for sub, a, b in pairs)), None)
 
 
 def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
     """Rebuild a skeleton from its canonical JSON document.
 
-    Raises ParameterError for any document it cannot load, including one
-    whose `decomposition` or `nodes` differ from what `params` and
-    `components` give, and one with a table side that breaks the
-    VanishingTable invariant.
+    A document loads iff the skeleton built from it writes back the same
+    JSON value, every integer an exact int. Anything else, a stale derived
+    field or a table side breaking the VanishingTable invariant included,
+    raises ParameterError naming the first offending field.
     """
     if not isinstance(doc, Mapping):
         raise ParameterError(f"a skeleton document is a JSON object, not {type(doc).__name__}")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ParameterError(f"unsupported schema {doc.get('schema')!r}")
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise ParameterError(f"unsupported schema {schema!r}")
     try:
         pd = doc["params"]
-        params = Params(g=pd["g"], r=pd["r"], d=pd["d"], k=pd["k"])
-        case = Case(doc["case"])
-        bundles = []
-        for bd in doc["bundles"]:
-            if bd["kind"] == "first_special":
-                bundles.append(
-                    ComponentBundle(
-                        component=_exact_int(bd["component"]),
-                        kind="first_special",
-                        degree=_exact_int(bd["degree"]),
-                        blocks=_exact_int(bd["blocks"]),
-                        block_rank=_exact_int(bd["block_rank"]),
-                        block_degree=_exact_int(bd["block_degree"]),
-                    )
-                )
-            else:
-                bundles.append(
-                    ComponentBundle(
-                        component=_exact_int(bd["component"]),
-                        kind="mixed",
-                        degree=_exact_int(bd["degree"]),
-                        summands=tuple(
-                            Summand(mult=_exact_int(sd["mult"]), twist=_optional_int(sd.get("a")))
-                            for sd in bd["summands"]
-                        ),
-                    )
-                )
-        tables = [
-            VanishingTable(
-                component=_exact_int(td["component"]),
-                at_p=_table_side(td["at_p"]),
-                at_q=_table_side(td["at_q"]),
-            )
-            for td in doc["tables"]
-        ]
-        gluings = [
-            GluingSpec(
-                node=_exact_int(gd["node"]),
-                tag=gd["tag"],
-                parameter_dim=_exact_int(gd["parameter_dim"]),
-                description=gd.get("description"),
-            )
-            for gd in doc["gluings"]
-        ]
         skeleton = LimitSeriesSkeleton(
-            params=params,
-            case=case,
-            b=_exact_int(doc["b"]),
-            chain=build_chain(_exact_int(doc["components"])),
-            bundles=tuple(bundles),
-            tables=tuple(tables),
-            gluings=tuple(gluings),
-            notes=tuple(doc.get("notes", ())),
+            params=Params(g=pd["g"], r=pd["r"], d=pd["d"], k=pd["k"]),
+            case=Case(doc["case"]),
+            b=_exact_int(doc["b"], "b"),
+            bundles=_entries(doc, "bundles", _bundle_from_json),
+            tables=_entries(doc, "tables", _table_from_json),
+            gluings=_entries(doc, "gluings", _gluing_from_json),
+            notes=tuple(doc["notes"]),
         )
-        _require_derived(doc, "decomposition", _decomposition_to_json(skeleton.decomposition))
-        _require_derived(doc, "nodes", _nodes_to_json(skeleton.chain))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParameterError):
             raise
         raise ParameterError(f"malformed skeleton document: {exc}") from exc
+    written = skeleton_to_json_dict(skeleton)
+    if written != doc or not _rebuilt_ints_exact(doc):
+        path, got, want = _first_difference(doc, written)  # type: ignore[misc]
+        raise ParameterError(f"stale {path}: the document has {got!r}, the skeleton gives {want!r}")
     return skeleton
-

@@ -9,7 +9,8 @@ Checks performed:
   pairing (Q descending against P ascending) then maximizes the minimum
   pair sum, so it decides the rest. Whether all sums equal b exactly (the
   constructions achieve this) is reported separately.
-* component feasibility: the pairing induced on each component by sorting
+* component feasibility: the P and Q sides must total the same (else no
+  pairing exists), and the pairing induced on each component by sorting
   P-orders ascending against Q-orders descending must respect the section
   rules on an elliptic component: per-order multiplicity at most r, pair
   sums at most d1, and pairs summing to exactly d1 only within the
@@ -143,7 +144,7 @@ def check_node_pairing(s: LimitSeriesSkeleton) -> tuple[NodeVerdict, ...]:
     verdicts = []
     tables = s.tables
     b = s.b
-    for node in range(1, s.chain.components):
+    for node in range(1, s.params.g):
         q_table = tables[node - 1]
         p_table = tables[node]
         stretches = tuple(merge_runs(p_table.at_p, q_table.at_q))
@@ -184,6 +185,7 @@ def _exceptional_capacity(bundle: ComponentBundle, a: int, d2: int) -> int:
 
 
 def check_component_feasibility(
+    component: int,
     bundle: ComponentBundle,
     table: VanishingTable,
     *,
@@ -191,11 +193,13 @@ def check_component_feasibility(
     d2: int,
     r: int,
 ) -> ComponentVerdict:
-    """Check one component's induced pairing, P-orders ascending against
-    Q-orders descending, against the elliptic section rules. A pair above
-    d1 yields one violation per section.
-    """
+    """Check component `component`: its two sides must total the same, and
+    the pairing induced by P-orders ascending against Q-orders descending
+    (stopping at the shorter side) must keep the elliptic section rules. A
+    pair above d1 yields one violation per section."""
     violations: list[dict[str, Any]] = []
+    if table.total_p != table.total_q:
+        violations.append({"rule": "side_totals", "total_p": table.total_p, "total_q": table.total_q})
     for point, side in (("P", table.at_p), ("Q", table.at_q)):
         for order, mult in side:
             if mult > r:
@@ -220,7 +224,7 @@ def check_component_feasibility(
                 {"rule": "exceptional_capacity", "order": a, "pairs": top_groups[a], "capacity": capacity}
             )
     return ComponentVerdict(
-        component=table.component,
+        component=component,
         ok=not violations,
         violations=tuple(violations),
         exceptional=tuple(exceptional),
@@ -284,7 +288,7 @@ def check_boundary(s: LimitSeriesSkeleton) -> CheckEntry:
     dec = s.decomposition
     expected = minimal_boundary_table(s.params.r, dec.k1, dec.k2)
     first_p = s.table(1).p_map()
-    last_q = s.table(s.chain.components).q_map()
+    last_q = s.table(s.params.g).q_map()
     witness: dict[str, Any] = {
         "expected": sorted(expected.items()),
         "first_p": sorted(first_p.items()),
@@ -305,14 +309,14 @@ def check_multiplicity_bounds(s: LimitSeriesSkeleton) -> CheckEntry:
     r, k = s.params.r, s.params.k
     d1 = s.decomposition.d1
     offenders = []
-    for t in s.tables:
+    for i, t in enumerate(s.tables, 1):
         for point, side in (("P", t.at_p), ("Q", t.at_q)):
             total = sum(m for _, m in side)
             if total != k:
-                offenders.append({"component": t.component, "point": point, "total": total, "expected": k})
+                offenders.append({"component": i, "point": point, "total": total, "expected": k})
             for order, mult in side:
                 if mult > r or not 0 <= order <= d1:
-                    offenders.append({"component": t.component, "point": point, "order": order, "mult": mult})
+                    offenders.append({"component": i, "point": point, "order": order, "mult": mult})
     if offenders:
         return CheckEntry("fail", {"offenders": offenders})
     return CheckEntry("pass", {"components": len(s.tables), "max_multiplicity": r})
@@ -354,8 +358,8 @@ def verify(s: LimitSeriesSkeleton) -> VerificationReport:
     )
 
     comps = [
-        check_component_feasibility(bundle, table, d1=dec.d1, d2=dec.d2, r=s.params.r)
-        for bundle, table in zip(s.bundles, s.tables)
+        check_component_feasibility(i, bundle, table, d1=dec.d1, d2=dec.d2, r=s.params.r)
+        for i, (bundle, table) in enumerate(zip(s.bundles, s.tables), 1)
     ]
     checks.append(
         (

@@ -130,7 +130,7 @@ def test_criterion_4_worked_instance():
         and classification.main_check.name == "(***)"
         and classification.main_check.slack == 1
         and brill_noether_rho(p) == 20
-        and skeleton.chain.components == 7
+        and skeleton.params.g == 7
         and skeleton.b == 5
         and skeleton.table(1).p_map() == {0: 3, 1: 2}
         and skeleton.table(1).q_map() == {5: 1, 4: 3, 3: 1}

@@ -15,6 +15,8 @@ from ellchain.cli import (
 )
 from ellchain.errors import ParameterError
 
+DELETE = object()  # a field value meaning "remove the key"
+
 
 class TestCheckCommand:
     def test_pass_exit_zero(self, capsys):
@@ -176,28 +178,46 @@ class TestVerifyFileAuditAndLoad:
         assert "cannot load" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "field,value",
+        "field,value,named",
         [
-            (("tables", 0, "at_q"), []),
-            (("tables", 1, "at_p"), [[0, 2], [0, 3]]),
-            (("tables", 1, "at_p"), [[3, 2], [1, 3]]),
-            (("tables", 1, "at_p"), [[0, 2], [1, 0], [2, 3]]),
-            (("decomposition", "d1"), 99),
-            (("nodes",), []),
+            (("tables", 0, "at_q"), [], "tables[0].at_q"),
+            (("tables", 1, "at_p"), [[0, 2], [0, 3]], "tables[1].at_p"),
+            (("tables", 1, "at_p"), [[3, 2], [1, 3]], "tables[1].at_p"),
+            (("tables", 1, "at_p"), [[0, 2], [1, 0], [2, 3]], "tables[1].at_p"),
+            (("decomposition", "d1"), 99, "decomposition.d1"),
+            (("nodes",), [], "nodes"),
+            (("tables", 1, "component"), 5, "tables[1].component"),
+            (("bundles", 1, "component"), 9, "bundles[1].component"),
+            (("gluings", 0, "node"), 4, "gluings[0].node"),
+            (("bundles", 1, "kind"), "bogus", "bundles[1].kind"),
+            (("bundles", 1, "summands", 0, "kind"), "generic_line", "bundles[1].summands[0].kind"),
+            (("extra",), 1, "extra"),
+            (("bundles", 1, "blocks"), 2, "bundles[1].blocks"),
+            (("notes",), DELETE, "notes"),
+            (("schema",), True, "schema"),
+            (("components",), 7.0, "components"),
+            (("bundles", 0, "component"), True, "bundles[0].component"),
         ],
         ids=["empty_side", "duplicate_order", "unsorted_side", "zero_multiplicity",
-             "stale_decomposition", "emptied_nodes"],
+             "stale_decomposition", "emptied_nodes", "table_component", "bundle_component",
+             "gluing_node", "bogus_bundle_kind", "stale_summand_kind", "extra_top_level_key",
+             "blocks_on_mixed_bundle", "deleted_notes", "bool_schema", "float_components",
+             "bool_component"],
     )
-    def test_inconsistent_document_rejected(self, tmp_path, capsys, field, value):
+    def test_inconsistent_document_rejected(self, tmp_path, capsys, field, value, named):
         path, doc = _dumped(tmp_path, capsys)
         parent = doc
         for key in field[:-1]:
             parent = parent[key]
-        parent[field[-1]] = value
+        if value is DELETE:
+            del parent[field[-1]]
+        else:
+            parent[field[-1]] = value
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify-file", str(path)]) == 1
         out = capsys.readouterr().out
         assert out.startswith(f"cannot load {path}:")
+        assert named in out
         assert "overall" not in out
 
     def test_unequal_node_totals_fail_without_traceback(self, tmp_path, capsys):
@@ -212,6 +232,24 @@ class TestVerifyFileAuditAndLoad:
                 assert main(["verify-file", str(path), *extra]) == 1
                 out = capsys.readouterr().out
                 assert "verify node_pairing: fail" in out and "overall: fail" in out
+                assert "verify component_feasibility: fail" in out
+
+    def test_oracle_line_on_fresh_dump(self, tmp_path, capsys):
+        path, _ = _dumped(tmp_path, capsys)
+        assert main(["verify-file", str(path), "--oracle"]) == 0
+        assert "oracle cross-validation: agree\n" in capsys.readouterr().out
+
+    def test_oracle_skips_oversize_instance_with_notice(self, tmp_path, capsys):
+        # Node 1 pairs 9 Q-orders with 9 P-orders, beyond the oracle bound 8
+        # although k = 5; it is skipped, and the report is still printed.
+        path, doc = _dumped(tmp_path, capsys)
+        doc["tables"][0]["at_q"] = [[3, 4], [4, 5]]
+        doc["tables"][1]["at_p"] = [[0, 5], [1, 4]]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-file", str(path), "--oracle"]) == 1
+        out = capsys.readouterr().out
+        assert "oracle cross-validation: agree, skipped (node 1: instance size 9 exceeds oracle bound 8;" in out
+        assert "verify multiplicity_bounds: fail" in out and "overall: fail" in out
 
 
 class TestSweep:

@@ -4,13 +4,13 @@ import pytest
 
 from conftest import constructible_tuples
 from ellchain import (
-    BlockIndex,
     Case,
     Params,
     construct,
     decompose,
     degree_balance,
     minimal_boundary_table,
+    skeleton_to_json_dict,
     tail_count,
 )
 from ellchain.cli import SweepConfig
@@ -81,7 +81,7 @@ class TestSmallAWorkedInstance:
 
     def test_gluing_dims(self):
         s = construct(self.P)
-        dims = {gl.node: (gl.tag, gl.parameter_dim) for gl in s.gluings}
+        dims = {n: (gl.tag, gl.parameter_dim) for n, gl in enumerate(s.gluings, 1)}
         assert dims == {
             1: ("constrained", 8),
             2: ("constrained", 7),
@@ -151,16 +151,6 @@ def test_large_sections_worked_instance():
     assert degree_balance(s) == 0
 
 
-def test_block_index_recovery():
-    # chain index = width*alpha + beta + 1, for both block widths
-    for k1 in range(1, 5):
-        for alpha in range(0, 4):
-            for beta in range(1, k1 + 2):
-                assert BlockIndex(alpha, beta).component(k1 + 1) == (k1 + 1) * alpha + beta + 1
-            for beta in range(1, k1 + 1):
-                assert BlockIndex(alpha, beta).component(k1) == k1 * alpha + beta + 1
-
-
 def test_tail_count_examples():
     assert tail_count(Params(7, 3, 16, 5)) == 0
     assert tail_count(Params(7, 3, 14, 4)) == 0
@@ -191,7 +181,7 @@ def test_construction_invariants_over_small_sweep():
         dec = decompose(p)
         assert s.b == dec.d1
         assert degree_balance(s) == 0
-        assert [b.component for b in s.bundles] == list(range(1, p.g + 1))
+        assert [b["component"] for b in skeleton_to_json_dict(s)["bundles"]] == list(range(1, p.g + 1))
         assert all(b.rank == p.r for b in s.bundles)
         for t in s.tables:
             assert t.total_p == p.k and t.total_q == p.k

@@ -72,14 +72,6 @@ def test_rows_cover_components_exactly_once():
         assert sorted(covered) == list(range(1, p.g + 1))
 
 
-def test_split_preserves_total():
-    for tup in [(7, 3, 16, 5), (7, 3, 14, 4), (4, 2, 8, 4), (2, 2, 6, 3)]:
-        led = ledger(construct(Params(*tup)))
-        split = led.split_rows()
-        assert split.total == led.total
-        assert all(row.count <= 1 or row.components is None for row in split.rows)
-
-
 def test_row_dimensions_nonnegative_over_sweep():
     cfg = SweepConfig(g=(2, 9), r=(1, 4))
     for p, _ in constructible_tuples(cfg):
@@ -97,15 +89,13 @@ def test_ledger_gluing_matches_skeleton_gluings():
         if led.case is Case.LARGE_SECTIONS:
             continue
         s = construct(p)
-        per_node = {gl.node: gl.parameter_dim for gl in s.gluings}
+        per_node = {n: gl.parameter_dim for n, gl in enumerate(s.gluings, 1)}
         from_rows: dict[int, int] = {}
-        for row in led.split_rows().rows:
+        for row in led.rows:
             assert row.components is not None
-            if not row.components:
-                continue  # empty tail
-            (component,) = row.components
-            if component > 1:
-                from_rows[component - 1] = row.gluing
+            for component in row.components:
+                if component > 1:
+                    from_rows[component - 1] = row.gluing
         assert from_rows == per_node
 
 

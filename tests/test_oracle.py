@@ -109,7 +109,7 @@ class TestCrossValidation:
 
         s = construct(Params(7, 3, 16, 5))
         tables = list(s.tables)
-        tables[1] = VanishingTable(2, ((0, 4),), s.table(2).at_q)
+        tables[1] = VanishingTable(((0, 4),), s.table(2).at_q)
         cv = cross_validate(dataclasses.replace(s, tables=tuple(tables)))
         assert cv.skipped == ("node 1: sides total 5 and 4", "component 2: sides total 4 and 5")
         g = s.params.g
@@ -139,9 +139,9 @@ class TestCrossValidation:
             side[dst] = side.get(dst, 0) + 1
             runs = tuple(sorted((o, m) for o, m in side.items() if m))
             if side_name == "p":
-                tables[idx] = VanishingTable(t.component, runs, t.at_q)
+                tables[idx] = VanishingTable(runs, t.at_q)
             else:
-                tables[idx] = VanishingTable(t.component, t.at_p, runs)
+                tables[idx] = VanishingTable(t.at_p, runs)
             corrupted = dataclasses.replace(base, tables=tuple(tables))
             cv = cross_validate(corrupted)
-            assert cv.ok, f"greedy/oracle disagreement after corrupting C{t.component} at {side_name}"
+            assert cv.ok, f"greedy/oracle disagreement after corrupting C{idx + 1} at {side_name}"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ellchain import (
     Params,
     VanishingTable,
-    build_chain,
     canonical_dumps,
     construct,
     degree_balance,
@@ -19,25 +18,6 @@ from ellchain import (
     verify,
 )
 from ellchain.errors import ParameterError
-
-
-def test_build_chain_smallest():
-    chain = build_chain(2)
-    assert chain.components == 2 and chain.node_count == 1
-
-
-def test_build_chain_seven():
-    chain = build_chain(7)
-    assert chain.components == 7 and chain.node_count == 6
-
-
-def test_build_chain_node_labels():
-    assert build_chain(3).nodes == (("Q1", "P2"), ("Q2", "P3"))
-
-
-def test_build_chain_rejects_tiny():
-    with pytest.raises(ParameterError):
-        build_chain(1)
 
 
 def test_degree_balance_small_a():
@@ -87,7 +67,7 @@ def test_canonical_json_is_sorted_and_compact():
 def test_table_total_guard():
     s = construct(Params(7, 3, 16, 5))
     tables = list(s.tables)
-    broken = VanishingTable(2, ((0, 1), (1, 3)), s.table(2).at_q)  # sums to 4, not k=5
+    broken = VanishingTable(((0, 1), (1, 3)), s.table(2).at_q)  # sums to 4, not k=5
     tables[1] = broken
     entry = verify(dataclasses.replace(s, tables=tuple(tables))).entry("multiplicity_bounds")
     assert entry.status == "fail"
@@ -120,7 +100,7 @@ def broken_sides(draw):
 
 @given(at_p=valid_sides, at_q=valid_sides)
 def test_vanishing_table_accepts_valid_runs(at_p, at_q):
-    table = VanishingTable(3, at_p, at_q)
+    table = VanishingTable(at_p, at_q)
     assert table.at_p == at_p and table.at_q == at_q
 
 
@@ -128,9 +108,9 @@ def test_vanishing_table_accepts_valid_runs(at_p, at_q):
 def test_vanishing_table_rejects_broken_side(good, bad, bad_at_p):
     with pytest.raises(ParameterError):
         if bad_at_p:
-            VanishingTable(3, bad, good)
+            VanishingTable(bad, good)
         else:
-            VanishingTable(3, good, bad)
+            VanishingTable(good, bad)
 
 
 def test_malformed_document_rejected():

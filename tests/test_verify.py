@@ -21,12 +21,12 @@ from ellchain import (
 from ellchain.skeleton import expand_ascending, expand_descending
 
 
-def _mixed(summands, component=1, degree=0):
-    return ComponentBundle(component=component, kind="mixed", degree=degree, summands=summands)
+def _mixed(summands, degree=0):
+    return ComponentBundle(kind="mixed", degree=degree, summands=summands)
 
 
-def _table(at_p, at_q, component=1):
-    return VanishingTable(component, tuple(sorted(at_p.items())), tuple(sorted(at_q.items())))
+def _table(at_p, at_q):
+    return VanishingTable(tuple(sorted(at_p.items())), tuple(sorted(at_q.items())))
 
 
 def _node_min_sum(at_q, at_p_next):
@@ -57,7 +57,7 @@ class TestNodePairing:
         at_q[3] -= 1
         at_q[2] += 1
         tables = list(s.tables)
-        tables[2] = VanishingTable(3, s.table(3).at_p, tuple(sorted(at_q.items())))
+        tables[2] = VanishingTable(s.table(3).at_p, tuple(sorted(at_q.items())))
         corrupted = dataclasses.replace(s, tables=tuple(tables))
         verdicts = check_node_pairing(corrupted)
         assert not verdicts[2].satisfiable and verdicts[2].node == 3
@@ -70,20 +70,20 @@ class TestComponentFeasibility:
         # pair summing to d1 = 3 with P-order 2 is covered by the a = 2 twist
         bundle = _mixed((Summand(mult=1, twist=2), Summand(mult=1)))
         table = _table({0: 1, 2: 1}, {1: 1, 2: 1})
-        verdict = check_component_feasibility(bundle, table, d1=3, d2=0, r=2)
+        verdict = check_component_feasibility(1, bundle, table, d1=3, d2=0, r=2)
         assert verdict.ok
         assert verdict.exceptional == ((2, 1, 1),)
 
     def test_generic_lines_reject_saturated_pair(self):
         bundle = _mixed((Summand(mult=2),))
         table = _table({0: 1, 1: 1}, {2: 1, 3: 1})
-        verdict = check_component_feasibility(bundle, table, d1=3, d2=0, r=2)
+        verdict = check_component_feasibility(1, bundle, table, d1=3, d2=0, r=2)
         assert not verdict.ok
         assert any(v["rule"] == "exceptional_capacity" for v in verdict.violations)
 
     def test_first_special_budget(self):
         s = construct(Params(7, 3, 16, 5))
-        verdict = check_component_feasibility(s.bundle(1), s.table(1), d1=5, d2=1, r=3)
+        verdict = check_component_feasibility(1, s.bundle(1), s.table(1), d1=5, d2=1, r=3)
         assert verdict.ok
         # groups of degree-5 pairs, one per P-order, each within the d2 budget
         assert verdict.exceptional == ((0, 1, 1), (1, 1, 1))
@@ -91,14 +91,14 @@ class TestComponentFeasibility:
     def test_pair_sum_above_degree_rejected(self):
         bundle = _mixed((Summand(mult=2),))
         table = _table({3: 2}, {3: 2})
-        verdict = check_component_feasibility(bundle, table, d1=4, d2=0, r=2)
+        verdict = check_component_feasibility(1, bundle, table, d1=4, d2=0, r=2)
         assert not verdict.ok
         assert any(v["rule"] == "pair_sum" for v in verdict.violations)
 
     def test_multiplicity_above_rank_rejected(self):
         bundle = _mixed((Summand(mult=2),))
         table = _table({0: 3}, {1: 3})
-        verdict = check_component_feasibility(bundle, table, d1=4, d2=0, r=2)
+        verdict = check_component_feasibility(1, bundle, table, d1=4, d2=0, r=2)
         assert any(v["rule"] == "order_multiplicity" for v in verdict.violations)
 
 
@@ -151,7 +151,7 @@ class TestFullVerify:
     def test_boundary_violation_detected(self):
         s = construct(Params(7, 3, 16, 5))
         tables = list(s.tables)
-        tables[0] = VanishingTable(1, ((0, 3), (2, 2)), s.table(1).at_q)
+        tables[0] = VanishingTable(((0, 3), (2, 2)), s.table(1).at_q)
         broken = dataclasses.replace(s, tables=tuple(tables))
         report = verify(broken)
         entry = report.entry("boundary_minimality")
@@ -181,7 +181,9 @@ run_tables = st.lists(st.integers(0, 9), min_size=1, max_size=12).map(_runs)
 def _component_reference(bundle, table, d1, d2, r):
     """The component rules applied pair by pair to the expanded anti-sorted
     pairing."""
-    violations = [
+    total_p, total_q = len(expand_ascending(table.at_p)), len(expand_ascending(table.at_q))
+    violations = [{"rule": "side_totals", "total_p": total_p, "total_q": total_q}] if total_p != total_q else []
+    violations += [
         {"rule": "order_multiplicity", "point": point, "order": order, "mult": mult, "max": r}
         for point, side in (("P", table.at_p), ("Q", table.at_q))
         for order, mult in side
@@ -201,7 +203,7 @@ def _component_reference(bundle, table, d1, d2, r):
             violations.append(
                 {"rule": "exceptional_capacity", "order": a, "pairs": top_groups[a], "capacity": capacity}
             )
-    return {"component": table.component, "ok": not violations, "violations": violations,
+    return {"component": 1, "ok": not violations, "violations": violations,
             "exceptional": exceptional}
 
 
@@ -219,8 +221,8 @@ class TestRunMerge:
     def test_node_verdict_matches_expanded_reference(self, at_q, at_p, b):
         s = construct(Params(2, 2, 6, 3))
         tables = (
-            VanishingTable(1, s.table(1).at_p, at_q),
-            VanishingTable(2, at_p, s.table(2).at_q),
+            VanishingTable(s.table(1).at_p, at_q),
+            VanishingTable(at_p, s.table(2).at_q),
         )
         verdict = check_node_pairing(dataclasses.replace(s, tables=tables, b=b))[0]
         pairs = list(zip(expand_descending(at_q), expand_ascending(at_p)))
@@ -241,10 +243,10 @@ class TestRunMerge:
     )
     @settings(max_examples=300)
     def test_component_verdict_matches_expanded_reference(self, at_p, at_q, d1, d2, r, twists, first_special):
-        table = VanishingTable(1, at_p, at_q)
+        table = VanishingTable(at_p, at_q)
         if first_special:
-            bundle = ComponentBundle(component=1, kind="first_special", degree=0, blocks=1, block_rank=r)
+            bundle = ComponentBundle(kind="first_special", degree=0, blocks=1, block_rank=r)
         else:
             bundle = _mixed(tuple(Summand(mult=1, twist=t) for t in twists))
-        verdict = check_component_feasibility(bundle, table, d1=d1, d2=d2, r=r)
+        verdict = check_component_feasibility(1, bundle, table, d1=d1, d2=d2, r=r)
         assert verdict.to_json_dict() == _component_reference(bundle, table, d1, d2, r)
