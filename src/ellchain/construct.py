@@ -2,10 +2,16 @@
 
 Every recipe fixes the twist parameter b = d1, places a bundle on each of the
 g components, emits the vanishing multiset of the k-dimensional section space
-at both marked points of every component, and tags every node with its gluing
+at the Q point of every component, and tags every node with its gluing
 family dimension. Component 1 carries degree d; every other component carries
 degree r*d1, which is the unique choice balancing total degree against the
 twist.
+
+The P sides follow from exact gluing: at every node each order at Q_i meets
+one at P_{i+1} summing to b = d1 (a refined limit series), so `construct`
+sets component 1's P side to the minimal boundary table and each later one
+to d1 minus the previous Q side. Two Q-side shapes serve all recipes:
+`_staircase_q` (generic lines) and `_block_q` (twisted blocks).
 
 Regime layouts (t is the regime's tail threshold, `params.tail_threshold`):
 
@@ -32,10 +38,10 @@ line chain and tail, each node takes the gluing of the part of the component
 it enters, and the ledger groups its rows by the same parts.
 
 The verifier re-derives nothing from here: it checks the emitted data against
-the balance, pairing, feasibility and boundary rules independently. The
-ledger reads its small-case terms (bundle moduli and automorphisms, gluing
-dimensions) off the emitted skeleton, so this module is the single source of
-every dimension fact.
+the balance, pairing, feasibility and boundary rules independently, exact
+nodes included. The ledger reads every term (bundle moduli and
+automorphisms, gluing dimensions) off the emitted skeleton, so this module
+is the single source of every dimension fact.
 """
 
 from __future__ import annotations
@@ -110,7 +116,7 @@ def tail_count(p: Params, case: Case | None = None) -> int:
     return len(layout(actual, decompose(p), p.g)["tail"])
 
 
-PerComponent = dict[int, tuple[ComponentBundle, Runs, Runs]]
+PerComponent = dict[int, tuple[ComponentBundle, Runs]]
 
 
 def _first_special(p: Params, dec: Decomposition) -> ComponentBundle:
@@ -120,19 +126,31 @@ def _first_special(p: Params, dec: Decomposition) -> ComponentBundle:
     )
 
 
+def _staircase_q(hi: int, *, k1: int, r: int, head: int) -> Runs:
+    """A generic-line Q side: `hi` carries `head`, the k1 orders below it r."""
+    return _table([(o, r) for o in _run(hi - k1, hi - 1)] + [(hi, head)])
+
+
+def _block_q(base: int, beta: int, width: int, head: int, *, r: int, d1: int) -> tuple[ComponentBundle, Runs]:
+    """Component `beta` of a twisted block of `width` components at twist
+    base `base`: the bundle carries O((base+2*beta-1)P+...), `head` copies on
+    the block's first component and r on the rest, and the Q side runs
+    `width` orders down from top = d1-base-beta, with `head` at the top and
+    order top-beta skipped."""
+    mult = head if beta == 1 else r
+    top = d1 - base - beta
+    at_q = _table([(o, r) for o in _run(top - width, top - 1) if o != top - beta] + [(top, head)])
+    return _mixed(r * d1, _twisted(base + 2 * beta - 1, mult) + _lines(r - mult)), at_q
+
+
 def _build_large(p: Params, dec: Decomposition, case: Case) -> tuple[PerComponent, list[GluingSpec], list[str]]:
     g, r = p.g, p.r
     d1, d2, k1, k2 = dec.d1, dec.d2, dec.k1, dec.k2
-    comps: PerComponent = {}
-    comps[1] = (
-        _first_special(p, dec),
-        _table(minimal_boundary_table(r, k1, k2).items()),
-        _table([(g - 1 + j, r) for j in range(k1)] + [(g + k1 - 1, k2)]),
-    )
-    for i in range(2, g + 1):
-        at_p = _table([(d1 - g + i - 1 - j, r) for j in range(k1)] + [(d1 - g + i - k1 - 1, k2)])
-        at_q = _table([(g - i + j, r) for j in range(k1)] + [(g - i + k1, k2)])
-        comps[i] = (_mixed(r * d1, _lines(r)), at_p, at_q)
+    line = _mixed(r * d1, _lines(r))
+    comps: PerComponent = {
+        i: (_first_special(p, dec) if i == 1 else line, _staircase_q(g - i + k1, k1=k1, r=r, head=k2))
+        for i in _run(1, g)
+    }
     gluings = [GluingSpec("generic", r * r)] * (g - 1)
     notes = []
     if d2 != k2:
@@ -144,15 +162,6 @@ def _build_large(p: Params, dec: Decomposition, case: Case) -> tuple[PerComponen
     return comps, gluings, notes
 
 
-def _early_run(near: int, far: int, mid: int, *, r: int, k2: int, e: int) -> list[tuple[int, int]]:
-    """Orders from `near` to `far` inclusive (either direction): `near`
-    carries k2, `mid` carries r-e, `far` carries e, every other order r."""
-    return [
-        (o, k2 if o == near else r - e if o == mid else e if o == far else r)
-        for o in _run(min(near, far), max(near, far))
-    ]
-
-
 def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerComponent, list[GluingSpec], list[str]]:
     """The SMALL_A (s = 0) / SMALL_B (s = 1) recipe."""
     g, r = p.g, p.r
@@ -161,70 +170,39 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
     t = tail_threshold(case, dec, g)
     e = k2 - d2 + s * r
     parts = layout(case, dec, g)
-    comps: PerComponent = {}
 
-    comps[1] = (
-        _first_special(p, dec),
-        _table(minimal_boundary_table(r, k1, k2).items()),
-        _table([(d1, d2)] + [(d1 - j, r) for j in _run(1, k1 - s)] + [(d1 - k1 - 1 + s, e)]),
-    )
-
-    def early_q(i: int) -> dict[int, int]:
-        # Orders d1-i+1+s down to d1-k1-i+s; the list degenerates at
-        # i = k1+2, where it merges into head k2 followed by k1
-        # full-multiplicity rows.
+    def early_q(i: int) -> Runs:
+        # Orders top-k1-1 up to top = d1-i+1+s: top carries k2, d1-2i+2+s
+        # carries r-e, the lowest order e and every other r. At i = k1+2
+        # the run degenerates into the staircase below top.
+        top = d1 - i + 1 + s
         if i == k1 + 2:
-            return _table(
-                [(d1 - k1 - 1 + s, k2)] + [(o, r) for o in _run(d1 - 2 * k1 - 1 + s, d1 - k1 - 2 + s)]
-            )
-        entries = _early_run(d1 - i + 1 + s, d1 - k1 - i + s, d1 - 2 * i + 2 + s, r=r, k2=k2, e=e)
-        return _table(entries)
+            return _staircase_q(top, k1=k1, r=r, head=k2)
+        mid, bottom = d1 - 2 * i + 2 + s, top - k1 - 1
+        return _table(
+            (o, k2 if o == top else r - e if o == mid else e if o == bottom else r) for o in _run(bottom, top)
+        )
 
     second = _twisted(0, k2) + _lines(r - k2) if s else _twisted(1, e) + _lines(r - e)
-    comps[2] = (
-        _mixed(r * d1, second),
-        _table([(0, d2)] + [(j, r) for j in _run(1, k1 - s)] + [(k1 + 1 - s, e)]),
-        early_q(2),
-    )
-
+    comps: PerComponent = {
+        1: (
+            _first_special(p, dec),
+            _table([(d1, d2)] + [(d1 - j, r) for j in _run(1, k1 - s)] + [(d1 - k1 - 1 + s, e)]),
+        ),
+        2: (_mixed(r * d1, second), early_q(2)),
+    }
     for i in parts["line_chain"]:
-        entries = _early_run(i - 2 - s, k1 + i - 1 - s, 2 * i - 4 - s, r=r, k2=k2, e=e)
-        comps[i] = (
-            _mixed(r * d1, _twisted(2 * i - 3 - s, e) + _lines(r - e)),
-            _table(entries),
-            early_q(i),
-        )
+        comps[i] = (_mixed(r * d1, _twisted(2 * i - 3 - s, e) + _lines(r - e)), early_q(i))
 
+    # Alpha-blocks at base k1*alpha-s: in SMALL_B the recipe's own gluing
+    # and section-space lines fix the head's twist at k1*alpha, one below
+    # SMALL_A's.
     for alpha in _run(1, t - 1):
-        a0 = alpha * k1 - s
         for beta in _run(1, k1 + 1):
-            i = (k1 + 1) * alpha + beta + 1
-            if beta == 1:
-                # The block's exceptional sections sit on O((a0+1)P+...);
-                # in SMALL_B the recipe's own gluing and section-space lines
-                # fix this twist at k1*alpha, one below SMALL_A's.
-                bundle = _mixed(r * d1, _twisted(a0 + 1, k2) + _lines(r - k2))
-            else:
-                bundle = _mixed(r * d1, _twisted(a0 + 2 * beta - 1, r))
-            # P runs ascend from the k2 head, skipping the order a0+2*beta-2.
-            at_p_orders = [*_run(a0 + beta - 1, a0 + 2 * beta - 3), *_run(a0 + 2 * beta - 1, a0 + k1 + beta)]
-            at_p = _table([(o, k2 if o == at_p_orders[0] else r) for o in at_p_orders])
-            # Q runs descend from d1-a0-beta; build ascending runs and mark
-            # the top order with the k2 head.
-            upper = _run(d1 - a0 - 2 * beta + 1, d1 - a0 - beta)
-            lower = _run(d1 - a0 - k1 - beta - 1, d1 - a0 - 2 * beta - 1)
-            top = d1 - a0 - beta
-            at_q = _table([(o, k2 if o == top else r) for o in upper] + [(o, r) for o in lower])
-            comps[i] = (bundle, at_p, at_q)
+            comps[(k1 + 1) * alpha + beta + 1] = _block_q(alpha * k1 - s, beta, k1 + 1, k2, r=r, d1=d1)
 
     for i in parts["tail"]:
-        lo = i - t - 1 - s
-        hi = d1 - i + t + s
-        comps[i] = (
-            _mixed(r * d1, _lines(r)),
-            _table([(lo, k2)] + [(o, r) for o in _run(lo + 1, lo + k1)]),
-            _table([(hi, k2)] + [(o, r) for o in _run(hi - k1, hi - 1)]),
-        )
+        comps[i] = (_mixed(r * d1, _lines(r)), _staircase_q(d1 - i + t + s, k1=k1, r=r, head=k2))
 
     # A node takes the gluing of the part of the component it enters: node 1
     # links the special first bundle into component 2, the line chain's nodes
@@ -253,36 +231,13 @@ def _build_small_c(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
     g, r = p.g, p.r
     d1, k1 = dec.d1, dec.k1
     t = tail_threshold(case, dec, g)
-    comps: PerComponent = {}
-
-    comps[1] = (
-        _mixed(r * d1, _lines(r)),
-        _table((j, r) for j in range(k1)),
-        _table((d1 - j, r) for j in _run(1, k1)),
-    )
-
+    line = _mixed(r * d1, _lines(r))
+    comps: PerComponent = {1: (line, _staircase_q(d1, k1=k1, r=r, head=0))}
     for alpha in _run(0, t - 1):
-        base = alpha * (k1 - 1)
         for beta in _run(1, k1):
-            i = k1 * alpha + beta + 1
-            a = base + 2 * beta - 1
-            at_p = _table(
-                [(o, r) for o in _run(base + beta - 1, base + 2 * beta - 3)]
-                + [(o, r) for o in _run(base + 2 * beta - 1, base + k1 + beta - 1)]
-            )
-            at_q = _table(
-                [(o, r) for o in _run(d1 - base - 2 * beta + 1, d1 - base - beta)]
-                + [(o, r) for o in _run(d1 - base - k1 - beta, d1 - base - 2 * beta - 1)]
-            )
-            comps[i] = (_mixed(r * d1, _twisted(a, r)), at_p, at_q)
-
+            comps[k1 * alpha + beta + 1] = _block_q(alpha * (k1 - 1), beta, k1, r, r=r, d1=d1)
     for i in layout(case, dec, g)["tail"]:
-        comps[i] = (
-            _mixed(r * d1, _lines(r)),
-            _table((o, r) for o in _run(i - t - 1, i - t + k1 - 2)),
-            _table((o, r) for o in _run(d1 - i + t - k1 + 1, d1 - i + t)),
-        )
-
+        comps[i] = (line, _staircase_q(d1 - i + t + 1, k1=k1, r=r, head=0))
     return comps, [GluingSpec("generic", r * r)] * (g - 1), []
 
 
@@ -313,16 +268,15 @@ def construct(p: Params) -> LimitSeriesSkeleton:
             f"case {classification.case.value}: components {missing or covered} not covered exactly once"
         )
 
+    # Exact gluing: each later P side is d1 minus the previous Q side.
+    at_p = minimal_boundary_table(p.r, dec.k1, dec.k2)
     bundles = []
     tables = []
     for i in range(1, p.g + 1):
-        bundle, at_p, at_q = comps[i]
-        if bundle.rank != p.r:
-            raise InternalCoverage(
-                f"component {i}: bundle rank {bundle.rank} != r={p.r}"
-            )
+        bundle, at_q = comps[i]
         bundles.append(bundle)
         tables.append(VanishingTable(at_p, at_q))
+        at_p = tuple((dec.d1 - o, m) for o, m in reversed(at_q))
 
     return LimitSeriesSkeleton(
         params=p,

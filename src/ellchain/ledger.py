@@ -1,8 +1,8 @@
 """Dimension bookkeeping: per-component moduli, automorphism and gluing
 counts whose signed total must equal the Brill-Noether number.
 
-In the small cases every term is read off the constructed skeleton, so the
-audit certifies the data the engine emits rather than a parallel formula:
+Every term is read off the constructed skeleton, so the audit certifies
+the data the engine emits rather than a parallel formula. Per component:
 
 * a first_special bundle with h blocks gives moduli h and autos h;
 * m copies of one twisted line give moduli 0 and autos m^2;
@@ -10,15 +10,18 @@ audit certifies the data the engine emits rather than a parallel formula:
 * the gluing term is the parameter_dim of the node entering the component
   (the first component has no such node).
 
-Rows group the components of one part of `construct.layout` (first
-component, line chain, block heads, ...), the parts the recipes fill; a row
-whose components disagree is split into one row per component, so a
-mismatch localizes to a single term.
+In the small cases, rows group the components of one part of
+`construct.layout` (first component, line chain, block heads, ...), the
+parts the recipes fill; a row whose components disagree is split into one
+row per component, so a mismatch localizes to a single term.
 The closing +1 accounts for the one-dimensional automorphism family of the
 glued stable bundle.
 
-For the regime with surplus sections the count is global instead: the stable
-bundle moduli r^2(g-1) plus the Grassmannian choice k(d-r(g-1)-k), plus one.
+For the regime with surplus sections the rows are global instead: the
+stable bundle family is the signed sum of the per-component terms (r^2(g-1)
+on a valid skeleton), and the Grassmannian choice is k(h0-k), where h0 is
+component 1's degree minus r times its lowest order at Q1 (d-r(g-1) on a
+valid skeleton); plus one.
 """
 
 from __future__ import annotations
@@ -122,19 +125,6 @@ def ledger(s: LimitSeriesSkeleton) -> DimensionLedger:
         raise ParameterError(f"skeleton is tagged {s.case.value} but the tuple classifies as {case.value}")
     g, r = p.g, p.r
 
-    if case is Case.LARGE_SECTIONS:
-        rows = (
-            LedgerRow(
-                label="stable_bundle_family", components=None, count=1,
-                moduli=r * r * (g - 1), autos=0, gluing=0,
-            ),
-            LedgerRow(
-                label="section_space_grassmannian", components=None, count=1,
-                moduli=p.k * (p.d - r * (g - 1) - p.k), autos=0, gluing=0,
-            ),
-        )
-        return DimensionLedger(case=case, rows=rows)
-
     # (moduli, autos, gluing) per component; each summand is m copies of
     # one line bundle, twisted (0, m^2) or generic (m, m).
     terms: list[tuple[int, int, int]] = []
@@ -150,6 +140,21 @@ def ledger(s: LimitSeriesSkeleton) -> DimensionLedger:
                 else:
                     autos += summand.mult * summand.mult
         terms.append((moduli, autos, s.gluings[i - 1].parameter_dim if i else 0))
+
+    if case is Case.LARGE_SECTIONS:
+        h0 = s.bundles[0].degree - r * s.tables[0].at_q[0][0]
+        rows = (
+            LedgerRow(
+                label="stable_bundle_family", components=None, count=1,
+                moduli=sum(m - a + gl for m, a, gl in terms), autos=0, gluing=0,
+            ),
+            LedgerRow(
+                label="section_space_grassmannian", components=None, count=1,
+                moduli=p.k * (h0 - p.k), autos=0, gluing=0,
+            ),
+        )
+        return DimensionLedger(case=case, rows=rows)
+
     out: list[LedgerRow] = []
     for label, components in layout(case, s.decomposition, g).items():
         group = [terms[c - 1] for c in components]

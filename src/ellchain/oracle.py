@@ -242,16 +242,16 @@ def cross_validate(s: LimitSeriesSkeleton, bound: int = DEFAULT_BOUND) -> CrossV
             for summand in bundle.summands:
                 if summand.twist is not None:
                     budget[summand.twist] = budget.get(summand.twist, 0) + summand.mult
-        # The per-order bound <= r does not depend on the pairing chosen, so
-        # it enters as a precondition on both sides; the exhaustive search
-        # settles only the pairing rules.
-        mult_ok = all(
+        # The bundle's rank and the per-order bound <= r do not depend on
+        # the pairing chosen, so they enter as preconditions; the exhaustive
+        # search settles only the pairing rules.
+        shape_ok = bundle.rank == s.params.r and all(
             m <= s.params.r for side in (table.at_p, table.at_q) for _, m in side
         )
         inst = PairingInstance.from_maps(table.p_map(), table.q_map(), threshold=d1, budget=budget)
         found, _ = exists_feasible_pairing(inst, bound=bound)
         checks.append(
-            CrossCheck(kind="component", index=i, greedy=greedy_ok, oracle=mult_ok and found)
+            CrossCheck(kind="component", index=i, greedy=greedy_ok, oracle=shape_ok and found)
         )
 
     return CrossValidation(checks=tuple(checks), skipped=tuple(skipped))

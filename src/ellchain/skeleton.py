@@ -136,13 +136,11 @@ def expand_descending(runs: Iterable[tuple[int, int]]) -> list[int]:
     return expand_ascending(runs)[::-1]
 
 
-def minimal_boundary_table(r: int, k1: int, k2: int) -> dict[int, int]:
-    """Smallest possible vanishing multiset of a k-dimensional space:
-    orders 0..k1-1 with multiplicity r, then k1 with multiplicity k2."""
-    table = {j: r for j in range(k1)}
-    if k2:
-        table[k1] = k2
-    return table
+def minimal_boundary_table(r: int, k1: int, k2: int) -> tuple[tuple[int, int], ...]:
+    """Smallest possible vanishing multiset of a k-dimensional space, as
+    ascending runs: orders 0..k1-1 with multiplicity r, then k1 with
+    multiplicity k2."""
+    return tuple((j, r) for j in range(k1)) + (((k1, k2),) if k2 else ())
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,13 @@ Checks performed:
   pairing (Q descending against P ascending) then maximizes the minimum
   pair sum, so it decides the rest. Whether all sums equal b exactly (the
   constructions achieve this) is reported separately.
-* component feasibility: the P and Q sides must total the same (else no
-  pairing exists), and the pairing induced on each component by sorting
-  P-orders ascending against Q-orders descending must respect the section
-  rules on an elliptic component: per-order multiplicity at most r, pair
-  sums at most d1, and pairs summing to exactly d1 only within the
-  exceptional capacity (the matching twisted summands for a mixed bundle,
-  d2 per order for the special first bundle).
+* component feasibility: the bundle must have rank r, the P and Q sides
+  must total the same (else no pairing exists), and the pairing induced on
+  each component by sorting P-orders ascending against Q-orders descending
+  must respect the section rules on an elliptic component: per-order
+  multiplicity at most r, pair sums at most d1, and pairs summing to
+  exactly d1 only within the exceptional capacity (the matching twisted
+  summands for a mixed bundle, d2 per order for the special first bundle).
 * boundary minimality: the P-table of the first component and the Q-table of
   the last equal the minimal table {0..k1-1: r, k1: k2}.
 * multiplicity bounds: every order lies in [0, d1] with multiplicity <= r and
@@ -178,12 +178,6 @@ class ComponentVerdict:
         }
 
 
-def _exceptional_capacity(bundle: ComponentBundle, a: int, d2: int) -> int:
-    if bundle.kind == "first_special":
-        return d2
-    return bundle.twist_multiplicity(a)
-
-
 def check_component_feasibility(
     component: int,
     bundle: ComponentBundle,
@@ -193,11 +187,14 @@ def check_component_feasibility(
     d2: int,
     r: int,
 ) -> ComponentVerdict:
-    """Check component `component`: its two sides must total the same, and
-    the pairing induced by P-orders ascending against Q-orders descending
-    (stopping at the shorter side) must keep the elliptic section rules. A
-    pair above d1 yields one violation per section."""
+    """Check component `component`: its bundle must have rank r, its two
+    sides must total the same, and the pairing induced by P-orders
+    ascending against Q-orders descending (stopping at the shorter side)
+    must keep the elliptic section rules. A pair above d1 yields one
+    violation per section."""
     violations: list[dict[str, Any]] = []
+    if bundle.rank != r:
+        violations.append({"rule": "bundle_rank", "rank": bundle.rank, "expected": r})
     if table.total_p != table.total_q:
         violations.append({"rule": "side_totals", "total_p": table.total_p, "total_q": table.total_q})
     for point, side in (("P", table.at_p), ("Q", table.at_q)):
@@ -217,7 +214,7 @@ def check_component_feasibility(
             top_groups[x] = top_groups.get(x, 0) + count
     exceptional = []
     for a in sorted(top_groups):
-        capacity = _exceptional_capacity(bundle, a, d2)
+        capacity = d2 if bundle.kind == "first_special" else bundle.twist_multiplicity(a)
         exceptional.append((a, top_groups[a], capacity))
         if top_groups[a] > capacity:
             violations.append(
@@ -287,20 +284,18 @@ class VerificationReport:
 def check_boundary(s: LimitSeriesSkeleton) -> CheckEntry:
     dec = s.decomposition
     expected = minimal_boundary_table(s.params.r, dec.k1, dec.k2)
-    first_p = s.table(1).p_map()
-    last_q = s.table(s.params.g).q_map()
-    witness: dict[str, Any] = {
-        "expected": sorted(expected.items()),
-        "first_p": sorted(first_p.items()),
-        "last_q": sorted(last_q.items()),
-    }
+    first_p = s.tables[0].at_p
+    last_q = s.tables[-1].at_q
+    witness: dict[str, Any] = {"expected": list(expected), "first_p": list(first_p), "last_q": list(last_q)}
     if first_p == expected and last_q == expected:
         return CheckEntry("pass", witness)
+    want = dict(expected)
     offenders = []
-    for label, got in (("P1", first_p), ("Qg", last_q)):
-        for order in sorted(set(got) | set(expected)):
-            if got.get(order) != expected.get(order):
-                offenders.append({"point": label, "order": order, "got": got.get(order, 0), "expected": expected.get(order, 0)})
+    for label, side in (("P1", first_p), ("Qg", last_q)):
+        got = dict(side)
+        for order in sorted(set(got) | set(want)):
+            if got.get(order) != want.get(order):
+                offenders.append({"point": label, "order": order, "got": got.get(order, 0), "expected": want.get(order, 0)})
     witness["offenders"] = offenders
     return CheckEntry("fail", witness)
 

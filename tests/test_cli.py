@@ -118,10 +118,10 @@ class TestDumpAndVerifyFile:
 
 
 
-def _dumped(tmp_path, capsys):
-    """Path and parsed document of a fresh `dump 7 3 16 5`."""
+def _dumped(tmp_path, capsys, tup=("7", "3", "16", "5")):
+    """Path and parsed document of a fresh `dump G R D K`, 7 3 16 5 by default."""
     path = tmp_path / "skel.json"
-    assert main(["dump", "7", "3", "16", "5", "--out", str(path)]) == 0
+    assert main(["dump", *tup, "--out", str(path)]) == 0
     capsys.readouterr()
     return path, json.loads(path.read_text(encoding="utf-8"))
 
@@ -146,6 +146,38 @@ class TestVerifyFileAuditAndLoad:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["overall"] == "pass"
         assert "MISMATCH" in captured.err
+
+    def test_bogus_large_sections_gluing_dimension_fails_audit(self, tmp_path, capsys):
+        path, doc = _dumped(tmp_path, capsys, ("7", "3", "30", "5"))
+        assert doc["case"] == "large_sections"
+        doc["gluings"][2]["parameter_dim"] = 999
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-file", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "audit: total 1080 == rho 90: MISMATCH" in out
+
+    @pytest.mark.parametrize(
+        "tup,field,value",
+        [
+            (("7", "3", "16", "5"), ("bundles", 0, "blocks"), 3),
+            (("7", "3", "16", "5"), ("bundles", 1, "summands", 1, "mult"), 5),
+            (("7", "3", "30", "5"), ("bundles", 3, "summands", 0, "mult"), 4),
+        ],
+        ids=["first_special_blocks", "twisted_mult", "generic_line_mult"],
+    )
+    def test_wrong_bundle_rank_fails_component_feasibility(self, tmp_path, capsys, tup, field, value):
+        path, doc = _dumped(tmp_path, capsys, tup)
+        parent = doc
+        for key in field[:-1]:
+            parent = parent[key]
+        parent[field[-1]] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-file", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "verify component_feasibility: fail" in out and "overall: fail" in out
+        # The oracle takes the rank as a precondition, so it agrees.
+        assert main(["verify-file", str(path), "--oracle"]) == 1
+        assert "oracle cross-validation: agree\n" in capsys.readouterr().out
 
     def test_wrong_case_tag_fails_audit(self, tmp_path, capsys):
         path, doc = _dumped(tmp_path, capsys)

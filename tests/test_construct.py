@@ -185,8 +185,8 @@ def test_construction_invariants_over_small_sweep():
         assert all(b.rank == p.r for b in s.bundles)
         for t in s.tables:
             assert t.total_p == p.k and t.total_q == p.k
-        assert s.table(1).p_map() == minimal_boundary_table(p.r, dec.k1, dec.k2)
-        assert s.table(p.g).q_map() == minimal_boundary_table(p.r, dec.k1, dec.k2)
+        assert s.table(1).at_p == minimal_boundary_table(p.r, dec.k1, dec.k2)
+        assert s.table(p.g).at_q == minimal_boundary_table(p.r, dec.k1, dec.k2)
         for b in s.bundles:
             for summand in b.summands:
                 assert summand.mult > 0

@@ -182,7 +182,9 @@ def _component_reference(bundle, table, d1, d2, r):
     """The component rules applied pair by pair to the expanded anti-sorted
     pairing."""
     total_p, total_q = len(expand_ascending(table.at_p)), len(expand_ascending(table.at_q))
-    violations = [{"rule": "side_totals", "total_p": total_p, "total_q": total_q}] if total_p != total_q else []
+    violations = [{"rule": "bundle_rank", "rank": bundle.rank, "expected": r}] if bundle.rank != r else []
+    if total_p != total_q:
+        violations.append({"rule": "side_totals", "total_p": total_p, "total_q": total_q})
     violations += [
         {"rule": "order_multiplicity", "point": point, "order": order, "mult": mult, "max": r}
         for point, side in (("P", table.at_p), ("Q", table.at_q))
