@@ -49,7 +49,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import InternalCoverage
-from .params import Case, Decomposition, Params, classify, decompose, tail_threshold
+from .params import Case, Decomposition, Params, classify, tail_threshold
 from .skeleton import (
     ComponentBundle,
     GluingSpec,
@@ -64,9 +64,10 @@ Runs = tuple[tuple[int, int], ...]
 
 
 def _table(entries: Iterable[tuple[int, int]]) -> Runs:
-    """(order, multiplicity) runs in ascending order, zero rows dropped.
-    VanishingTable rejects a duplicate order or a negative multiplicity."""
-    return tuple(sorted((order, mult) for order, mult in entries if mult))
+    """(order, multiplicity) runs from entries given in ascending order,
+    zero rows dropped. VanishingTable rejects an order out of sequence or a
+    negative multiplicity."""
+    return tuple((order, mult) for order, mult in entries if mult)
 
 
 def _run(lo: int, hi: int) -> range:
@@ -113,7 +114,7 @@ def layout(case: Case, dec: Decomposition, g: int) -> dict[str, Sequence[int]]:
 def tail_count(p: Params, case: Case | None = None) -> int:
     """Number of trailing generic-line components for a small-case tuple."""
     actual = classify(p).case if case is None else case
-    return len(layout(actual, decompose(p), p.g)["tail"])
+    return len(layout(actual, p.decomposition, p.g)["tail"])
 
 
 PerComponent = dict[int, tuple[ComponentBundle, Runs]]
@@ -128,7 +129,8 @@ def _first_special(p: Params, dec: Decomposition) -> ComponentBundle:
 
 def _staircase_q(hi: int, *, k1: int, r: int, head: int) -> Runs:
     """A generic-line Q side: `hi` carries `head`, the k1 orders below it r."""
-    return _table([(o, r) for o in _run(hi - k1, hi - 1)] + [(hi, head)])
+    runs = tuple((o, r) for o in range(hi - k1, hi))
+    return runs + ((hi, head),) if head else runs
 
 
 def _block_q(base: int, beta: int, width: int, head: int, *, r: int, d1: int) -> tuple[ComponentBundle, Runs]:
@@ -187,7 +189,7 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
     comps: PerComponent = {
         1: (
             _first_special(p, dec),
-            _table([(d1, d2)] + [(d1 - j, r) for j in _run(1, k1 - s)] + [(d1 - k1 - 1 + s, e)]),
+            _table([(d1 - k1 - 1 + s, e)] + [(d1 - j, r) for j in range(k1 - s, 0, -1)] + [(d1, d2)]),
         ),
         2: (_mixed(r * d1, second), early_q(2)),
     }
@@ -258,7 +260,7 @@ def construct(p: Params) -> LimitSeriesSkeleton:
     raises ParameterError. Neither can fire on a tuple that classifies.
     """
     classification = classify(p)
-    dec = decompose(p)
+    dec = p.decomposition
     comps, gluings, notes = _BUILDERS[classification.case](p, dec, classification.case)
 
     covered = sorted(comps)

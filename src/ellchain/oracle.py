@@ -22,7 +22,7 @@ from typing import Mapping
 
 from .errors import InstanceTooLarge
 from .skeleton import LimitSeriesSkeleton
-from .verify import check_component_feasibility, check_node_pairing
+from .verify import bundle_shape_violations, check_component_feasibility, check_node_pairing
 
 DEFAULT_BOUND = 8
 
@@ -242,12 +242,11 @@ def cross_validate(s: LimitSeriesSkeleton, bound: int = DEFAULT_BOUND) -> CrossV
             for summand in bundle.summands:
                 if summand.twist is not None:
                     budget[summand.twist] = budget.get(summand.twist, 0) + summand.mult
-        # The bundle's rank and the per-order bound <= r do not depend on
-        # the pairing chosen, so they enter as preconditions; the exhaustive
-        # search settles only the pairing rules.
-        shape_ok = bundle.rank == s.params.r and all(
-            m <= s.params.r for side in (table.at_p, table.at_q) for _, m in side
-        )
+        # The bundle's rank and shape and the per-order bound <= r do not
+        # depend on the pairing chosen, so they enter as preconditions; the
+        # exhaustive search settles only the pairing rules.
+        r = s.params.r
+        shape_ok = bundle.rank == r and not bundle_shape_violations(i, bundle, d1=d1) and table.max_mult <= r
         inst = PairingInstance.from_maps(table.p_map(), table.q_map(), threshold=d1, budget=budget)
         found, _ = exists_feasible_pairing(inst, bound=bound)
         checks.append(

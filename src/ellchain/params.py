@@ -5,51 +5,18 @@ Everything here is exact integer arithmetic. A tuple (g, r, d, k) is the
 genus, the bundle rank, the bundle degree and the dimension of the section
 space. The constructions require k > r; the Brill-Noether count itself is
 defined for any integers.
+
+A Params carries its Euclidean decomposition, computed once when it is
+built; `decompose`, `classify` and every later layer read that stored value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
 
 from .errors import HypothesisFailed, KLERegime, ParameterError
-
-
-@dataclass(frozen=True)
-class Params:
-    """Input tuple: genus g >= 2, rank r >= 1, degree d >= 0, sections k >= 1."""
-
-    g: int
-    r: int
-    d: int
-    k: int
-
-    def __post_init__(self) -> None:
-        for name in ("g", "r", "d", "k"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.g < 2:
-            raise ParameterError(f"genus must be >= 2, got g={self.g}")
-        if self.r < 1:
-            raise ParameterError(f"rank must be >= 1, got r={self.r}")
-        if self.d < 0:
-            raise ParameterError(f"degree must be >= 0, got d={self.d}")
-        if self.k < 1:
-            raise ParameterError(f"section count must be >= 1, got k={self.k}")
-
-
-def rho_value(g: int, r: int, d: int, k: int) -> int:
-    """Brill-Noether number r^2(g-1) + 1 - k(k - d + r(g-1)), for any integers.
-
-    May be negative. Exact; no overflow concerns with Python integers.
-    """
-    return r * r * (g - 1) + 1 - k * (k - d + r * (g - 1))
-
-
-def brill_noether_rho(p: Params) -> int:
-    return rho_value(p.g, p.r, p.d, p.k)
 
 
 @dataclass(frozen=True)
@@ -65,15 +32,51 @@ class Decomposition:
     dbar: int
 
 
+@dataclass(frozen=True)
+class Params:
+    """Input tuple: genus g >= 2, rank r >= 1, degree d >= 0, sections k >= 1."""
+
+    g: int
+    r: int
+    d: int
+    k: int
+    decomposition: Decomposition = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name in ("g", "r", "d", "k"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if self.g < 2:
+            raise ParameterError(f"genus must be >= 2, got g={self.g}")
+        if self.r < 1:
+            raise ParameterError(f"rank must be >= 1, got r={self.r}")
+        if self.d < 0:
+            raise ParameterError(f"degree must be >= 0, got d={self.d}")
+        if self.k < 1:
+            raise ParameterError(f"section count must be >= 1, got k={self.k}")
+        d1, d2 = divmod(self.d, self.r)
+        k1, k2 = divmod(self.k, self.r)
+        h = gcd(self.d, self.r)
+        dec = Decomposition(d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=self.r // h, dbar=self.d // h)
+        object.__setattr__(self, "decomposition", dec)
+
+
+def rho_value(g: int, r: int, d: int, k: int) -> int:
+    """Brill-Noether number r^2(g-1) + 1 - k(k - d + r(g-1)), for any integers.
+
+    May be negative. Exact; no overflow concerns with Python integers.
+    """
+    return r * r * (g - 1) + 1 - k * (k - d + r * (g - 1))
+
+
+def brill_noether_rho(p: Params) -> int:
+    return rho_value(p.g, p.r, p.d, p.k)
+
+
 def decompose(p: Params) -> Decomposition:
-    d1, d2 = divmod(p.d, p.r)
-    k1, k2 = divmod(p.k, p.r)
-    h = gcd(p.d, p.r)
-    dec = Decomposition(d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=p.r // h, dbar=p.d // h)
-    # h | r and h | d force h | d2; cheap sanity guard.
-    if d2 % h != 0:
-        raise ParameterError(f"gcd inconsistency for {p}: h={h} does not divide d2={d2}")
-    return dec
+    """The decomposition `p` computed when it was built."""
+    return p.decomposition
 
 
 class Case(str, Enum):
@@ -157,7 +160,7 @@ def classify(p: Params) -> Classification:
     if p.k <= p.r:
         raise KLERegime(f"k <= r regime not covered (k={p.k}, r={p.r})")
     g, r = p.g, p.r
-    dec = decompose(p)
+    dec = p.decomposition
     d1, d2, k1, k2 = dec.d1, dec.d2, dec.k1, dec.k2
 
     surplus = p.d + r * (1 - g)

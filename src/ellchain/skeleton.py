@@ -11,6 +11,12 @@ of a component, and the type itself rejects a side that is empty, out of
 order or has a multiplicity below 1; that multiplicities at each point sum
 to k is a rule `verify` checks.
 
+A table and a bundle carry their summaries, computed once when they are
+built: a table its two side totals and its largest multiplicity, a bundle
+its rank and its lowest and highest twist. They are derived fields, left out
+of equality, repr and JSON, so `dataclasses.replace` recomputes them and
+every rule reads them instead of re-summing the runs or summands.
+
 Skeletons serialize to a canonical JSON document (schema 1, sorted keys, no
 floats) used by the CLI and the test fixtures. The writer derives
 `components`, `nodes`, `decomposition` and every `component`/`node` key
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import ParameterError
-from .params import Case, Decomposition, Params, decompose
+from .params import Case, Decomposition, Params
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,9 @@ class ComponentBundle:
     kind "first_special": h generic indecomposable factors of rank rbar and
     degree dbar (only ever on the first component; degree d). kind "mixed":
     a list of rank-1 summands totalling rank r (degree r*d1).
+
+    `rank` (blocks*block_rank, or the summands' total multiplicity) and
+    `min_twist`/`max_twist` (None without twisted summands) are derived here.
     """
 
     kind: str  # "first_special" | "mixed"
@@ -60,22 +69,52 @@ class ComponentBundle:
     block_rank: int | None = None    # first_special: rbar
     block_degree: int | None = None  # first_special: dbar
     summands: tuple[Summand, ...] = ()
+    rank: int = field(init=False, repr=False, compare=False)
+    min_twist: int | None = field(init=False, repr=False, compare=False)
+    max_twist: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("first_special", "mixed"):
             raise ParameterError(f"kind: unknown bundle kind {self.kind!r}")
         if self.kind == "first_special" and not (self.blocks and self.block_rank):
             raise ParameterError("blocks: a first_special bundle needs blocks and block_rank")
-
-    @property
-    def rank(self) -> int:
+        rank = 0
+        twists = []
+        for s in self.summands:
+            rank += s.mult
+            if s.twist is not None:
+                twists.append(s.twist)
         if self.kind == "first_special":
-            return self.blocks * self.block_rank  # type: ignore[operator]
-        return sum(s.mult for s in self.summands)
+            rank = self.blocks * self.block_rank  # type: ignore[operator]
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "min_twist", min(twists) if twists else None)
+        object.__setattr__(self, "max_twist", max(twists) if twists else None)
 
     def twist_multiplicity(self, a: int) -> int:
         """Copies of O(a*P + (d1-a)*Q) among the summands (mixed only)."""
         return sum(s.mult for s in self.summands if s.twist == a)
+
+
+def _side_summary(name: str, side: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """(total multiplicity, largest multiplicity) of one table side, which
+    must be non-empty with strictly ascending orders and positive
+    multiplicities; ParameterError otherwise."""
+    if not side:
+        raise ParameterError(f"{name}: empty table side")
+    prev = None
+    total = top = 0
+    for order, mult in side:
+        if prev is not None and order <= prev:
+            raise ParameterError(f"{name}: order {order} after {prev}, orders must be strictly ascending")
+        if mult <= 0:
+            raise ParameterError(
+                f"{name}: order {order} has multiplicity {mult}, multiplicities must be positive"
+            )
+        total += mult
+        if mult > top:
+            top = mult
+        prev = order
+    return total, top
 
 
 @dataclass(frozen=True)
@@ -85,41 +124,30 @@ class VanishingTable:
     Stored as (order, multiplicity) runs. Each side is non-empty, with
     strictly ascending distinct orders and positive multiplicities; the
     verifier's run merge relies on this, so a side that breaks it raises
-    ParameterError here, whoever builds the table.
+    ParameterError here, whoever builds the table. The walk that checks
+    this also derives `total_p`, `total_q` (each side's total multiplicity)
+    and `max_mult` (the largest multiplicity on either side); by the
+    invariant, each side's first and last runs hold its extreme orders.
     """
 
     at_p: tuple[tuple[int, int], ...]
     at_q: tuple[tuple[int, int], ...]
+    total_p: int = field(init=False, repr=False, compare=False)
+    total_q: int = field(init=False, repr=False, compare=False)
+    max_mult: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, side in (("at_p", self.at_p), ("at_q", self.at_q)):
-            if not side:
-                raise ParameterError(f"{name}: empty table side")
-            prev = None
-            for order, mult in side:
-                if prev is not None and order <= prev:
-                    raise ParameterError(
-                        f"{name}: order {order} after {prev}, orders must be strictly ascending"
-                    )
-                if mult <= 0:
-                    raise ParameterError(
-                        f"{name}: order {order} has multiplicity {mult}, multiplicities must be positive"
-                    )
-                prev = order
+        total_p, top_p = _side_summary("at_p", self.at_p)
+        total_q, top_q = _side_summary("at_q", self.at_q)
+        object.__setattr__(self, "total_p", total_p)
+        object.__setattr__(self, "total_q", total_q)
+        object.__setattr__(self, "max_mult", top_p if top_p > top_q else top_q)
 
     def p_map(self) -> dict[int, int]:
         return dict(self.at_p)
 
     def q_map(self) -> dict[int, int]:
         return dict(self.at_q)
-
-    @property
-    def total_p(self) -> int:
-        return sum(m for _, m in self.at_p)
-
-    @property
-    def total_q(self) -> int:
-        return sum(m for _, m in self.at_q)
 
 
 def expand_ascending(runs: Iterable[tuple[int, int]]) -> list[int]:
@@ -172,15 +200,17 @@ class LimitSeriesSkeleton:
     tables: tuple[VanishingTable, ...]
     gluings: tuple[GluingSpec, ...]
     notes: tuple[str, ...] = ()
-    decomposition: Decomposition = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "decomposition", decompose(self.params))
         g = self.params.g
         if len(self.bundles) != g or len(self.tables) != g:
             raise ParameterError("skeleton component counts disagree with g")
         if len(self.gluings) != g - 1:
             raise ParameterError("skeleton needs exactly g-1 gluings")
+
+    @property
+    def decomposition(self) -> Decomposition:
+        return self.params.decomposition
 
     def bundle(self, i: int) -> ComponentBundle:
         return self.bundles[i - 1]

@@ -9,18 +9,29 @@ Checks performed:
   pairing (Q descending against P ascending) then maximizes the minimum
   pair sum, so it decides the rest. Whether all sums equal b exactly (the
   constructions achieve this) is reported separately.
-* component feasibility: the bundle must have rank r, the P and Q sides
-  must total the same (else no pairing exists), and the pairing induced on
-  each component by sorting P-orders ascending against Q-orders descending
-  must respect the section rules on an elliptic component: per-order
-  multiplicity at most r, pair sums at most d1, and pairs summing to
-  exactly d1 only within the exceptional capacity (the matching twisted
-  summands for a mixed bundle, d2 per order for the special first bundle).
+* component feasibility: the bundle must have rank r and a legal shape
+  (`bundle_shape`: a first_special bundle sits on component 1 and its
+  blocks are stable indecomposables with blocks*block_degree = degree and
+  gcd(block_rank, block_degree) = 1, Atiyah 1957; every twist lies in
+  [0, d1]), the P and Q sides must total the same (else no pairing
+  exists), and the pairing induced on each component by sorting P-orders
+  ascending against Q-orders descending must respect the section rules on
+  an elliptic component: per-order multiplicity at most r, pair sums at
+  most d1, and pairs summing to exactly d1 only within the exceptional
+  capacity (the matching twisted summands for a mixed bundle, d2 per order
+  for the special first bundle).
 * boundary minimality: the P-table of the first component and the Q-table of
   the last equal the minimal table {0..k1-1: r, k1: k2}.
 * multiplicity bounds: every order lies in [0, d1] with multiplicity <= r and
   each point's multiplicities total k (a VanishingTable already holds only
   positive multiplicities).
+
+The rules read the summaries a table, a bundle and the params carry (side
+totals, largest multiplicity, rank, lowest and highest twist, the
+decomposition), computed once when each was built, and never re-sum them.
+A run-by-run loop runs only where a summary shows a rule is broken, to name
+the offenders; since a side's orders ascend, its first and last runs bound
+its orders.
 
 Both pairings are read off the (order, multiplicity) runs a VanishingTable
 stores, never off per-section lists: `merge_runs` walks one side's runs
@@ -53,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from math import gcd
 from typing import Any, Callable, Sequence
 
 from .skeleton import (
@@ -148,15 +160,21 @@ def check_node_pairing(s: LimitSeriesSkeleton) -> tuple[NodeVerdict, ...]:
         q_table = tables[node - 1]
         p_table = tables[node]
         stretches = tuple(merge_runs(p_table.at_p, q_table.at_q))
-        sums = [p + q for p, q, _ in stretches]
-        min_sum = min(sums)
+        p, q, _ = stretches[0]
+        min_sum = max_sum = p + q
+        for p, q, _ in stretches:
+            total = p + q
+            if total < min_sum:
+                min_sum = total
+            if total > max_sum:
+                max_sum = total
         verdicts.append(
             NodeVerdict(
                 node=node,
                 stretches=stretches,
                 min_sum=min_sum,
                 satisfiable=min_sum >= b and q_table.total_q == p_table.total_p,
-                exact=min_sum == b and max(sums) == b,
+                exact=min_sum == b and max_sum == b,
             )
         )
     return tuple(verdicts)
@@ -178,6 +196,33 @@ class ComponentVerdict:
         }
 
 
+def bundle_shape_violations(component: int, bundle: ComponentBundle, *, d1: int) -> list[dict[str, Any]]:
+    """The `bundle_shape` rule on component `component`: a first_special
+    bundle sits on component 1, and its blocks total its degree with
+    coprime rank and degree; every twist lies in [0, d1]. One violation per
+    broken condition, naming the field and the bound; O(1) on the stored
+    twist range."""
+    violations: list[dict[str, Any]] = []
+    if bundle.kind == "first_special":
+        block_degree = bundle.block_degree
+        degree = None if block_degree is None else bundle.blocks * block_degree  # type: ignore[operator]
+        if degree != bundle.degree:
+            violations.append(
+                {"rule": "bundle_shape", "field": "block_degree", "degree": degree, "expected": bundle.degree}
+            )
+        common = 1 if block_degree is None else gcd(bundle.block_rank, block_degree)  # type: ignore[arg-type]
+        if common != 1:
+            violations.append({"rule": "bundle_shape", "field": "block_degree", "gcd": common, "expected": 1})
+        if component != 1:
+            violations.append({"rule": "bundle_shape", "field": "kind", "component": component, "expected": 1})
+    lo, hi = bundle.min_twist, bundle.max_twist
+    if lo is not None and (lo < 0 or hi > d1):  # type: ignore[operator]
+        violations.append(
+            {"rule": "bundle_shape", "field": "twist", "lowest": lo, "highest": hi, "min": 0, "max": d1}
+        )
+    return violations
+
+
 def check_component_feasibility(
     component: int,
     bundle: ComponentBundle,
@@ -187,22 +232,24 @@ def check_component_feasibility(
     d2: int,
     r: int,
 ) -> ComponentVerdict:
-    """Check component `component`: its bundle must have rank r, its two
-    sides must total the same, and the pairing induced by P-orders
+    """Check component `component`: its bundle must have rank r and a legal
+    shape, its two sides must total the same, and the pairing induced by P-orders
     ascending against Q-orders descending (stopping at the shorter side)
     must keep the elliptic section rules. A pair above d1 yields one
     violation per section."""
     violations: list[dict[str, Any]] = []
     if bundle.rank != r:
         violations.append({"rule": "bundle_rank", "rank": bundle.rank, "expected": r})
+    violations += bundle_shape_violations(component, bundle, d1=d1)
     if table.total_p != table.total_q:
         violations.append({"rule": "side_totals", "total_p": table.total_p, "total_q": table.total_q})
-    for point, side in (("P", table.at_p), ("Q", table.at_q)):
-        for order, mult in side:
-            if mult > r:
-                violations.append(
-                    {"rule": "order_multiplicity", "point": point, "order": order, "mult": mult, "max": r}
-                )
+    if table.max_mult > r:
+        for point, side in (("P", table.at_p), ("Q", table.at_q)):
+            for order, mult in side:
+                if mult > r:
+                    violations.append(
+                        {"rule": "order_multiplicity", "point": point, "order": order, "mult": mult, "max": r}
+                    )
     top_groups: dict[int, int] = {}
     for x, y, count in merge_runs(table.at_p, table.at_q):
         total = x + y
@@ -305,8 +352,15 @@ def check_multiplicity_bounds(s: LimitSeriesSkeleton) -> CheckEntry:
     d1 = s.decomposition.d1
     offenders = []
     for i, t in enumerate(s.tables, 1):
-        for point, side in (("P", t.at_p), ("Q", t.at_q)):
-            total = sum(m for _, m in side)
+        at_p, at_q = t.at_p, t.at_q
+        # Orders ascend, so the first and last runs bound each side's orders;
+        # with every summary in range no run can offend.
+        if (
+            t.total_p == k and t.total_q == k and t.max_mult <= r
+            and at_p[0][0] >= 0 and at_p[-1][0] <= d1 and at_q[0][0] >= 0 and at_q[-1][0] <= d1
+        ):
+            continue
+        for point, side, total in (("P", at_p, t.total_p), ("Q", at_q, t.total_q)):
             if total != k:
                 offenders.append({"component": i, "point": point, "total": total, "expected": k})
             for order, mult in side:

@@ -179,6 +179,23 @@ class TestVerifyFileAuditAndLoad:
         assert main(["verify-file", str(path), "--oracle"]) == 1
         assert "oracle cross-validation: agree\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_block_degree_fails_bundle_shape(self, tmp_path, capsys, delta):
+        path, doc = _dumped(tmp_path, capsys)
+        assert doc["bundles"][0]["block_degree"] == 16
+        doc["bundles"][0]["block_degree"] += delta
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-file", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "verify component_feasibility: fail" in out and "overall: fail" in out
+        assert main(["verify-file", str(path), "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        violations = report["checks"]["component_feasibility"]["witness"]["components"][0]["violations"]
+        assert {"rule": "bundle_shape", "field": "block_degree", "degree": 16 + delta, "expected": 16} in violations
+        # The oracle takes the bundle's shape as a precondition, so it agrees.
+        assert main(["verify-file", str(path), "--oracle"]) == 1
+        assert "oracle cross-validation: agree\n" in capsys.readouterr().out
+
     def test_wrong_case_tag_fails_audit(self, tmp_path, capsys):
         path, doc = _dumped(tmp_path, capsys)
         doc["case"] = "small_c"

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ellchain import (
     Case,
+    Decomposition,
     Params,
     brill_noether_rho,
     classify,
@@ -101,6 +105,18 @@ def test_classify_hypothesis_failure_reports_deficit():
     assert excinfo.value.failed.name == "(***)"
     assert excinfo.value.failed.value == 0
     assert "(***)" in str(excinfo.value)
+
+
+@given(g=st.integers(2, 30), r=st.integers(1, 12), d=st.integers(0, 400), k=st.integers(1, 60),
+       new_d=st.integers(0, 400))
+def test_params_carry_their_decomposition(g, r, d, k, new_d):
+    for p in (Params(g, r, d, k), dataclasses.replace(Params(g, r, d, k), d=new_d)):
+        d1, d2 = divmod(p.d, p.r)
+        k1, k2 = divmod(p.k, p.r)
+        h = math.gcd(p.d, p.r)
+        expected = Decomposition(d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=p.r // h, dbar=p.d // h)
+        assert p.decomposition == expected
+        assert decompose(p) is p.decomposition
 
 
 @given(g=st.integers(2, 14), r=st.integers(1, 6), d=st.integers(0, 250), k=st.integers(1, 40))

@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ellchain import (
+    ComponentBundle,
     Params,
+    Summand,
     VanishingTable,
     canonical_dumps,
     construct,
@@ -111,6 +113,40 @@ def test_vanishing_table_rejects_broken_side(good, bad, bad_at_p):
             VanishingTable(bad, good)
         else:
             VanishingTable(good, bad)
+
+
+@given(at_p=valid_sides, at_q=valid_sides, new_q=valid_sides)
+def test_table_summaries_equal_recomputed_runs(at_p, at_q, new_q):
+    for table in (VanishingTable(at_p, at_q), dataclasses.replace(VanishingTable(at_p, at_q), at_q=new_q)):
+        assert table.total_p == sum(m for _, m in table.at_p)
+        assert table.total_q == sum(m for _, m in table.at_q)
+        assert table.max_mult == max(m for _, m in table.at_p + table.at_q)
+
+
+summands = st.lists(
+    st.builds(Summand, mult=st.integers(1, 6), twist=st.one_of(st.none(), st.integers(-3, 12))), max_size=5
+).map(tuple)
+
+
+def _twists(bundle):
+    return [s.twist for s in bundle.summands if s.twist is not None]
+
+
+@given(parts=summands, new_parts=summands)
+def test_mixed_bundle_summaries_equal_recomputed_summands(parts, new_parts):
+    bundle = ComponentBundle(kind="mixed", degree=0, summands=parts)
+    for b in (bundle, dataclasses.replace(bundle, summands=new_parts)):
+        assert b.rank == sum(s.mult for s in b.summands)
+        twists = _twists(b)
+        assert b.min_twist == (min(twists) if twists else None)
+        assert b.max_twist == (max(twists) if twists else None)
+
+
+@given(blocks=st.integers(1, 6), block_rank=st.integers(1, 6), new_blocks=st.integers(1, 6))
+def test_first_special_rank_is_blocks_times_block_rank(blocks, block_rank, new_blocks):
+    bundle = ComponentBundle(kind="first_special", degree=0, blocks=blocks, block_rank=block_rank)
+    assert bundle.rank == blocks * block_rank and bundle.min_twist is None and bundle.max_twist is None
+    assert dataclasses.replace(bundle, blocks=new_blocks).rank == new_blocks * block_rank
 
 
 def test_malformed_document_rejected():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from ellchain import (
     verify,
 )
 from ellchain.skeleton import expand_ascending, expand_descending
+from ellchain.verify import check_multiplicity_bounds
 
 
 def _mixed(summands, degree=0):
@@ -94,6 +96,28 @@ class TestComponentFeasibility:
         verdict = check_component_feasibility(1, bundle, table, d1=4, d2=0, r=2)
         assert not verdict.ok
         assert any(v["rule"] == "pair_sum" for v in verdict.violations)
+
+    @pytest.mark.parametrize(
+        "component,bundle,expected",
+        [
+            (1, ComponentBundle(kind="first_special", degree=16, blocks=2, block_rank=1, block_degree=8), []),
+            (2, ComponentBundle(kind="first_special", degree=16, blocks=1, block_rank=3, block_degree=16),
+             [{"rule": "bundle_shape", "field": "kind", "component": 2, "expected": 1}]),
+            (1, ComponentBundle(kind="first_special", degree=16, blocks=1, block_rank=2, block_degree=16),
+             [{"rule": "bundle_shape", "field": "block_degree", "gcd": 2, "expected": 1}]),
+            (3, _mixed((Summand(mult=1, twist=6), Summand(mult=1, twist=2))),
+             [{"rule": "bundle_shape", "field": "twist", "lowest": 2, "highest": 6, "min": 0, "max": 5}]),
+            (3, _mixed((Summand(mult=1, twist=-1), Summand(mult=1))),
+             [{"rule": "bundle_shape", "field": "twist", "lowest": -1, "highest": -1, "min": 0, "max": 5}]),
+        ],
+        ids=["legal_first_special", "first_special_off_component_1", "common_factor", "twist_above_d1",
+             "negative_twist"],
+    )
+    def test_bundle_shape(self, component, bundle, expected):
+        table = _table({0: 1, 1: 1}, {0: 1, 1: 1})
+        verdict = check_component_feasibility(component, bundle, table, d1=5, d2=1, r=bundle.rank)
+        assert list(verdict.violations) == expected
+        assert verdict.ok == (not expected)
 
     def test_multiplicity_above_rank_rejected(self):
         bundle = _mixed((Summand(mult=2),))
@@ -183,6 +207,19 @@ def _component_reference(bundle, table, d1, d2, r):
     pairing."""
     total_p, total_q = len(expand_ascending(table.at_p)), len(expand_ascending(table.at_q))
     violations = [{"rule": "bundle_rank", "rank": bundle.rank, "expected": r}] if bundle.rank != r else []
+    if bundle.kind == "first_special":
+        degree = None if bundle.block_degree is None else bundle.blocks * bundle.block_degree
+        if degree != bundle.degree:
+            violations.append(
+                {"rule": "bundle_shape", "field": "block_degree", "degree": degree, "expected": bundle.degree}
+            )
+        if bundle.block_degree is not None and math.gcd(bundle.block_rank, bundle.block_degree) != 1:
+            violations.append({"rule": "bundle_shape", "field": "block_degree",
+                               "gcd": math.gcd(bundle.block_rank, bundle.block_degree), "expected": 1})
+    twists = [s.twist for s in bundle.summands if s.twist is not None]
+    if any(not 0 <= a <= d1 for a in twists):
+        violations.append({"rule": "bundle_shape", "field": "twist", "lowest": min(twists),
+                           "highest": max(twists), "min": 0, "max": d1})
     if total_p != total_q:
         violations.append({"rule": "side_totals", "total_p": total_p, "total_q": total_q})
     violations += [
@@ -207,6 +244,59 @@ def _component_reference(bundle, table, d1, d2, r):
             )
     return {"component": 1, "ok": not violations, "violations": violations,
             "exceptional": exceptional}
+
+
+def _bounds_reference(s):
+    """multiplicity_bounds applied run by run to every side of every table,
+    each total summed afresh."""
+    r, k, d1 = s.params.r, s.params.k, s.decomposition.d1
+    offenders = []
+    for i, t in enumerate(s.tables, 1):
+        for point, side in (("P", t.at_p), ("Q", t.at_q)):
+            total = sum(m for _, m in side)
+            if total != k:
+                offenders.append({"component": i, "point": point, "total": total, "expected": k})
+            offenders += [
+                {"component": i, "point": point, "order": order, "mult": mult}
+                for order, mult in side
+                if mult > r or not 0 <= order <= d1
+            ]
+    return {"offenders": offenders} if offenders else {"components": len(s.tables), "max_multiplicity": r}
+
+
+@st.composite
+def bound_sides(draw, k, r, d1):
+    """A side with orders in [-2, d1+2] and multiplicities in [1, r+1],
+    half of them totalling exactly k, so every summary test is crossed."""
+    if draw(st.booleans()):
+        mults, left = [], k
+        while left:
+            mults.append(draw(st.integers(1, min(r + 1, left))))
+            left -= mults[-1]
+    else:
+        mults = draw(st.lists(st.integers(1, r + 1), min_size=1, max_size=k + 1))
+    orders = draw(st.lists(st.integers(-2, d1 + 2), min_size=len(mults), max_size=len(mults), unique=True))
+    return tuple(zip(sorted(orders), mults))
+
+
+BOUNDS_BASE = construct(Params(4, 2, 8, 4))  # r = 2, k = 4, d1 = 4
+bound_sides_4 = bound_sides(k=4, r=2, d1=4)
+
+
+@given(
+    tables=st.lists(
+        st.one_of(st.sampled_from(BOUNDS_BASE.tables), st.builds(VanishingTable, bound_sides_4, bound_sides_4)),
+        min_size=4,
+        max_size=4,
+    )
+)
+@settings(max_examples=300)
+def test_multiplicity_bounds_match_full_loop(tables):
+    s = dataclasses.replace(BOUNDS_BASE, tables=tuple(tables))
+    entry = check_multiplicity_bounds(s)
+    expected = _bounds_reference(s)
+    assert entry.witness == expected
+    assert entry.status == ("fail" if "offenders" in expected else "pass")
 
 
 class TestRunMerge:
