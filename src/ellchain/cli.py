@@ -40,7 +40,7 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_HYPOTHESIS = 2
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Analysis:
     params: Params
     status: str  # "pass" | "verify_fail" | "audit_fail" | "oracle_disagree" | "k_le_r" | "hypothesis_failed"

@@ -203,8 +203,9 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
         for beta in _run(1, k1 + 1):
             comps[(k1 + 1) * alpha + beta + 1] = _block_q(alpha * k1 - s, beta, k1 + 1, k2, r=r, d1=d1)
 
+    line = _mixed(r * d1, _lines(r))
     for i in parts["tail"]:
-        comps[i] = (_mixed(r * d1, _lines(r)), _staircase_q(d1 - i + t + s, k1=k1, r=r, head=k2))
+        comps[i] = (line, _staircase_q(d1 - i + t + s, k1=k1, r=r, head=k2))
 
     # A node takes the gluing of the part of the component it enters: node 1
     # links the special first bundle into component 2, the line chain's nodes

@@ -22,6 +22,12 @@ stable bundle family is the signed sum of the per-component terms (r^2(g-1)
 on a valid skeleton), and the Grassmannian choice is k(h0-k), where h0 is
 component 1's degree minus r times its lowest order at Q1 (d-r(g-1) on a
 valid skeleton); plus one.
+
+A bundle carries its (moduli, autos) terms, derived once when it is built;
+the skeleton's records are frozen because such derived summaries are right
+only while their fields cannot change. LedgerRow, DimensionLedger and
+AuditResult are result records, built once per audit and handed to the
+caller, so they are plain slotted dataclasses.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .params import Case, Params, brill_noether_rho, classify
 from .skeleton import LimitSeriesSkeleton, canonical_dumps
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LedgerRow:
     label: str
     components: tuple[int, ...] | None  # None for global (whole-chain) rows
@@ -60,7 +66,7 @@ class LedgerRow:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DimensionLedger:
     case: Case
     rows: tuple[LedgerRow, ...]
@@ -125,21 +131,10 @@ def ledger(s: LimitSeriesSkeleton) -> DimensionLedger:
         raise ParameterError(f"skeleton is tagged {s.case.value} but the tuple classifies as {case.value}")
     g, r = p.g, p.r
 
-    # (moduli, autos, gluing) per component; each summand is m copies of
-    # one line bundle, twisted (0, m^2) or generic (m, m).
-    terms: list[tuple[int, int, int]] = []
-    for i, bundle in enumerate(s.bundles):
-        if bundle.kind == "first_special":
-            moduli = autos = bundle.blocks  # type: ignore[assignment]
-        else:
-            moduli = autos = 0
-            for summand in bundle.summands:
-                if summand.twist is None:
-                    moduli += summand.mult
-                    autos += summand.mult
-                else:
-                    autos += summand.mult * summand.mult
-        terms.append((moduli, autos, s.gluings[i - 1].parameter_dim if i else 0))
+    # (moduli, autos, gluing) per component; each bundle carries its terms.
+    terms = [
+        (bundle.moduli, bundle.autos, s.gluings[i - 1].parameter_dim if i else 0) for i, bundle in enumerate(s.bundles)
+    ]
 
     if case is Case.LARGE_SECTIONS:
         h0 = s.bundles[0].degree - r * s.tables[0].at_q[0][0]
@@ -167,7 +162,7 @@ def ledger(s: LimitSeriesSkeleton) -> DimensionLedger:
     return DimensionLedger(case=case, rows=tuple(out))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AuditResult:
     params: Params
     case: Case

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InstanceTooLarge
-from .skeleton import LimitSeriesSkeleton
+from .skeleton import ComponentBundle, LimitSeriesSkeleton, VanishingTable
 from .verify import bundle_shape_violations, check_component_feasibility, check_node_pairing
 
 DEFAULT_BOUND = 8
@@ -172,7 +172,7 @@ def min_sum_pairing_exists(
     return rec(size)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CrossCheck:
     kind: str  # "node" | "component"
     index: int
@@ -184,7 +184,7 @@ class CrossCheck:
         return self.greedy == self.oracle
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CrossValidation:
     checks: tuple[CrossCheck, ...]
     skipped: tuple[str, ...] = ()
@@ -203,6 +203,21 @@ def _skip_reason(total_a: int, total_b: int, bound: int) -> str | None:
     if total_a != total_b:
         return f"sides total {total_a} and {total_b}"
     return f"instance size {total_a} exceeds oracle bound {bound}" if total_a > bound else None
+
+
+def component_instance(bundle: ComponentBundle, table: VanishingTable, *, d1: int, d2: int) -> PairingInstance:
+    """A component's capped-mode instance: its P and Q runs as they stand
+    (a table side is already ascending with positive multiplicities),
+    threshold d1, and a budget of d2 per order for the special first bundle
+    or each twisted summand's copies at its twist."""
+    if bundle.kind == "first_special":
+        budget = {a: d2 for a in range(0, d1 + 1)} if d2 else {}
+    else:
+        budget = {}
+        for summand in bundle.summands:
+            if summand.twist is not None:
+                budget[summand.twist] = budget.get(summand.twist, 0) + summand.mult
+    return PairingInstance(table.at_p, table.at_q, threshold=d1, budget=tuple(sorted(budget.items())))
 
 
 def cross_validate(s: LimitSeriesSkeleton, bound: int = DEFAULT_BOUND) -> CrossValidation:
@@ -235,20 +250,12 @@ def cross_validate(s: LimitSeriesSkeleton, bound: int = DEFAULT_BOUND) -> CrossV
             skipped.append(f"component {i}: {reason}")
             continue
         greedy_ok = check_component_feasibility(i, bundle, table, d1=d1, d2=d2, r=s.params.r).ok
-        if bundle.kind == "first_special":
-            budget = {a: d2 for a in range(0, d1 + 1)} if d2 else {}
-        else:
-            budget = {}
-            for summand in bundle.summands:
-                if summand.twist is not None:
-                    budget[summand.twist] = budget.get(summand.twist, 0) + summand.mult
         # The bundle's rank and shape and the per-order bound <= r do not
         # depend on the pairing chosen, so they enter as preconditions; the
         # exhaustive search settles only the pairing rules.
         r = s.params.r
         shape_ok = bundle.rank == r and not bundle_shape_violations(i, bundle, d1=d1) and table.max_mult <= r
-        inst = PairingInstance.from_maps(table.p_map(), table.q_map(), threshold=d1, budget=budget)
-        found, _ = exists_feasible_pairing(inst, bound=bound)
+        found, _ = exists_feasible_pairing(component_instance(bundle, table, d1=d1, d2=d2), bound=bound)
         checks.append(
             CrossCheck(kind="component", index=i, greedy=greedy_ok, oracle=shape_ok and found)
         )

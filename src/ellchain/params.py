@@ -8,6 +8,10 @@ defined for any integers.
 
 A Params carries its Euclidean decomposition, computed once when it is
 built; `decompose`, `classify` and every later layer read that stored value.
+Params and Decomposition are frozen, since that stored value is right only
+while the fields it comes from cannot change. HypothesisCheck and
+Classification are result records, built once per call and handed to the
+caller, so they are plain slotted dataclasses.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ def tail_threshold(case: Case, dec: Decomposition, g: int) -> int:
     return g + dec.k1 - dec.d1 - (0 if case is Case.SMALL_A else 1)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HypothesisCheck:
     """One inequality `value >= min_pass`, with its evaluated left side.
 
@@ -137,7 +141,7 @@ class HypothesisCheck:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Classification:
     """Case tag plus the record of every hypothesis inequality evaluated."""
 

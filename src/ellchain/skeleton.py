@@ -15,7 +15,8 @@ A table and a bundle carry their summaries, computed once when they are
 built: a table its two side totals and its largest multiplicity, a bundle
 its rank and its lowest and highest twist. They are derived fields, left out
 of equality, repr and JSON, so `dataclasses.replace` recomputes them and
-every rule reads them instead of re-summing the runs or summands.
+every rule reads them instead of re-summing the runs or summands. The
+records are frozen so that a summary cannot go stale.
 
 Skeletons serialize to a canonical JSON document (schema 1, sorted keys, no
 floats) used by the CLI and the test fixtures. The writer derives
@@ -59,8 +60,10 @@ class ComponentBundle:
     degree dbar (only ever on the first component; degree d). kind "mixed":
     a list of rank-1 summands totalling rank r (degree r*d1).
 
-    `rank` (blocks*block_rank, or the summands' total multiplicity) and
-    `min_twist`/`max_twist` (None without twisted summands) are derived here.
+    `rank` (blocks*block_rank, or the summands' total multiplicity),
+    `min_twist`/`max_twist` (None without twisted summands) and the ledger's
+    `moduli`/`autos` terms are derived here: h blocks give moduli h and
+    autos h, m copies of one twisted line 0 and m^2, m generic lines m and m.
     """
 
     kind: str  # "first_special" | "mixed"
@@ -72,21 +75,30 @@ class ComponentBundle:
     rank: int = field(init=False, repr=False, compare=False)
     min_twist: int | None = field(init=False, repr=False, compare=False)
     max_twist: int | None = field(init=False, repr=False, compare=False)
+    moduli: int = field(init=False, repr=False, compare=False)
+    autos: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("first_special", "mixed"):
             raise ParameterError(f"kind: unknown bundle kind {self.kind!r}")
         if self.kind == "first_special" and not (self.blocks and self.block_rank):
             raise ParameterError("blocks: a first_special bundle needs blocks and block_rank")
-        rank = 0
+        rank = moduli = autos = 0
         twists = []
         for s in self.summands:
             rank += s.mult
-            if s.twist is not None:
+            if s.twist is None:
+                moduli += s.mult
+                autos += s.mult
+            else:
+                autos += s.mult * s.mult
                 twists.append(s.twist)
         if self.kind == "first_special":
             rank = self.blocks * self.block_rank  # type: ignore[operator]
+            moduli = autos = self.blocks  # type: ignore[assignment]
         object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "moduli", moduli)
+        object.__setattr__(self, "autos", autos)
         object.__setattr__(self, "min_twist", min(twists) if twists else None)
         object.__setattr__(self, "max_twist", max(twists) if twists else None)
 

@@ -58,6 +58,12 @@ status, so an overall pass reads "pass modulo genericity assumptions".
 Witnesses are built only when read: a report's JSON expands each node's
 stretches into its pairs and sums, and a sweep, which reads statuses only,
 never pays for it.
+
+The skeleton and its parts are frozen, because the summaries the rules read
+are right only while the fields they come from cannot change. The verdicts
+and the report are result records, built once per call and handed to the
+caller, so they are plain slotted dataclasses, as CheckEntry is a plain
+slotted class.
 """
 
 from __future__ import annotations
@@ -119,7 +125,7 @@ def merge_runs(up: Runs, down: Runs) -> list[Stretch]:
             y, my = down[j]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NodeVerdict:
     node: int
     stretches: tuple[Stretch, ...]  # (P-order, Q-order, count), P ascending
@@ -180,7 +186,7 @@ def check_node_pairing(s: LimitSeriesSkeleton) -> tuple[NodeVerdict, ...]:
     return tuple(verdicts)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ComponentVerdict:
     component: int
     ok: bool
@@ -299,7 +305,7 @@ class CheckEntry:
         return {"status": self.status, "witness": self.witness}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VerificationReport:
     checks: tuple[tuple[str, CheckEntry], ...]
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import constructible_tuples
 from ellchain import (
     PairingInstance,
     Params,
@@ -15,7 +16,9 @@ from ellchain import (
     exists_feasible_pairing,
     min_sum_pairing_exists,
 )
+from ellchain.cli import SweepConfig
 from ellchain.errors import InstanceTooLarge
+from ellchain.oracle import component_instance
 
 
 def _inst(left, right, threshold, budget=None):
@@ -145,3 +148,23 @@ class TestCrossValidation:
             corrupted = dataclasses.replace(base, tables=tuple(tables))
             cv = cross_validate(corrupted)
             assert cv.ok, f"greedy/oracle disagreement after corrupting C{idx + 1} at {side_name}"
+
+    def test_component_instance_equals_from_maps(self):
+        # cross_validate searches the table's runs as they stand; they must
+        # give the instance from_maps builds from order -> multiplicity maps.
+        components = 0
+        for p, _ in constructible_tuples(SweepConfig(g=(2, 6), r=(1, 3))):
+            s = construct(p)
+            d1, d2 = p.decomposition.d1, p.decomposition.d2
+            for bundle, table in zip(s.bundles, s.tables):
+                if bundle.kind == "first_special":
+                    budget = {a: d2 for a in range(d1 + 1)}
+                else:
+                    budget = {}
+                    for summand in bundle.summands:
+                        if summand.twist is not None:
+                            budget[summand.twist] = budget.get(summand.twist, 0) + summand.mult
+                want = PairingInstance.from_maps(table.p_map(), table.q_map(), threshold=d1, budget=budget)
+                assert component_instance(bundle, table, d1=d1, d2=d2) == want
+                components += 1
+        assert components > 10_000

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ellchain import (
     ComponentBundle,
+    PairingInstance,
     Params,
     Summand,
     VanishingTable,
@@ -19,6 +20,7 @@ from ellchain import (
     skeleton_to_json_dict,
     verify,
 )
+from ellchain.cli import SweepConfig
 from ellchain.errors import ParameterError
 
 
@@ -147,6 +149,49 @@ def test_first_special_rank_is_blocks_times_block_rank(blocks, block_rank, new_b
     bundle = ComponentBundle(kind="first_special", degree=0, blocks=blocks, block_rank=block_rank)
     assert bundle.rank == blocks * block_rank and bundle.min_twist is None and bundle.max_twist is None
     assert dataclasses.replace(bundle, blocks=new_blocks).rank == new_blocks * block_rank
+
+
+def _ledger_terms(bundle):
+    """(moduli, autos) by the per-summand loop the ledger once ran."""
+    if bundle.kind == "first_special":
+        return bundle.blocks, bundle.blocks
+    moduli = autos = 0
+    for summand in bundle.summands:
+        if summand.twist is None:
+            moduli += summand.mult
+            autos += summand.mult
+        else:
+            autos += summand.mult * summand.mult
+    return moduli, autos
+
+
+@given(parts=summands, new_parts=summands, blocks=st.integers(1, 6), new_blocks=st.integers(1, 6))
+def test_bundle_moduli_and_autos_equal_summand_loop(parts, new_parts, blocks, new_blocks):
+    mixed = ComponentBundle(kind="mixed", degree=0, summands=parts)
+    special = ComponentBundle(kind="first_special", degree=0, blocks=blocks, block_rank=2)
+    for b in (mixed, dataclasses.replace(mixed, summands=new_parts), special,
+              dataclasses.replace(special, blocks=new_blocks)):
+        assert (b.moduli, b.autos) == _ledger_terms(b)
+
+
+def _frozen_records():
+    """One instance of each record whose fields may not change after it is
+    built: the data model (its summaries are derived from its fields) and the
+    input records."""
+    s = construct(Params(7, 3, 16, 5))
+    return [
+        s.bundles[1].summands[0], s.bundles[0], s.bundles[1], s.tables[0], s.gluings[0], s,
+        s.params, s.decomposition,
+        PairingInstance.from_maps({0: 1}, {1: 1}, threshold=2),
+        SweepConfig(g=(2, 3), r=(1, 2)),
+    ]
+
+
+@pytest.mark.parametrize("record", _frozen_records(), ids=lambda rec: type(rec).__name__)
+def test_data_model_and_input_records_are_frozen(record):
+    for f in dataclasses.fields(record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, f.name, getattr(record, f.name))
 
 
 def test_malformed_document_rejected():
