@@ -2,7 +2,7 @@
 components: parameter classification, explicit construction, combinatorial
 certification, and the dimension audit against the Brill-Noether number."""
 
-from .construct import construct, layout, tail_count
+from .construct import construct, layout
 from .errors import (
     EngineError,
     HypothesisFailed,
@@ -28,7 +28,6 @@ from .params import (
     Params,
     brill_noether_rho,
     classify,
-    decompose,
     rho_value,
     tail_threshold,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "classify",
     "construct",
     "cross_validate",
-    "decompose",
     "degree_balance",
     "exists_feasible_pairing",
     "layout",
@@ -103,7 +101,6 @@ __all__ = [
     "skeleton_to_canonical_json",
     "skeleton_to_json_dict",
     "slope_ok",
-    "tail_count",
     "tail_threshold",
     "verify",
 ]

@@ -111,12 +111,6 @@ def layout(case: Case, dec: Decomposition, g: int) -> dict[str, Sequence[int]]:
     }
 
 
-def tail_count(p: Params, case: Case | None = None) -> int:
-    """Number of trailing generic-line components for a small-case tuple."""
-    actual = classify(p).case if case is None else case
-    return len(layout(actual, p.decomposition, p.g)["tail"])
-
-
 PerComponent = dict[int, tuple[ComponentBundle, Runs]]
 
 

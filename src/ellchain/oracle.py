@@ -10,26 +10,37 @@ bijections between two equal-size order multisets:
 * minimum-sum mode (`min_sum_pairing_exists`): every pair must sum to at
   least b. This is the node condition between consecutive components.
 
-The search is memoized backtracking over sorted multisets, not factorial
-enumeration, but stays deliberately simple: it is the oracle the fast greedy
-verifier is validated against, never the production path.
+Both take multisets as ascending (order, multiplicity) runs, as a
+VanishingTable side stores them, and refuse an instance whose total
+multiplicity exceeds the fixed bound DEFAULT_BOUND. The search is memoized
+backtracking over the runs, not factorial enumeration, but stays
+deliberately simple: it is the oracle the fast greedy verifier is validated
+against, never the production path. It states no component rule of its
+own: `cross_validate` reads the pairing-independent rules and the
+exceptional capacity from `verify`, so the search settles only the pairing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import InstanceTooLarge
 from .skeleton import ComponentBundle, LimitSeriesSkeleton, VanishingTable
-from .verify import bundle_shape_violations, check_component_feasibility, check_node_pairing
+from .verify import (
+    Runs,
+    check_component_feasibility,
+    check_node_pairing,
+    component_preconditions,
+    exceptional_capacity,
+)
 
-DEFAULT_BOUND = 8
+DEFAULT_BOUND = 8  # the largest total multiplicity the oracle searches
 
 
 @dataclass(frozen=True)
 class PairingInstance:
-    """Capped-mode instance: order multisets, threshold, exceptional budget.
+    """Capped-mode instance: ascending order runs, threshold, exceptional
+    budget as (left order, units) pairs.
 
     Pairs may sum to threshold - 1 freely; a pair summing to exactly
     threshold consumes one unit of budget[left order]; larger sums are
@@ -40,21 +51,6 @@ class PairingInstance:
     right: tuple[tuple[int, int], ...]
     threshold: int
     budget: tuple[tuple[int, int], ...] = ()
-
-    @classmethod
-    def from_maps(
-        cls,
-        left: Mapping[int, int],
-        right: Mapping[int, int],
-        threshold: int,
-        budget: Mapping[int, int] | None = None,
-    ) -> "PairingInstance":
-        return cls(
-            left=tuple(sorted((o, m) for o, m in left.items() if m)),
-            right=tuple(sorted((o, m) for o, m in right.items() if m)),
-            threshold=threshold,
-            budget=tuple(sorted((o, m) for o, m in (budget or {}).items() if m)),
-        )
 
     @property
     def size(self) -> int:
@@ -67,23 +63,20 @@ class PairingInstance:
             raise ValueError(f"multiset totals differ: {total_left} vs {total_right}")
 
 
-def _check_bound(size: int, bound: int) -> None:
-    if size > bound:
-        raise InstanceTooLarge(f"instance size {size} exceeds oracle bound {bound}")
+def _check_bound(size: int) -> None:
+    if size > DEFAULT_BOUND:
+        raise InstanceTooLarge(f"instance size {size} exceeds oracle bound {DEFAULT_BOUND}")
 
 
-def exists_feasible_pairing(
-    inst: PairingInstance, bound: int = DEFAULT_BOUND
-) -> tuple[bool, tuple[tuple[int, int], ...] | None]:
+def exists_feasible_pairing(inst: PairingInstance) -> tuple[bool, tuple[tuple[int, int], ...] | None]:
     """Exhaustive capped-mode search. Returns (feasible, witness pairing)."""
-    _check_bound(inst.size, bound)
+    _check_bound(inst.size)
     lorders = [o for o, _ in inst.left]
     lcounts = [m for _, m in inst.left]
     rorders = [o for o, _ in inst.right]
     rcounts = [m for _, m in inst.right]
     bud = dict(inst.budget)
     budgets = [bud.get(o, 0) for o in lorders]
-    cap = inst.threshold - 1
 
     failed: set[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = set()
     chosen: list[tuple[int, int]] = []
@@ -129,18 +122,17 @@ def exists_feasible_pairing(
     return False, None
 
 
-def min_sum_pairing_exists(
-    left: Mapping[int, int], right: Mapping[int, int], b: int, bound: int = DEFAULT_BOUND
-) -> bool:
-    """Exhaustive minimum-sum search: does a bijection with all sums >= b exist?"""
-    lorders = sorted(o for o, m in left.items() if m)
-    lcounts = [left[o] for o in lorders]
-    rorders = sorted(o for o, m in right.items() if m)
-    rcounts = [right[o] for o in rorders]
+def min_sum_pairing_exists(left: Runs, right: Runs, b: int) -> bool:
+    """Exhaustive minimum-sum search over two ascending run tables: does a
+    bijection with all sums >= b exist?"""
+    lorders = [o for o, _ in left]
+    lcounts = [m for _, m in left]
+    rorders = [o for o, _ in right]
+    rcounts = [m for _, m in right]
     size = sum(lcounts)
     if size != sum(rcounts):
         raise ValueError("multiset totals differ")
-    _check_bound(size, bound)
+    _check_bound(size)
 
     failed: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
 
@@ -198,66 +190,54 @@ class CrossValidation:
         return not self.disagreements
 
 
-def _skip_reason(total_a: int, total_b: int, bound: int) -> str | None:
+def _skip_reason(total_a: int, total_b: int) -> str | None:
     """Why the oracle cannot take an instance whose sides total as given."""
     if total_a != total_b:
         return f"sides total {total_a} and {total_b}"
-    return f"instance size {total_a} exceeds oracle bound {bound}" if total_a > bound else None
+    return f"instance size {total_a} exceeds oracle bound {DEFAULT_BOUND}" if total_a > DEFAULT_BOUND else None
 
 
 def component_instance(bundle: ComponentBundle, table: VanishingTable, *, d1: int, d2: int) -> PairingInstance:
     """A component's capped-mode instance: its P and Q runs as they stand
     (a table side is already ascending with positive multiplicities),
-    threshold d1, and a budget of d2 per order for the special first bundle
-    or each twisted summand's copies at its twist."""
-    if bundle.kind == "first_special":
-        budget = {a: d2 for a in range(0, d1 + 1)} if d2 else {}
-    else:
-        budget = {}
-        for summand in bundle.summands:
-            if summand.twist is not None:
-                budget[summand.twist] = budget.get(summand.twist, 0) + summand.mult
-    return PairingInstance(table.at_p, table.at_q, threshold=d1, budget=tuple(sorted(budget.items())))
+    threshold d1, and `verify.exceptional_capacity` at each P-order. The
+    search charges a pair summing to d1 to its left (P) order only, so
+    these orders are the budget's whole domain."""
+    budget = tuple((order, exceptional_capacity(bundle, order, d2=d2)) for order, _ in table.at_p)
+    return PairingInstance(table.at_p, table.at_q, threshold=d1, budget=budget)
 
 
-def cross_validate(s: LimitSeriesSkeleton, bound: int = DEFAULT_BOUND) -> CrossValidation:
+def cross_validate(s: LimitSeriesSkeleton) -> CrossValidation:
     """Compare the greedy verifier verdicts against the oracle on every node
-    and component of a skeleton. An instance beyond the bound (all of them
-    when k is), or whose two sides total differently (no bijection exists,
-    and `verify` already fails it), is skipped with a notice, not failed."""
+    and component of a skeleton. An instance beyond DEFAULT_BOUND (all of
+    them when k is), or whose two sides total differently (no bijection
+    exists, and `verify` already fails it), is skipped with a notice, not
+    failed."""
+    if s.params.k > DEFAULT_BOUND:
+        return CrossValidation(checks=(), skipped=(f"k={s.params.k} exceeds oracle bound {DEFAULT_BOUND}",))
     checks: list[CrossCheck] = []
     skipped: list[str] = []
-    if s.params.k > bound:
-        return CrossValidation(checks=(), skipped=(f"k={s.params.k} exceeds oracle bound {bound}",))
+    d1, d2, r = s.decomposition.d1, s.decomposition.d2, s.params.r
 
-    d1 = s.decomposition.d1
-    d2 = s.decomposition.d2
-    for verdict in check_node_pairing(s):
+    for verdict, q_table, p_table in zip(check_node_pairing(s), s.tables, s.tables[1:]):
         node = verdict.node
-        q_table, p_table = s.table(node), s.table(node + 1)
-        reason = _skip_reason(q_table.total_q, p_table.total_p, bound)
+        reason = _skip_reason(q_table.total_q, p_table.total_p)
         if reason:
             skipped.append(f"node {node}: {reason}")
             continue
-        oracle = min_sum_pairing_exists(q_table.q_map(), p_table.p_map(), s.b, bound=bound)
+        oracle = min_sum_pairing_exists(q_table.at_q, p_table.at_p, s.b)
         checks.append(CrossCheck(kind="node", index=node, greedy=verdict.satisfiable, oracle=oracle))
 
-    for i in range(1, s.params.g + 1):
-        bundle = s.bundle(i)
-        table = s.table(i)
-        reason = _skip_reason(table.total_p, table.total_q, bound)
+    for i, (bundle, table) in enumerate(zip(s.bundles, s.tables), 1):
+        reason = _skip_reason(table.total_p, table.total_q)
         if reason:
             skipped.append(f"component {i}: {reason}")
             continue
-        greedy_ok = check_component_feasibility(i, bundle, table, d1=d1, d2=d2, r=s.params.r).ok
-        # The bundle's rank and shape and the per-order bound <= r do not
-        # depend on the pairing chosen, so they enter as preconditions; the
+        greedy_ok = check_component_feasibility(i, bundle, table, d1=d1, d2=d2, r=r).ok
+        # The rules no pairing can change enter as preconditions; the
         # exhaustive search settles only the pairing rules.
-        r = s.params.r
-        shape_ok = bundle.rank == r and not bundle_shape_violations(i, bundle, d1=d1) and table.max_mult <= r
-        found, _ = exists_feasible_pairing(component_instance(bundle, table, d1=d1, d2=d2), bound=bound)
-        checks.append(
-            CrossCheck(kind="component", index=i, greedy=greedy_ok, oracle=shape_ok and found)
-        )
+        found, _ = exists_feasible_pairing(component_instance(bundle, table, d1=d1, d2=d2))
+        oracle = found and not component_preconditions(i, bundle, table, d1=d1, r=r)
+        checks.append(CrossCheck(kind="component", index=i, greedy=greedy_ok, oracle=oracle))
 
     return CrossValidation(checks=tuple(checks), skipped=tuple(skipped))

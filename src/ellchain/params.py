@@ -7,7 +7,7 @@ space. The constructions require k > r; the Brill-Noether count itself is
 defined for any integers.
 
 A Params carries its Euclidean decomposition, computed once when it is
-built; `decompose`, `classify` and every later layer read that stored value.
+built; `classify` and every later layer read that stored value.
 Params and Decomposition are frozen, since that stored value is right only
 while the fields it comes from cannot change. HypothesisCheck and
 Classification are result records, built once per call and handed to the
@@ -76,11 +76,6 @@ def rho_value(g: int, r: int, d: int, k: int) -> int:
 
 def brill_noether_rho(p: Params) -> int:
     return rho_value(p.g, p.r, p.d, p.k)
-
-
-def decompose(p: Params) -> Decomposition:
-    """The decomposition `p` computed when it was built."""
-    return p.decomposition
 
 
 class Case(str, Enum):

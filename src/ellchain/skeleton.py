@@ -23,7 +23,9 @@ floats) used by the CLI and the test fixtures. The writer derives
 `components`, `nodes`, `decomposition` and every `component`/`node` key
 from params and positions. The loader accepts a document iff the skeleton
 it builds writes back the same JSON value, integers exact; otherwise it
-names the first field that differs.
+names the first field that differs. A gluing's `description` (a string or
+null) and each note (a string) are labels: the loader checks their type
+and carries them verbatim, and no rule or ledger term reads them.
 """
 
 from __future__ import annotations
@@ -154,26 +156,6 @@ class VanishingTable:
         object.__setattr__(self, "total_p", total_p)
         object.__setattr__(self, "total_q", total_q)
         object.__setattr__(self, "max_mult", top_p if top_p > top_q else top_q)
-
-    def p_map(self) -> dict[int, int]:
-        return dict(self.at_p)
-
-    def q_map(self) -> dict[int, int]:
-        return dict(self.at_q)
-
-
-def expand_ascending(runs: Iterable[tuple[int, int]]) -> list[int]:
-    """Flatten (order, multiplicity) runs into an ascending list of orders,
-    one entry per section. The verifier never expands; this is the
-    per-section reference its run merge is tested against."""
-    out: list[int] = []
-    for order, mult in sorted(runs):
-        out.extend([order] * mult)
-    return out
-
-
-def expand_descending(runs: Iterable[tuple[int, int]]) -> list[int]:
-    return expand_ascending(runs)[::-1]
 
 
 def minimal_boundary_table(r: int, k1: int, k2: int) -> tuple[tuple[int, int], ...]:
@@ -311,6 +293,13 @@ def _optional_int(value: Any, name: str) -> int | None:
     return None if value is None else _exact_int(value, name)
 
 
+def _text(value: Any, name: str, optional: bool = False) -> str | None:
+    """A free-text label, carried verbatim: a string, or null if optional."""
+    if not (isinstance(value, str) or (optional and value is None)):
+        raise ParameterError(f"{name}: expected a string{' or null' if optional else ''}, got {value!r}")
+    return value
+
+
 def _table_side(entries: Iterable[Any], name: str) -> tuple[tuple[int, int], ...]:
     """One side of a table as exact-int runs; VanishingTable checks the rest."""
     return tuple((_exact_int(o, name), _exact_int(m, name)) for o, m in entries)
@@ -336,7 +325,8 @@ def _table_from_json(td: Mapping[str, Any]) -> VanishingTable:
 
 def _gluing_from_json(gd: Mapping[str, Any]) -> GluingSpec:
     return GluingSpec(
-        tag=gd["tag"], parameter_dim=_exact_int(gd["parameter_dim"], "parameter_dim"), description=gd["description"]
+        tag=gd["tag"], parameter_dim=_exact_int(gd["parameter_dim"], "parameter_dim"),
+        description=_text(gd["description"], "description", optional=True),
     )
 
 
@@ -399,7 +389,7 @@ def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
             bundles=_entries(doc, "bundles", _bundle_from_json),
             tables=_entries(doc, "tables", _table_from_json),
             gluings=_entries(doc, "gluings", _gluing_from_json),
-            notes=tuple(doc["notes"]),
+            notes=tuple(_text(note, f"notes[{i}]") for i, note in enumerate(doc["notes"])),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParameterError):

@@ -19,7 +19,9 @@ Checks performed:
   an elliptic component: per-order multiplicity at most r, pair sums at
   most d1, and pairs summing to exactly d1 only within the exceptional
   capacity (the matching twisted summands for a mixed bundle, d2 per order
-  for the special first bundle).
+  for the special first bundle). `component_preconditions` states the
+  rules no pairing can change and `exceptional_capacity` the capacity; the
+  oracle reads both rather than restating them.
 * boundary minimality: the P-table of the first component and the Q-table of
   the last equal the minimal table {0..k1-1: r, k1: k2}.
 * multiplicity bounds: every order lies in [0, d1] with multiplicity <= r and
@@ -202,13 +204,20 @@ class ComponentVerdict:
         }
 
 
-def bundle_shape_violations(component: int, bundle: ComponentBundle, *, d1: int) -> list[dict[str, Any]]:
-    """The `bundle_shape` rule on component `component`: a first_special
+def component_preconditions(
+    component: int, bundle: ComponentBundle, table: VanishingTable, *, d1: int, r: int
+) -> list[dict[str, Any]]:
+    """The rules on component `component` that no pairing can change, one
+    violation per broken condition, naming the field and the bound:
+    `bundle_rank` (the bundle has rank r), `bundle_shape` (a first_special
     bundle sits on component 1, and its blocks total its degree with
-    coprime rank and degree; every twist lies in [0, d1]. One violation per
-    broken condition, naming the field and the bound; O(1) on the stored
-    twist range."""
+    coprime rank and degree; every twist lies in [0, d1]), `side_totals`
+    (the two sides total the same, else no pairing exists) and
+    `order_multiplicity` (at most r per order). O(1) on the stored
+    summaries unless a multiplicity is above r."""
     violations: list[dict[str, Any]] = []
+    if bundle.rank != r:
+        violations.append({"rule": "bundle_rank", "rank": bundle.rank, "expected": r})
     if bundle.kind == "first_special":
         block_degree = bundle.block_degree
         degree = None if block_degree is None else bundle.blocks * block_degree  # type: ignore[operator]
@@ -226,27 +235,6 @@ def bundle_shape_violations(component: int, bundle: ComponentBundle, *, d1: int)
         violations.append(
             {"rule": "bundle_shape", "field": "twist", "lowest": lo, "highest": hi, "min": 0, "max": d1}
         )
-    return violations
-
-
-def check_component_feasibility(
-    component: int,
-    bundle: ComponentBundle,
-    table: VanishingTable,
-    *,
-    d1: int,
-    d2: int,
-    r: int,
-) -> ComponentVerdict:
-    """Check component `component`: its bundle must have rank r and a legal
-    shape, its two sides must total the same, and the pairing induced by P-orders
-    ascending against Q-orders descending (stopping at the shorter side)
-    must keep the elliptic section rules. A pair above d1 yields one
-    violation per section."""
-    violations: list[dict[str, Any]] = []
-    if bundle.rank != r:
-        violations.append({"rule": "bundle_rank", "rank": bundle.rank, "expected": r})
-    violations += bundle_shape_violations(component, bundle, d1=d1)
     if table.total_p != table.total_q:
         violations.append({"rule": "side_totals", "total_p": table.total_p, "total_q": table.total_q})
     if table.max_mult > r:
@@ -256,6 +244,24 @@ def check_component_feasibility(
                     violations.append(
                         {"rule": "order_multiplicity", "point": point, "order": order, "mult": mult, "max": r}
                     )
+    return violations
+
+
+def exceptional_capacity(bundle: ComponentBundle, order: int, *, d2: int) -> int:
+    """How many pairs summing to exactly d1 may start at P-order `order`:
+    d2 for the special first bundle, whatever the order, and the copies of
+    O(order*P + (d1-order)*Q) among a mixed bundle's summands."""
+    return d2 if bundle.kind == "first_special" else bundle.twist_multiplicity(order)
+
+
+def check_component_feasibility(
+    component: int, bundle: ComponentBundle, table: VanishingTable, *, d1: int, d2: int, r: int
+) -> ComponentVerdict:
+    """Check component `component`: its `component_preconditions` must hold,
+    and the pairing induced by P-orders ascending against Q-orders
+    descending (stopping at the shorter side) must keep the elliptic section
+    rules. A pair above d1 yields one violation per section."""
+    violations = component_preconditions(component, bundle, table, d1=d1, r=r)
     top_groups: dict[int, int] = {}
     for x, y, count in merge_runs(table.at_p, table.at_q):
         total = x + y
@@ -267,7 +273,7 @@ def check_component_feasibility(
             top_groups[x] = top_groups.get(x, 0) + count
     exceptional = []
     for a in sorted(top_groups):
-        capacity = d2 if bundle.kind == "first_special" else bundle.twist_multiplicity(a)
+        capacity = exceptional_capacity(bundle, a, d2=d2)
         exceptional.append((a, top_groups[a], capacity))
         if top_groups[a] > capacity:
             violations.append(

@@ -92,7 +92,7 @@ def test_criterion_3_oracle_equivalence():
         msets = []
         for combo in itertools.combinations_with_replacement(range(7), k):
             counts = Counter(combo)
-            msets.append((dict(counts), list(combo)))
+            msets.append((tuple(sorted(counts.items())), list(combo)))
         for i, (left, left_asc) in enumerate(msets):
             for right, right_asc in msets[i:]:
                 maximin = min(a + b for a, b in zip(left_asc, right_asc[::-1]))
@@ -132,8 +132,8 @@ def test_criterion_4_worked_instance():
         and brill_noether_rho(p) == 20
         and skeleton.params.g == 7
         and skeleton.b == 5
-        and skeleton.table(1).p_map() == {0: 3, 1: 2}
-        and skeleton.table(1).q_map() == {5: 1, 4: 3, 3: 1}
+        and skeleton.table(1).at_p == ((0, 3), (1, 2))
+        and skeleton.table(1).at_q == ((3, 1), (4, 3), (5, 1))
         and audit.total == 20
         and report.overall
         and report.all_nodes_exact

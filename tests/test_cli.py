@@ -246,12 +246,14 @@ class TestVerifyFileAuditAndLoad:
             (("schema",), True, "schema"),
             (("components",), 7.0, "components"),
             (("bundles", 0, "component"), True, "bundles[0].component"),
+            (("gluings", 1, "description"), 5, "gluings[1].description"),
+            (("notes",), [1, {"x": 2}], "notes[0]"),
         ],
         ids=["empty_side", "duplicate_order", "unsorted_side", "zero_multiplicity",
              "stale_decomposition", "emptied_nodes", "table_component", "bundle_component",
              "gluing_node", "bogus_bundle_kind", "stale_summand_kind", "extra_top_level_key",
              "blocks_on_mixed_bundle", "deleted_notes", "bool_schema", "float_components",
-             "bool_component"],
+             "bool_component", "numeric_description", "non_string_notes"],
     )
     def test_inconsistent_document_rejected(self, tmp_path, capsys, field, value, named):
         path, doc = _dumped(tmp_path, capsys)
@@ -287,6 +289,20 @@ class TestVerifyFileAuditAndLoad:
         path, _ = _dumped(tmp_path, capsys)
         assert main(["verify-file", str(path), "--oracle"]) == 0
         assert "oracle cross-validation: agree\n" in capsys.readouterr().out
+
+    def test_oracle_reads_verify_capacity_below_order_zero(self, tmp_path, capsys):
+        # verify grants the special first bundle d2 exceptional pairs at any
+        # P-order, -1 included; the oracle reads the same capacity, so it
+        # agrees, while boundary_minimality and multiplicity_bounds fail.
+        path, doc = _dumped(tmp_path, capsys)
+        doc["tables"][0]["at_p"] = [[-1, 1], [0, 2], [1, 2]]
+        doc["tables"][0]["at_q"] = [[3, 1], [4, 2], [5, 1], [6, 1]]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-file", str(path), "--oracle"]) == 1
+        out = capsys.readouterr().out
+        assert "oracle cross-validation: agree\n" in out
+        assert "verify component_feasibility: pass" in out
+        assert "verify boundary_minimality: fail" in out and "verify multiplicity_bounds: fail" in out
 
     def test_oracle_skips_oversize_instance_with_notice(self, tmp_path, capsys):
         # Node 1 pairs 9 Q-orders with 9 P-orders, beyond the oracle bound 8

@@ -6,15 +6,26 @@ from conftest import constructible_tuples
 from ellchain import (
     Case,
     Params,
+    classify,
     construct,
-    decompose,
     degree_balance,
+    layout,
     minimal_boundary_table,
     skeleton_to_json_dict,
-    tail_count,
 )
 from ellchain.cli import SweepConfig
 from ellchain.errors import HypothesisFailed
+
+
+def _runs(counts):
+    """Ascending (order, multiplicity) runs of an order -> multiplicity map."""
+    return tuple(sorted(counts.items()))
+
+
+def _tail_count(p):
+    """Trailing generic-line components of a small-case tuple."""
+    return len(layout(classify(p).case, p.decomposition, p.g)["tail"])
+
 
 # Frozen per-component tables for the fully worked instances; every entry was
 # recomputed from the recipe formulas by hand before being pinned here.
@@ -60,8 +71,8 @@ class TestSmallAWorkedInstance:
     def test_tables(self):
         s = construct(self.P)
         for i, (at_p, at_q) in SMALL_A_TABLES.items():
-            assert s.table(i).p_map() == at_p, f"C{i} at P"
-            assert s.table(i).q_map() == at_q, f"C{i} at Q"
+            assert s.table(i).at_p == _runs(at_p), f"C{i} at P"
+            assert s.table(i).at_q == _runs(at_q), f"C{i} at Q"
 
     def test_bundles(self):
         s = construct(self.P)
@@ -92,7 +103,7 @@ class TestSmallAWorkedInstance:
         }
 
     def test_no_tail(self):
-        assert tail_count(self.P) == 0
+        assert _tail_count(self.P) == 0
 
 
 class TestSmallBWorkedInstance:
@@ -101,8 +112,8 @@ class TestSmallBWorkedInstance:
     def test_tables(self):
         s = construct(self.P)
         for i, (at_p, at_q) in SMALL_B_TABLES.items():
-            assert s.table(i).p_map() == at_p, f"C{i} at P"
-            assert s.table(i).q_map() == at_q, f"C{i} at Q"
+            assert s.table(i).at_p == _runs(at_p), f"C{i} at P"
+            assert s.table(i).at_q == _runs(at_q), f"C{i} at Q"
 
     def test_bundles(self):
         s = construct(self.P)
@@ -117,7 +128,7 @@ class TestSmallBWorkedInstance:
         assert _twists(s.bundle(7)) == [(4, 3)]
 
     def test_tail_count(self):
-        assert tail_count(self.P) == 0
+        assert _tail_count(self.P) == 0
 
 
 class TestSmallCWorkedInstance:
@@ -126,8 +137,8 @@ class TestSmallCWorkedInstance:
     def test_tables(self):
         s = construct(self.P)
         for i, (at_p, at_q) in SMALL_C_TABLES.items():
-            assert s.table(i).p_map() == at_p, f"C{i} at P"
-            assert s.table(i).q_map() == at_q, f"C{i} at Q"
+            assert s.table(i).at_p == _runs(at_p), f"C{i} at P"
+            assert s.table(i).at_q == _runs(at_q), f"C{i} at Q"
 
     def test_bundles(self):
         s = construct(self.P)
@@ -137,7 +148,7 @@ class TestSmallCWorkedInstance:
         assert _line_mult(s.bundle(4)) == 2
 
     def test_tail_is_nonempty_under_strict_hypothesis(self):
-        assert tail_count(self.P) == 1
+        assert _tail_count(self.P) == 1
 
 
 def test_large_sections_worked_instance():
@@ -146,19 +157,20 @@ def test_large_sections_worked_instance():
     assert first.kind == "first_special"
     assert (first.blocks, first.block_rank, first.block_degree) == (2, 1, 3)
     assert s.bundle(2).kind == "mixed" and _line_mult(s.bundle(2)) == 2
-    assert s.table(2).q_map() == {0: 2, 1: 1}
+    assert s.table(2).at_q == ((0, 2), (1, 1))
     assert all(gl.tag == "generic" for gl in s.gluings)
     assert degree_balance(s) == 0
 
 
 def test_tail_count_examples():
-    assert tail_count(Params(7, 3, 16, 5)) == 0
-    assert tail_count(Params(7, 3, 14, 4)) == 0
+    assert _tail_count(Params(7, 3, 16, 5)) == 0
+    assert _tail_count(Params(7, 3, 14, 4)) == 0
     with pytest.raises(HypothesisFailed):
         # (***) fails upstream: 8 - 2*4 = 0 < 1
-        tail_count(Params(8, 3, 16, 5))
+        classify(Params(8, 3, 16, 5))
+    p = Params(2, 2, 6, 3)
     with pytest.raises(ValueError):
-        tail_count(Params(2, 2, 6, 3))  # large-sections tuple has no tail notion
+        layout(Case.LARGE_SECTIONS, p.decomposition, p.g)  # large-sections tuple has no tail notion
 
 
 def test_tail_nonnegative_whenever_hypotheses_pass():
@@ -166,7 +178,7 @@ def test_tail_nonnegative_whenever_hypotheses_pass():
     for p, classification in constructible_tuples(cfg):
         if classification.case is Case.LARGE_SECTIONS:
             continue
-        n = tail_count(p, classification.case)
+        n = len(layout(classification.case, p.decomposition, p.g)["tail"])
         assert n >= 0
         if classification.case is Case.SMALL_C:
             assert n >= 1  # the strict hypothesis forces a nonempty tail
@@ -178,7 +190,7 @@ def test_construction_invariants_over_small_sweep():
     for p, classification in constructible_tuples(cfg):
         s = construct(p)
         seen.add(classification.case)
-        dec = decompose(p)
+        dec = p.decomposition
         assert s.b == dec.d1
         assert degree_balance(s) == 0
         assert [b["component"] for b in skeleton_to_json_dict(s)["bundles"]] == list(range(1, p.g + 1))

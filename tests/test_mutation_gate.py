@@ -1,0 +1,125 @@
+"""Exhaustive single-leaf mutation gate over one dump per case.
+
+Every leaf of each dumped document is changed, one at a time: an integer
+by +-1; a bundle or summand `kind`, a gluing `tag` or the `case` to each
+other legal value; a gluing `description` to each other string the recipes
+emit, or to null; a `notes` or `nodes` string by appending one character.
+Each mutated document must fail to load, fail `verify`, or fail the audit,
+as `verify-file` would report it. The only survivors are the mutations
+ALLOWED lists, each with its reason, and every one of them must survive.
+"""
+
+from __future__ import annotations
+
+import copy
+
+from ellchain import Case, Params, audit_equals_rho, construct, skeleton_from_json_dict, skeleton_to_json_dict, verify
+from ellchain.errors import EngineError, ParameterError
+
+DUMPS = ((7, 3, 30, 5), (7, 3, 16, 5), (6, 2, 9, 3), (6, 2, 10, 4))  # large_sections, small_a, small_b, small_c
+
+RECIPE_DESCRIPTIONS = (
+    "full_vanishing_block->line_block",
+    "line_block->line_block",
+    "max_vanishing_block->first_bundle_sections",
+    "twisted_block->section_chain",
+)
+
+# (dump, leaf path, new value), "*" matching anything, and why it survives.
+ALLOWED = {
+    ("*", ("gluings", "*", "description"), "*"): (
+        "a gluing description is a free-text label: type-checked, carried verbatim, read by no rule"
+    ),
+    ("*", ("gluings", "*", "tag"), "*"): (
+        "a gluing tag is a label: the ledger reads the gluing's parameter_dim, which the audit checks"
+    ),
+    ("*", ("notes", "*"), "*"): "a note is free text carried verbatim",
+    ((7, 3, 30, 5), ("tables", 0, "at_q", 1, 0), 8): (
+        "a crude limit series: node 1 is no longer exact, but every pair sum is still >= b "
+        "and every component rule holds"
+    ),
+}
+
+
+def _alternatives(path: tuple, value) -> list:
+    """The values a leaf is mutated to."""
+    if type(value) is int:
+        return [value - 1, value + 1]
+    if path == ("case",):
+        legal: tuple = tuple(c.value for c in Case)
+    elif path[-1] == "kind":
+        legal = ("generic_line", "twisted") if "summands" in path else ("first_special", "mixed")
+    elif path[-1] == "tag":
+        legal = ("generic", "constrained")
+    elif path[-1] == "description":
+        legal = RECIPE_DESCRIPTIONS + (None,)
+    elif path[0] in ("notes", "nodes"):
+        return [value + "x"]
+    else:
+        raise AssertionError(f"no mutation rule for leaf {path} = {value!r}")
+    assert value in legal, (path, value)
+    return [v for v in legal if v != value]
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _leaves(child, path + (i,))
+    else:
+        yield path, node
+
+
+def _mutated(doc, path, value):
+    out = copy.deepcopy(doc)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+def _passes(doc) -> bool:
+    """Whether `verify-file` would exit 0 on the document."""
+    try:
+        skeleton = skeleton_from_json_dict(doc)
+    except ParameterError:
+        return False
+    if not verify(skeleton).overall:
+        return False
+    try:
+        return audit_equals_rho(skeleton).ok
+    except EngineError:
+        return False
+
+
+def _matches(pattern, mutation) -> bool:
+    (p_dump, p_path, p_value), (dump, path, value) = pattern, mutation
+    return (
+        p_dump in ("*", dump)
+        and len(p_path) == len(path)
+        and all(p in ("*", q) for p, q in zip(p_path, path))
+        and p_value in ("*", value)
+    )
+
+
+def test_every_single_leaf_mutation_fails_unless_allowed():
+    mutations = []
+    survivors = set()
+    for dump in DUMPS:
+        doc = skeleton_to_json_dict(construct(Params(*dump)))
+        assert _passes(doc), dump
+        for path, value in _leaves(doc):
+            for new in _alternatives(path, value):
+                mutation = (dump, path, new)
+                mutations.append(mutation)
+                if _passes(_mutated(doc, path, new)):
+                    survivors.add(mutation)
+    allowed = {m for m in mutations if any(_matches(p, m) for p in ALLOWED)}
+    assert len(mutations) == 1115
+    assert not survivors - allowed, f"unlisted survivors: {sorted(survivors - allowed, key=repr)}"
+    assert not allowed - survivors, f"listed mutations that fail: {sorted(allowed - survivors, key=repr)}"
+    for pattern in ALLOWED:
+        assert any(_matches(pattern, m) for m in survivors), f"stale allowlist entry {pattern}"

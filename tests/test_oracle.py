@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import constructible_tuples
 from ellchain import (
+    DEFAULT_BOUND,
     PairingInstance,
     Params,
     VanishingTable,
@@ -21,8 +22,13 @@ from ellchain.errors import InstanceTooLarge
 from ellchain.oracle import component_instance
 
 
+def _runs(counts):
+    """Ascending (order, multiplicity) runs of an order -> count map."""
+    return tuple(sorted(counts.items()))
+
+
 def _inst(left, right, threshold, budget=None):
-    return PairingInstance.from_maps(left, right, threshold, budget)
+    return PairingInstance(_runs(left), _runs(right), threshold, _runs(budget or {}))
 
 
 class TestCappedMode:
@@ -55,7 +61,7 @@ class TestCappedMode:
 
     def test_instance_too_large(self):
         with pytest.raises(InstanceTooLarge):
-            exists_feasible_pairing(_inst({0: 9}, {0: 9}, threshold=3), bound=8)
+            exists_feasible_pairing(_inst({0: 9}, {0: 9}, threshold=3))
 
     @given(
         left=st.dictionaries(st.integers(0, 5), st.integers(1, 2), min_size=1, max_size=3),
@@ -81,9 +87,9 @@ class TestCappedMode:
 
 class TestMinSumMode:
     def test_matches_greedy_on_toy_instances(self):
-        assert min_sum_pairing_exists({2: 1, 1: 1}, {0: 1, 1: 1}, 2)
-        assert not min_sum_pairing_exists({2: 1, 1: 1}, {0: 1, 1: 1}, 3)
-        assert min_sum_pairing_exists({3: 4}, {0: 4}, 3)
+        assert min_sum_pairing_exists(((1, 1), (2, 1)), ((0, 1), (1, 1)), 2)
+        assert not min_sum_pairing_exists(((1, 1), (2, 1)), ((0, 1), (1, 1)), 3)
+        assert min_sum_pairing_exists(((3, 4),), ((0, 4),), 3)
 
     @given(
         orders=st.lists(st.integers(0, 6), min_size=1, max_size=5),
@@ -91,9 +97,9 @@ class TestMinSumMode:
     )
     @settings(max_examples=200)
     def test_monotone_in_threshold(self, orders, data):
-        left = {o: orders.count(o) for o in set(orders)}
+        left = _runs({o: orders.count(o) for o in set(orders)})
         right_list = data.draw(st.lists(st.integers(0, 6), min_size=len(orders), max_size=len(orders)))
-        right = {o: right_list.count(o) for o in set(right_list)}
+        right = _runs({o: right_list.count(o) for o in set(right_list)})
         b = data.draw(st.integers(0, 12))
         if min_sum_pairing_exists(left, right, b + 1):
             assert min_sum_pairing_exists(left, right, b)
@@ -135,7 +141,7 @@ class TestCrossValidation:
             idx = rng.randrange(len(tables))
             t = tables[idx]
             side_name = rng.choice(["p", "q"])
-            side = t.p_map() if side_name == "p" else t.q_map()
+            side = dict(t.at_p if side_name == "p" else t.at_q)
             src = rng.choice(sorted(side))
             dst = rng.randrange(0, d1 + 1)
             side[src] -= 1
@@ -149,11 +155,15 @@ class TestCrossValidation:
             cv = cross_validate(corrupted)
             assert cv.ok, f"greedy/oracle disagreement after corrupting C{idx + 1} at {side_name}"
 
-    def test_component_instance_equals_from_maps(self):
-        # cross_validate searches the table's runs as they stand; they must
-        # give the instance from_maps builds from order -> multiplicity maps.
-        components = 0
-        for p, _ in constructible_tuples(SweepConfig(g=(2, 6), r=(1, 3))):
+    def test_p_order_budget_matches_full_budget(self):
+        # component_instance budgets only the table's P-orders, the orders
+        # the capped search charges; the full budget, every order 0..d1 at
+        # d2 for the special first bundle or the summed summand twists,
+        # must give the same verdict. A component beyond the oracle bound
+        # (k = 9) cannot be searched, so there the budgets must agree on
+        # every order the search would read.
+        searched = 0
+        for p, _ in constructible_tuples(SweepConfig(g=(2, 7), r=(1, 3))):
             s = construct(p)
             d1, d2 = p.decomposition.d1, p.decomposition.d2
             for bundle, table in zip(s.bundles, s.tables):
@@ -164,7 +174,12 @@ class TestCrossValidation:
                     for summand in bundle.summands:
                         if summand.twist is not None:
                             budget[summand.twist] = budget.get(summand.twist, 0) + summand.mult
-                want = PairingInstance.from_maps(table.p_map(), table.q_map(), threshold=d1, budget=budget)
-                assert component_instance(bundle, table, d1=d1, d2=d2) == want
-                components += 1
-        assert components > 10_000
+                inst = component_instance(bundle, table, d1=d1, d2=d2)
+                if p.k > DEFAULT_BOUND:
+                    reads = [o for o, _ in table.at_p]
+                    assert [dict(inst.budget)[o] for o in reads] == [budget.get(o, 0) for o in reads]
+                    continue
+                full = PairingInstance(table.at_p, table.at_q, threshold=d1, budget=_runs(budget))
+                assert exists_feasible_pairing(inst)[0] == exists_feasible_pairing(full)[0], p
+                searched += 1
+        assert searched > 10_000

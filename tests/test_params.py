@@ -13,7 +13,6 @@ from ellchain import (
     Params,
     brill_noether_rho,
     classify,
-    decompose,
     rho_value,
 )
 from ellchain.errors import HypothesisFailed, KLERegime, ParameterError
@@ -28,7 +27,7 @@ from ellchain.errors import HypothesisFailed, KLERegime, ParameterError
     ],
 )
 def test_decompose_examples(g, r, d, k, expected):
-    dec = decompose(Params(g, r, d, k))
+    dec = Params(g, r, d, k).decomposition
     for field, value in expected.items():
         assert getattr(dec, field) == value
 
@@ -36,7 +35,7 @@ def test_decompose_examples(g, r, d, k, expected):
 @given(g=st.integers(2, 30), r=st.integers(1, 12), d=st.integers(0, 400), k=st.integers(1, 60))
 def test_decompose_euclidean_identities(g, r, d, k):
     p = Params(g, r, d, k)
-    dec = decompose(p)
+    dec = p.decomposition
     assert d == r * dec.d1 + dec.d2 and 0 <= dec.d2 < r
     assert k == r * dec.k1 + dec.k2 and 0 <= dec.k2 < r
     assert dec.h * dec.rbar == r and dec.h * dec.dbar == d
@@ -116,7 +115,6 @@ def test_params_carry_their_decomposition(g, r, d, k, new_d):
         h = math.gcd(p.d, p.r)
         expected = Decomposition(d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=p.r // h, dbar=p.d // h)
         assert p.decomposition == expected
-        assert decompose(p) is p.decomposition
 
 
 @given(g=st.integers(2, 14), r=st.integers(1, 6), d=st.integers(0, 250), k=st.integers(1, 40))
@@ -126,7 +124,7 @@ def test_classify_total_and_unique_on_k_gt_r(g, r, d, k):
         with pytest.raises(KLERegime):
             classify(p)
         return
-    dec = decompose(p)
+    dec = p.decomposition
     try:
         c = classify(p)
     except HypothesisFailed:

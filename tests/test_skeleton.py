@@ -182,7 +182,7 @@ def _frozen_records():
     return [
         s.bundles[1].summands[0], s.bundles[0], s.bundles[1], s.tables[0], s.gluings[0], s,
         s.params, s.decomposition,
-        PairingInstance.from_maps({0: 1}, {1: 1}, threshold=2),
+        PairingInstance(((0, 1),), ((1, 1),), threshold=2),
         SweepConfig(g=(2, 3), r=(1, 2)),
     ]
 

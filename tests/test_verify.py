@@ -19,8 +19,21 @@ from ellchain import (
     slope_ok,
     verify,
 )
-from ellchain.skeleton import expand_ascending, expand_descending
 from ellchain.verify import check_multiplicity_bounds
+
+
+def expand_ascending(runs):
+    """Flatten (order, multiplicity) runs into an ascending list of orders,
+    one entry per section: the per-section reference the run merge is
+    tested against."""
+    out = []
+    for order, mult in sorted(runs):
+        out.extend([order] * mult)
+    return out
+
+
+def expand_descending(runs):
+    return expand_ascending(runs)[::-1]
 
 
 def _mixed(summands, degree=0):
@@ -55,7 +68,7 @@ class TestNodePairing:
 
     def test_corrupted_order_fails_at_node_three(self):
         s = construct(Params(7, 3, 16, 5))
-        at_q = s.table(3).q_map()  # {3: 2, 2: 3}
+        at_q = dict(s.table(3).at_q)  # {3: 2, 2: 3}
         at_q[3] -= 1
         at_q[2] += 1
         tables = list(s.tables)
