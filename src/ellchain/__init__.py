@@ -7,7 +7,6 @@ from .errors import (
     EngineError,
     HypothesisFailed,
     InstanceTooLarge,
-    InternalCoverage,
     KLERegime,
     ParameterError,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "HypothesisCheck",
     "HypothesisFailed",
     "InstanceTooLarge",
-    "InternalCoverage",
     "KLERegime",
     "LedgerRow",
     "LimitSeriesSkeleton",

@@ -369,7 +369,7 @@ def load_skeleton_file(path: str) -> LimitSeriesSkeleton:
 def cmd_verify_file(args: argparse.Namespace) -> int:
     try:
         skeleton = load_skeleton_file(args.path)
-    except (OSError, json.JSONDecodeError, ParameterError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"cannot load {args.path}: {exc}")
         return EXIT_VERIFICATION_FAILED
     report = verify(skeleton)

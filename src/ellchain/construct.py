@@ -1,11 +1,13 @@
 """Explicit skeleton construction for the four parameter regimes.
 
-Every recipe fixes the twist parameter b = d1, places a bundle on each of the
-g components, emits the vanishing multiset of the k-dimensional section space
-at the Q point of every component, and tags every node with its gluing
-family dimension. Component 1 carries degree d; every other component carries
-degree r*d1, which is the unique choice balancing total degree against the
-twist.
+Every recipe fixes the twist parameter b = d1 and emits the chain in order,
+one entry per component: its bundle, the vanishing multiset of the
+k-dimensional section space at its Q point, and the gluing (tag and family
+dimension) of the node entering it, None on component 1. No entry carries
+an index; `construct` walks the list once, and the skeleton's count check
+(g bundles and tables, g-1 gluings) is the one length rule. Component 1
+carries degree d; every other component carries degree r*d1, which is the
+unique choice balancing total degree against the twist.
 
 The P sides follow from exact gluing: at every node each order at Q_i meets
 one at P_{i+1} summing to b = d1 (a refined limit series), so `construct`
@@ -34,8 +36,8 @@ Regime layouts (t is the regime's tail threshold, `params.tail_threshold`):
   alpha = 0..t-1; generic-line tail (nonempty under the strict hypothesis).
 
 `layout(case, dec, g)` states these parts once: the small recipes fill its
-line chain and tail, each node takes the gluing of the part of the component
-it enters, and the ledger groups its rows by the same parts.
+line chain and tail, each component carries the gluing of its part, and the
+ledger groups its rows by the same parts.
 
 The verifier re-derives nothing from here: it checks the emitted data against
 the balance, pairing, feasibility and boundary rules independently, exact
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import InternalCoverage
 from .params import Case, Decomposition, Params, classify, tail_threshold
 from .skeleton import (
     ComponentBundle,
@@ -111,7 +112,7 @@ def layout(case: Case, dec: Decomposition, g: int) -> dict[str, Sequence[int]]:
     }
 
 
-PerComponent = dict[int, tuple[ComponentBundle, Runs]]
+Chain = list[tuple[ComponentBundle, Runs, GluingSpec | None]]
 
 
 def _first_special(p: Params, dec: Decomposition) -> ComponentBundle:
@@ -139,15 +140,12 @@ def _block_q(base: int, beta: int, width: int, head: int, *, r: int, d1: int) ->
     return _mixed(r * d1, _twisted(base + 2 * beta - 1, mult) + _lines(r - mult)), at_q
 
 
-def _build_large(p: Params, dec: Decomposition, case: Case) -> tuple[PerComponent, list[GluingSpec], list[str]]:
+def _build_large(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, list[str]]:
     g, r = p.g, p.r
     d1, d2, k1, k2 = dec.d1, dec.d2, dec.k1, dec.k2
-    line = _mixed(r * d1, _lines(r))
-    comps: PerComponent = {
-        i: (_first_special(p, dec) if i == 1 else line, _staircase_q(g - i + k1, k1=k1, r=r, head=k2))
-        for i in _run(1, g)
-    }
-    gluings = [GluingSpec("generic", r * r)] * (g - 1)
+    line, generic = _mixed(r * d1, _lines(r)), GluingSpec("generic", r * r)
+    chain: Chain = [(_first_special(p, dec), _staircase_q(g - 1 + k1, k1=k1, r=r, head=k2), None)]
+    chain += [(line, _staircase_q(g - i + k1, k1=k1, r=r, head=k2), generic) for i in _run(2, g)]
     notes = []
     if d2 != k2:
         notes.append(
@@ -155,10 +153,10 @@ def _build_large(p: Params, dec: Decomposition, case: Case) -> tuple[PerComponen
             f"section-count remainder k2={k2}; the degree remainder d2={d2} would break "
             "boundary minimality"
         )
-    return comps, gluings, notes
+    return chain, notes
 
 
-def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerComponent, list[GluingSpec], list[str]]:
+def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, list[str]]:
     """The SMALL_A (s = 0) / SMALL_B (s = 1) recipe."""
     g, r = p.g, p.r
     d1, d2, k1, k2 = dec.d1, dec.d2, dec.k1, dec.k2
@@ -166,6 +164,7 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
     t = tail_threshold(case, dec, g)
     e = k2 - d2 + s * r
     parts = layout(case, dec, g)
+    line, generic = _mixed(r * d1, _lines(r)), GluingSpec("generic", r * r)
 
     def early_q(i: int) -> Runs:
         # Orders top-k1-1 up to top = d1-i+1+s: top carries k2, d1-2i+2+s
@@ -179,63 +178,58 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[PerCompon
             (o, k2 if o == top else r - e if o == mid else e if o == bottom else r) for o in _run(bottom, top)
         )
 
-    second = _twisted(0, k2) + _lines(r - k2) if s else _twisted(1, e) + _lines(r - e)
-    comps: PerComponent = {
-        1: (
-            _first_special(p, dec),
-            _table([(d1 - k1 - 1 + s, e)] + [(d1 - j, r) for j in range(k1 - s, 0, -1)] + [(d1, d2)]),
-        ),
-        2: (_mixed(r * d1, second), early_q(2)),
-    }
-    for i in parts["line_chain"]:
-        comps[i] = (_mixed(r * d1, _twisted(2 * i - 3 - s, e) + _lines(r - e)), early_q(i))
-
-    # Alpha-blocks at base k1*alpha-s: in SMALL_B the recipe's own gluing
-    # and section-space lines fix the head's twist at k1*alpha, one below
-    # SMALL_A's.
-    for alpha in _run(1, t - 1):
-        for beta in _run(1, k1 + 1):
-            comps[(k1 + 1) * alpha + beta + 1] = _block_q(alpha * k1 - s, beta, k1 + 1, k2, r=r, d1=d1)
-
-    line = _mixed(r * d1, _lines(r))
-    for i in parts["tail"]:
-        comps[i] = (line, _staircase_q(d1 - i + t + s, k1=k1, r=r, head=k2))
-
-    # A node takes the gluing of the part of the component it enters: node 1
-    # links the special first bundle into component 2, the line chain's nodes
-    # chain the line blocks, a block head's node links its twisted block into
-    # the section chain; every other node is generic.
+    # Each component carries the gluing of the node entering it: node 1
+    # links the special first bundle into component 2, the line chain's
+    # nodes chain the line blocks, a block head's node links its twisted
+    # block into the section chain; every other node is generic.
     if s:
+        second = _twisted(0, k2) + _lines(r - k2)
         second_gluing = GluingSpec("constrained", d2 * k2 + r * (r - k2), "max_vanishing_block->first_bundle_sections")
         notes = [
             "node 2 links the line block into the glued section space of dimension d2-k2 "
             "on component 2"
         ]
     else:
+        second = _twisted(1, e) + _lines(r - e)
         second_gluing = GluingSpec("constrained", d2 * (r - e) + r * (r - d2), "full_vanishing_block->line_block")
         notes = []
-    gluing_of = {
-        "second_component": second_gluing,
-        "line_chain": GluingSpec("constrained", (r - e) ** 2 + r * e, "line_block->line_block"),
-        "block_first": GluingSpec("constrained", k2 * k2 + r * (r - k2), "twisted_block->section_chain"),
-    }
-    generic = GluingSpec("generic", r * r)
-    part_gluing = {i: gluing_of.get(label, generic) for label, part in parts.items() for i in part}
-    return comps, [part_gluing[i] for i in range(2, g + 1)], notes
+    chain: Chain = [
+        (
+            _first_special(p, dec),
+            _table([(d1 - k1 - 1 + s, e)] + [(d1 - j, r) for j in range(k1 - s, 0, -1)] + [(d1, d2)]),
+            None,
+        ),
+        (_mixed(r * d1, second), early_q(2), second_gluing),
+    ]
+    line_gluing = GluingSpec("constrained", (r - e) ** 2 + r * e, "line_block->line_block")
+    for i in parts["line_chain"]:
+        chain.append((_mixed(r * d1, _twisted(2 * i - 3 - s, e) + _lines(r - e)), early_q(i), line_gluing))
+
+    # Alpha-blocks at base k1*alpha-s: in SMALL_B the recipe's own gluing
+    # and section-space lines fix the head's twist at k1*alpha, one below
+    # SMALL_A's.
+    head_gluing = GluingSpec("constrained", k2 * k2 + r * (r - k2), "twisted_block->section_chain")
+    for alpha in _run(1, t - 1):
+        for beta in _run(1, k1 + 1):
+            bundle, at_q = _block_q(alpha * k1 - s, beta, k1 + 1, k2, r=r, d1=d1)
+            chain.append((bundle, at_q, head_gluing if beta == 1 else generic))
+
+    chain += [(line, _staircase_q(d1 - i + t + s, k1=k1, r=r, head=k2), generic) for i in parts["tail"]]
+    return chain, notes
 
 
-def _build_small_c(p: Params, dec: Decomposition, case: Case) -> tuple[PerComponent, list[GluingSpec], list[str]]:
+def _build_small_c(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, list[str]]:
     g, r = p.g, p.r
     d1, k1 = dec.d1, dec.k1
     t = tail_threshold(case, dec, g)
-    line = _mixed(r * d1, _lines(r))
-    comps: PerComponent = {1: (line, _staircase_q(d1, k1=k1, r=r, head=0))}
+    line, generic = _mixed(r * d1, _lines(r)), GluingSpec("generic", r * r)
+    chain: Chain = [(line, _staircase_q(d1, k1=k1, r=r, head=0), None)]
     for alpha in _run(0, t - 1):
         for beta in _run(1, k1):
-            comps[k1 * alpha + beta + 1] = _block_q(alpha * (k1 - 1), beta, k1, r, r=r, d1=d1)
-    for i in layout(case, dec, g)["tail"]:
-        comps[i] = (line, _staircase_q(d1 - i + t + 1, k1=k1, r=r, head=0))
-    return comps, [GluingSpec("generic", r * r)] * (g - 1), []
+            chain.append((*_block_q(alpha * (k1 - 1), beta, k1, r, r=r, d1=d1), generic))
+    tail = layout(case, dec, g)["tail"]
+    chain += [(line, _staircase_q(d1 - i + t + 1, k1=k1, r=r, head=0), generic) for i in tail]
+    return chain, []
 
 
 _BUILDERS = {
@@ -249,38 +243,29 @@ _BUILDERS = {
 def construct(p: Params) -> LimitSeriesSkeleton:
     """Classify a tuple and build its complete skeleton.
 
-    Propagates KLERegime / HypothesisFailed from classification. A component
-    index left uncovered (or covered twice) by the case's ranges raises
-    InternalCoverage; a table side breaking the VanishingTable invariant
-    raises ParameterError. Neither can fire on a tuple that classifies.
+    Propagates KLERegime / HypothesisFailed from classification. A recipe
+    whose chain is not g components long, or a table side breaking the
+    VanishingTable invariant, raises ParameterError from the skeleton's
+    own checks; neither can happen on a tuple that classifies.
     """
     classification = classify(p)
     dec = p.decomposition
-    comps, gluings, notes = _BUILDERS[classification.case](p, dec, classification.case)
-
-    covered = sorted(comps)
-    if covered != list(range(1, p.g + 1)):
-        missing = sorted(set(range(1, p.g + 1)) - set(comps))
-        raise InternalCoverage(
-            f"case {classification.case.value}: components {missing or covered} not covered exactly once"
-        )
+    chain, notes = _BUILDERS[classification.case](p, dec, classification.case)
 
     # Exact gluing: each later P side is d1 minus the previous Q side.
     at_p = minimal_boundary_table(p.r, dec.k1, dec.k2)
-    bundles = []
     tables = []
-    for i in range(1, p.g + 1):
-        bundle, at_q = comps[i]
-        bundles.append(bundle)
+    for _, at_q, _ in chain:
         tables.append(VanishingTable(at_p, at_q))
         at_p = tuple((dec.d1 - o, m) for o, m in reversed(at_q))
+    bundles, _, gluings = zip(*chain)
 
     return LimitSeriesSkeleton(
         params=p,
         case=classification.case,
         b=dec.d1,
-        bundles=tuple(bundles),
+        bundles=bundles,
         tables=tuple(tables),
-        gluings=tuple(gluings),
+        gluings=gluings[1:],
         notes=tuple(notes),
     )

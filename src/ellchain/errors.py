@@ -28,12 +28,5 @@ class HypothesisFailed(EngineError):
         self.checks = checks
 
 
-class InternalCoverage(EngineError):
-    """A component index was left uncovered, or covered twice, by a recipe.
-
-    This is a construction bug guard; it must never fire on valid input.
-    """
-
-
 class InstanceTooLarge(EngineError):
     """A pairing instance exceeds the exhaustive-search bound."""

@@ -42,12 +42,16 @@ from .params import Case, Decomposition, Params
 class Summand:
     """A direct summand of a component bundle.
 
-    twist = a means `mult` copies of the line bundle O(a*P + (d1-a)*Q) on the
-    component; twist = None means `mult` generic line bundles of degree d1.
+    twist = a means `mult` >= 1 copies of the line bundle O(a*P + (d1-a)*Q)
+    on the component; twist = None means `mult` generic lines of degree d1.
     """
 
     mult: int
     twist: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.mult < 1:
+            raise ParameterError(f"summands: multiplicity {self.mult}, a summand needs at least one copy")
 
     @property
     def kind(self) -> str:
@@ -58,8 +62,8 @@ class Summand:
 class ComponentBundle:
     """Bundle placed on one component.
 
-    kind "first_special": h generic indecomposable factors of rank rbar and
-    degree dbar (only ever on the first component; degree d). kind "mixed":
+    kind "first_special": h >= 1 generic indecomposable factors of rank
+    rbar >= 1 and degree dbar (only on component 1; degree d). kind "mixed":
     a list of rank-1 summands totalling rank r (degree r*d1).
 
     `rank` (blocks*block_rank, or the summands' total multiplicity),
@@ -83,8 +87,8 @@ class ComponentBundle:
     def __post_init__(self) -> None:
         if self.kind not in ("first_special", "mixed"):
             raise ParameterError(f"kind: unknown bundle kind {self.kind!r}")
-        if self.kind == "first_special" and not (self.blocks and self.block_rank):
-            raise ParameterError("blocks: a first_special bundle needs blocks and block_rank")
+        if self.kind == "first_special" and min(self.blocks or 0, self.block_rank or 0) < 1:
+            raise ParameterError("blocks: a first_special bundle needs blocks and block_rank of at least 1")
         rank = moduli = autos = 0
         twists = []
         for s in self.summands:

@@ -12,16 +12,17 @@ Checks performed:
 * component feasibility: the bundle must have rank r and a legal shape
   (`bundle_shape`: a first_special bundle sits on component 1 and its
   blocks are stable indecomposables with blocks*block_degree = degree and
-  gcd(block_rank, block_degree) = 1, Atiyah 1957; every twist lies in
-  [0, d1]), the P and Q sides must total the same (else no pairing
-  exists), and the pairing induced on each component by sorting P-orders
-  ascending against Q-orders descending must respect the section rules on
-  an elliptic component: per-order multiplicity at most r, pair sums at
-  most d1, and pairs summing to exactly d1 only within the exceptional
-  capacity (the matching twisted summands for a mixed bundle, d2 per order
-  for the special first bundle). `component_preconditions` states the
-  rules no pairing can change and `exceptional_capacity` the capacity; the
-  oracle reads both rather than restating them.
+  gcd(block_rank, block_degree) = 1, Atiyah 1957; a mixed bundle, a sum
+  of degree-d1 lines, has degree rank*d1; every twist lies in [0, d1]),
+  the P and Q sides must total the same (else no pairing exists), and the
+  pairing induced on each component by sorting P-orders ascending against
+  Q-orders descending must respect the section rules on an elliptic
+  component: per-order multiplicity at most r, pair sums at most d1, and
+  pairs summing to exactly d1 only within the exceptional capacity (the
+  matching twisted summands for a mixed bundle, d2 per order for the
+  special first bundle). `component_preconditions` states the rules no
+  pairing can change and `exceptional_capacity` the capacity; the oracle
+  reads both rather than restating them.
 * boundary minimality: the P-table of the first component and the Q-table of
   the last equal the minimal table {0..k1-1: r, k1: k2}.
 * multiplicity bounds: every order lies in [0, d1] with multiplicity <= r and
@@ -211,7 +212,8 @@ def component_preconditions(
     violation per broken condition, naming the field and the bound:
     `bundle_rank` (the bundle has rank r), `bundle_shape` (a first_special
     bundle sits on component 1, and its blocks total its degree with
-    coprime rank and degree; every twist lies in [0, d1]), `side_totals`
+    coprime rank and degree; a mixed bundle, a sum of degree-d1 lines, has
+    degree rank*d1; every twist lies in [0, d1]), `side_totals`
     (the two sides total the same, else no pairing exists) and
     `order_multiplicity` (at most r per order). O(1) on the stored
     summaries unless a multiplicity is above r."""
@@ -230,6 +232,9 @@ def component_preconditions(
             violations.append({"rule": "bundle_shape", "field": "block_degree", "gcd": common, "expected": 1})
         if component != 1:
             violations.append({"rule": "bundle_shape", "field": "kind", "component": component, "expected": 1})
+    elif bundle.degree != bundle.rank * d1:
+        expected = bundle.rank * d1
+        violations.append({"rule": "bundle_shape", "field": "degree", "degree": bundle.degree, "expected": expected})
     lo, hi = bundle.min_twist, bundle.max_twist
     if lo is not None and (lo < 0 or hi > d1):  # type: ignore[operator]
         violations.append(

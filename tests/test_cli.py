@@ -248,12 +248,21 @@ class TestVerifyFileAuditAndLoad:
             (("bundles", 0, "component"), True, "bundles[0].component"),
             (("gluings", 1, "description"), 5, "gluings[1].description"),
             (("notes",), [1, {"x": 2}], "notes[0]"),
+            (("bundles", 1, "summands"),
+             [{"a": 1, "kind": "twisted", "mult": 1}, {"kind": "generic_line", "mult": 2},
+              {"kind": "generic_line", "mult": 0}], "bundles[1].summands"),
+            (("bundles", 1, "summands"),
+             [{"a": 1, "kind": "twisted", "mult": 1}, {"kind": "generic_line", "mult": 2},
+              {"kind": "generic_line", "mult": 1}, {"kind": "generic_line", "mult": -1}], "bundles[1].summands"),
+            (("bundles", 0), {"block_degree": -16, "block_rank": -3, "blocks": -1, "component": 1, "degree": 16,
+                              "kind": "first_special"}, "bundles[0].blocks"),
         ],
         ids=["empty_side", "duplicate_order", "unsorted_side", "zero_multiplicity",
              "stale_decomposition", "emptied_nodes", "table_component", "bundle_component",
              "gluing_node", "bogus_bundle_kind", "stale_summand_kind", "extra_top_level_key",
              "blocks_on_mixed_bundle", "deleted_notes", "bool_schema", "float_components",
-             "bool_component", "numeric_description", "non_string_notes"],
+             "bool_component", "numeric_description", "non_string_notes", "zero_summand", "cancelling_summand",
+             "negated_blocks"],
     )
     def test_inconsistent_document_rejected(self, tmp_path, capsys, field, value, named):
         path, doc = _dumped(tmp_path, capsys)
@@ -270,6 +279,14 @@ class TestVerifyFileAuditAndLoad:
         assert out.startswith(f"cannot load {path}:")
         assert named in out
         assert "overall" not in out
+
+    @pytest.mark.parametrize("content", [b'{"schema": "\xd0\x00\xff"}', b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not_utf8", "nested_too_deep"])
+    def test_unreadable_file_cannot_load(self, tmp_path, capsys, content):
+        path = tmp_path / "skel.json"
+        path.write_bytes(content)
+        assert main(["verify-file", str(path)]) == 1
+        assert capsys.readouterr().out.startswith(f"cannot load {path}:")
 
     def test_unequal_node_totals_fail_without_traceback(self, tmp_path, capsys):
         # Each component-2 P side totals 4 against node 1's 5 Q-orders; in

@@ -14,7 +14,8 @@ from ellchain import (
     skeleton_to_json_dict,
 )
 from ellchain.cli import SweepConfig
-from ellchain.errors import HypothesisFailed
+from ellchain.construct import _BUILDERS
+from ellchain.errors import HypothesisFailed, ParameterError
 
 
 def _runs(counts):
@@ -160,6 +161,23 @@ def test_large_sections_worked_instance():
     assert s.table(2).at_q == ((0, 2), (1, 1))
     assert all(gl.tag == "generic" for gl in s.gluings)
     assert degree_balance(s) == 0
+
+
+@pytest.mark.parametrize("tup", [(7, 3, 30, 5), (7, 3, 16, 5), (6, 2, 9, 3), (6, 2, 10, 4)],
+                         ids=["large_sections", "small_a", "small_b", "small_c"])
+def test_short_chain_rejected_by_skeleton(monkeypatch, tup):
+    # A recipe's chain is checked only by the skeleton's component counts.
+    p = Params(*tup)
+    case = classify(p).case
+    build = _BUILDERS[case]
+
+    def dropping_last(*args):
+        chain, notes = build(*args)
+        return chain[:-1], notes
+
+    monkeypatch.setitem(_BUILDERS, case, dropping_last)
+    with pytest.raises(ParameterError, match="component counts disagree with g"):
+        construct(p)
 
 
 def test_tail_count_examples():

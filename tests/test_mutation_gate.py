@@ -1,17 +1,24 @@
-"""Exhaustive single-leaf mutation gate over one dump per case.
+"""Exhaustive mutation gates over one dump per case.
 
-Every leaf of each dumped document is changed, one at a time: an integer
-by +-1; a bundle or summand `kind`, a gluing `tag` or the `case` to each
-other legal value; a gluing `description` to each other string the recipes
-emit, or to null; a `notes` or `nodes` string by appending one character.
+Single leaves: every leaf of each dumped document is changed, one at a
+time: an integer by +-1; a bundle or summand `kind`, a gluing `tag` or the
+`case` to each other legal value; a gluing `description` to each other
+string the recipes emit, or to null; a `notes` or `nodes` string by
+appending one character.
+
+Paired moves: for every ordered pair of distinct integer leaves on the same
+field path, list indices read as wildcards, the first is raised by 1 and
+the second lowered by 1, so every total over that field is kept.
+
 Each mutated document must fail to load, fail `verify`, or fail the audit,
-as `verify-file` would report it. The only survivors are the mutations
-ALLOWED lists, each with its reason, and every one of them must survive.
+as `verify-file` would report it. The only survivors are the mutations an
+allowlist names, each with its reason, and every one of them must survive.
 """
 
 from __future__ import annotations
 
 import copy
+from collections import defaultdict
 
 from ellchain import Case, Params, audit_equals_rho, construct, skeleton_from_json_dict, skeleton_to_json_dict, verify
 from ellchain.errors import EngineError, ParameterError
@@ -37,6 +44,17 @@ ALLOWED = {
     ((7, 3, 30, 5), ("tables", 0, "at_q", 1, 0), 8): (
         "a crude limit series: node 1 is no longer exact, but every pair sum is still >= b "
         "and every component rule holds"
+    ),
+}
+
+# (dump, leaf raised by 1, leaf lowered by 1), "*" matching anything, and why it survives.
+ALLOWED_PAIRS = {
+    ("*", ("gluings", "*", "parameter_dim"), ("gluings", "*", "parameter_dim")): (
+        "a gluing dimension enters the audit only through the total, and no rule derives one node's dimension"
+    ),
+    ((7, 3, 30, 5), ("tables", 0, "at_q", 1, 1), ("tables", 0, "at_q", 0, 1)): (
+        "a crude limit series: one section moves from order 6 to order 7 at Q1, node 1 is no longer "
+        "exact, but every pair sum is still >= b and every component rule holds"
     ),
 }
 
@@ -72,12 +90,14 @@ def _leaves(node, path=()):
         yield path, node
 
 
-def _mutated(doc, path, value):
+def _mutated(doc, *edits):
+    """A copy of the document with each (path, value) edit applied."""
     out = copy.deepcopy(doc)
-    parent = out
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    for path, value in edits:
+        parent = out
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
     return out
 
 
@@ -96,30 +116,63 @@ def _passes(doc) -> bool:
 
 
 def _matches(pattern, mutation) -> bool:
-    (p_dump, p_path, p_value), (dump, path, value) = pattern, mutation
-    return (
-        p_dump in ("*", dump)
-        and len(p_path) == len(path)
-        and all(p in ("*", q) for p, q in zip(p_path, path))
-        and p_value in ("*", value)
+    """Whether a mutation fits a pattern entry by entry, "*" matching any
+    entry or any key of a path."""
+    return all(
+        p == "*" or p == m or (
+            isinstance(p, tuple) and len(p) == len(m) and all(a in ("*", b) for a, b in zip(p, m))
+        )
+        for p, m in zip(pattern, mutation)
     )
 
 
-def test_every_single_leaf_mutation_fails_unless_allowed():
-    mutations = []
-    survivors = set()
+def _dumps():
     for dump in DUMPS:
         doc = skeleton_to_json_dict(construct(Params(*dump)))
         assert _passes(doc), dump
-        for path, value in _leaves(doc):
-            for new in _alternatives(path, value):
-                mutation = (dump, path, new)
-                mutations.append(mutation)
-                if _passes(_mutated(doc, path, new)):
-                    survivors.add(mutation)
-    allowed = {m for m in mutations if any(_matches(p, m) for p in ALLOWED)}
-    assert len(mutations) == 1115
+        yield dump, doc
+
+
+def _assert_gate(cases, allowlist, count):
+    """Every (mutation, document) of `cases` fails unless an allowlist
+    pattern matches the mutation, and each matched mutation survives."""
+    mutations = []
+    survivors = set()
+    for mutation, doc in cases:
+        mutations.append(mutation)
+        if _passes(doc):
+            survivors.add(mutation)
+    allowed = {m for m in mutations if any(_matches(p, m) for p in allowlist)}
+    assert len(mutations) == count
     assert not survivors - allowed, f"unlisted survivors: {sorted(survivors - allowed, key=repr)}"
     assert not allowed - survivors, f"listed mutations that fail: {sorted(allowed - survivors, key=repr)}"
-    for pattern in ALLOWED:
+    for pattern in allowlist:
         assert any(_matches(pattern, m) for m in survivors), f"stale allowlist entry {pattern}"
+
+
+def _single_leaf_mutations():
+    for dump, doc in _dumps():
+        for path, value in _leaves(doc):
+            for new in _alternatives(path, value):
+                yield (dump, path, new), _mutated(doc, (path, new))
+
+
+def _paired_moves():
+    for dump, doc in _dumps():
+        fields = defaultdict(list)
+        for path, value in _leaves(doc):
+            if type(value) is int:
+                fields[tuple("*" if type(key) is int else key for key in path)].append((path, value))
+        for leaves in fields.values():
+            for up, up_value in leaves:
+                for down, down_value in leaves:
+                    if up != down:
+                        yield (dump, up, down), _mutated(doc, (up, up_value + 1), (down, down_value - 1))
+
+
+def test_every_single_leaf_mutation_fails_unless_allowed():
+    _assert_gate(_single_leaf_mutations(), ALLOWED, 1115)
+
+
+def test_every_paired_move_fails_unless_allowed():
+    _assert_gate(_paired_moves(), ALLOWED_PAIRS, 6582)

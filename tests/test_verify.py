@@ -83,7 +83,7 @@ class TestNodePairing:
 class TestComponentFeasibility:
     def test_twisted_pair_within_budget(self):
         # pair summing to d1 = 3 with P-order 2 is covered by the a = 2 twist
-        bundle = _mixed((Summand(mult=1, twist=2), Summand(mult=1)))
+        bundle = _mixed((Summand(mult=1, twist=2), Summand(mult=1)), degree=6)
         table = _table({0: 1, 2: 1}, {1: 1, 2: 1})
         verdict = check_component_feasibility(1, bundle, table, d1=3, d2=0, r=2)
         assert verdict.ok
@@ -118,13 +118,15 @@ class TestComponentFeasibility:
              [{"rule": "bundle_shape", "field": "kind", "component": 2, "expected": 1}]),
             (1, ComponentBundle(kind="first_special", degree=16, blocks=1, block_rank=2, block_degree=16),
              [{"rule": "bundle_shape", "field": "block_degree", "gcd": 2, "expected": 1}]),
-            (3, _mixed((Summand(mult=1, twist=6), Summand(mult=1, twist=2))),
+            (3, _mixed((Summand(mult=1, twist=6), Summand(mult=1, twist=2)), degree=10),
              [{"rule": "bundle_shape", "field": "twist", "lowest": 2, "highest": 6, "min": 0, "max": 5}]),
-            (3, _mixed((Summand(mult=1, twist=-1), Summand(mult=1))),
+            (3, _mixed((Summand(mult=1, twist=-1), Summand(mult=1)), degree=10),
              [{"rule": "bundle_shape", "field": "twist", "lowest": -1, "highest": -1, "min": 0, "max": 5}]),
+            (2, _mixed((Summand(mult=1, twist=2), Summand(mult=1)), degree=9),
+             [{"rule": "bundle_shape", "field": "degree", "degree": 9, "expected": 10}]),
         ],
         ids=["legal_first_special", "first_special_off_component_1", "common_factor", "twist_above_d1",
-             "negative_twist"],
+             "negative_twist", "mixed_degree"],
     )
     def test_bundle_shape(self, component, bundle, expected):
         table = _table({0: 1, 1: 1}, {0: 1, 1: 1})
@@ -229,6 +231,9 @@ def _component_reference(bundle, table, d1, d2, r):
         if bundle.block_degree is not None and math.gcd(bundle.block_rank, bundle.block_degree) != 1:
             violations.append({"rule": "bundle_shape", "field": "block_degree",
                                "gcd": math.gcd(bundle.block_rank, bundle.block_degree), "expected": 1})
+    elif bundle.degree != sum(s.mult for s in bundle.summands) * d1:
+        violations.append({"rule": "bundle_shape", "field": "degree", "degree": bundle.degree,
+                           "expected": sum(s.mult for s in bundle.summands) * d1})
     twists = [s.twist for s in bundle.summands if s.twist is not None]
     if any(not 0 <= a <= d1 for a in twists):
         violations.append({"rule": "bundle_shape", "field": "twist", "lowest": min(twists),
@@ -345,13 +350,16 @@ class TestRunMerge:
         r=st.integers(1, 4),
         twists=st.lists(st.one_of(st.none(), st.integers(0, 12)), min_size=1, max_size=4),
         first_special=st.booleans(),
+        degree_shift=st.integers(-1, 1),
     )
     @settings(max_examples=300)
-    def test_component_verdict_matches_expanded_reference(self, at_p, at_q, d1, d2, r, twists, first_special):
+    def test_component_verdict_matches_expanded_reference(
+        self, at_p, at_q, d1, d2, r, twists, first_special, degree_shift
+    ):
         table = VanishingTable(at_p, at_q)
         if first_special:
             bundle = ComponentBundle(kind="first_special", degree=0, blocks=1, block_rank=r)
         else:
-            bundle = _mixed(tuple(Summand(mult=1, twist=t) for t in twists))
+            bundle = _mixed(tuple(Summand(mult=1, twist=t) for t in twists), len(twists) * d1 + degree_shift)
         verdict = check_component_feasibility(1, bundle, table, d1=d1, d2=d2, r=r)
         assert verdict.to_json_dict() == _component_reference(bundle, table, d1, d2, r)
