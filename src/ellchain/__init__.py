@@ -32,7 +32,6 @@ from .params import (
 )
 from .skeleton import (
     ComponentBundle,
-    GluingSpec,
     LimitSeriesSkeleton,
     Summand,
     VanishingTable,
@@ -65,7 +64,6 @@ __all__ = [
     "Decomposition",
     "DimensionLedger",
     "EngineError",
-    "GluingSpec",
     "HypothesisCheck",
     "HypothesisFailed",
     "InstanceTooLarge",

@@ -370,7 +370,7 @@ def cmd_verify_file(args: argparse.Namespace) -> int:
     try:
         skeleton = load_skeleton_file(args.path)
     except (OSError, ValueError, RecursionError) as exc:
-        print(f"cannot load {args.path}: {exc}")
+        print(f"cannot load {args.path}: {exc}", file=sys.stderr if args.format == "json" else sys.stdout)
         return EXIT_VERIFICATION_FAILED
     report = verify(skeleton)
     cross = cross_validate(skeleton) if args.oracle else None

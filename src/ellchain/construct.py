@@ -2,12 +2,14 @@
 
 Every recipe fixes the twist parameter b = d1 and emits the chain in order,
 one entry per component: its bundle, the vanishing multiset of the
-k-dimensional section space at its Q point, and the gluing (tag and family
-dimension) of the node entering it, None on component 1. No entry carries
-an index; `construct` walks the list once, and the skeleton's count check
-(g bundles and tables, g-1 gluings) is the one length rule. Component 1
-carries degree d; every other component carries degree r*d1, which is the
-unique choice balancing total degree against the twist.
+k-dimensional section space at its Q point, and the description of the
+gluing entering it, None on component 1 and at a generic node (the
+skeleton derives each node's dimension from the bundles it joins). No
+entry carries an index; `construct` walks the list once, and the
+skeleton's count check (g bundles and tables, g-1 gluings) is the one
+length rule. Component 1 carries degree d; every other component carries
+degree r*d1, which is the unique choice balancing total degree against the
+twist.
 
 The P sides follow from exact gluing: at every node each order at Q_i meets
 one at P_{i+1} summing to b = d1 (a refined limit series), so `construct`
@@ -42,8 +44,8 @@ ledger groups its rows by the same parts.
 The verifier re-derives nothing from here: it checks the emitted data against
 the balance, pairing, feasibility and boundary rules independently, exact
 nodes included. The ledger reads every term (bundle moduli and
-automorphisms, gluing dimensions) off the emitted skeleton, so this module
-is the single source of every dimension fact.
+automorphisms, gluing dimensions) off the emitted skeleton, where each is
+derived from the bundles and tables this module emits.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from typing import Iterable, Sequence
 from .params import Case, Decomposition, Params, classify, tail_threshold
 from .skeleton import (
     ComponentBundle,
-    GluingSpec,
     LimitSeriesSkeleton,
     Summand,
     VanishingTable,
@@ -112,7 +113,7 @@ def layout(case: Case, dec: Decomposition, g: int) -> dict[str, Sequence[int]]:
     }
 
 
-Chain = list[tuple[ComponentBundle, Runs, GluingSpec | None]]
+Chain = list[tuple[ComponentBundle, Runs, str | None]]
 
 
 def _first_special(p: Params, dec: Decomposition) -> ComponentBundle:
@@ -143,9 +144,9 @@ def _block_q(base: int, beta: int, width: int, head: int, *, r: int, d1: int) ->
 def _build_large(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, list[str]]:
     g, r = p.g, p.r
     d1, d2, k1, k2 = dec.d1, dec.d2, dec.k1, dec.k2
-    line, generic = _mixed(r * d1, _lines(r)), GluingSpec("generic", r * r)
+    line = _mixed(r * d1, _lines(r))
     chain: Chain = [(_first_special(p, dec), _staircase_q(g - 1 + k1, k1=k1, r=r, head=k2), None)]
-    chain += [(line, _staircase_q(g - i + k1, k1=k1, r=r, head=k2), generic) for i in _run(2, g)]
+    chain += [(line, _staircase_q(g - i + k1, k1=k1, r=r, head=k2), None) for i in _run(2, g)]
     notes = []
     if d2 != k2:
         notes.append(
@@ -164,7 +165,6 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, li
     t = tail_threshold(case, dec, g)
     e = k2 - d2 + s * r
     parts = layout(case, dec, g)
-    line, generic = _mixed(r * d1, _lines(r)), GluingSpec("generic", r * r)
 
     def early_q(i: int) -> Runs:
         # Orders top-k1-1 up to top = d1-i+1+s: top carries k2, d1-2i+2+s
@@ -184,14 +184,14 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, li
     # block into the section chain; every other node is generic.
     if s:
         second = _twisted(0, k2) + _lines(r - k2)
-        second_gluing = GluingSpec("constrained", d2 * k2 + r * (r - k2), "max_vanishing_block->first_bundle_sections")
+        second_gluing = "max_vanishing_block->first_bundle_sections"
         notes = [
             "node 2 links the line block into the glued section space of dimension d2-k2 "
             "on component 2"
         ]
     else:
         second = _twisted(1, e) + _lines(r - e)
-        second_gluing = GluingSpec("constrained", d2 * (r - e) + r * (r - d2), "full_vanishing_block->line_block")
+        second_gluing = "full_vanishing_block->line_block"
         notes = []
     chain: Chain = [
         (
@@ -201,20 +201,19 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, li
         ),
         (_mixed(r * d1, second), early_q(2), second_gluing),
     ]
-    line_gluing = GluingSpec("constrained", (r - e) ** 2 + r * e, "line_block->line_block")
     for i in parts["line_chain"]:
-        chain.append((_mixed(r * d1, _twisted(2 * i - 3 - s, e) + _lines(r - e)), early_q(i), line_gluing))
+        chain.append((_mixed(r * d1, _twisted(2 * i - 3 - s, e) + _lines(r - e)), early_q(i), "line_block->line_block"))
 
     # Alpha-blocks at base k1*alpha-s: in SMALL_B the recipe's own gluing
     # and section-space lines fix the head's twist at k1*alpha, one below
     # SMALL_A's.
-    head_gluing = GluingSpec("constrained", k2 * k2 + r * (r - k2), "twisted_block->section_chain")
     for alpha in _run(1, t - 1):
         for beta in _run(1, k1 + 1):
             bundle, at_q = _block_q(alpha * k1 - s, beta, k1 + 1, k2, r=r, d1=d1)
-            chain.append((bundle, at_q, head_gluing if beta == 1 else generic))
+            chain.append((bundle, at_q, "twisted_block->section_chain" if beta == 1 else None))
 
-    chain += [(line, _staircase_q(d1 - i + t + s, k1=k1, r=r, head=k2), generic) for i in parts["tail"]]
+    line = _mixed(r * d1, _lines(r))
+    chain += [(line, _staircase_q(d1 - i + t + s, k1=k1, r=r, head=k2), None) for i in parts["tail"]]
     return chain, notes
 
 
@@ -222,13 +221,13 @@ def _build_small_c(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, li
     g, r = p.g, p.r
     d1, k1 = dec.d1, dec.k1
     t = tail_threshold(case, dec, g)
-    line, generic = _mixed(r * d1, _lines(r)), GluingSpec("generic", r * r)
+    line = _mixed(r * d1, _lines(r))
     chain: Chain = [(line, _staircase_q(d1, k1=k1, r=r, head=0), None)]
     for alpha in _run(0, t - 1):
         for beta in _run(1, k1):
-            chain.append((*_block_q(alpha * (k1 - 1), beta, k1, r, r=r, d1=d1), generic))
+            chain.append((*_block_q(alpha * (k1 - 1), beta, k1, r, r=r, d1=d1), None))
     tail = layout(case, dec, g)["tail"]
-    chain += [(line, _staircase_q(d1 - i + t + 1, k1=k1, r=r, head=0), generic) for i in tail]
+    chain += [(line, _staircase_q(d1 - i + t + 1, k1=k1, r=r, head=0), None) for i in tail]
     return chain, []
 
 

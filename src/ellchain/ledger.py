@@ -7,8 +7,9 @@ the data the engine emits rather than a parallel formula. Per component:
 * a first_special bundle with h blocks gives moduli h and autos h;
 * m copies of one twisted line give moduli 0 and autos m^2;
 * m generic lines give moduli m and autos m;
-* the gluing term is the parameter_dim of the node entering the component
-  (the first component has no such node).
+* the gluing term is the dimension of the node entering the component,
+  which the skeleton derives from the bundles that node joins (the first
+  component has no such node).
 
 In the small cases, rows group the components of one part of
 `construct.layout` (first component, line chain, block heads, ...), the
@@ -132,9 +133,7 @@ def ledger(s: LimitSeriesSkeleton) -> DimensionLedger:
     g, r = p.g, p.r
 
     # (moduli, autos, gluing) per component; each bundle carries its terms.
-    terms = [
-        (bundle.moduli, bundle.autos, s.gluings[i - 1].parameter_dim if i else 0) for i, bundle in enumerate(s.bundles)
-    ]
+    terms = [(bundle.moduli, bundle.autos, s.gluing_dims[i - 1] if i else 0) for i, bundle in enumerate(s.bundles)]
 
     if case is Case.LARGE_SECTIONS:
         h0 = s.bundles[0].degree - r * s.tables[0].at_q[0][0]

@@ -1,31 +1,33 @@
 """Combinatorial data model: bundle summand lists, vanishing tables, gluing
-tags, and the skeleton that assembles them on a chain of g elliptic
+labels, and the skeleton that assembles them on a chain of g elliptic
 components.
 
 The chain is implicit: g is `params.g`, and position is the index. The i-th
 bundle and table (1-based) sit on component i, and the n-th gluing on node
 n, which identifies Q_n on component n with P_{n+1}; no record stores its
-own index. Points P_i, Q_i are symbolic; "generic" is a tag, not a witness.
+own index. Points P_i, Q_i are symbolic; a gluing stores only its label.
 A vanishing table stores (order, multiplicity) runs at both marked points
 of a component, and the type itself rejects a side that is empty, out of
 order or has a multiplicity below 1; that multiplicities at each point sum
 to k is a rule `verify` checks.
 
-A table and a bundle carry their summaries, computed once when they are
-built: a table its two side totals and its largest multiplicity, a bundle
-its rank and its lowest and highest twist. They are derived fields, left out
-of equality, repr and JSON, so `dataclasses.replace` recomputes them and
-every rule reads them instead of re-summing the runs or summands. The
-records are frozen so that a summary cannot go stale.
+Records carry their summaries, computed once when built: a table its side
+totals and largest multiplicity, a bundle its rank and twist range, the
+skeleton each node's gluing dimension. They are derived fields, left out of
+equality and repr, so `dataclasses.replace` recomputes them and every rule
+reads them instead of re-summing. The records are frozen so that a summary
+cannot go stale.
 
 Skeletons serialize to a canonical JSON document (schema 1, sorted keys, no
 floats) used by the CLI and the test fixtures. The writer derives
-`components`, `nodes`, `decomposition` and every `component`/`node` key
-from params and positions. The loader accepts a document iff the skeleton
-it builds writes back the same JSON value, integers exact; otherwise it
-names the first field that differs. A gluing's `description` (a string or
-null) and each note (a string) are labels: the loader checks their type
-and carries them verbatim, and no rule or ledger term reads them.
+`components`, `nodes`, `decomposition`, every `component`/`node` key and
+each gluing's `tag` ("generic" iff its description is null) and
+`parameter_dim` from params, positions and the chain. The loader accepts a
+document iff the skeleton it builds writes back the same JSON value,
+integers exact; otherwise it names the first field that differs. A
+gluing's `description` (a string or null) and each note (a string) are
+labels: the loader checks their type and carries them verbatim, and no
+rule or ledger term reads them.
 """
 
 from __future__ import annotations
@@ -170,41 +172,40 @@ def minimal_boundary_table(r: int, k1: int, k2: int) -> tuple[tuple[int, int], .
 
 
 @dataclass(frozen=True)
-class GluingSpec:
-    """Gluing family at one node: a tag, its parameter dimension, and for
-    constrained gluings a short identifier of which blocks are linked."""
-
-    tag: str  # "generic" | "constrained"
-    parameter_dim: int
-    description: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.tag not in ("generic", "constrained"):
-            raise ParameterError(f"tag: unknown gluing tag {self.tag!r}")
-        if self.parameter_dim < 0:
-            raise ParameterError(f"parameter_dim: gluing dimension must be >= 0, got {self.parameter_dim}")
-
-
-@dataclass(frozen=True)
 class LimitSeriesSkeleton:
-    """The whole chain: per-component bundles and tables, per-node gluings,
-    the twist parameter b, and the case tag the recipe came from. There are
-    g = params.g bundles and tables and g-1 gluings, in chain order."""
+    """The whole chain: g = params.g bundles and tables and g-1 gluing
+    descriptions (None when generic) in chain order, the twist parameter b,
+    and the case tag the recipe came from.
+
+    `gluing_dims[n-1]` is node n's family dimension: with t the twisted
+    copies on the component it enters, r^2 - t(r-t), the r x r matrices
+    keeping a t-plane block-triangular. Node 1 from a first_special bundle
+    into a twisted summand sends a t-plane into an m-plane, m the
+    multiplicity of order b at Q1 (0 if absent): r^2 - t(r-m) when that
+    summand's twist is 0, else r^2 - t*m."""
 
     params: Params
     case: Case
     b: int
     bundles: tuple[ComponentBundle, ...]
     tables: tuple[VanishingTable, ...]
-    gluings: tuple[GluingSpec, ...]
+    gluings: tuple[str | None, ...]
     notes: tuple[str, ...] = ()
+    gluing_dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        g = self.params.g
+        g, r = self.params.g, self.params.r
         if len(self.bundles) != g or len(self.tables) != g:
             raise ParameterError("skeleton component counts disagree with g")
         if len(self.gluings) != g - 1:
             raise ParameterError("skeleton needs exactly g-1 gluings")
+        twisted = [b.rank - b.moduli if b.kind == "mixed" else 0 for b in self.bundles[1:]]
+        dims = [r * r - t * (r - t) for t in twisted]
+        t = twisted[0]
+        if t and self.bundles[0].kind == "first_special":
+            m = dict(self.tables[0].at_q).get(self.b, 0)
+            dims[0] = r * r - t * (r - m if self.bundles[1].min_twist == 0 else m)
+        object.__setattr__(self, "gluing_dims", tuple(dims))
 
     @property
     def decomposition(self) -> Decomposition:
@@ -275,8 +276,8 @@ def skeleton_to_json_dict(s: LimitSeriesSkeleton) -> dict[str, Any]:
             for i, t in enumerate(s.tables, 1)
         ],
         "gluings": [
-            {"node": n, "tag": gl.tag, "parameter_dim": gl.parameter_dim, "description": gl.description}
-            for n, gl in enumerate(s.gluings, 1)
+            {"node": n, "tag": "generic" if desc is None else "constrained", "parameter_dim": dim, "description": desc}
+            for n, (desc, dim) in enumerate(zip(s.gluings, s.gluing_dims), 1)
         ],
         "notes": list(s.notes),
     }
@@ -327,13 +328,6 @@ def _table_from_json(td: Mapping[str, Any]) -> VanishingTable:
     return VanishingTable(_table_side(td["at_p"], "at_p"), _table_side(td["at_q"], "at_q"))
 
 
-def _gluing_from_json(gd: Mapping[str, Any]) -> GluingSpec:
-    return GluingSpec(
-        tag=gd["tag"], parameter_dim=_exact_int(gd["parameter_dim"], "parameter_dim"),
-        description=_text(gd["description"], "description", optional=True),
-    )
-
-
 def _entries(doc: Mapping[str, Any], key: str, build: Callable[[Any], Any]) -> tuple[Any, ...]:
     """`build` applied to each entry of doc[key]; a rejection names the entry."""
     out = []
@@ -349,7 +343,8 @@ def _rebuilt_ints_exact(doc: Mapping[str, Any]) -> bool:
     """Whether the integers the writer rebuilds rather than reads back are
     exact ints, on a document equal to the written one: `==` equates 1, 1.0
     and true."""
-    keys = [e["component"] for e in doc["bundles"] + doc["tables"]] + [e["node"] for e in doc["gluings"]]
+    keys = [e["component"] for e in doc["bundles"] + doc["tables"]]
+    keys += [v for e in doc["gluings"] for v in (e["node"], e["parameter_dim"])]
     return all(type(v) is int for v in (doc["components"], *doc["decomposition"].values(), *keys))
 
 
@@ -392,7 +387,7 @@ def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
             b=_exact_int(doc["b"], "b"),
             bundles=_entries(doc, "bundles", _bundle_from_json),
             tables=_entries(doc, "tables", _table_from_json),
-            gluings=_entries(doc, "gluings", _gluing_from_json),
+            gluings=_entries(doc, "gluings", lambda gd: _text(gd["description"], "description", optional=True)),
             notes=tuple(_text(note, f"notes[{i}]") for i, note in enumerate(doc["notes"])),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -106,6 +106,10 @@ class TestDumpAndVerifyFile:
     def test_verify_file_missing(self, capsys):
         assert main(["verify-file", "/nonexistent/skel.json"]) == 1
         assert "cannot load" in capsys.readouterr().out
+        # In JSON mode stdout carries the report alone, so the line moves to stderr.
+        assert main(["verify-file", "/nonexistent/skel.json", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot load" in captured.err
 
     def test_verify_file_json_format(self, tmp_path, capsys):
         path = tmp_path / "skel.json"
@@ -135,17 +139,17 @@ class TestVerifyFileAuditAndLoad:
         assert "overall: pass" in out
 
     def test_bogus_gluing_dimension_fails_audit(self, tmp_path, capsys):
+        # A gluing dimension is derived from the bundles its node joins, so
+        # a stale one fails to load before any check or audit runs.
         path, doc = _dumped(tmp_path, capsys)
         doc["gluings"][0]["parameter_dim"] = 999
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify-file", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "audit: total 1011 == rho 20: MISMATCH" in out
-        assert "overall: fail" in out
+        assert out == f"cannot load {path}: stale gluings[0].parameter_dim: the document has 999, the skeleton gives 8\n"
         assert main(["verify-file", str(path), "--format", "json"]) == 1
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["overall"] == "pass"
-        assert "MISMATCH" in captured.err
+        assert captured.out == "" and "stale gluings[0].parameter_dim" in captured.err
 
     def test_bogus_large_sections_gluing_dimension_fails_audit(self, tmp_path, capsys):
         path, doc = _dumped(tmp_path, capsys, ("7", "3", "30", "5"))
@@ -154,7 +158,19 @@ class TestVerifyFileAuditAndLoad:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify-file", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "audit: total 1080 == rho 90: MISMATCH" in out
+        assert out.startswith(f"cannot load {path}: stale gluings[2].parameter_dim: the document has 999, the skeleton")
+        assert out.endswith("gives 9\n")
+
+    def test_moved_gluing_dimension_unit_cannot_load(self, tmp_path, capsys):
+        # One unit moved between two nodes keeps the ledger total, so only
+        # the per-node derivation catches it.
+        path, doc = _dumped(tmp_path, capsys)
+        doc["gluings"][0]["parameter_dim"] += 1
+        doc["gluings"][1]["parameter_dim"] -= 1
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for extra in ([], ["--oracle"]):
+            assert main(["verify-file", str(path), *extra]) == 1
+            assert capsys.readouterr().out.startswith(f"cannot load {path}: stale gluings[0].parameter_dim:")
 
     @pytest.mark.parametrize(
         "tup,field,value",
@@ -256,13 +272,16 @@ class TestVerifyFileAuditAndLoad:
               {"kind": "generic_line", "mult": 1}, {"kind": "generic_line", "mult": -1}], "bundles[1].summands"),
             (("bundles", 0), {"block_degree": -16, "block_rank": -3, "blocks": -1, "component": 1, "degree": 16,
                               "kind": "first_special"}, "bundles[0].blocks"),
+            (("gluings", 1, "tag"), "generic", "gluings[1].tag"),
+            (("gluings", 1, "description"), None, "gluings[1].tag"),
+            (("gluings", 0, "parameter_dim"), 8.0, "gluings[0].parameter_dim"),
         ],
         ids=["empty_side", "duplicate_order", "unsorted_side", "zero_multiplicity",
              "stale_decomposition", "emptied_nodes", "table_component", "bundle_component",
              "gluing_node", "bogus_bundle_kind", "stale_summand_kind", "extra_top_level_key",
              "blocks_on_mixed_bundle", "deleted_notes", "bool_schema", "float_components",
              "bool_component", "numeric_description", "non_string_notes", "zero_summand", "cancelling_summand",
-             "negated_blocks"],
+             "negated_blocks", "stale_tag", "description_to_null", "float_parameter_dim"],
     )
     def test_inconsistent_document_rejected(self, tmp_path, capsys, field, value, named):
         path, doc = _dumped(tmp_path, capsys)
@@ -287,6 +306,9 @@ class TestVerifyFileAuditAndLoad:
         path.write_bytes(content)
         assert main(["verify-file", str(path)]) == 1
         assert capsys.readouterr().out.startswith(f"cannot load {path}:")
+        assert main(["verify-file", str(path), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"cannot load {path}:")
 
     def test_unequal_node_totals_fail_without_traceback(self, tmp_path, capsys):
         # Each component-2 P side totals 4 against node 1's 5 Q-orders; in
@@ -327,6 +349,8 @@ class TestVerifyFileAuditAndLoad:
         path, doc = _dumped(tmp_path, capsys)
         doc["tables"][0]["at_q"] = [[3, 4], [4, 5]]
         doc["tables"][1]["at_p"] = [[0, 5], [1, 4]]
+        # Order b = 5 leaves Q1, so node 1's derived dimension is r^2 = 9.
+        doc["gluings"][0]["parameter_dim"] = 9
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify-file", str(path), "--oracle"]) == 1
         out = capsys.readouterr().out

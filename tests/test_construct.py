@@ -23,6 +23,11 @@ def _runs(counts):
     return tuple(sorted(counts.items()))
 
 
+def _gluings(s):
+    """(tag, dimension) per node, as the skeleton's JSON writes them."""
+    return [(gl["tag"], gl["parameter_dim"]) for gl in skeleton_to_json_dict(s)["gluings"]]
+
+
 def _tail_count(p):
     """Trailing generic-line components of a small-case tuple."""
     return len(layout(classify(p).case, p.decomposition, p.g)["tail"])
@@ -93,15 +98,8 @@ class TestSmallAWorkedInstance:
 
     def test_gluing_dims(self):
         s = construct(self.P)
-        dims = {n: (gl.tag, gl.parameter_dim) for n, gl in enumerate(s.gluings, 1)}
-        assert dims == {
-            1: ("constrained", 8),
-            2: ("constrained", 7),
-            3: ("constrained", 7),
-            4: ("generic", 9),
-            5: ("constrained", 7),
-            6: ("generic", 9),
-        }
+        assert _gluings(s) == [("constrained", 8), ("constrained", 7), ("constrained", 7), ("generic", 9),
+                               ("constrained", 7), ("generic", 9)]
 
     def test_no_tail(self):
         assert _tail_count(self.P) == 0
@@ -131,6 +129,15 @@ class TestSmallBWorkedInstance:
     def test_tail_count(self):
         assert _tail_count(self.P) == 0
 
+    def test_gluing_dims(self):
+        # Node 1 takes the twist-0 branch r^2 - t(r - m). In (4,2,9,4), k2 = 0
+        # leaves component 2 untwisted: node 1 is constrained at r^2 = 4, so
+        # the tag is not a function of the dimension.
+        assert _gluings(construct(self.P)) == [("constrained", 8), ("constrained", 7), ("constrained", 7),
+                                               ("generic", 9), ("constrained", 7), ("generic", 9)]
+        assert _gluings(construct(Params(4, 2, 9, 4))) == [("constrained", 4), ("constrained", 3),
+                                                           ("constrained", 3)]
+
 
 class TestSmallCWorkedInstance:
     P = Params(4, 2, 8, 4)
@@ -159,7 +166,7 @@ def test_large_sections_worked_instance():
     assert (first.blocks, first.block_rank, first.block_degree) == (2, 1, 3)
     assert s.bundle(2).kind == "mixed" and _line_mult(s.bundle(2)) == 2
     assert s.table(2).at_q == ((0, 2), (1, 1))
-    assert all(gl.tag == "generic" for gl in s.gluings)
+    assert _gluings(s) == [("generic", 4)]
     assert degree_balance(s) == 0
 
 

@@ -12,6 +12,7 @@ from ellchain import (
     brill_noether_rho,
     construct,
     ledger,
+    Summand,
     rho_value,
 )
 from ellchain.cli import SweepConfig
@@ -89,7 +90,7 @@ def test_ledger_gluing_matches_skeleton_gluings():
         if led.case is Case.LARGE_SECTIONS:
             continue
         s = construct(p)
-        per_node = {n: gl.parameter_dim for n, gl in enumerate(s.gluings, 1)}
+        per_node = dict(enumerate(s.gluing_dims, 1))
         from_rows: dict[int, int] = {}
         for row in led.rows:
             assert row.components is not None
@@ -127,15 +128,17 @@ def test_ledger_text_rendering():
 
 def test_ledger_reads_gluing_dims_off_the_skeleton():
     # (7,3,16,5): block_first covers components 4 and 6, entered by nodes 3
-    # and 5. A different dimension at node 5 splits the row per component.
+    # and 5. Three generic lines on component 6 leave node 5 no twisted copy,
+    # so its derived dimension is r^2 = 9, not 7, and the row splits per
+    # component: C6's bracket goes from 1 - 5 + 7 to 3 - 3 + 9.
     s = construct(Params(7, 3, 16, 5))
-    gluings = list(s.gluings)
-    gluings[4] = dataclasses.replace(gluings[4], parameter_dim=99)
-    led = ledger(dataclasses.replace(s, gluings=tuple(gluings)))
-    labels = [row.label for row in led.rows]
-    assert "block_first" not in labels
-    assert "block_first[C4]" in labels and "block_first[C6]" in labels
-    assert led.total == 20 + 99 - 7
+    bundles = list(s.bundles)
+    bundles[5] = dataclasses.replace(bundles[5], summands=(Summand(mult=3),))
+    led = ledger(dataclasses.replace(s, bundles=tuple(bundles)))
+    rows = {row.label: row for row in led.rows}
+    assert "block_first" not in rows
+    assert rows["block_first[C4]"].gluing == 7 and rows["block_first[C6]"].gluing == 9
+    assert led.total == 20 - 3 + 9
 
 
 def test_ledger_rejects_wrong_case_tag():

@@ -10,6 +10,11 @@ Paired moves: for every ordered pair of distinct integer leaves on the same
 field path, list indices read as wildcards, the first is raised by 1 and
 the second lowered by 1, so every total over that field is kept.
 
+Node-coupled moves: every unordered pair of distinct integer leaves that
+both sit on the two sides of one node (`tables[n-1].at_q` and
+`tables[n].at_p`), or both on one component's bundle and table, is moved by
++-1 in all four sign combinations.
+
 Each mutated document must fail to load, fail `verify`, or fail the audit,
 as `verify-file` would report it. The only survivors are the mutations an
 allowlist names, each with its reason, and every one of them must survive.
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import copy
 from collections import defaultdict
+from itertools import combinations, product
 
 from ellchain import Case, Params, audit_equals_rho, construct, skeleton_from_json_dict, skeleton_to_json_dict, verify
 from ellchain.errors import EngineError, ParameterError
@@ -32,13 +38,20 @@ RECIPE_DESCRIPTIONS = (
     "twisted_block->section_chain",
 )
 
-# (dump, leaf path, new value), "*" matching anything, and why it survives.
+# Survives: a constrained node's description moved to another recipe
+# string. A move to or from null changes the derived tag, so it fails to load.
+DESCRIPTION_MOVE = (
+    "a constrained gluing's description is a free-text label: type-checked, carried verbatim, read by no rule"
+)
+
+# (dump, leaf path, new value), "*" matching anything, a frozenset any of its
+# members, and why it survives.
 ALLOWED = {
-    ("*", ("gluings", "*", "description"), "*"): (
-        "a gluing description is a free-text label: type-checked, carried verbatim, read by no rule"
+    ((7, 3, 16, 5), ("gluings", frozenset({0, 1, 2, 4}), "description"), frozenset(RECIPE_DESCRIPTIONS)): (
+        DESCRIPTION_MOVE
     ),
-    ("*", ("gluings", "*", "tag"), "*"): (
-        "a gluing tag is a label: the ledger reads the gluing's parameter_dim, which the audit checks"
+    ((6, 2, 9, 3), ("gluings", frozenset({0, 1, 2}), "description"), frozenset(RECIPE_DESCRIPTIONS)): (
+        DESCRIPTION_MOVE
     ),
     ("*", ("notes", "*"), "*"): "a note is free text carried verbatim",
     ((7, 3, 30, 5), ("tables", 0, "at_q", 1, 0), 8): (
@@ -49,12 +62,21 @@ ALLOWED = {
 
 # (dump, leaf raised by 1, leaf lowered by 1), "*" matching anything, and why it survives.
 ALLOWED_PAIRS = {
-    ("*", ("gluings", "*", "parameter_dim"), ("gluings", "*", "parameter_dim")): (
-        "a gluing dimension enters the audit only through the total, and no rule derives one node's dimension"
-    ),
     ((7, 3, 30, 5), ("tables", 0, "at_q", 1, 1), ("tables", 0, "at_q", 0, 1)): (
         "a crude limit series: one section moves from order 6 to order 7 at Q1, node 1 is no longer "
         "exact, but every pair sum is still >= b and every component rule holds"
+    ),
+}
+
+
+# (dump, (leaf, move), (leaf, move)) and why it survives.
+ALLOWED_COUPLED = {
+    ((7, 3, 30, 5), (("tables", 0, "at_q", 0, 1), -1), (("tables", 0, "at_q", 1, 1), 1)): (
+        "the paired gate's crude limit series: one section moves from order 6 to order 7 at Q1"
+    ),
+    ((7, 3, 30, 5), (("tables", 0, "at_q", 1, 0), 1), (("tables", 1, "at_p", 0, 0), -1)): (
+        "another refined limit series: order 7 at Q1 becomes 8 and its partner at P2 becomes 2, so node 1 "
+        "stays exact and every component rule holds"
     ),
 }
 
@@ -116,14 +138,11 @@ def _passes(doc) -> bool:
 
 
 def _matches(pattern, mutation) -> bool:
-    """Whether a mutation fits a pattern entry by entry, "*" matching any
-    entry or any key of a path."""
-    return all(
-        p == "*" or p == m or (
-            isinstance(p, tuple) and len(p) == len(m) and all(a in ("*", b) for a, b in zip(p, m))
-        )
-        for p, m in zip(pattern, mutation)
-    )
+    """Whether a mutation fits a pattern: "*" fits anything, a frozenset any
+    of its members, and a tuple a tuple of as many entries that each fit."""
+    if isinstance(pattern, tuple) and isinstance(mutation, tuple):
+        return len(pattern) == len(mutation) and all(map(_matches, pattern, mutation))
+    return pattern == "*" or pattern == mutation or (isinstance(pattern, frozenset) and mutation in pattern)
 
 
 def _dumps():
@@ -170,9 +189,28 @@ def _paired_moves():
                         yield (dump, up, down), _mutated(doc, (up, up_value + 1), (down, down_value - 1))
 
 
+def _node_coupled_moves():
+    for dump, doc in _dumps():
+        ints = [(path, value) for path, value in _leaves(doc) if type(value) is int]
+
+        def under(*prefix):
+            return [(path, value) for path, value in ints if path[:len(prefix)] == prefix]
+
+        g = len(doc["tables"])
+        groups = [under("bundles", i) + under("tables", i) for i in range(g)]
+        groups += [under("tables", n - 1, "at_q") + under("tables", n, "at_p") for n in range(1, g)]
+        for (a, a_value), (b, b_value) in dict.fromkeys(pair for group in groups for pair in combinations(group, 2)):
+            for da, db in product((1, -1), repeat=2):
+                yield (dump, (a, da), (b, db)), _mutated(doc, (a, a_value + da), (b, b_value + db))
+
+
 def test_every_single_leaf_mutation_fails_unless_allowed():
     _assert_gate(_single_leaf_mutations(), ALLOWED, 1115)
 
 
 def test_every_paired_move_fails_unless_allowed():
     _assert_gate(_paired_moves(), ALLOWED_PAIRS, 6582)
+
+
+def test_every_node_coupled_move_fails_unless_allowed():
+    _assert_gate(_node_coupled_moves(), ALLOWED_COUPLED, 10196)

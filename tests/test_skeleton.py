@@ -180,7 +180,7 @@ def _frozen_records():
     input records."""
     s = construct(Params(7, 3, 16, 5))
     return [
-        s.bundles[1].summands[0], s.bundles[0], s.bundles[1], s.tables[0], s.gluings[0], s,
+        s.bundles[1].summands[0], s.bundles[0], s.bundles[1], s.tables[0], s,
         s.params, s.decomposition,
         PairingInstance(((0, 1),), ((1, 1),), threshold=2),
         SweepConfig(g=(2, 3), r=(1, 2)),
