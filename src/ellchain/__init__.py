@@ -14,7 +14,6 @@ from .ledger import AuditResult, DimensionLedger, LedgerRow, audit_equals_rho, l
 from .oracle import (
     DEFAULT_BOUND,
     CrossValidation,
-    PairingInstance,
     cross_validate,
     exists_feasible_pairing,
     min_sum_pairing_exists,
@@ -70,7 +69,6 @@ __all__ = [
     "KLERegime",
     "LedgerRow",
     "LimitSeriesSkeleton",
-    "PairingInstance",
     "ParameterError",
     "Params",
     "Summand",

@@ -201,11 +201,17 @@ class LimitSeriesSkeleton:
             raise ParameterError("skeleton needs exactly g-1 gluings")
         twisted = [b.rank - b.moduli if b.kind == "mixed" else 0 for b in self.bundles[1:]]
         dims = [r * r - t * (r - t) for t in twisted]
-        t = twisted[0]
-        if t and self.bundles[0].kind == "first_special":
-            m = dict(self.tables[0].at_q).get(self.b, 0)
+        if self.node_one_reads_q1:
+            t, m = twisted[0], dict(self.tables[0].at_q).get(self.b, 0)
             dims[0] = r * r - t * (r - m if self.bundles[1].min_twist == 0 else m)
         object.__setattr__(self, "gluing_dims", tuple(dims))
+
+    @property
+    def node_one_reads_q1(self) -> bool:
+        """Whether node 1's dimension reads Q1's table (the exception
+        above): a first_special bundle enters a twisted summand."""
+        entered = self.bundles[1]
+        return self.bundles[0].kind == "first_special" and entered.kind == "mixed" and entered.rank > entered.moduli
 
     @property
     def decomposition(self) -> Decomposition:
@@ -397,5 +403,10 @@ def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
     written = skeleton_to_json_dict(skeleton)
     if written != doc or not _rebuilt_ints_exact(doc):
         path, got, want = _first_difference(doc, written)  # type: ignore[misc]
-        raise ParameterError(f"stale {path}: the document has {got!r}, the skeleton gives {want!r}")
+        read = ""
+        if path.endswith(".parameter_dim"):  # name the fields the dimension is derived from
+            i = int(path[len("gluings[") : -len("].parameter_dim")])
+            q1 = i == 0 and skeleton.node_one_reads_q1
+            read = f" (derived from {'bundles[0], bundles[1] and tables[0].at_q' if q1 else f'bundles[{i + 1}]'})"
+        raise ParameterError(f"stale {path}: the document has {got!r}, the skeleton gives {want!r}{read}")
     return skeleton

@@ -17,17 +17,18 @@ Checks performed:
   the P and Q sides must total the same (else no pairing exists), and the
   pairing induced on each component by sorting P-orders ascending against
   Q-orders descending must respect the section rules on an elliptic
-  component: per-order multiplicity at most r, pair sums at most d1, and
-  pairs summing to exactly d1 only within the exceptional capacity (the
-  matching twisted summands for a mixed bundle, d2 per order for the
-  special first bundle). `component_preconditions` states the rules no
-  pairing can change and `exceptional_capacity` the capacity; the oracle
-  reads both rather than restating them.
+  component: pair sums at most d1, and pairs summing to exactly d1 only
+  within the exceptional capacity (the matching twisted summands for a
+  mixed bundle, d2 per order for the special first bundle).
+  `component_preconditions` states the rules no pairing can change and
+  `exceptional_capacity` the capacity; the oracle reads both rather than
+  restating them.
 * boundary minimality: the P-table of the first component and the Q-table of
   the last equal the minimal table {0..k1-1: r, k1: k2}.
 * multiplicity bounds: every order lies in [0, d1] with multiplicity <= r and
   each point's multiplicities total k (a VanishingTable already holds only
-  positive multiplicities).
+  positive multiplicities). Only this check states "multiplicity <= r",
+  which its passing witness names as `max_multiplicity`.
 
 The rules read the summaries a table, a bundle and the params carry (side
 totals, largest multiplicity, rank, lowest and highest twist, the
@@ -48,11 +49,10 @@ partners of a concordant pair, to (x, y') and (x', y), removes it. At a node
 the swap cannot lower the minimum: both new sums are >= x + y, the smaller
 old sum (the rearrangement inequality). On a component the swap keeps every
 rule: both new sums are < x' + y' <= d1, so no sum exceeds d1, and no new
-sum equals d1, so no order's exceptional count grows; the multiplicity rule
-does not depend on the pairing. Swapping until no concordant pair is left
-ends, since each swap lowers the sum of the products x*y by
-(x' - x)(y' - y) > 0, at the anti-sorted pairing, so the anti-sorted pairing
-is valid whenever any pairing is.
+sum equals d1, so no order's exceptional count grows. Swapping until no
+concordant pair is left ends, since each swap lowers the sum of the
+products x*y by (x' - x)(y' - y) > 0, at the anti-sorted pairing, so the
+anti-sorted pairing is valid whenever any pairing is.
 
 The genericity condition (sections determined by their nodal values) is not
 machine-checkable in this model and is carried as an assumption with its own
@@ -213,10 +213,9 @@ def component_preconditions(
     `bundle_rank` (the bundle has rank r), `bundle_shape` (a first_special
     bundle sits on component 1, and its blocks total its degree with
     coprime rank and degree; a mixed bundle, a sum of degree-d1 lines, has
-    degree rank*d1; every twist lies in [0, d1]), `side_totals`
-    (the two sides total the same, else no pairing exists) and
-    `order_multiplicity` (at most r per order). O(1) on the stored
-    summaries unless a multiplicity is above r."""
+    degree rank*d1; every twist lies in [0, d1]) and `side_totals` (the
+    two sides total the same, else no pairing exists). O(1) on the stored
+    summaries. A multiplicity above r is `check_multiplicity_bounds`'s."""
     violations: list[dict[str, Any]] = []
     if bundle.rank != r:
         violations.append({"rule": "bundle_rank", "rank": bundle.rank, "expected": r})
@@ -242,13 +241,6 @@ def component_preconditions(
         )
     if table.total_p != table.total_q:
         violations.append({"rule": "side_totals", "total_p": table.total_p, "total_q": table.total_q})
-    if table.max_mult > r:
-        for point, side in (("P", table.at_p), ("Q", table.at_q)):
-            for order, mult in side:
-                if mult > r:
-                    violations.append(
-                        {"rule": "order_multiplicity", "point": point, "order": order, "mult": mult, "max": r}
-                    )
     return violations
 
 

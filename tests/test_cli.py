@@ -146,7 +146,10 @@ class TestVerifyFileAuditAndLoad:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify-file", str(path)]) == 1
         out = capsys.readouterr().out
-        assert out == f"cannot load {path}: stale gluings[0].parameter_dim: the document has 999, the skeleton gives 8\n"
+        assert out == (
+            f"cannot load {path}: stale gluings[0].parameter_dim: the document has 999, the skeleton gives 8"
+            " (derived from bundles[0], bundles[1] and tables[0].at_q)\n"
+        )
         assert main(["verify-file", str(path), "--format", "json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "stale gluings[0].parameter_dim" in captured.err
@@ -159,7 +162,20 @@ class TestVerifyFileAuditAndLoad:
         assert main(["verify-file", str(path)]) == 1
         out = capsys.readouterr().out
         assert out.startswith(f"cannot load {path}: stale gluings[2].parameter_dim: the document has 999, the skeleton")
-        assert out.endswith("gives 9\n")
+        assert out.endswith("gives 9 (derived from bundles[3])\n")
+
+    def test_table_edit_names_the_fields_a_gluing_dimension_reads(self, tmp_path, capsys):
+        # Order b = 5 leaves Q1, so node 1's derived dimension moves from 8
+        # to 9; the first stale field is the gluing's, and the message names
+        # the fields that dimension is read from, the edited table included.
+        path, doc = _dumped(tmp_path, capsys)
+        doc["tables"][0]["at_q"] = [[3, 4], [4, 5]]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-file", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            f"cannot load {path}: stale gluings[0].parameter_dim: the document has 8, the skeleton gives 9"
+            " (derived from bundles[0], bundles[1] and tables[0].at_q)\n"
+        )
 
     def test_moved_gluing_dimension_unit_cannot_load(self, tmp_path, capsys):
         # One unit moved between two nodes keeps the ledger total, so only

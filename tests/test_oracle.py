@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import constructible_tuples
 from ellchain import (
     DEFAULT_BOUND,
-    PairingInstance,
     Params,
     VanishingTable,
     construct,
@@ -19,7 +18,7 @@ from ellchain import (
 )
 from ellchain.cli import SweepConfig
 from ellchain.errors import InstanceTooLarge
-from ellchain.oracle import component_instance
+from ellchain.verify import exceptional_capacity
 
 
 def _runs(counts):
@@ -27,41 +26,47 @@ def _runs(counts):
     return tuple(sorted(counts.items()))
 
 
-def _inst(left, right, threshold, budget=None):
-    return PairingInstance(_runs(left), _runs(right), threshold, _runs(budget or {}))
+def _capped(left, right, threshold, budget=None):
+    return exists_feasible_pairing(_runs(left), _runs(right), threshold, budget or {})
+
+
+SEARCHES = [
+    pytest.param(lambda left, right: exists_feasible_pairing(left, right, 3, {}), id="capped"),
+    pytest.param(lambda left, right: min_sum_pairing_exists(left, right, 3), id="min_sum"),
+]
+
+
+class TestGuard:
+    # Both searches share one guard, and its messages are the notices
+    # cross_validate records for a skipped instance.
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_unequal_totals_rejected(self, search):
+        with pytest.raises(ValueError, match=r"^sides total 2 and 1$"):
+            search(((0, 2),), ((0, 1),))
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_instance_too_large(self, search):
+        with pytest.raises(InstanceTooLarge, match=rf"^instance size 9 exceeds oracle bound {DEFAULT_BOUND}$"):
+            search(((0, 9),), ((0, 9),))
+        assert isinstance(search(((0, 8),), ((3, 8),)), bool)  # the bound itself is searched
 
 
 class TestCappedMode:
     def test_simple_feasible(self):
-        ok, witness = exists_feasible_pairing(_inst({0: 1, 1: 1}, {1: 1, 2: 1}, threshold=3))
-        assert ok
-        assert sorted(witness) == [(0, 2), (1, 1)]
-        assert all(x + y <= 2 for x, y in witness)
+        assert _capped({0: 1, 1: 1}, {1: 1, 2: 1}, threshold=3)
 
     def test_simple_infeasible(self):
         # every bijection pairs the 2 with something summing past the cap
-        ok, witness = exists_feasible_pairing(_inst({2: 1, 0: 1}, {2: 1, 1: 1}, threshold=3))
-        assert not ok and witness is None
+        assert not _capped({2: 1, 0: 1}, {2: 1, 1: 1}, threshold=3)
 
     def test_single_exceptional_pair(self):
         for d, a in [(4, 1), (5, 0), (6, 6)]:
-            ok, witness = exists_feasible_pairing(_inst({a: 1}, {d - a: 1}, threshold=d, budget={a: 1}))
-            assert ok and witness == ((a, d - a),)
+            assert _capped({a: 1}, {d - a: 1}, threshold=d, budget={a: 1})
+            assert not _capped({a: 1}, {d - a: 1}, threshold=d)
 
     def test_budget_exhaustion(self):
-        inst = _inst({1: 2}, {3: 2}, threshold=4, budget={1: 1})
-        ok, _ = exists_feasible_pairing(inst)
-        assert not ok
-        ok, _ = exists_feasible_pairing(_inst({1: 2}, {3: 2}, threshold=4, budget={1: 2}))
-        assert ok
-
-    def test_unequal_totals_rejected(self):
-        with pytest.raises(ValueError):
-            _inst({0: 2}, {0: 1}, threshold=3)
-
-    def test_instance_too_large(self):
-        with pytest.raises(InstanceTooLarge):
-            exists_feasible_pairing(_inst({0: 9}, {0: 9}, threshold=3))
+        assert not _capped({1: 2}, {3: 2}, threshold=4, budget={1: 1})
+        assert _capped({1: 2}, {3: 2}, threshold=4, budget={1: 2})
 
     @given(
         left=st.dictionaries(st.integers(0, 5), st.integers(1, 2), min_size=1, max_size=3),
@@ -79,10 +84,8 @@ class TestCappedMode:
         )
         threshold = data.draw(st.integers(2, 8))
         budget = data.draw(st.dictionaries(st.integers(0, 5), st.integers(0, 2), max_size=3))
-        fwd, _ = exists_feasible_pairing(_inst(left, right, threshold, budget))
         mirrored = {threshold - a: m for a, m in budget.items()}
-        bwd, _ = exists_feasible_pairing(_inst(right, left, threshold, mirrored))
-        assert fwd == bwd
+        assert _capped(left, right, threshold, budget) == _capped(right, left, threshold, mirrored)
 
 
 class TestMinSumMode:
@@ -127,7 +130,7 @@ class TestCrossValidation:
     def test_oversized_instances_skipped_with_notice(self):
         s = construct(Params(3, 4, 40, 9))  # k = 9 exceeds the default bound
         cv = cross_validate(s)
-        assert cv.checks == () and cv.skipped
+        assert cv.checks == () and cv.skipped == ("k=9 exceeds oracle bound 8",)
         assert cv.ok
 
     def test_fuzzed_corruptions_still_agree(self):
@@ -156,30 +159,29 @@ class TestCrossValidation:
             assert cv.ok, f"greedy/oracle disagreement after corrupting C{idx + 1} at {side_name}"
 
     def test_p_order_budget_matches_full_budget(self):
-        # component_instance budgets only the table's P-orders, the orders
-        # the capped search charges; the full budget, every order 0..d1 at
-        # d2 for the special first bundle or the summed summand twists,
-        # must give the same verdict. A component beyond the oracle bound
-        # (k = 9) cannot be searched, so there the budgets must agree on
-        # every order the search would read.
+        # cross_validate budgets only the table's P-orders, the orders the
+        # capped search charges; the full budget, every order 0..d1 at d2
+        # for the special first bundle or the summed summand twists, must
+        # give the same verdict. A component beyond the oracle bound (k = 9)
+        # cannot be searched, so there the budgets must agree on every order
+        # the search would read.
         searched = 0
         for p, _ in constructible_tuples(SweepConfig(g=(2, 7), r=(1, 3))):
             s = construct(p)
             d1, d2 = p.decomposition.d1, p.decomposition.d2
             for bundle, table in zip(s.bundles, s.tables):
                 if bundle.kind == "first_special":
-                    budget = {a: d2 for a in range(d1 + 1)}
+                    full = {a: d2 for a in range(d1 + 1)}
                 else:
-                    budget = {}
+                    full = {}
                     for summand in bundle.summands:
                         if summand.twist is not None:
-                            budget[summand.twist] = budget.get(summand.twist, 0) + summand.mult
-                inst = component_instance(bundle, table, d1=d1, d2=d2)
+                            full[summand.twist] = full.get(summand.twist, 0) + summand.mult
+                budget = {o: exceptional_capacity(bundle, o, d2=d2) for o, _ in table.at_p}
                 if p.k > DEFAULT_BOUND:
-                    reads = [o for o, _ in table.at_p]
-                    assert [dict(inst.budget)[o] for o in reads] == [budget.get(o, 0) for o in reads]
+                    assert budget == {o: full.get(o, 0) for o in budget}
                     continue
-                full = PairingInstance(table.at_p, table.at_q, threshold=d1, budget=_runs(budget))
-                assert exists_feasible_pairing(inst)[0] == exists_feasible_pairing(full)[0], p
+                verdict = exists_feasible_pairing(table.at_p, table.at_q, d1, budget)
+                assert verdict == exists_feasible_pairing(table.at_p, table.at_q, d1, full), p
                 searched += 1
         assert searched > 10_000

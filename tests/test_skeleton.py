@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ellchain import (
     ComponentBundle,
-    PairingInstance,
     Params,
     Summand,
     VanishingTable,
@@ -182,7 +181,6 @@ def _frozen_records():
     return [
         s.bundles[1].summands[0], s.bundles[0], s.bundles[1], s.tables[0], s,
         s.params, s.decomposition,
-        PairingInstance(((0, 1),), ((1, 1),), threshold=2),
         SweepConfig(g=(2, 3), r=(1, 2)),
     ]
 

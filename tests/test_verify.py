@@ -135,10 +135,17 @@ class TestComponentFeasibility:
         assert verdict.ok == (not expected)
 
     def test_multiplicity_above_rank_rejected(self):
-        bundle = _mixed((Summand(mult=2),))
-        table = _table({0: 3}, {1: 3})
-        verdict = check_component_feasibility(1, bundle, table, d1=4, d2=0, r=2)
-        assert any(v["rule"] == "order_multiplicity" for v in verdict.violations)
+        # "multiplicity <= r" has one checker, multiplicity_bounds; the
+        # component check leaves it alone, as no pairing can change it.
+        s = construct(Params(4, 2, 8, 4))  # r = 2, d1 = 4
+        tables = list(s.tables)
+        tables[1] = VanishingTable(((1, 3), (2, 1)), s.table(2).at_q)
+        broken = dataclasses.replace(s, tables=tuple(tables))
+        verdict = check_component_feasibility(2, broken.bundle(2), broken.table(2), d1=4, d2=0, r=2)
+        assert verdict.ok and verdict.violations == ()
+        entry = check_multiplicity_bounds(broken)
+        assert entry.status == "fail"
+        assert entry.witness == {"offenders": [{"component": 2, "point": "P", "order": 1, "mult": 3}]}
 
 
 class TestSlope:
@@ -240,12 +247,6 @@ def _component_reference(bundle, table, d1, d2, r):
                            "highest": max(twists), "min": 0, "max": d1})
     if total_p != total_q:
         violations.append({"rule": "side_totals", "total_p": total_p, "total_q": total_q})
-    violations += [
-        {"rule": "order_multiplicity", "point": point, "order": order, "mult": mult, "max": r}
-        for point, side in (("P", table.at_p), ("Q", table.at_q))
-        for order, mult in side
-        if mult > r
-    ]
     top_groups = {}
     for x, y in zip(expand_ascending(table.at_p), expand_descending(table.at_q)):
         if x + y > d1:
