@@ -1,15 +1,18 @@
 """Explicit skeleton construction for the four parameter regimes.
 
-Every recipe fixes the twist parameter b = d1 and emits the chain in order,
-one entry per component: its bundle, the vanishing multiset of the
-k-dimensional section space at its Q point, and the description of the
-gluing entering it, None on component 1 and at a generic node (the
-skeleton derives each node's dimension from the bundles it joins). No
-entry carries an index; `construct` walks the list once, and the
-skeleton's count check (g bundles and tables, g-1 gluings) is the one
-length rule. Component 1 carries degree d; every other component carries
-degree r*d1, which is the unique choice balancing total degree against the
-twist.
+Every recipe fixes the twist parameter b = d1 and emits the head of the
+chain in order, one entry per component: its bundle, the vanishing
+multiset of the k-dimensional section space at its Q point, and the
+description of the gluing entering it, None on component 1 and at a
+generic node (the skeleton derives each node's dimension from the bundles
+it joins). `construct` then appends the one generic-line tail every regime
+ends in: r generic lines on each component i of the layout's tail (2..g
+for LARGE_SECTIONS), Q side topping out at g-i+k1, which is d1-i+t+s in a
+small case since d1 + t + s = g + k1. No entry carries an index;
+`construct` walks the list once, and the skeleton's count check (g
+bundles and tables, g-1 gluings) is the one length rule. Component 1
+carries degree d; every other component carries degree r*d1, which is the
+unique choice balancing total degree against the twist.
 
 The P sides follow from exact gluing: at every node each order at Q_i meets
 one at P_{i+1} summing to b = d1 (a refined limit series), so `construct`
@@ -19,17 +22,17 @@ to d1 minus the previous Q side. Two Q-side shapes serve all recipes:
 
 Regime layouts (t is the regime's tail threshold, `params.tail_threshold`):
 
-* LARGE_SECTIONS (d + r(1-g) >= k): special first bundle, then generic lines
-  everywhere, generic gluings; the section space slides one vanishing step
-  per component.
+* LARGE_SECTIONS (d + r(1-g) >= k): special first bundle, then the tail on
+  components 2..g, generic gluings; the section space slides one vanishing
+  step per component.
 * SMALL_A (d2 < k2) and SMALL_B (0 != d2 >= k2) share one recipe with a
   shift s, 0 for SMALL_A and 1 for SMALL_B. With t = g+k1-d1-s and the
   early excess e = k2-d2+s*r: special first bundle; components 3..k1+2
   carry O((2i-3-s)P+...)^e plus r-e generic lines; then alpha-blocks of k1+1
   components each (alpha = 1..t-1), the first of each block carrying
   O((k1*alpha+1-s)P+...)^(k2) plus lines and the rest fully twisted; then a
-  generic-line tail of g-(k1+1)t-1 components. Every order window, block
-  twist and tail offset of SMALL_B is SMALL_A's shifted by s. Only three
+  generic-line tail of g-(k1+1)t-1 components. Every order window and
+  block twist of SMALL_B is SMALL_A's shifted by s. Only three
   things depend on the case: component 2 carries O(P+(d1-1)Q)^e plus lines
   in SMALL_A (the early pattern) but O(d1*Q)^(k2) plus lines in SMALL_B; the
   gluing at node 1; and SMALL_B's note on node 2.
@@ -38,8 +41,8 @@ Regime layouts (t is the regime's tail threshold, `params.tail_threshold`):
   alpha = 0..t-1; generic-line tail (nonempty under the strict hypothesis).
 
 `layout(case, dec, g)` states these parts once: the small recipes fill its
-line chain and tail, each component carries the gluing of its part, and the
-ledger groups its rows by the same parts.
+line chain, `construct` its tail, each component carries the gluing of its
+part, and the ledger groups its rows by the same parts.
 
 The verifier re-derives nothing from here: it checks the emitted data against
 the balance, pairing, feasibility and boundary rules independently, exact
@@ -142,11 +145,8 @@ def _block_q(base: int, beta: int, width: int, head: int, *, r: int, d1: int) ->
 
 
 def _build_large(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, list[str]]:
-    g, r = p.g, p.r
-    d1, d2, k1, k2 = dec.d1, dec.d2, dec.k1, dec.k2
-    line = _mixed(r * d1, _lines(r))
-    chain: Chain = [(_first_special(p, dec), _staircase_q(g - 1 + k1, k1=k1, r=r, head=k2), None)]
-    chain += [(line, _staircase_q(g - i + k1, k1=k1, r=r, head=k2), None) for i in _run(2, g)]
+    d2, k1, k2 = dec.d2, dec.k1, dec.k2
+    chain: Chain = [(_first_special(p, dec), _staircase_q(p.g - 1 + k1, k1=k1, r=p.r, head=k2), None)]
     notes = []
     if d2 != k2:
         notes.append(
@@ -159,12 +159,9 @@ def _build_large(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, list
 
 def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, list[str]]:
     """The SMALL_A (s = 0) / SMALL_B (s = 1) recipe."""
-    g, r = p.g, p.r
-    d1, d2, k1, k2 = dec.d1, dec.d2, dec.k1, dec.k2
+    r, d1, d2, k1, k2 = p.r, dec.d1, dec.d2, dec.k1, dec.k2
     s = 0 if case is Case.SMALL_A else 1
-    t = tail_threshold(case, dec, g)
     e = k2 - d2 + s * r
-    parts = layout(case, dec, g)
 
     def early_q(i: int) -> Runs:
         # Orders top-k1-1 up to top = d1-i+1+s: top carries k2, d1-2i+2+s
@@ -201,33 +198,25 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, li
         ),
         (_mixed(r * d1, second), early_q(2), second_gluing),
     ]
-    for i in parts["line_chain"]:
+    for i in layout(case, dec, p.g)["line_chain"]:
         chain.append((_mixed(r * d1, _twisted(2 * i - 3 - s, e) + _lines(r - e)), early_q(i), "line_block->line_block"))
 
     # Alpha-blocks at base k1*alpha-s: in SMALL_B the recipe's own gluing
     # and section-space lines fix the head's twist at k1*alpha, one below
     # SMALL_A's.
-    for alpha in _run(1, t - 1):
+    for alpha in _run(1, tail_threshold(case, dec, p.g) - 1):
         for beta in _run(1, k1 + 1):
             bundle, at_q = _block_q(alpha * k1 - s, beta, k1 + 1, k2, r=r, d1=d1)
             chain.append((bundle, at_q, "twisted_block->section_chain" if beta == 1 else None))
-
-    line = _mixed(r * d1, _lines(r))
-    chain += [(line, _staircase_q(d1 - i + t + s, k1=k1, r=r, head=k2), None) for i in parts["tail"]]
     return chain, notes
 
 
 def _build_small_c(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, list[str]]:
-    g, r = p.g, p.r
-    d1, k1 = dec.d1, dec.k1
-    t = tail_threshold(case, dec, g)
-    line = _mixed(r * d1, _lines(r))
-    chain: Chain = [(line, _staircase_q(d1, k1=k1, r=r, head=0), None)]
-    for alpha in _run(0, t - 1):
+    r, d1, k1 = p.r, dec.d1, dec.k1
+    chain: Chain = [(_mixed(r * d1, _lines(r)), _staircase_q(d1, k1=k1, r=r, head=0), None)]
+    for alpha in _run(0, tail_threshold(case, dec, p.g) - 1):
         for beta in _run(1, k1):
             chain.append((*_block_q(alpha * (k1 - 1), beta, k1, r, r=r, d1=d1), None))
-    tail = layout(case, dec, g)["tail"]
-    chain += [(line, _staircase_q(d1 - i + t + 1, k1=k1, r=r, head=0), None) for i in tail]
     return chain, []
 
 
@@ -243,13 +232,18 @@ def construct(p: Params) -> LimitSeriesSkeleton:
     """Classify a tuple and build its complete skeleton.
 
     Propagates KLERegime / HypothesisFailed from classification. A recipe
-    whose chain is not g components long, or a table side breaking the
-    VanishingTable invariant, raises ParameterError from the skeleton's
-    own checks; neither can happen on a tuple that classifies.
+    whose head plus the tail is not g components long, or a table side
+    breaking the VanishingTable invariant, raises ParameterError from the
+    skeleton's own checks; neither can happen on a tuple that classifies.
     """
-    classification = classify(p)
+    case = classify(p).case
     dec = p.decomposition
-    chain, notes = _BUILDERS[classification.case](p, dec, classification.case)
+    chain, notes = _BUILDERS[case](p, dec, case)
+    # The generic-line tail. Its components come from the layout, not from
+    # padding the chain to g, so a recipe that drops one still fails the count.
+    tail = range(2, p.g + 1) if case is Case.LARGE_SECTIONS else layout(case, dec, p.g)["tail"]
+    line = _mixed(p.r * dec.d1, _lines(p.r))
+    chain += [(line, _staircase_q(p.g - i + dec.k1, k1=dec.k1, r=p.r, head=dec.k2), None) for i in tail]
 
     # Exact gluing: each later P side is d1 minus the previous Q side.
     at_p = minimal_boundary_table(p.r, dec.k1, dec.k2)
@@ -261,7 +255,7 @@ def construct(p: Params) -> LimitSeriesSkeleton:
 
     return LimitSeriesSkeleton(
         params=p,
-        case=classification.case,
+        case=case,
         b=dec.d1,
         bundles=bundles,
         tables=tuple(tables),

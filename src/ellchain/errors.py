@@ -18,14 +18,14 @@ class KLERegime(EngineError):
 class HypothesisFailed(EngineError):
     """The hypothesis inequality of the classified case fails.
 
-    Carries the failing check plus every check evaluated, so callers can
-    report which inequality failed and by how much.
+    The message is the failing check's `describe()` line and `failed` is that
+    HypothesisCheck, so callers can report which inequality failed and by
+    how much (its slack).
     """
 
-    def __init__(self, message: str, failed, checks) -> None:
+    def __init__(self, message: str, failed) -> None:
         super().__init__(message)
         self.failed = failed
-        self.checks = checks
 
 
 class InstanceTooLarge(EngineError):

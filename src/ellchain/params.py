@@ -6,6 +6,12 @@ genus, the bundle rank, the bundle degree and the dimension of the section
 space. The constructions require k > r; the Brill-Noether count itself is
 defined for any integers.
 
+Each small case's main hypothesis is one inequality g - w*t >= least, with
+t = `tail_threshold` and w = k1+1 (k1 for SMALL_C), the components per
+twisted block. The recipe's head fills w*t + 1 components, so the value minus
+one is the length of the generic-line tail: (***) and (*) (least 1) ask for a
+tail of at least 0 components, (**) (least 2) for at least 1.
+
 A Params carries its Euclidean decomposition, computed once when it is
 built; `classify` and every later layer read that stored value.
 Params and Decomposition are frozen, since that stored value is right only
@@ -107,6 +113,15 @@ def tail_threshold(case: Case, dec: Decomposition, g: int) -> int:
     return g + dec.k1 - dec.d1 - (0 if case is Case.SMALL_A else 1)
 
 
+# The main hypothesis g - w*t >= least per small case: name, w and t as
+# printed, least.
+_MAIN_HYPOTHESES = {
+    Case.SMALL_A: ("(***)", "(k1+1)", "(g-d1+k1)", 1),
+    Case.SMALL_B: ("(*)", "(k1+1)", "(g-d1+k1-1)", 1),
+    Case.SMALL_C: ("(**)", "k1", "(g-d1+k1-1)", 2),  # strict "> 1"
+}
+
+
 @dataclass(slots=True)
 class HypothesisCheck:
     """One inequality `value >= min_pass`, with its evaluated left side.
@@ -152,9 +167,9 @@ def classify(p: Params) -> Classification:
     """Classify a tuple with k > r into its construction regime.
 
     Raises KLERegime for k <= r and HypothesisFailed when the regime's
-    inequality (or its auxiliary deficiency condition) does not hold. The
-    returned record keeps every evaluated check, auxiliary ones included,
-    rather than assuming any implication between them.
+    inequality does not hold. The returned record keeps every evaluated
+    check: the auxiliary deficiency condition never fails on its own (off
+    LARGE_SECTIONS t >= 1), but its value and slack are part of the output.
     """
     if p.k <= p.r:
         raise KLERegime(f"k <= r regime not covered (k={p.k}, r={p.r})")
@@ -172,53 +187,17 @@ def classify(p: Params) -> Classification:
     if ls_check.satisfied:
         return Classification(Case.LARGE_SECTIONS, (ls_check,))
 
-    if d2 < k2:
-        case = Case.SMALL_A
-        t = tail_threshold(case, dec, g)
-        checks = (
-            HypothesisCheck(
-                name="(***)",
-                statement=f"g - (k1+1)*(g-d1+k1) = {g} - {k1 + 1}*{t}",
-                value=g - (k1 + 1) * t,
-                min_pass=1,
-            ),
-            HypothesisCheck(
-                name="generic_bundle_deficit",
-                statement=f"g - d1 + k1 = {g} - {d1} + {k1}",
-                value=t,
-                min_pass=1,
-            ),
-        )
-    elif d2 != 0:
-        case = Case.SMALL_B
-        t = tail_threshold(case, dec, g)
-        checks = (
-            HypothesisCheck(
-                name="(*)",
-                statement=f"g - (k1+1)*(g-d1+k1-1) = {g} - {k1 + 1}*{t}",
-                value=g - (k1 + 1) * t,
-                min_pass=1,
-            ),
-            HypothesisCheck(
-                name="generic_bundle_deficit",
-                statement=f"g + k1 - d1 = {g} + {k1} - {d1}",
-                value=t + 1,
-                min_pass=2,
-            ),
-        )
-    else:
-        case = Case.SMALL_C
-        t = tail_threshold(case, dec, g)
-        checks = (
-            HypothesisCheck(
-                name="(**)",
-                statement=f"g - k1*(g-d1+k1-1) = {g} - {k1}*{t}",
-                value=g - k1 * t,
-                min_pass=2,  # strict "> 1"
-            ),
-        )
+    case = Case.SMALL_A if d2 < k2 else Case.SMALL_B if d2 else Case.SMALL_C
+    name, w_text, t_text, least = _MAIN_HYPOTHESES[case]
+    w = k1 if case is Case.SMALL_C else k1 + 1
+    t = tail_threshold(case, dec, g)
+    checks = (HypothesisCheck(name, f"g - {w_text}*{t_text} = {g} - {w}*{t}", g - w * t, least),)
+    if case is Case.SMALL_A:
+        checks += (HypothesisCheck("generic_bundle_deficit", f"g - d1 + k1 = {g} - {d1} + {k1}", t, 1),)
+    elif case is Case.SMALL_B:
+        checks += (HypothesisCheck("generic_bundle_deficit", f"g + k1 - d1 = {g} + {k1} - {d1}", t + 1, 2),)
 
     for check in checks:
         if not check.satisfied:
-            raise HypothesisFailed(check.describe(), failed=check, checks=checks)
+            raise HypothesisFailed(check.describe(), failed=check)
     return Classification(case, checks)

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ellchain
 from ellchain import Case, Params, construct, verify
 from ellchain.cli import (
     SweepConfig,
@@ -463,6 +468,21 @@ class TestSweep:
     def test_corrupt_hook_requires_serial(self):
         with pytest.raises(ParameterError):
             run_sweep(SweepConfig(g=(2, 2), r=(1, 1), jobs=2), corrupt=lambda t, s: s)
+
+    def test_closed_pipe_exits_quietly(self):
+        # `ellchain sweep | head -1`: the default lattice overflows the pipe
+        # buffer, so the sweep writes into a pipe its reader has closed.
+        src = str(Path(ellchain.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ellchain.cli", "sweep"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"g=2 r=1 ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (1, b"")
 
 
 def test_analyze_statuses():

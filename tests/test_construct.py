@@ -205,6 +205,9 @@ def test_tail_nonnegative_whenever_hypotheses_pass():
             continue
         n = len(layout(classification.case, p.decomposition, p.g)["tail"])
         assert n >= 0
+        # The main hypothesis is the tail budget: (***) and (*) ask for a
+        # tail of at least 0 components, (**) for at least 1.
+        assert n == classification.checks[0].value - 1
         if classification.case is Case.SMALL_C:
             assert n >= 1  # the strict hypothesis forces a nonempty tail
 

@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ellchain import (
@@ -14,6 +14,7 @@ from ellchain import (
     brill_noether_rho,
     classify,
     rho_value,
+    tail_threshold,
 )
 from ellchain.errors import HypothesisFailed, KLERegime, ParameterError
 
@@ -104,6 +105,48 @@ def test_classify_hypothesis_failure_reports_deficit():
     assert excinfo.value.failed.name == "(***)"
     assert excinfo.value.failed.value == 0
     assert "(***)" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "tup,lines",
+    [
+        ((7, 3, 16, 5), ["(***) holds: g - (k1+1)*(g-d1+k1) = 7 - 2*3 = 1 >= 1",
+                         "generic_bundle_deficit holds: g - d1 + k1 = 7 - 5 + 1 = 3 >= 1"]),
+        ((7, 3, 14, 4), ["(*) holds: g - (k1+1)*(g-d1+k1-1) = 7 - 2*3 = 1 >= 1",
+                         "generic_bundle_deficit holds: g + k1 - d1 = 7 + 1 - 4 = 4 >= 2"]),
+        ((6, 2, 9, 3), ["(*) holds: g - (k1+1)*(g-d1+k1-1) = 6 - 2*2 = 2 >= 1",
+                        "generic_bundle_deficit holds: g + k1 - d1 = 6 + 1 - 4 = 3 >= 2"]),
+        ((10, 2, 20, 6), ["(**) holds: g - k1*(g-d1+k1-1) = 10 - 3*2 = 4 >= 2"]),
+        ((8, 3, 16, 5), ["(***) fails: g - (k1+1)*(g-d1+k1) = 8 - 2*4 = 0 < 1"]),
+        ((2, 2, 3, 3), ["(*) fails: g - (k1+1)*(g-d1+k1-1) = 2 - 2*1 = 0 < 1"]),
+        ((3, 1, 3, 2), ["(**) fails: g - k1*(g-d1+k1-1) = 3 - 2*1 = 1 < 2"]),
+    ],
+)
+def test_hypothesis_text(tup, lines):
+    # The lines `check` prints and a rejection message carries.
+    try:
+        checks = classify(Params(*tup)).checks
+    except HypothesisFailed as exc:
+        assert [str(exc)] == [exc.failed.describe()] == lines
+    else:
+        assert [c.describe() for c in checks] == lines
+
+
+@given(g=st.integers(2, 40), r=st.integers(1, 7), d=st.integers(0, 400), k=st.integers(2, 400))
+def test_generic_bundle_deficit_never_fails_on_its_own(g, r, d, k):
+    # Not large means r(d1+1-g-k1) < k2-d2, and k2-d2 is at most r-1 in
+    # SMALL_A and at most 0 in SMALL_B and SMALL_C. So d1+1-g-k1 <= 0 in
+    # SMALL_A and <= -1 otherwise: t = g+k1-d1-s >= 1, which is the deficit
+    # check (t >= 1 in SMALL_A, t+1 >= 2 in SMALL_B).
+    assume(k > r and d + r * (1 - g) < k)
+    p = Params(g, r, d, k)
+    dec = p.decomposition
+    case = Case.SMALL_A if dec.d2 < dec.k2 else Case.SMALL_B if dec.d2 else Case.SMALL_C
+    assert tail_threshold(case, dec, g) >= 1
+    try:
+        classify(p)
+    except HypothesisFailed as exc:
+        assert exc.failed.name != "generic_bundle_deficit"
 
 
 @given(g=st.integers(2, 30), r=st.integers(1, 12), d=st.integers(0, 400), k=st.integers(1, 60),
