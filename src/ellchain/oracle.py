@@ -12,13 +12,29 @@ multiplicity) runs, as a VanishingTable side stores them:
   least b. This is the node condition between consecutive components.
 
 Both return a bool and share one guard, whose messages are the notices
-`cross_validate` records for an instance it skips: ValueError("sides total
-A and B") and, above the fixed bound DEFAULT_BOUND, InstanceTooLarge
-("instance size N exceeds oracle bound 8"). The search is memoized
-backtracking over the runs: the oracle the greedy verifier is validated
-against, never the production path. It states no component rule of its
-own: `cross_validate` reads the pairing-independent rules and the
-exceptional capacity from `verify`, so the search settles only the pairing.
+`cross_validate` records for an instance it skips. It checks, in order:
+sides that total differently, ValueError("sides total A and B"); a side
+whose orders do not strictly ascend or with a multiplicity below 1, a
+ValueError naming the side (the capped search stops at the first partner
+past the cap, sound only on ascending orders); and a total above the fixed
+bound DEFAULT_BOUND, InstanceTooLarge("instance size N exceeds oracle
+bound 8"). A VanishingTable side never trips the second check.
+
+The search is memoized backtracking: the oracle the greedy verifier is
+validated against, never the production path. Each search places the left
+units in one fixed order, the smallest order first (min-sum) or the largest
+first (capped), so the guard expands the left runs once into that list and
+the search recurses on the index i of the next unit. The units placed so far
+are then exactly units[:i], so i stands for the remaining left multiset, and
+a memo key is (i, right counts) in min-sum mode and (i, right counts,
+budgets) in capped mode: the same states as keying on the remaining left
+counts. A key is built only when a state fails, after its moves are undone,
+and looked up only once some state has failed, so a feasible instance
+resolves on its first descent without building one.
+
+It states no component rule of its own: `cross_validate` reads the
+pairing-independent rules and the exceptional capacity from `verify`, so the
+search settles only the pairing.
 """
 
 from __future__ import annotations
@@ -39,95 +55,117 @@ from .verify import (
 DEFAULT_BOUND = 8  # the largest total multiplicity the oracle searches
 
 
-def _unpack(left: Runs, right: Runs) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The orders and counts of both sides' runs, or the guard's error:
-    sides that total differently (no bijection exists) or a total above
-    DEFAULT_BOUND."""
-    lcounts = [m for _, m in left]
-    rcounts = [m for _, m in right]
-    size, other = sum(lcounts), sum(rcounts)
+def _read(name: str, side: Runs) -> tuple[list[int], list[int], int, str | None]:
+    """One side's orders, counts and total, and the first fault of its runs
+    in VanishingTable's words (None if none): an order that does not
+    strictly ascend, or a multiplicity below 1."""
+    orders: list[int] = []
+    counts: list[int] = []
+    total, fault = 0, None
+    for order, mult in side:
+        if fault is None:
+            if orders and order <= orders[-1]:
+                fault = f"{name}: order {order} after {orders[-1]}, orders must be strictly ascending"
+            elif mult < 1:
+                fault = f"{name}: order {order} has multiplicity {mult}, multiplicities must be positive"
+        orders.append(order)
+        counts.append(mult)
+        total += mult
+    return orders, counts, total, fault
+
+
+def _expand(left: Runs, right: Runs) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The left side as one run index per unit, ascending, with its orders,
+    and the right side's orders and counts; or the guard's error. Totals are
+    compared first (sides that total differently admit no bijection), then
+    each side's runs, then the total against DEFAULT_BOUND."""
+    lorders, lcounts, size, lfault = _read("left", left)
+    rorders, rcounts, other, rfault = _read("right", right)
     if size != other:
         raise ValueError(f"sides total {size} and {other}")
+    if lfault or rfault:
+        raise ValueError(lfault or rfault)
     if size > DEFAULT_BOUND:
         raise InstanceTooLarge(f"instance size {size} exceeds oracle bound {DEFAULT_BOUND}")
-    return [o for o, _ in left], lcounts, [o for o, _ in right], rcounts
+    units: list[int] = []
+    for li, mult in enumerate(lcounts):
+        units += [li] * mult
+    return units, lorders, rorders, rcounts
 
 
 def exists_feasible_pairing(left: Runs, right: Runs, threshold: int, budget: Mapping[int, int]) -> bool:
     """Exhaustive capped-mode search: does a bijection exist whose pairs sum
     to at most threshold-1, except that a pair summing to exactly threshold
     spends one unit of budget[its left order] (0 where absent)?"""
-    lorders, lcounts, rorders, rcounts = _unpack(left, right)
+    units, lorders, rorders, rcounts = _expand(left, right)
+    units.reverse()  # most constrained first: the largest left order
+    n = len(units)
     budgets = [budget.get(o, 0) for o in lorders]
-    failed: set[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = set()
+    partners = range(len(rorders))
+    failed: set[tuple[int, tuple[int, ...], tuple[int, ...]]] = set()
 
-    def rec(remaining: int) -> bool:
-        if remaining == 0:
+    def rec(i: int) -> bool:
+        if i == n:
             return True
-        key = (tuple(lcounts), tuple(rcounts), tuple(budgets))
-        if key in failed:
+        if failed and (i, tuple(rcounts), tuple(budgets)) in failed:
             return False
-        # Most constrained first: the largest remaining left order.
-        li = max(i for i, c in enumerate(lcounts) if c)
+        li = units[i]
         x = lorders[li]
-        lcounts[li] -= 1
         # Partners ascending, as the sorted greedy pairing takes them, so
         # feasible instances resolve on the first descent.
-        for ri, y in enumerate(rorders):
+        for ri in partners:
             if not rcounts[ri]:
                 continue
-            total = x + y
+            total = x + rorders[ri]
             if total > threshold:
-                break  # rorders ascending: larger y only gets worse
+                break  # rorders ascend: larger partners only get worse
             uses_budget = total == threshold
             if uses_budget:
                 if budgets[li] <= 0:
                     continue
                 budgets[li] -= 1
             rcounts[ri] -= 1
-            if rec(remaining - 1):
+            if rec(i + 1):
                 return True
             rcounts[ri] += 1
             if uses_budget:
                 budgets[li] += 1
-        lcounts[li] += 1
-        failed.add(key)
+        # Every move is undone, so this is the state the call was entered in.
+        failed.add((i, tuple(rcounts), tuple(budgets)))
         return False
 
-    return rec(sum(lcounts))
+    return rec(0)
 
 
 def min_sum_pairing_exists(left: Runs, right: Runs, b: int) -> bool:
     """Exhaustive minimum-sum search over two ascending run tables: does a
     bijection with all sums >= b exist?"""
-    lorders, lcounts, rorders, rcounts = _unpack(left, right)
-    failed: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    # Units ascend: the smallest left order, hardest to serve, goes first.
+    units, lorders, rorders, rcounts = _expand(left, right)
+    n = len(units)
+    partners = range(len(rorders))
+    failed: set[tuple[int, tuple[int, ...]]] = set()
 
-    def rec(remaining: int) -> bool:
-        if remaining == 0:
+    def rec(i: int) -> bool:
+        if i == n:
             return True
-        key = (tuple(lcounts), tuple(rcounts))
-        if key in failed:
+        if failed and (i, tuple(rcounts)) in failed:
             return False
-        # Smallest remaining left order is hardest to serve.
-        li = min(i for i, c in enumerate(lcounts) if c)
-        x = lorders[li]
-        lcounts[li] -= 1
+        need = b - lorders[units[i]]
         # Try the smallest sufficient partner first; it leaves the large
         # orders for the other hard left entries, so feasible instances
         # resolve on the first descent.
-        for ri in range(len(rorders)):
-            if not rcounts[ri] or x + rorders[ri] < b:
-                continue
-            rcounts[ri] -= 1
-            if rec(remaining - 1):
-                return True
-            rcounts[ri] += 1
-        lcounts[li] += 1
-        failed.add(key)
+        for ri in partners:
+            if rcounts[ri] and rorders[ri] >= need:
+                rcounts[ri] -= 1
+                if rec(i + 1):
+                    return True
+                rcounts[ri] += 1
+        # Every move is undone, so this is the state the call was entered in.
+        failed.add((i, tuple(rcounts)))
         return False
 
-    return rec(sum(lcounts))
+    return rec(0)
 
 
 @dataclass(slots=True)

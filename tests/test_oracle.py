@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,24 @@ class TestGuard:
         with pytest.raises(InstanceTooLarge, match=rf"^instance size 9 exceeds oracle bound {DEFAULT_BOUND}$"):
             search(((0, 9),), ((0, 9),))
         assert isinstance(search(((0, 8),), ((3, 8),)), bool)  # the bound itself is searched
+
+    def test_unsorted_runs_rejected(self):
+        # The capped search stops at the first partner past the cap, which is
+        # sound only on ascending orders: these unsorted runs used to read as
+        # infeasible, while the same multisets in ascending order are feasible.
+        assert exists_feasible_pairing(((0, 1), (1, 1)), ((0, 1), (9, 1)), 9, {0: 1})
+        with pytest.raises(ValueError, match=r"^right: order 0 after 9, orders must be strictly ascending$"):
+            exists_feasible_pairing(((0, 1), (1, 1)), ((9, 1), (0, 1)), 9, {0: 1})
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_runs_must_ascend_with_positive_multiplicities(self, search):
+        with pytest.raises(ValueError, match=r"^left: order 1 after 1, orders must be strictly ascending$"):
+            search(((1, 1), (1, 1)), ((0, 2),))
+        with pytest.raises(ValueError, match=r"^right: order 2 has multiplicity 0, multiplicities must be positive$"):
+            search(((0, 1),), ((1, 1), (2, 0)))
+        # Totals are compared first, so an unequal instance keeps its notice.
+        with pytest.raises(ValueError, match=r"^sides total 3 and 2$"):
+            search(((2, 1), (1, 2)), ((0, 2),))
 
 
 class TestCappedMode:
@@ -106,6 +126,53 @@ class TestMinSumMode:
         b = data.draw(st.integers(0, 12))
         if min_sum_pairing_exists(left, right, b + 1):
             assert min_sum_pairing_exists(left, right, b)
+
+
+class TestExhaustive:
+    # Both searches against an enumeration of every pairing of the expanded
+    # units, on every ordered pair of equal-size multisets with total <= 5
+    # over orders 0..4. Thresholds sit around the anti-sorted pairing's
+    # extreme sum, which is optimal, so each pair is met feasible and
+    # infeasible. The capped budgets run 0..2 per order (up to the order's
+    # multiplicity) on every left order that can meet the cap exactly, so
+    # some budgets run out. Both reach the failed-state memo.
+    @staticmethod
+    def _instances():
+        for size in range(1, 6):
+            msets = list(itertools.combinations_with_replacement(range(5), size))
+            for left in msets:
+                for right in msets:
+                    sums = [[x + y for x, y in zip(left, p)] for p in set(itertools.permutations(right))]
+                    anti = [x + y for x, y in zip(left, reversed(right))]
+                    yield left, right, sums, anti
+
+    def test_min_sum_matches_brute_force(self):
+        infeasible = 0
+        for left, right, sums, anti in self._instances():
+            lruns, rruns, best = _runs(Counter(left)), _runs(Counter(right)), max(map(min, sums))
+            for b in (min(anti) - 1, min(anti), min(anti) + 1):
+                found = min_sum_pairing_exists(lruns, rruns, b)
+                assert found == (best >= b), (left, right, b)
+                infeasible += not found
+        assert infeasible == 22_251  # one per ordered pair: the anti-sorted pairing is optimal
+
+    def test_capped_matches_brute_force(self):
+        infeasible = exhausted = 0
+        for left, right, sums, anti in self._instances():
+            lruns, rruns = _runs(Counter(left)), _runs(Counter(right))
+            for t in (max(anti) - 1, max(anti)):
+                # Per pairing within the cap, the units it charges to each left order.
+                charges = [Counter(x for x, s in zip(left, ss) if s == t) for ss in sums if max(ss) <= t]
+                chargeable = [(a, m) for a, m in lruns if t - a in right]
+                for caps in itertools.product(*(range(min(m, 2) + 1) for _, m in chargeable)):
+                    budget = {a: c for (a, _), c in zip(chargeable, caps)}
+                    found = exists_feasible_pairing(lruns, rruns, t, budget)
+                    expected = any(all(n <= budget.get(a, 0) for a, n in c.items()) for c in charges)
+                    assert found == expected, (left, right, t, budget)
+                    infeasible += not found
+                    exhausted += not found and bool(charges)
+            assert exists_feasible_pairing(lruns, rruns, max(anti) + 1, {})
+        assert infeasible > 100_000 and exhausted > 50_000
 
 
 class TestCrossValidation:
