@@ -109,9 +109,9 @@ class SweepConfig:
     fail_fast: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("g", "r"):
+        for name in ("g", "r", "k", "d"):
             bounds = getattr(self, name)
-            if bounds[0] > bounds[1]:
+            if bounds is not None and bounds[0] > bounds[1]:
                 raise ParameterError(f"empty {name} range {bounds}")
         if self.fmt not in ("text", "json"):
             raise ParameterError(f"format must be text or json, got {self.fmt!r}")

@@ -13,11 +13,13 @@ one is the length of the generic-line tail: (***) and (*) (least 1) ask for a
 tail of at least 0 components, (**) (least 2) for at least 1.
 
 A Params carries its Euclidean decomposition, computed once when it is
-built; `classify` and every later layer read that stored value.
-Params and Decomposition are frozen, since that stored value is right only
-while the fields it comes from cannot change. HypothesisCheck and
-Classification are result records, built once per call and handed to the
-caller, so they are plain slotted dataclasses.
+built; `classify` and every later layer read that stored value. Its
+hand-written `__init__` validates the tuple and stores all five fields in one
+instance-dict update, as the skeleton records do. Params and Decomposition
+are frozen, since that stored value is right only while the fields it comes
+from cannot change. HypothesisCheck and Classification are result records,
+built once per call and handed to the caller, so they are plain slotted
+dataclasses.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class Decomposition:
     dbar: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Params:
     """Input tuple: genus g >= 2, rank r >= 1, degree d >= 0, sections k >= 1."""
 
@@ -52,24 +54,23 @@ class Params:
     k: int
     decomposition: Decomposition = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        for name in ("g", "r", "d", "k"):
-            value = getattr(self, name)
+    def __init__(self, g: int, r: int, d: int, k: int) -> None:
+        for name, value in zip("grdk", (g, r, d, k)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.g < 2:
-            raise ParameterError(f"genus must be >= 2, got g={self.g}")
-        if self.r < 1:
-            raise ParameterError(f"rank must be >= 1, got r={self.r}")
-        if self.d < 0:
-            raise ParameterError(f"degree must be >= 0, got d={self.d}")
-        if self.k < 1:
-            raise ParameterError(f"section count must be >= 1, got k={self.k}")
-        d1, d2 = divmod(self.d, self.r)
-        k1, k2 = divmod(self.k, self.r)
-        h = gcd(self.d, self.r)
-        dec = Decomposition(d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=self.r // h, dbar=self.d // h)
-        object.__setattr__(self, "decomposition", dec)
+        if g < 2:
+            raise ParameterError(f"genus must be >= 2, got g={g}")
+        if r < 1:
+            raise ParameterError(f"rank must be >= 1, got r={r}")
+        if d < 0:
+            raise ParameterError(f"degree must be >= 0, got d={d}")
+        if k < 1:
+            raise ParameterError(f"section count must be >= 1, got k={k}")
+        d1, d2 = divmod(d, r)
+        k1, k2 = divmod(k, r)
+        h = gcd(d, r)
+        dec = Decomposition(d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=r // h, dbar=d // h)
+        self.__dict__.update(g=g, r=r, d=d, k=k, decomposition=dec)
 
 
 def rho_value(g: int, r: int, d: int, k: int) -> int:

@@ -15,8 +15,11 @@ Records carry their summaries, computed once when built: a table its side
 totals and largest multiplicity, a bundle its rank and twist range, the
 skeleton each node's gluing dimension. They are derived fields, left out of
 equality and repr, so `dataclasses.replace` recomputes them and every rule
-reads them instead of re-summing. The records are frozen so that a summary
-cannot go stale.
+reads them instead of re-summing. Each record is a frozen dataclass with a
+hand-written `__init__` (init=False) that validates, derives, and stores all
+fields, derived ones included, in one instance-dict update rather than one
+`object.__setattr__` per field. The generated `__setattr__` and `__delattr__`
+still raise FrozenInstanceError, so a summary cannot go stale.
 
 Skeletons serialize to a canonical JSON document (schema 1, sorted keys, no
 floats) used by the CLI and the test fixtures. The writer derives
@@ -40,7 +43,7 @@ from .errors import ParameterError
 from .params import Case, Decomposition, Params
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Summand:
     """A direct summand of a component bundle.
 
@@ -51,16 +54,17 @@ class Summand:
     mult: int
     twist: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.mult < 1:
-            raise ParameterError(f"summands: multiplicity {self.mult}, a summand needs at least one copy")
+    def __init__(self, mult: int, twist: int | None = None) -> None:
+        if mult < 1:
+            raise ParameterError(f"summands: multiplicity {mult}, a summand needs at least one copy")
+        self.__dict__.update(mult=mult, twist=twist)
 
     @property
     def kind(self) -> str:
         return "generic_line" if self.twist is None else "twisted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ComponentBundle:
     """Bundle placed on one component.
 
@@ -86,14 +90,17 @@ class ComponentBundle:
     moduli: int = field(init=False, repr=False, compare=False)
     autos: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("first_special", "mixed"):
-            raise ParameterError(f"kind: unknown bundle kind {self.kind!r}")
-        if self.kind == "first_special" and min(self.blocks or 0, self.block_rank or 0) < 1:
+    def __init__(
+        self, kind: str, degree: int, blocks: int | None = None, block_rank: int | None = None,
+        block_degree: int | None = None, summands: tuple[Summand, ...] = (),
+    ) -> None:
+        if kind not in ("first_special", "mixed"):
+            raise ParameterError(f"kind: unknown bundle kind {kind!r}")
+        if kind == "first_special" and min(blocks or 0, block_rank or 0) < 1:
             raise ParameterError("blocks: a first_special bundle needs blocks and block_rank of at least 1")
         rank = moduli = autos = 0
         twists = []
-        for s in self.summands:
+        for s in summands:
             rank += s.mult
             if s.twist is None:
                 moduli += s.mult
@@ -101,14 +108,12 @@ class ComponentBundle:
             else:
                 autos += s.mult * s.mult
                 twists.append(s.twist)
-        if self.kind == "first_special":
-            rank = self.blocks * self.block_rank  # type: ignore[operator]
-            moduli = autos = self.blocks  # type: ignore[assignment]
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "moduli", moduli)
-        object.__setattr__(self, "autos", autos)
-        object.__setattr__(self, "min_twist", min(twists) if twists else None)
-        object.__setattr__(self, "max_twist", max(twists) if twists else None)
+        if kind == "first_special":
+            rank = blocks * block_rank  # type: ignore[operator]
+            moduli = autos = blocks  # type: ignore[assignment]
+        self.__dict__.update(kind=kind, degree=degree, blocks=blocks, block_rank=block_rank, block_degree=block_degree,
+                             summands=summands, rank=rank, min_twist=min(twists) if twists else None,
+                             max_twist=max(twists) if twists else None, moduli=moduli, autos=autos)
 
     def twist_multiplicity(self, a: int) -> int:
         """Copies of O(a*P + (d1-a)*Q) among the summands (mixed only)."""
@@ -137,7 +142,7 @@ def _side_summary(name: str, side: tuple[tuple[int, int], ...]) -> tuple[int, in
     return total, top
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VanishingTable:
     """Vanishing multisets of the section space at P_i and at Q_i.
 
@@ -156,12 +161,11 @@ class VanishingTable:
     total_q: int = field(init=False, repr=False, compare=False)
     max_mult: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        total_p, top_p = _side_summary("at_p", self.at_p)
-        total_q, top_q = _side_summary("at_q", self.at_q)
-        object.__setattr__(self, "total_p", total_p)
-        object.__setattr__(self, "total_q", total_q)
-        object.__setattr__(self, "max_mult", top_p if top_p > top_q else top_q)
+    def __init__(self, at_p: tuple[tuple[int, int], ...], at_q: tuple[tuple[int, int], ...]) -> None:
+        total_p, top_p = _side_summary("at_p", at_p)
+        total_q, top_q = _side_summary("at_q", at_q)
+        self.__dict__.update(at_p=at_p, at_q=at_q, total_p=total_p, total_q=total_q,
+                             max_mult=top_p if top_p > top_q else top_q)
 
 
 def minimal_boundary_table(r: int, k1: int, k2: int) -> tuple[tuple[int, int], ...]:
@@ -171,7 +175,7 @@ def minimal_boundary_table(r: int, k1: int, k2: int) -> tuple[tuple[int, int], .
     return tuple((j, r) for j in range(k1)) + (((k1, k2),) if k2 else ())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LimitSeriesSkeleton:
     """The whole chain: g = params.g bundles and tables and g-1 gluing
     descriptions (None when generic) in chain order, the twist parameter b,
@@ -193,18 +197,22 @@ class LimitSeriesSkeleton:
     notes: tuple[str, ...] = ()
     gluing_dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        g, r = self.params.g, self.params.r
-        if len(self.bundles) != g or len(self.tables) != g:
+    def __init__(
+        self, params: Params, case: Case, b: int, bundles: tuple[ComponentBundle, ...],
+        tables: tuple[VanishingTable, ...], gluings: tuple[str | None, ...], notes: tuple[str, ...] = (),
+    ) -> None:
+        g, r = params.g, params.r
+        if len(bundles) != g or len(tables) != g:
             raise ParameterError("skeleton component counts disagree with g")
-        if len(self.gluings) != g - 1:
+        if len(gluings) != g - 1:
             raise ParameterError("skeleton needs exactly g-1 gluings")
-        twisted = [b.rank - b.moduli if b.kind == "mixed" else 0 for b in self.bundles[1:]]
+        twisted = [e.rank - e.moduli if e.kind == "mixed" else 0 for e in bundles[1:]]
         dims = [r * r - t * (r - t) for t in twisted]
-        if self.node_one_reads_q1:
-            t, m = twisted[0], dict(self.tables[0].at_q).get(self.b, 0)
-            dims[0] = r * r - t * (r - m if self.bundles[1].min_twist == 0 else m)
-        object.__setattr__(self, "gluing_dims", tuple(dims))
+        if bundles[0].kind == "first_special" and twisted[0]:  # node_one_reads_q1
+            t, m = twisted[0], dict(tables[0].at_q).get(b, 0)
+            dims[0] = r * r - t * (r - m if bundles[1].min_twist == 0 else m)
+        self.__dict__.update(params=params, case=case, b=b, bundles=bundles, tables=tables, gluings=gluings,
+                             notes=notes, gluing_dims=tuple(dims))
 
     @property
     def node_one_reads_q1(self) -> bool:
@@ -240,9 +248,15 @@ def degree_balance(s: LimitSeriesSkeleton) -> int:
 SCHEMA_VERSION = 1
 
 
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False, check_circular=False
+)
+
+
 def canonical_dumps(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, compact separators, no NaN, UTF-8."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+    """Deterministic JSON: sorted keys, compact separators, no NaN, UTF-8. The one shared encoder
+    skips the cycle check (callers pass fresh trees): a cyclic input raises RecursionError, not ValueError."""
+    return _CANONICAL.encode(obj)
 
 
 def _summand_to_json(s: Summand) -> dict[str, Any]:

@@ -389,11 +389,13 @@ class TestSweep:
         assert all(r < k <= 3 * r and 0 <= d <= 5 * r * g for g, r, d, k in tuples)
         assert tuples == sorted(tuples)
 
-    def test_empty_range_empty_table(self, capsys):
-        code = main(["sweep", "--g", "2:2", "--r", "2:2", "--d", "5:4"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "tried=0" in out
+    @pytest.mark.parametrize("name, bounds", [("g", "3:2"), ("r", "2:1"), ("k", "5:3"), ("d", "9:1")])
+    def test_empty_range_rejected(self, capsys, name, bounds):
+        code = main(["sweep", f"--{name}", bounds])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        lo, hi = bounds.split(":")
+        assert captured.err == f"error: empty {name} range ({lo}, {hi})\n"
 
     def test_small_sweep_passes(self, capsys):
         code = main(["sweep", "--g", "2:4", "--r", "1:2"])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -137,8 +138,8 @@ class TestExhaustive:
     # multiplicity) on every left order that can meet the cap exactly, so
     # some budgets run out. Both reach the failed-state memo.
     @staticmethod
-    def _instances():
-        for size in range(1, 6):
+    def _instances(max_size=5):
+        for size in range(1, max_size + 1):
             msets = list(itertools.combinations_with_replacement(range(5), size))
             for left in msets:
                 for right in msets:
@@ -173,6 +174,121 @@ class TestExhaustive:
                     exhausted += not found and bool(charges)
             assert exists_feasible_pairing(lruns, rruns, max(anti) + 1, {})
         assert infeasible > 100_000 and exhausted > 50_000
+
+
+def _entered_states(search, *args):
+    """The search's verdict, and the (i, right counts[, budgets]) state at
+    each entry into its recursive step, read from the step's frame by a
+    profile hook; the first entry is the start state."""
+    step = next(c for c in search.__code__.co_consts if getattr(c, "co_name", None) == "rec")
+    states = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is step:
+            local = frame.f_locals
+            state = (local["i"], tuple(local["rcounts"]))
+            states.append(state + (tuple(local["budgets"]),) if "budgets" in local else state)
+
+    sys.setprofile(hook)
+    try:
+        found = search(*args)
+    finally:
+        sys.setprofile(None)
+    assert states, "no search step was traced"
+    return found, states
+
+
+def _reachable(start, moves):
+    """Every state reachable from `start`, where moves(state) lists its
+    successors."""
+    seen, todo = {start}, [start]
+    while todo:
+        for child in moves(todo.pop()):
+            if child not in seen:
+                seen.add(child)
+                todo.append(child)
+    return seen
+
+
+def _take(counts, j):
+    return counts[:j] + (counts[j] - 1,) + counts[j + 1 :]
+
+
+class TestExhaustiveSearch:
+    # With no pairing to find, an exhaustive search enters every partial
+    # assignment reachable by legal moves, and nothing else: a memo key that
+    # merges distinct states skips some, a missing backtrack stops early and
+    # a missing restore enters states no assignment reaches. The first
+    # descent mirrors the greedy pairing and already decides the verdict, so
+    # verdict tests cannot see any of these. A state is the number i of left
+    # units placed, in the search's fixed order (smallest order first for
+    # the minimum sum, largest first under the cap), with the right counts
+    # left and, under the cap, the budgets left per left order; it is
+    # enumerated here from the multisets alone.
+    @staticmethod
+    def _infeasible(states, n):
+        return all(state[0] < n for state in states)
+
+    def test_min_sum_enters_every_reachable_state(self):
+        checked = 0
+        for left, right, _, anti in TestExhaustive._instances():
+            lruns, rruns = _runs(Counter(left)), _runs(Counter(right))
+            rorders = [o for o, _ in rruns]
+            b = min(anti) + 1  # the anti-sorted pairing is optimal, so none exists
+
+            def moves(state):  # `left` ascends, the order the search places it in
+                i, counts = state
+                if i < len(left):
+                    for j, c in enumerate(counts):
+                        if c and left[i] + rorders[j] >= b:
+                            yield i + 1, _take(counts, j)
+
+            start = (0, tuple(m for _, m in rruns))
+            reachable = _reachable(start, moves)
+            assert self._infeasible(reachable, len(left))
+            found, entered = _entered_states(min_sum_pairing_exists, lruns, rruns, b)
+            assert not found and entered[0] == start
+            assert set(entered) == reachable, (left, right, b)
+            checked += 1
+        assert checked == 22_251
+
+    @staticmethod
+    def _capped_settings(lruns, right, top):
+        """(threshold, budgets per left run): the caps TestExhaustive tries."""
+        for t in (top - 1, top):
+            ranges = [range(min(m, 2) + 1) if t - a in right else (0,) for a, m in lruns]
+            for caps in itertools.product(*ranges):
+                yield t, caps
+
+    def test_capped_enters_every_reachable_state(self):
+        checked = 0
+        for left, right, _, anti in TestExhaustive._instances(max_size=4):
+            lruns, rruns = _runs(Counter(left)), _runs(Counter(right))
+            lorders, rorders = [o for o, _ in lruns], [o for o, _ in rruns]
+            placed = sorted(left, reverse=True)
+            for t, caps in self._capped_settings(lruns, right, max(anti)):
+
+                def moves(state, t=t):
+                    i, counts, budgets = state
+                    if i < len(placed):
+                        li = lorders.index(placed[i])
+                        for j, c in enumerate(counts):
+                            total = placed[i] + rorders[j]
+                            if c and total < t:
+                                yield i + 1, _take(counts, j), budgets
+                            elif c and total == t and budgets[li]:
+                                yield i + 1, _take(counts, j), _take(budgets, li)
+
+                start = (0, tuple(m for _, m in rruns), caps)
+                reachable = _reachable(start, moves)
+                if not self._infeasible(reachable, len(left)):
+                    continue
+                budget = dict(zip(lorders, caps))
+                found, entered = _entered_states(exists_feasible_pairing, lruns, rruns, t, budget)
+                assert not found and entered[0] == start
+                assert set(entered) == reachable, (left, right, t, budget)
+                checked += 1
+        assert checked == 34_334
 
 
 class TestCrossValidation:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import pickle
 
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from ellchain import (
     ComponentBundle,
+    LimitSeriesSkeleton,
     Params,
     Summand,
     VanishingTable,
@@ -21,6 +24,7 @@ from ellchain import (
 )
 from ellchain.cli import SweepConfig
 from ellchain.errors import ParameterError
+from ellchain.params import Case
 
 
 def test_degree_balance_small_a():
@@ -190,6 +194,116 @@ def test_data_model_and_input_records_are_frozen(record):
     for f in dataclasses.fields(record):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, f.name, getattr(record, f.name))
+
+
+def _data_model():
+    """(record, a replacement value for each init field) for the five data-model
+    records, each built by a hand-written __init__ that derives its summaries.
+    Every replacement keeps the record valid and changes a derived field
+    where the field feeds one. The skeleton is small_b with node 1 reading
+    Q1's table, so `b` moves its first gluing dimension."""
+    s = construct(Params(6, 2, 9, 3))
+    assert s.node_one_reads_q1
+    bundle = ComponentBundle("first_special", 16, blocks=1, block_rank=3, block_degree=16,
+                             summands=(Summand(2, 4), Summand(1)))
+    cases = [
+        (Summand(mult=2, twist=1), {"mult": 3, "twist": None}),
+        (bundle, {"kind": "mixed", "degree": 17, "blocks": 2, "block_rank": 1, "block_degree": 5,
+                  "summands": (Summand(1, 0), Summand(2, 7))}),
+        (VanishingTable(((0, 2), (1, 1)), ((0, 1), (2, 2))), {"at_p": ((0, 4),), "at_q": ((5, 1), (6, 4))}),
+        (s, {"params": Params(6, 3, 9, 4), "case": Case.SMALL_A, "b": s.b + 1, "bundles": s.bundles[::-1],
+             "tables": s.tables[::-1], "gluings": ("x",) * 5, "notes": ("a note",)}),
+        (Params(7, 3, 16, 5), {"g": 8, "r": 2, "d": 17, "k": 6}),
+    ]
+    return [pytest.param(record, changes, id=type(record).__name__) for record, changes in cases]
+
+
+def _init_fields(record):
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.init}
+
+
+@pytest.mark.parametrize("record, changes", _data_model())
+class TestDataModelContract:
+    def test_init_signature_lists_the_init_fields(self, record, changes):
+        params = inspect.signature(type(record)).parameters
+        fields = [f for f in dataclasses.fields(record) if f.init]
+        assert list(params) == [f.name for f in fields] == list(changes)
+        for f in fields:
+            param = params[f.name]
+            assert param.kind is param.POSITIONAL_OR_KEYWORD
+            assert param.default == (param.empty if f.default is dataclasses.MISSING else f.default)
+
+    def test_instance_dict_holds_exactly_the_fields(self, record, changes):
+        assert sorted(vars(record)) == sorted(f.name for f in dataclasses.fields(record))
+
+    def test_delattr_raises(self, record, changes):
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, f.name)
+        assert sorted(vars(record)) == sorted(f.name for f in dataclasses.fields(record))
+
+    def test_replace_equals_a_fresh_build(self, record, changes):
+        moved = set()
+        for name, value in changes.items():
+            replaced = dataclasses.replace(record, **{name: value})
+            fresh = type(record)(**{**_init_fields(record), name: value})
+            assert replaced == fresh and vars(replaced) == vars(fresh), name
+            assert replaced != record and hash(replaced) == hash(fresh), name
+            moved |= {key for key, v in vars(fresh).items() if v != vars(record)[key]}
+        # Each derived field is recomputed at least once above.
+        assert moved == {f.name for f in dataclasses.fields(record)}
+
+    def test_pickle_round_trip(self, record, changes):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            loaded = pickle.loads(pickle.dumps(record, protocol))
+            assert loaded == record and vars(loaded) == vars(record)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(loaded, next(iter(changes)), None)
+
+
+def _skeleton_parts(**changes):
+    s = construct(Params(3, 2, 9, 3))
+    return {**_init_fields(s), **changes}
+
+
+_AT_LEAST_ONE_BLOCK = "blocks: a first_special bundle needs blocks and block_rank of at least 1"
+_COUNTS = "skeleton component counts disagree with g"
+
+# (id, build, message): each build breaks one or more checks, and the message
+# is the first one's, in the order each record checks.
+_INVALID = [
+    ("summand_zero", lambda: Summand(0), "summands: multiplicity 0, a summand needs at least one copy"),
+    ("summand_negative", lambda: Summand(mult=-2, twist=3),
+     "summands: multiplicity -2, a summand needs at least one copy"),
+    ("bundle_kind", lambda: ComponentBundle("line", 3, blocks=0), "kind: unknown bundle kind 'line'"),
+    ("bundle_blocks", lambda: ComponentBundle("first_special", 3, blocks=0, block_rank=2), _AT_LEAST_ONE_BLOCK),
+    ("bundle_block_rank", lambda: ComponentBundle("first_special", 3, blocks=1), _AT_LEAST_ONE_BLOCK),
+    ("table_empty_p", lambda: VanishingTable((), ()), "at_p: empty table side"),
+    ("table_empty_q", lambda: VanishingTable(((0, 1),), ()), "at_q: empty table side"),
+    ("table_unsorted_p", lambda: VanishingTable(((2, 1), (1, 1)), ((0, 0),)),
+     "at_p: order 1 after 2, orders must be strictly ascending"),
+    ("table_zero_mult_q", lambda: VanishingTable(((0, 1),), ((1, 1), (2, 0))),
+     "at_q: order 2 has multiplicity 0, multiplicities must be positive"),
+    ("skeleton_bundles", lambda: LimitSeriesSkeleton(**_skeleton_parts(bundles=(), gluings=())), _COUNTS),
+    ("skeleton_tables", lambda: LimitSeriesSkeleton(**_skeleton_parts(tables=())), _COUNTS),
+    ("skeleton_gluings", lambda: LimitSeriesSkeleton(**_skeleton_parts(gluings=(None,))),
+     "skeleton needs exactly g-1 gluings"),
+    ("params_g_type", lambda: Params(2.0, 0, -1, 0), "g must be an integer, got 2.0"),
+    ("params_r_bool", lambda: Params(2, True, 0, 1), "r must be an integer, got True"),
+    ("params_d_str", lambda: Params(2, 1, "0", 1), "d must be an integer, got '0'"),
+    ("params_k_none", lambda: Params(2, 1, 0, None), "k must be an integer, got None"),
+    ("params_genus", lambda: Params(1, 0, -1, 0), "genus must be >= 2, got g=1"),
+    ("params_rank", lambda: Params(2, 0, -1, 0), "rank must be >= 1, got r=0"),
+    ("params_degree", lambda: Params(2, 1, -1, 0), "degree must be >= 0, got d=-1"),
+    ("params_sections", lambda: Params(2, 1, 0, 0), "section count must be >= 1, got k=0"),
+]
+
+
+@pytest.mark.parametrize("build, message", [pytest.param(b, m, id=i) for i, b, m in _INVALID])
+def test_validation_messages(build, message):
+    with pytest.raises(ParameterError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_malformed_document_rejected():
