@@ -113,6 +113,8 @@ class SweepConfig:
             bounds = getattr(self, name)
             if bounds is not None and bounds[0] > bounds[1]:
                 raise ParameterError(f"empty {name} range {bounds}")
+        if self.g[0] < 2 or self.r[0] < 1:
+            Params(g=self.g[0], r=self.r[0], d=0, k=1)  # raises the lowest tuple's genus or rank error
         if self.fmt not in ("text", "json"):
             raise ParameterError(f"format must be text or json, got {self.fmt!r}")
         if self.jobs < 1:
@@ -301,6 +303,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     analysis = analyze(args.g, args.r, args.d, args.k, oracle=args.oracle)
     if args.format == "json":
         print(_render_check_json(analysis))
+        if analysis.cross is not None:  # stdout carries the analysis alone, as in verify-file
+            print(_oracle_line(analysis.cross), file=sys.stderr)
     else:
         print(_render_check_text(analysis))
     return analysis.exit_code

@@ -34,7 +34,13 @@ resolves on its first descent without building one.
 
 It states no component rule of its own: `cross_validate` reads the
 pairing-independent rules and the exceptional capacity from `verify`, so the
-search settles only the pairing.
+search settles only the pairing. Along a chain the instances repeat up to a
+shift of the orders, so `cross_validate` searches each translation class
+once per call. Shifting the left orders by u and the right by v moves every
+pair sum by u + v and each budget with its left order, and leaves the
+guard's totals, ascent and size alone; so an instance's key is its sides
+shifted to start at order 0, its threshold less u + v and, capped, its
+budget values in left-run order. A guard error is never stored.
 """
 
 from __future__ import annotations
@@ -199,27 +205,37 @@ def cross_validate(s: LimitSeriesSkeleton) -> CrossValidation:
     and component of a skeleton. An instance the oracle cannot take, beyond
     DEFAULT_BOUND (all of them when k is) or with sides that total
     differently (no bijection exists, and `verify` already fails it), is
-    skipped with the search's own message as its notice, not failed."""
+    skipped with the search's own message as its notice, not failed. Each
+    translation class is searched once, keyed as the module docstring says."""
     if s.params.k > DEFAULT_BOUND:
         return CrossValidation(checks=(), skipped=(f"k={s.params.k} exceeds oracle bound {DEFAULT_BOUND}",))
     checks: list[CrossCheck] = []
     skipped: list[str] = []
     d1, d2, r = s.decomposition.d1, s.decomposition.d2, s.params.r
+    verdicts: dict[tuple, bool] = {}  # translation class -> search verdict
+    # Each table's (P side, Q side), each shifted to start at order 0 and paired with its first order.
+    shifted = [[(tuple([(o - side[0][0], m) for o, m in side]), side[0][0]) for side in (t.at_p, t.at_q)] for t in s.tables]
 
-    for verdict, q_table, p_table in zip(check_node_pairing(s), s.tables, s.tables[1:]):
+    for verdict, q_table, p_table, (_, (q, q_lo)), ((p, p_lo), _) in zip(
+        check_node_pairing(s), s.tables, s.tables[1:], shifted, shifted[1:]
+    ):
+        oracle = verdicts.get(key := (q, p, s.b - q_lo - p_lo))
         try:
-            oracle = min_sum_pairing_exists(q_table.at_q, p_table.at_p, s.b)
+            if oracle is None:  # a guard error raises before anything is stored
+                oracle = verdicts[key] = min_sum_pairing_exists(q_table.at_q, p_table.at_p, s.b)
         except (ValueError, InstanceTooLarge) as exc:
             skipped.append(f"node {verdict.node}: {exc}")
             continue
         checks.append(CrossCheck(kind="node", index=verdict.node, greedy=verdict.satisfiable, oracle=oracle))
 
-    for i, (bundle, table) in enumerate(zip(s.bundles, s.tables), 1):
+    for i, (bundle, table, ((p, p_lo), (q, q_lo))) in enumerate(zip(s.bundles, s.tables, shifted), 1):
         # The search charges a pair summing to d1 to its left (P) order
         # only, so the table's P-orders are the budget's whole domain.
         budget = {o: exceptional_capacity(bundle, o, d2=d2) for o, _ in table.at_p}
+        found = verdicts.get(key := (p, q, d1 - p_lo - q_lo, tuple(budget.values())))
         try:
-            found = exists_feasible_pairing(table.at_p, table.at_q, d1, budget)
+            if found is None:
+                found = verdicts[key] = exists_feasible_pairing(table.at_p, table.at_q, d1, budget)
         except (ValueError, InstanceTooLarge) as exc:
             skipped.append(f"component {i}: {exc}")
             continue

@@ -58,6 +58,22 @@ class TestCheckCommand:
         assert code == 0
         assert "oracle cross-validation: agree" in out
 
+    @pytest.mark.parametrize(
+        "tup, line",
+        [(("7", "3", "16", "5"), "oracle cross-validation: agree"),
+         (("3", "4", "40", "9"), "oracle cross-validation: skipped (k=9 exceeds oracle bound 8)")],
+        ids=["agree", "skipped"],
+    )
+    def test_json_oracle_line_on_stderr(self, capsys, tup, line):
+        # stdout is the same document with and without --oracle; the oracle
+        # verdict goes to stderr, as verify-file --format json prints it.
+        assert main(["check", *tup, "--format", "json"]) == 0
+        plain = capsys.readouterr()
+        assert main(["check", *tup, "--oracle", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain.out and plain.err == ""
+        assert captured.err == line + "\n"
+
 
 class TestDumpAndVerifyFile:
     def test_round_trip(self, tmp_path, capsys):
@@ -396,6 +412,23 @@ class TestSweep:
         assert code == 1 and captured.out == ""
         lo, hi = bounds.split(":")
         assert captured.err == f"error: empty {name} range ({lo}, {hi})\n"
+
+    @pytest.mark.parametrize(
+        "g, r, message",
+        [((2, 2), (0, 0), "rank must be >= 1, got r=0"),
+         ((2, 2), (0, 1), "rank must be >= 1, got r=0"),
+         ((1, 2), (1, 5), "genus must be >= 2, got g=1"),
+         ((1, 2), (0, 1), "genus must be >= 2, got g=1")],
+    )
+    def test_range_below_the_lowest_tuple_rejected(self, capsys, g, r, message):
+        # r = 0 has an empty default k range (0, 0], so no tuple of it would
+        # ever reach Params: the range itself is rejected, in Params' words.
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            SweepConfig(g=g, r=r)
+        code = main(["sweep", "--g", f"{g[0]}:{g[1]}", "--r", f"{r[0]}:{r[1]}"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_small_sweep_passes(self, capsys):
         code = main(["sweep", "--g", "2:4", "--r", "1:2"])

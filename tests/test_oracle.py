@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import sys
@@ -21,12 +22,23 @@ from ellchain import (
 )
 from ellchain.cli import SweepConfig
 from ellchain.errors import InstanceTooLarge
-from ellchain.verify import exceptional_capacity
+from ellchain.oracle import CrossCheck, CrossValidation
+from ellchain.verify import (
+    check_component_feasibility,
+    check_node_pairing,
+    component_preconditions,
+    exceptional_capacity,
+)
 
 
 def _runs(counts):
     """Ascending (order, multiplicity) runs of an order -> count map."""
     return tuple(sorted(counts.items()))
+
+
+def _shift(runs, u):
+    """Runs with every order moved by u."""
+    return tuple((o + u, m) for o, m in runs)
 
 
 def _capped(left, right, threshold, budget=None):
@@ -136,7 +148,12 @@ class TestExhaustive:
     # extreme sum, which is optimal, so each pair is met feasible and
     # infeasible. The capped budgets run 0..2 per order (up to the order's
     # multiplicity) on every left order that can meet the cap exactly, so
-    # some budgets run out. Both reach the failed-state memo.
+    # some budgets run out. Both reach the failed-state memo. Each verdict
+    # is also asked of the instance translated by u on the left and v on the
+    # right, its threshold moved by u + v and its budget's keys by u: the
+    # invariance cross_validate's per-class memo relies on.
+    SHIFTS = ((0, 3), (2, -1), (5, 5))
+
     @staticmethod
     def _instances(max_size=5):
         for size in range(1, max_size + 1):
@@ -154,6 +171,9 @@ class TestExhaustive:
             for b in (min(anti) - 1, min(anti), min(anti) + 1):
                 found = min_sum_pairing_exists(lruns, rruns, b)
                 assert found == (best >= b), (left, right, b)
+                for u, v in self.SHIFTS:
+                    shifted = min_sum_pairing_exists(_shift(lruns, u), _shift(rruns, v), b + u + v)
+                    assert shifted == found, (left, right, b, u, v)
                 infeasible += not found
         assert infeasible == 22_251  # one per ordered pair: the anti-sorted pairing is optimal
 
@@ -170,6 +190,10 @@ class TestExhaustive:
                     found = exists_feasible_pairing(lruns, rruns, t, budget)
                     expected = any(all(n <= budget.get(a, 0) for a, n in c.items()) for c in charges)
                     assert found == expected, (left, right, t, budget)
+                    for u, v in self.SHIFTS:
+                        moved = {a + u: c for a, c in budget.items()}
+                        shifted = exists_feasible_pairing(_shift(lruns, u), _shift(rruns, v), t + u + v, moved)
+                        assert shifted == found, (left, right, t, budget, u, v)
                     infeasible += not found
                     exhausted += not found and bool(charges)
             assert exists_feasible_pairing(lruns, rruns, max(anti) + 1, {})
@@ -291,6 +315,84 @@ class TestExhaustiveSearch:
         assert checked == 34_334
 
 
+def _unequal_sides():
+    """7 3 16 5 with component 2's P side cut to total 4 against 5."""
+    s = construct(Params(7, 3, 16, 5))
+    tables = list(s.tables)
+    tables[1] = VanishingTable(((0, 4),), s.table(2).at_q)
+    return dataclasses.replace(s, tables=tuple(tables))
+
+
+def _fuzzed_corruptions():
+    """300 seeded copies of 7 3 16 5, each with one unit of one table side
+    moved to another order in [0, d1], as (table index, side, skeleton)."""
+    rng = random.Random(170381)
+    base = construct(Params(7, 3, 16, 5))
+    d1 = base.decomposition.d1
+    for _ in range(300):
+        tables = list(base.tables)
+        idx = rng.randrange(len(tables))
+        t = tables[idx]
+        side_name = rng.choice(["p", "q"])
+        side = dict(t.at_p if side_name == "p" else t.at_q)
+        src = rng.choice(sorted(side))
+        dst = rng.randrange(0, d1 + 1)
+        side[src] -= 1
+        side[dst] = side.get(dst, 0) + 1
+        runs = tuple(sorted((o, m) for o, m in side.items() if m))
+        if side_name == "p":
+            tables[idx] = VanishingTable(runs, t.at_q)
+        else:
+            tables[idx] = VanishingTable(t.at_p, runs)
+        yield idx, side_name, dataclasses.replace(base, tables=tuple(tables))
+
+
+def _translates_apart():
+    """7 3 16 5 (d1 = 5) with components 6 and 7 made translates of
+    component 5, whose P side ((2,2),(4,3)) against Q ((1,3),(2,2)) needs its
+    three pairs summing to 5 at P-order 4 and has capacity 3 there.
+    Component 6 takes component 7's table, ((3,2),(5,3)) against
+    ((0,3),(1,2)): the same class shifted by (1, -1), but its bundle has no
+    capacity at order 5. Component 7 keeps its bundle (capacity 3 at 5) and
+    moves its Q side up by 1, so every pair sum grows by 1. Both are
+    infeasible while component 5 is feasible, so a class key without the
+    budget or without the threshold's shift reads component 5's verdict."""
+    s = construct(Params(7, 3, 16, 5))
+    tables = list(s.tables)
+    assert tables[4] == VanishingTable(((2, 2), (4, 3)), ((1, 3), (2, 2)))
+    assert tables[6] == VanishingTable(((3, 2), (5, 3)), ((0, 3), (1, 2)))
+    tables[5] = tables[6]
+    tables[6] = VanishingTable(tables[6].at_p, _shift(tables[6].at_q, 1))
+    return dataclasses.replace(s, tables=tuple(tables))
+
+
+def _cross_validate_per_instance(s):
+    """cross_validate as one exhaustive search per instance, with no memo:
+    the reference the per-class memo must reproduce exactly."""
+    if s.params.k > DEFAULT_BOUND:
+        return CrossValidation(checks=(), skipped=(f"k={s.params.k} exceeds oracle bound {DEFAULT_BOUND}",))
+    checks, skipped = [], []
+    d1, d2, r = s.decomposition.d1, s.decomposition.d2, s.params.r
+    for verdict, q_table, p_table in zip(check_node_pairing(s), s.tables, s.tables[1:]):
+        try:
+            oracle = min_sum_pairing_exists(q_table.at_q, p_table.at_p, s.b)
+        except (ValueError, InstanceTooLarge) as exc:
+            skipped.append(f"node {verdict.node}: {exc}")
+            continue
+        checks.append(CrossCheck(kind="node", index=verdict.node, greedy=verdict.satisfiable, oracle=oracle))
+    for i, (bundle, table) in enumerate(zip(s.bundles, s.tables), 1):
+        budget = {o: exceptional_capacity(bundle, o, d2=d2) for o, _ in table.at_p}
+        try:
+            found = exists_feasible_pairing(table.at_p, table.at_q, d1, budget)
+        except (ValueError, InstanceTooLarge) as exc:
+            skipped.append(f"component {i}: {exc}")
+            continue
+        greedy_ok = check_component_feasibility(i, bundle, table, d1=d1, d2=d2, r=r).ok
+        oracle = found and not component_preconditions(i, bundle, table, d1=d1, r=r)
+        checks.append(CrossCheck(kind="component", index=i, greedy=greedy_ok, oracle=oracle))
+    return CrossValidation(checks=tuple(checks), skipped=tuple(skipped))
+
+
 class TestCrossValidation:
     def test_worked_instances_agree(self):
         for tup in [(7, 3, 16, 5), (7, 3, 14, 4), (2, 2, 6, 3), (4, 2, 8, 4)]:
@@ -300,12 +402,8 @@ class TestCrossValidation:
             assert kinds == {"node", "component"}
 
     def test_unequal_sides_skipped_with_notice(self):
-        import dataclasses
-
-        s = construct(Params(7, 3, 16, 5))
-        tables = list(s.tables)
-        tables[1] = VanishingTable(((0, 4),), s.table(2).at_q)
-        cv = cross_validate(dataclasses.replace(s, tables=tuple(tables)))
+        s = _unequal_sides()
+        cv = cross_validate(s)
         assert cv.skipped == ("node 1: sides total 5 and 4", "component 2: sides total 4 and 5")
         g = s.params.g
         assert cv.ok and len(cv.checks) == (g - 2) + (g - 1)  # every other node and component
@@ -317,27 +415,7 @@ class TestCrossValidation:
         assert cv.ok
 
     def test_fuzzed_corruptions_still_agree(self):
-        rng = random.Random(170381)
-        import dataclasses
-
-        base = construct(Params(7, 3, 16, 5))
-        d1 = base.decomposition.d1
-        for _ in range(300):
-            tables = list(base.tables)
-            idx = rng.randrange(len(tables))
-            t = tables[idx]
-            side_name = rng.choice(["p", "q"])
-            side = dict(t.at_p if side_name == "p" else t.at_q)
-            src = rng.choice(sorted(side))
-            dst = rng.randrange(0, d1 + 1)
-            side[src] -= 1
-            side[dst] = side.get(dst, 0) + 1
-            runs = tuple(sorted((o, m) for o, m in side.items() if m))
-            if side_name == "p":
-                tables[idx] = VanishingTable(runs, t.at_q)
-            else:
-                tables[idx] = VanishingTable(t.at_p, runs)
-            corrupted = dataclasses.replace(base, tables=tuple(tables))
+        for idx, side_name, corrupted in _fuzzed_corruptions():
             cv = cross_validate(corrupted)
             assert cv.ok, f"greedy/oracle disagreement after corrupting C{idx + 1} at {side_name}"
 
@@ -368,3 +446,15 @@ class TestCrossValidation:
                 assert verdict == exists_feasible_pairing(table.at_p, table.at_q, d1, full), p
                 searched += 1
         assert searched > 10_000
+
+    def test_memo_changes_no_cross_validation(self):
+        apart = _translates_apart()
+        reference = _cross_validate_per_instance(apart)
+        components = {c.index: c.oracle for c in reference.checks if c.kind == "component"}
+        assert (components[5], components[6], components[7]) == (True, False, False)
+        skeletons = [apart, _unequal_sides()]
+        skeletons += [construct(p) for p, _ in constructible_tuples(SweepConfig(g=(2, 8), r=(1, 3)))]
+        skeletons += [corrupted for _, _, corrupted in _fuzzed_corruptions()]
+        for s in skeletons:
+            cv, reference = cross_validate(s), _cross_validate_per_instance(s)
+            assert (cv.checks, cv.skipped) == (reference.checks, reference.skipped), s.params
