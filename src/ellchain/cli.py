@@ -7,6 +7,9 @@ Commands:
   dump G R D K       write the canonical JSON skeleton to a file
   verify-file PATH   re-verify a dumped skeleton
 
+One analysis path: `check` and `sweep` build a skeleton, `verify-file` loads
+one, and all three take its verdict from `analyze_skeleton`.
+
 Exit codes: 0 all checks pass; 1 verification or audit failure; 2 hypothesis
 failure or the k <= r regime.
 """
@@ -51,6 +54,7 @@ class Analysis:
     skeleton: LimitSeriesSkeleton | None = None
     report: VerificationReport | None = None
     audit: AuditResult | None = None
+    audit_error: EngineError | None = None  # why the audit could not run, when `audit` is None
     cross: CrossValidation | None = None
 
     @property
@@ -71,12 +75,25 @@ def analyze(g: int, r: int, d: int, k: int, *, oracle: bool = False) -> Analysis
         return Analysis(params=p, status="k_le_r", detail=str(exc), rho=brill_noether_rho(p))
     except HypothesisFailed as exc:
         return Analysis(params=p, status="hypothesis_failed", detail=str(exc), rho=brill_noether_rho(p))
-    skeleton = construct(p)
+    analysis = analyze_skeleton(construct(p), oracle=oracle)
+    analysis.classification = classification
+    return analysis
+
+
+def analyze_skeleton(skeleton: LimitSeriesSkeleton, *, oracle: bool = False) -> Analysis:
+    """Verify, audit and optionally cross-validate a built or loaded skeleton.
+    Its status is verify_fail, else audit_fail (also when the audit cannot
+    run, as on a wrong `case` tag), else oracle_disagree, else pass."""
     report = verify(skeleton)
-    audit = audit_equals_rho(skeleton)
+    try:
+        audit, audit_error = audit_equals_rho(skeleton), None
+    except EngineError as exc:
+        audit, audit_error = None, exc
     cross = cross_validate(skeleton) if oracle else None
     if not report.overall:
         status, detail = "verify_fail", "verification failed"
+    elif audit is None:
+        status, detail = "audit_fail", f"cannot audit: {audit_error}"
     elif not audit.ok:
         status, detail = "audit_fail", f"ledger total {audit.total} != rho {audit.rho}"
     elif cross is not None and not cross.ok:
@@ -84,8 +101,8 @@ def analyze(g: int, r: int, d: int, k: int, *, oracle: bool = False) -> Analysis
     else:
         status, detail = "pass", ""
     return Analysis(
-        params=p, status=status, detail=detail, classification=classification,
-        rho=audit.rho, skeleton=skeleton, report=report, audit=audit, cross=cross,
+        params=skeleton.params, status=status, detail=detail, rho=audit.rho if audit else None,
+        skeleton=skeleton, report=report, audit=audit, audit_error=audit_error, cross=cross,
     )
 
 
@@ -203,7 +220,8 @@ def run_sweep(
             for item in tuples:
                 yield evaluate_tuple(item)
         else:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            # The pool forks all its workers on the first submit, so it gets no more than the CPUs.
+            with ProcessPoolExecutor(max_workers=min(cfg.jobs, os.cpu_count() or 1)) as pool:
                 yield from pool.map(evaluate_tuple, tuples, chunksize=256)
 
     for (g, r, d, k), status, case, rho in results():
@@ -242,6 +260,14 @@ def _oracle_line(cross: CrossValidation) -> str:
     return f"oracle cross-validation: {f'{verdict}, ' if cross.checks else ''}{skipped}"
 
 
+def _audit_line(analysis: Analysis) -> str:
+    """The audit verdict `check` and `verify-file` print."""
+    audit = analysis.audit
+    if audit is None:
+        return f"audit: cannot audit: {analysis.audit_error}"
+    return f"audit: total {audit.total} == rho {audit.rho}: {'ok' if audit.ok else 'MISMATCH'}"
+
+
 def _render_check_text(analysis: Analysis) -> str:
     p = analysis.params
     lines = [f"tuple: g={p.g} r={p.r} d={p.d} k={p.k}", f"rho: {analysis.rho}"]
@@ -262,8 +288,7 @@ def _render_check_text(analysis: Analysis) -> str:
         lines.append(_oracle_line(analysis.cross))
     lines.append("ledger:")
     lines.extend("  " + row for row in analysis.audit.ledger.to_text().splitlines())
-    lines.append(f"audit: total {analysis.audit.total} == rho {analysis.audit.rho}: "
-                 f"{'ok' if analysis.audit.ok else 'MISMATCH'}")
+    lines.append(_audit_line(analysis))
     lines.append(f"overall: {analysis.status}")
     for note in s.notes:
         lines.append(f"note: {note}")
@@ -377,31 +402,22 @@ def cmd_verify_file(args: argparse.Namespace) -> int:
     except (OSError, ValueError, RecursionError) as exc:
         print(f"cannot load {args.path}: {exc}", file=sys.stderr if args.format == "json" else sys.stdout)
         return EXIT_VERIFICATION_FAILED
-    report = verify(skeleton)
-    cross = cross_validate(skeleton) if args.oracle else None
-    try:
-        audit = audit_equals_rho(skeleton)
-        audit_ok = audit.ok
-        audit_line = f"audit: total {audit.total} == rho {audit.rho}: {'ok' if audit_ok else 'MISMATCH'}"
-    except EngineError as exc:
-        audit_ok = False
-        audit_line = f"audit: cannot audit: {exc}"
-    ok = report.overall and audit_ok and (cross is None or cross.ok)
+    analysis = analyze_skeleton(skeleton, oracle=args.oracle)
     if args.format == "json":
         # stdout carries the report alone; the other lines go to stderr
-        print(report.to_canonical_json())
-        if cross is not None:
-            print(_oracle_line(cross), file=sys.stderr)
-        if not audit_ok:
-            print(audit_line, file=sys.stderr)
+        print(analysis.report.to_canonical_json())
+        if analysis.cross is not None:
+            print(_oracle_line(analysis.cross), file=sys.stderr)
+        if analysis.audit is None or not analysis.audit.ok:
+            print(_audit_line(analysis), file=sys.stderr)
     else:
-        for name, entry in report.checks:
+        for name, entry in analysis.report.checks:
             print(f"verify {name}: {entry.status}")
-        if cross is not None:
-            print(_oracle_line(cross))
-        print(audit_line)
-        print(f"overall: {'pass' if ok else 'fail'}")
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+        if analysis.cross is not None:
+            print(_oracle_line(analysis.cross))
+        print(_audit_line(analysis))
+        print(f"overall: {'pass' if analysis.status == 'pass' else 'fail'}")
+    return analysis.exit_code
 
 
 def _parse_range(text: str) -> tuple[int, int]:

@@ -14,11 +14,11 @@ multiplicity) runs, as a VanishingTable side stores them:
 Both return a bool and share one guard, whose messages are the notices
 `cross_validate` records for an instance it skips. It checks, in order:
 sides that total differently, ValueError("sides total A and B"); a side
-whose orders do not strictly ascend or with a multiplicity below 1, a
-ValueError naming the side (the capped search stops at the first partner
-past the cap, sound only on ascending orders); and a total above the fixed
-bound DEFAULT_BOUND, InstanceTooLarge("instance size N exceeds oracle
-bound 8"). A VanishingTable side never trips the second check.
+that breaks the table-side rule of `skeleton.side_summary`, its
+ParameterError (the capped search stops at the first partner past the cap,
+sound only on ascending orders); and a total above DEFAULT_BOUND,
+InstanceTooLarge("instance size N exceeds oracle bound 8"). No
+VanishingTable side trips the second check.
 
 The search is memoized backtracking: the oracle the greedy verifier is
 validated against, never the production path. Each search places the left
@@ -48,8 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InstanceTooLarge
-from .skeleton import LimitSeriesSkeleton
+from .errors import InstanceTooLarge, ParameterError
+from .skeleton import LimitSeriesSkeleton, side_summary
 from .verify import (
     Runs,
     check_component_feasibility,
@@ -61,42 +61,25 @@ from .verify import (
 DEFAULT_BOUND = 8  # the largest total multiplicity the oracle searches
 
 
-def _read(name: str, side: Runs) -> tuple[list[int], list[int], int, str | None]:
-    """One side's orders, counts and total, and the first fault of its runs
-    in VanishingTable's words (None if none): an order that does not
-    strictly ascend, or a multiplicity below 1."""
-    orders: list[int] = []
-    counts: list[int] = []
-    total, fault = 0, None
-    for order, mult in side:
-        if fault is None:
-            if orders and order <= orders[-1]:
-                fault = f"{name}: order {order} after {orders[-1]}, orders must be strictly ascending"
-            elif mult < 1:
-                fault = f"{name}: order {order} has multiplicity {mult}, multiplicities must be positive"
-        orders.append(order)
-        counts.append(mult)
-        total += mult
-    return orders, counts, total, fault
-
-
 def _expand(left: Runs, right: Runs) -> tuple[list[int], list[int], list[int], list[int]]:
     """The left side as one run index per unit, ascending, with its orders,
-    and the right side's orders and counts; or the guard's error. Totals are
-    compared first (sides that total differently admit no bijection), then
-    each side's runs, then the total against DEFAULT_BOUND."""
-    lorders, lcounts, size, lfault = _read("left", left)
-    rorders, rcounts, other, rfault = _read("right", right)
+    and the right side's orders and counts; or the guard's error. Unequal
+    totals are reported first (they admit no bijection), even over a broken
+    side; then a broken side; then a total above DEFAULT_BOUND."""
+    try:
+        size, other = side_summary("left", left)[0], side_summary("right", right)[0]
+    except ParameterError:
+        size, other = sum(m for _, m in left), sum(m for _, m in right)
+        if size == other:
+            raise
     if size != other:
         raise ValueError(f"sides total {size} and {other}")
-    if lfault or rfault:
-        raise ValueError(lfault or rfault)
     if size > DEFAULT_BOUND:
         raise InstanceTooLarge(f"instance size {size} exceeds oracle bound {DEFAULT_BOUND}")
     units: list[int] = []
-    for li, mult in enumerate(lcounts):
+    for li, (_, mult) in enumerate(left):
         units += [li] * mult
-    return units, lorders, rorders, rcounts
+    return units, [o for o, _ in left], [o for o, _ in right], [m for _, m in right]
 
 
 def exists_feasible_pairing(left: Runs, right: Runs, threshold: int, budget: Mapping[int, int]) -> bool:

@@ -120,7 +120,7 @@ class ComponentBundle:
         return sum(s.mult for s in self.summands if s.twist == a)
 
 
-def _side_summary(name: str, side: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+def side_summary(name: str, side: tuple[tuple[int, int], ...]) -> tuple[int, int]:
     """(total multiplicity, largest multiplicity) of one table side, which
     must be non-empty with strictly ascending orders and positive
     multiplicities; ParameterError otherwise."""
@@ -162,8 +162,8 @@ class VanishingTable:
     max_mult: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, at_p: tuple[tuple[int, int], ...], at_q: tuple[tuple[int, int], ...]) -> None:
-        total_p, top_p = _side_summary("at_p", at_p)
-        total_q, top_q = _side_summary("at_q", at_q)
+        total_p, top_p = side_summary("at_p", at_p)
+        total_q, top_q = side_summary("at_q", at_q)
         self.__dict__.update(at_p=at_p, at_q=at_q, total_p=total_p, total_q=total_q,
                              max_mult=top_p if top_p > top_q else top_q)
 

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import ellchain
-from ellchain import Case, Params, construct, verify
+from conftest import constructible_tuples
+from ellchain import Case, Params, cli, construct, skeleton_from_json_dict, skeleton_to_canonical_json, verify
 from ellchain.cli import (
     SweepConfig,
     analyze,
+    analyze_skeleton,
     iter_tuples,
     load_skeleton_file,
     main,
@@ -253,9 +255,21 @@ class TestVerifyFileAuditAndLoad:
         path, doc = _dumped(tmp_path, capsys)
         doc["case"] = "small_c"
         path.write_text(json.dumps(doc), encoding="utf-8")
+        line = "audit: cannot audit: skeleton is tagged small_c but the tuple classifies as small_a"
         assert main(["verify-file", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "audit: cannot audit: skeleton is tagged small_c but the tuple classifies as small_a" in out
+        assert line in capsys.readouterr().out.splitlines()
+        # JSON mode: stdout is the report alone, which passes; the audit line goes to stderr.
+        assert main(["verify-file", str(path), "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["overall"] == "pass"
+        assert err.splitlines() == [line]
+        # verify_fail outranks audit_fail, and the audit line is still printed.
+        doc["tables"][1]["at_p"] = [[0, 4]]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-file", str(path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "verify node_pairing: fail" in out
+        assert line in out
 
     def test_float_order_rejected(self, tmp_path, capsys):
         path, doc = _dumped(tmp_path, capsys)
@@ -500,6 +514,33 @@ class TestSweep:
         assert len(seen) == 3  # stopped at the first failure
         assert not summary.ok
 
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # The pool forks all its workers at once; a fake records the size
+        # asked for and maps serially, so no process is started.
+        sizes: list[int] = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        serial: list[str] = []
+        run_sweep(SweepConfig(g=(2, 3), r=(1, 1)), emit=serial.append)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pooled: list[str] = []
+        run_sweep(SweepConfig(g=(2, 3), r=(1, 1), jobs=5000), emit=pooled.append)
+        assert sizes == [2]
+        assert pooled == serial
+
     def test_corrupt_hook_requires_serial(self):
         with pytest.raises(ParameterError):
             run_sweep(SweepConfig(g=(2, 2), r=(1, 1), jobs=2), corrupt=lambda t, s: s)
@@ -525,3 +566,13 @@ def test_analyze_statuses():
     assert analyze(8, 3, 16, 5).status == "hypothesis_failed"
     assert analyze(2, 2, 6, 2).status == "k_le_r"
     assert analyze(2, 2, 6, 2).exit_code == 2
+
+
+def test_built_and_reloaded_skeletons_share_one_verdict():
+    # check and sweep analyse a built skeleton, verify-file a reloaded one.
+    for p, _ in constructible_tuples(SweepConfig(g=(2, 8), r=(1, 3))):
+        built = analyze(p.g, p.r, p.d, p.k)
+        reloaded = analyze_skeleton(skeleton_from_json_dict(json.loads(skeleton_to_canonical_json(built.skeleton))))
+        assert (reloaded.status, reloaded.rho) == (built.status, built.rho), p
+        assert reloaded.report.to_canonical_json() == built.report.to_canonical_json(), p
+        assert reloaded.audit.to_json_dict() == built.audit.to_json_dict(), p

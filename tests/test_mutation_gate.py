@@ -15,9 +15,10 @@ both sit on the two sides of one node (`tables[n-1].at_q` and
 `tables[n].at_p`), or both on one component's bundle and table, is moved by
 +-1 in all four sign combinations.
 
-Each mutated document must fail to load, fail `verify`, or fail the audit,
-as `verify-file` would report it. The only survivors are the mutations an
-allowlist names, each with its reason, and every one of them must survive.
+Each mutated document must fail to load or get a status other than pass
+from `analyze_skeleton`, the verdict `verify-file` reports. The only
+survivors are the mutations an allowlist names, each with its reason, and
+every one of them must survive.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import copy
 from collections import defaultdict
 from itertools import combinations, product
 
-from ellchain import Case, Params, audit_equals_rho, construct, skeleton_from_json_dict, skeleton_to_json_dict, verify
-from ellchain.errors import EngineError, ParameterError
+from ellchain import Case, Params, construct, skeleton_from_json_dict, skeleton_to_json_dict
+from ellchain.cli import analyze_skeleton
+from ellchain.errors import ParameterError
 
 DUMPS = ((7, 3, 30, 5), (7, 3, 16, 5), (6, 2, 9, 3), (6, 2, 10, 4))  # large_sections, small_a, small_b, small_c
 
@@ -129,12 +131,7 @@ def _passes(doc) -> bool:
         skeleton = skeleton_from_json_dict(doc)
     except ParameterError:
         return False
-    if not verify(skeleton).overall:
-        return False
-    try:
-        return audit_equals_rho(skeleton).ok
-    except EngineError:
-        return False
+    return analyze_skeleton(skeleton).status == "pass"
 
 
 def _matches(pattern, mutation) -> bool:

@@ -79,6 +79,8 @@ class TestGuard:
             search(((1, 1), (1, 1)), ((0, 2),))
         with pytest.raises(ValueError, match=r"^right: order 2 has multiplicity 0, multiplicities must be positive$"):
             search(((0, 1),), ((1, 1), (2, 0)))
+        with pytest.raises(ValueError, match=r"^left: empty table side$"):
+            search((), ())
         # Totals are compared first, so an unequal instance keeps its notice.
         with pytest.raises(ValueError, match=r"^sides total 3 and 2$"):
             search(((2, 1), (1, 2)), ((0, 2),))
