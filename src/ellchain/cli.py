@@ -421,11 +421,11 @@ def cmd_verify_file(args: argparse.Namespace) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
+    try:
+        lo, hi = text.split(":") if ":" in text else (text, text)
         return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or LO:HI, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -32,15 +32,16 @@ counts. A key is built only when a state fails, after its moves are undone,
 and looked up only once some state has failed, so a feasible instance
 resolves on its first descent without building one.
 
-It states no component rule of its own: `cross_validate` reads the
-pairing-independent rules and the exceptional capacity from `verify`, so the
-search settles only the pairing. Along a chain the instances repeat up to a
-shift of the orders, so `cross_validate` searches each translation class
-once per call. Shifting the left orders by u and the right by v moves every
-pair sum by u + v and each budget with its left order, and leaves the
-guard's totals, ascent and size alone; so an instance's key is its sides
-shifted to start at order 0, its threshold less u + v and, capped, its
-budget values in left-run order. A guard error is never stored.
+It states no rule of its own: `cross_validate` reads the greedy verdicts,
+the pairing-independent rules and the exceptional capacity from `verify`.
+The chain repeats its instances up to a shift of the orders, so
+`cross_validate` decides each translation class once per call, keeping its
+(greedy, search) pair. Shifting the left orders by u and the right by v
+moves every pair sum by u + v and each budget with its left order, and
+leaves the guard and the anti-sorted pairing alone; so a key is the sides
+shifted to start at order 0, the threshold less u + v and, capped, the
+budget values in left-run order. The key holds no bundle, so every instance
+checks its own preconditions. A guard error is never stored.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ from .skeleton import LimitSeriesSkeleton, side_summary
 from .verify import (
     Runs,
     check_component_feasibility,
-    check_node_pairing,
     component_preconditions,
     exceptional_capacity,
+    node_verdicts,
 )
 
 DEFAULT_BOUND = 8  # the largest total multiplicity the oracle searches
@@ -189,43 +190,46 @@ def cross_validate(s: LimitSeriesSkeleton) -> CrossValidation:
     DEFAULT_BOUND (all of them when k is) or with sides that total
     differently (no bijection exists, and `verify` already fails it), is
     skipped with the search's own message as its notice, not failed. Each
-    translation class is searched once, keyed as the module docstring says."""
+    translation class is decided once, keyed as the module docstring says."""
     if s.params.k > DEFAULT_BOUND:
         return CrossValidation(checks=(), skipped=(f"k={s.params.k} exceeds oracle bound {DEFAULT_BOUND}",))
     checks: list[CrossCheck] = []
     skipped: list[str] = []
-    d1, d2, r = s.decomposition.d1, s.decomposition.d2, s.params.r
-    verdicts: dict[tuple, bool] = {}  # translation class -> search verdict
+    d1, d2, r, b = s.decomposition.d1, s.decomposition.d2, s.params.r, s.b
+    verdicts: dict[tuple, tuple[bool, bool]] = {}  # translation class -> (greedy, search)
     # Each table's (P side, Q side), each shifted to start at order 0 and paired with its first order.
     shifted = [[(tuple([(o - side[0][0], m) for o, m in side]), side[0][0]) for side in (t.at_p, t.at_q)] for t in s.tables]
 
-    for verdict, q_table, p_table, (_, (q, q_lo)), ((p, p_lo), _) in zip(
-        check_node_pairing(s), s.tables, s.tables[1:], shifted, shifted[1:]
+    for node, (q_table, p_table, (_, (q, q_lo)), ((p, p_lo), _)) in enumerate(
+        zip(s.tables, s.tables[1:], shifted, shifted[1:]), 1
     ):
-        oracle = verdicts.get(key := (q, p, s.b - q_lo - p_lo))
+        pair = verdicts.get(key := (q, p, b - q_lo - p_lo))
         try:
-            if oracle is None:  # a guard error raises before anything is stored
-                oracle = verdicts[key] = min_sum_pairing_exists(q_table.at_q, p_table.at_p, s.b)
+            if pair is None:  # a guard error raises before anything is stored
+                found = min_sum_pairing_exists(q_table.at_q, p_table.at_p, b)
+                pair = verdicts[key] = (node_verdicts((q_table, p_table), b)[0].satisfiable, found)
         except (ValueError, InstanceTooLarge) as exc:
-            skipped.append(f"node {verdict.node}: {exc}")
+            skipped.append(f"node {node}: {exc}")
             continue
-        checks.append(CrossCheck(kind="node", index=verdict.node, greedy=verdict.satisfiable, oracle=oracle))
+        checks.append(CrossCheck(kind="node", index=node, greedy=pair[0], oracle=pair[1]))
 
     for i, (bundle, table, ((p, p_lo), (q, q_lo))) in enumerate(zip(s.bundles, s.tables, shifted), 1):
         # The search charges a pair summing to d1 to its left (P) order
         # only, so the table's P-orders are the budget's whole domain.
         budget = {o: exceptional_capacity(bundle, o, d2=d2) for o, _ in table.at_p}
-        found = verdicts.get(key := (p, q, d1 - p_lo - q_lo, tuple(budget.values())))
+        pair = verdicts.get(key := (p, q, d1 - p_lo - q_lo, tuple(budget.values())))
+        preconditions = component_preconditions(i, bundle, table, d1=d1, r=r)
         try:
-            if found is None:
-                found = verdicts[key] = exists_feasible_pairing(table.at_p, table.at_q, d1, budget)
+            if pair is None:
+                found = exists_feasible_pairing(table.at_p, table.at_q, d1, budget)
+                greedy = check_component_feasibility(i, bundle, table, d1=d1, d2=d2, r=r)
+                pair = verdicts[key] = (len(greedy.violations) == len(preconditions), found)
         except (ValueError, InstanceTooLarge) as exc:
             skipped.append(f"component {i}: {exc}")
             continue
-        greedy_ok = check_component_feasibility(i, bundle, table, d1=d1, d2=d2, r=r).ok
         # The rules no pairing can change enter as preconditions; the
         # exhaustive search settles only the pairing rules.
-        oracle = found and not component_preconditions(i, bundle, table, d1=d1, r=r)
-        checks.append(CrossCheck(kind="component", index=i, greedy=greedy_ok, oracle=oracle))
+        ok = not preconditions
+        checks.append(CrossCheck(kind="component", index=i, greedy=pair[0] and ok, oracle=pair[1] and ok))
 
     return CrossValidation(checks=tuple(checks), skipped=tuple(skipped))

@@ -116,7 +116,9 @@ class ComponentBundle:
                              max_twist=max(twists) if twists else None, moduli=moduli, autos=autos)
 
     def twist_multiplicity(self, a: int) -> int:
-        """Copies of O(a*P + (d1-a)*Q) among the summands (mixed only)."""
+        """Copies of O(a*P + (d1-a)*Q) among the summands (mixed only), 0 outside the twist range."""
+        if self.min_twist is None or not self.min_twist <= a <= self.max_twist:  # type: ignore[operator]
+            return 0
         return sum(s.mult for s in self.summands if s.twist == a)
 
 

@@ -8,7 +8,8 @@ Checks performed:
   >= b. Such a bijection needs the two sides to total the same; the greedy
   pairing (Q descending against P ascending) then maximizes the minimum
   pair sum, so it decides the rest. Whether all sums equal b exactly (the
-  constructions achieve this) is reported separately.
+  constructions achieve this) is reported separately. `node_verdicts`
+  applies the rule to any consecutive tables, a two-table slice included.
 * component feasibility: the bundle must have rank r and a legal shape
   (`bundle_shape`: a first_special bundle sits on component 1 and its
   blocks are stable indecomposables with blocks*block_degree = degree and
@@ -157,15 +158,13 @@ class NodeVerdict:
         }
 
 
-def check_node_pairing(s: LimitSeriesSkeleton) -> tuple[NodeVerdict, ...]:
-    """Per-node verdicts. A node is satisfiable iff its Q side and the next
-    P side total the same (else no bijection exists) and the greedy pairing's
-    minimum sum is at least b. With unequal totals the stretches stop at the
-    shorter side."""
+def node_verdicts(tables: Sequence[VanishingTable], b: int) -> tuple[NodeVerdict, ...]:
+    """Verdicts of the nodes between consecutive tables, numbered from 1. A
+    node is satisfiable iff its Q side and the next P side total the same
+    (else no bijection exists) and the greedy pairing's minimum sum is at
+    least b. With unequal totals the stretches stop at the shorter side."""
     verdicts = []
-    tables = s.tables
-    b = s.b
-    for node in range(1, s.params.g):
+    for node in range(1, len(tables)):
         q_table = tables[node - 1]
         p_table = tables[node]
         stretches = tuple(merge_runs(p_table.at_p, q_table.at_q))
@@ -187,6 +186,11 @@ def check_node_pairing(s: LimitSeriesSkeleton) -> tuple[NodeVerdict, ...]:
             )
         )
     return tuple(verdicts)
+
+
+def check_node_pairing(s: LimitSeriesSkeleton) -> tuple[NodeVerdict, ...]:
+    """Per-node verdicts of a skeleton: `node_verdicts` over its tables."""
+    return node_verdicts(s.tables, s.b)
 
 
 @dataclass(slots=True)

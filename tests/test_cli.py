@@ -427,6 +427,14 @@ class TestSweep:
         lo, hi = bounds.split(":")
         assert captured.err == f"error: empty {name} range ({lo}, {hi})\n"
 
+    @pytest.mark.parametrize("bounds", ["x:2", "5:", ":5", "1:2:3", "2.5"])
+    def test_malformed_range_rejected(self, capsys, bounds):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--g", bounds])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f"ellchain sweep: error: argument --g: expected N or LO:HI, got {bounds!r}\n")
+
     @pytest.mark.parametrize(
         "g, r, message",
         [((2, 2), (0, 0), "rank must be >= 1, got r=0"),

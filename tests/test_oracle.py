@@ -368,6 +368,21 @@ def _translates_apart():
     return dataclasses.replace(s, tables=tuple(tables))
 
 
+def _precondition_apart(wrong):
+    """5 2 12 3 (large_sections, d1 = 6), whose components 2, 3 and 4 are
+    one translation class: each pairs its sides with sums below d1, and
+    each bundle is the shared generic-line bundle, so every budget is 0.
+    Component `wrong` gets that bundle with degree 11 instead of r*d1 = 12:
+    its budget is still all zeros, so the class key is unchanged, but it
+    fails `bundle_shape`. A memo holding the preconditions would give it
+    the verdict of the class's other instances."""
+    s = construct(Params(5, 2, 12, 3))
+    bundles = list(s.bundles)
+    assert len({bundles[i] for i in (1, 2, 3)}) == 1 and bundles[1].min_twist is None
+    bundles[wrong - 1] = dataclasses.replace(bundles[wrong - 1], degree=11)
+    return dataclasses.replace(s, bundles=tuple(bundles))
+
+
 def _cross_validate_per_instance(s):
     """cross_validate as one exhaustive search per instance, with no memo:
     the reference the per-class memo must reproduce exactly."""
@@ -448,6 +463,21 @@ class TestCrossValidation:
                 assert verdict == exists_feasible_pairing(table.at_p, table.at_q, d1, full), p
                 searched += 1
         assert searched > 10_000
+
+    @pytest.mark.parametrize("wrong", [2, 3])
+    def test_preconditions_checked_per_instance(self, wrong):
+        # The wrong bundle sits on the class's first instance (2), whose
+        # search and greedy verdict fill the memo, or on a later one (3).
+        s = _precondition_apart(wrong)
+        cv = cross_validate(s)
+        reference = _cross_validate_per_instance(s)
+        assert (cv.checks, cv.skipped) == (reference.checks, reference.skipped)
+        comps = {c.index: c for c in cv.checks if c.kind == "component"}
+        right = 5 - wrong  # the other of components 2 and 3
+        assert (comps[right].greedy, comps[right].oracle) == (True, True)
+        assert (comps[wrong].greedy, comps[wrong].oracle) == (False, False)
+        assert [v["rule"] for v in component_preconditions(wrong, s.bundles[wrong - 1], s.tables[wrong - 1],
+                                                             d1=6, r=2)] == ["bundle_shape"]
 
     def test_memo_changes_no_cross_validation(self):
         apart = _translates_apart()

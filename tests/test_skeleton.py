@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import constructible_tuples
 from ellchain import (
     ComponentBundle,
     LimitSeriesSkeleton,
@@ -145,6 +146,39 @@ def test_mixed_bundle_summaries_equal_recomputed_summands(parts, new_parts):
         twists = _twists(b)
         assert b.min_twist == (min(twists) if twists else None)
         assert b.max_twist == (max(twists) if twists else None)
+
+
+def _summed_twist_multiplicity(bundle, a):
+    """Copies of twist a among the summands, by walking all of them."""
+    return sum(s.mult for s in bundle.summands if s.twist == a)
+
+
+def test_twist_multiplicity_equals_summed_reference():
+    # twist_multiplicity returns 0 without a walk outside [min_twist,
+    # max_twist]; inside, gaps between twists must still read 0.
+    gapped = [
+        ComponentBundle(kind="mixed", degree=0, summands=(Summand(2, 0), Summand(1, 3))),
+        ComponentBundle(kind="mixed", degree=0, summands=(Summand(1, 3), Summand(1, None), Summand(2, 0))),
+        ComponentBundle(kind="mixed", degree=0, summands=(Summand(1, 1), Summand(1, 4), Summand(1, 1))),
+    ]
+    assert [gapped[0].twist_multiplicity(a) for a in (1, 2, 4)] == [0, 0, 0]
+    for bundle in gapped:
+        for a in range(-1, 6):
+            assert bundle.twist_multiplicity(a) == _summed_twist_multiplicity(bundle, a), (bundle, a)
+    seen = 0
+    for p, _ in constructible_tuples(SweepConfig(g=(2, 8), r=(1, 3))):
+        d1 = p.decomposition.d1
+        for bundle in construct(p).bundles:
+            for a in range(-1, d1 + 2):
+                assert bundle.twist_multiplicity(a) == _summed_twist_multiplicity(bundle, a), (p, bundle, a)
+            seen += 1
+    assert seen > 10_000
+
+
+@given(parts=summands, a=st.integers(-4, 13))
+def test_twist_multiplicity_of_any_summands(parts, a):
+    bundle = ComponentBundle(kind="mixed", degree=0, summands=parts)
+    assert bundle.twist_multiplicity(a) == _summed_twist_multiplicity(bundle, a)
 
 
 @given(blocks=st.integers(1, 6), block_rank=st.integers(1, 6), new_blocks=st.integers(1, 6))
