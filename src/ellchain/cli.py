@@ -142,14 +142,8 @@ def iter_tuples(cfg: SweepConfig) -> Iterator[tuple[int, int, int, int]]:
     """Lattice order: (g, r, d, k) ascending."""
     for g in range(cfg.g[0], cfg.g[1] + 1):
         for r in range(cfg.r[0], cfg.r[1] + 1):
-            if cfg.d is None:
-                d_lo, d_hi = 0, 5 * r * g
-            else:
-                d_lo, d_hi = cfg.d
-            if cfg.k is None:
-                k_lo, k_hi = r + 1, 3 * r
-            else:
-                k_lo, k_hi = cfg.k
+            d_lo, d_hi = cfg.d or (0, 5 * r * g)
+            k_lo, k_hi = cfg.k or (r + 1, 3 * r)
             for d in range(d_lo, d_hi + 1):
                 for k in range(k_lo, k_hi + 1):
                     yield g, r, d, k
@@ -473,8 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Join `--g -2:-1` into `--g=-2:-1`, or argparse reads the negative range as an option.
+    joined: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in ("--g", "--r", "--k", "--d") and arg[:1] == "-" and arg[1:2].isdigit():
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    args = build_parser().parse_args(joined)
     try:
         return args.func(args)
     except EngineError as exc:

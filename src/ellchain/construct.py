@@ -72,7 +72,7 @@ def _table(entries: Iterable[tuple[int, int]]) -> Runs:
     """(order, multiplicity) runs from entries given in ascending order,
     zero rows dropped. VanishingTable rejects an order out of sequence or a
     negative multiplicity."""
-    return tuple((order, mult) for order, mult in entries if mult)
+    return tuple([(order, mult) for order, mult in entries if mult])
 
 
 def _run(lo: int, hi: int) -> range:
@@ -128,7 +128,7 @@ def _first_special(p: Params, dec: Decomposition) -> ComponentBundle:
 
 def _staircase_q(hi: int, *, k1: int, r: int, head: int) -> Runs:
     """A generic-line Q side: `hi` carries `head`, the k1 orders below it r."""
-    runs = tuple((o, r) for o in range(hi - k1, hi))
+    runs = tuple([(o, r) for o in range(hi - k1, hi)])
     return runs + ((hi, head),) if head else runs
 
 
@@ -246,11 +246,11 @@ def construct(p: Params) -> LimitSeriesSkeleton:
     chain += [(line, _staircase_q(p.g - i + dec.k1, k1=dec.k1, r=p.r, head=dec.k2), None) for i in tail]
 
     # Exact gluing: each later P side is d1 minus the previous Q side.
-    at_p = minimal_boundary_table(p.r, dec.k1, dec.k2)
+    at_p, d1 = minimal_boundary_table(p.r, dec.k1, dec.k2), dec.d1
     tables = []
     for _, at_q, _ in chain:
         tables.append(VanishingTable(at_p, at_q))
-        at_p = tuple((dec.d1 - o, m) for o, m in reversed(at_q))
+        at_p = tuple([(d1 - o, m) for o, m in reversed(at_q)])
     bundles, _, gluings = zip(*chain)
 
     return LimitSeriesSkeleton(

@@ -27,7 +27,9 @@ floats) used by the CLI and the test fixtures. The writer derives
 each gluing's `tag` ("generic" iff its description is null) and
 `parameter_dim` from params, positions and the chain. The loader accepts a
 document iff the skeleton it builds writes back the same JSON value,
-integers exact; otherwise it names the first field that differs. A
+integers exact; otherwise it names the first field that differs. Each
+integer read is tested inline (`type(v) is int`); `_exact_int`, called
+only on a value that fails, is the one place that words the message. A
 gluing's `description` (a string or null) and each note (a string) are
 labels: the loader checks their type and carries them verbatim, and no
 rule or ledger term reads them.
@@ -174,7 +176,7 @@ def minimal_boundary_table(r: int, k1: int, k2: int) -> tuple[tuple[int, int], .
     """Smallest possible vanishing multiset of a k-dimensional space, as
     ascending runs: orders 0..k1-1 with multiplicity r, then k1 with
     multiplicity k2."""
-    return tuple((j, r) for j in range(k1)) + (((k1, k2),) if k2 else ())
+    return tuple([(j, r) for j in range(k1)]) + (((k1, k2),) if k2 else ())
 
 
 @dataclass(frozen=True, init=False)
@@ -329,7 +331,23 @@ def _text(value: Any, name: str, optional: bool = False) -> str | None:
 
 def _table_side(entries: Iterable[Any], name: str) -> tuple[tuple[int, int], ...]:
     """One side of a table as exact-int runs; VanishingTable checks the rest."""
-    return tuple((_exact_int(o, name), _exact_int(m, name)) for o, m in entries)
+    runs = []
+    for o, m in entries:
+        if type(o) is not int or type(m) is not int:
+            _exact_int(o, name), _exact_int(m, name)
+        runs.append((o, m))
+    return tuple(runs)
+
+
+def _summands(entries: Iterable[Any]) -> tuple[Summand, ...]:
+    """Summands with exact-int `mult` and twist `a`; Summand checks the rest."""
+    summands = []
+    for sd in entries:
+        mult, a = sd["mult"], sd.get("a")
+        if type(mult) is not int or not (a is None or type(a) is int):
+            _exact_int(mult, "summands"), _optional_int(a, "summands")
+        summands.append(Summand(mult, a))
+    return tuple(summands)
 
 
 def _bundle_from_json(bd: Mapping[str, Any]) -> ComponentBundle:
@@ -339,10 +357,7 @@ def _bundle_from_json(bd: Mapping[str, Any]) -> ComponentBundle:
         blocks=_optional_int(bd.get("blocks"), "blocks"),
         block_rank=_optional_int(bd.get("block_rank"), "block_rank"),
         block_degree=_optional_int(bd.get("block_degree"), "block_degree"),
-        summands=tuple(
-            Summand(mult=_exact_int(sd["mult"], "summands"), twist=_optional_int(sd.get("a"), "summands"))
-            for sd in bd.get("summands", ())
-        ),
+        summands=_summands(bd.get("summands", ())),
     )
 
 
@@ -367,7 +382,7 @@ def _rebuilt_ints_exact(doc: Mapping[str, Any]) -> bool:
     and true."""
     keys = [e["component"] for e in doc["bundles"] + doc["tables"]]
     keys += [v for e in doc["gluings"] for v in (e["node"], e["parameter_dim"])]
-    return all(type(v) is int for v in (doc["components"], *doc["decomposition"].values(), *keys))
+    return set(map(type, (doc["components"], *doc["decomposition"].values(), *keys))) == {int}
 
 
 class _Absent:

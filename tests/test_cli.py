@@ -436,6 +436,19 @@ class TestSweep:
         assert captured.err.endswith(f"ellchain sweep: error: argument --g: expected N or LO:HI, got {bounds!r}\n")
 
     @pytest.mark.parametrize(
+        "name, message",
+        [("g", "genus must be >= 2, got g=-2"), ("r", "rank must be >= 1, got r=-2"),
+         ("k", "section count must be >= 1, got k=-2"), ("d", "degree must be >= 0, got d=-2")],
+    )
+    def test_negative_range_reaches_the_range_check(self, capsys, name, message):
+        # argparse would read `-2:-1` as an option and exit 2 with "expected
+        # one argument"; both spellings must reach the same check.
+        for argv in (["sweep", f"--{name}", "-2:-1"], ["sweep", f"--{name}=-2:-1"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n"), argv
+
+    @pytest.mark.parametrize(
         "g, r, message",
         [((2, 2), (0, 0), "rank must be >= 1, got r=0"),
          ((2, 2), (0, 1), "rank must be >= 1, got r=0"),

@@ -352,12 +352,94 @@ def test_malformed_document_rejected():
         skeleton_from_json_dict(doc)
 
 
+def _load_error(doc) -> str:
+    with pytest.raises(ParameterError) as info:
+        skeleton_from_json_dict(doc)
+    return str(info.value)
+
+
+# Every integer the loader reads from a table run or a summand of `7 3 16 5`:
+# (path into the document, field the message names). Component 1's P side
+# has two runs and its Q side three; component 2's summands are a twisted
+# line and then generic lines.
+_LOADED_INTS = [
+    (("tables", 0, "at_p", 0, 0), "tables[0].at_p"),
+    (("tables", 0, "at_p", 0, 1), "tables[0].at_p"),
+    (("tables", 0, "at_p", 1, 0), "tables[0].at_p"),
+    (("tables", 0, "at_q", 0, 0), "tables[0].at_q"),
+    (("tables", 0, "at_q", 0, 1), "tables[0].at_q"),
+    (("tables", 0, "at_q", 2, 1), "tables[0].at_q"),
+    (("bundles", 1, "summands", 0, "mult"), "bundles[1].summands"),
+    (("bundles", 1, "summands", 0, "a"), "bundles[1].summands"),
+    (("bundles", 1, "summands", 1, "mult"), "bundles[1].summands"),
+]
+
+
 @pytest.mark.parametrize("bad", [True, 1.0, "1"])
 def test_loader_requires_exact_int_table_entries(bad):
+    for path, name in _LOADED_INTS:
+        doc = skeleton_to_json_dict(construct(Params(7, 3, 16, 5)))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = bad
+        assert _load_error(doc) == f"{name}: expected an integer, got {bad!r}", path
+    # Two bad values in one run or one summand: the order, then the
+    # multiplicity; `mult`, then `a`.
     doc = skeleton_to_json_dict(construct(Params(7, 3, 16, 5)))
-    doc["tables"][0]["at_p"][0][1] = bad
-    with pytest.raises(ParameterError):
-        skeleton_from_json_dict(doc)
+    doc["tables"][0]["at_q"][1] = [bad, 2.0]
+    assert _load_error(doc) == f"tables[0].at_q: expected an integer, got {bad!r}"
+    doc = skeleton_to_json_dict(construct(Params(7, 3, 16, 5)))
+    doc["bundles"][2]["summands"][0].update(mult=bad, a=2.0)
+    assert _load_error(doc) == f"bundles[2].summands: expected an integer, got {bad!r}"
+    # A bundle's degree is read before its summands.
+    doc["bundles"][2]["degree"] = 15.0
+    assert _load_error(doc) == "bundles[2].degree: expected an integer, got 15.0"
+
+
+@pytest.mark.parametrize(
+    "side, entry, message",
+    [
+        ("at_p", 5, "malformed skeleton document: cannot unpack non-iterable int object"),
+        ("at_p", [1], "malformed skeleton document: not enough values to unpack (expected 2, got 1)"),
+        ("at_q", [1, 2, 3], "malformed skeleton document: too many values to unpack (expected 2)"),
+        ("at_q", "ab", "tables[0].at_q: expected an integer, got 'a'"),
+        ("at_p", {}, "malformed skeleton document: not enough values to unpack (expected 2, got 0)"),
+    ],
+)
+def test_loader_rejects_a_table_run_that_is_not_a_pair(side, entry, message):
+    doc = skeleton_to_json_dict(construct(Params(7, 3, 16, 5)))
+    doc["tables"][0][side][1] = entry
+    assert _load_error(doc) == message
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (5, "malformed skeleton document: 'int' object is not subscriptable"),
+        ([1, 2], "malformed skeleton document: list indices must be integers or slices, not str"),
+        (None, "malformed skeleton document: 'NoneType' object is not subscriptable"),
+        ({"kind": "twisted", "a": 1}, "malformed skeleton document: 'mult'"),
+    ],
+)
+def test_loader_rejects_a_summand_that_is_not_an_object(entry, message):
+    doc = skeleton_to_json_dict(construct(Params(7, 3, 16, 5)))
+    doc["bundles"][1]["summands"][1] = entry
+    assert _load_error(doc) == message
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("at_p", 5, "malformed skeleton document: 'int' object is not iterable"),
+        ("at_q", {}, "tables[0].at_q: empty table side"),
+        ("summands", 5, "malformed skeleton document: 'int' object is not iterable"),
+    ],
+)
+def test_loader_rejects_a_side_or_summand_list_that_is_not_a_list(key, value, message):
+    doc = skeleton_to_json_dict(construct(Params(7, 3, 16, 5)))
+    (doc["bundles"][1] if key == "summands" else doc["tables"][0])[key] = value
+    assert _load_error(doc) == message
 
 
 def test_loader_rejects_non_object_document():
