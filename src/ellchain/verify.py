@@ -34,14 +34,16 @@ Checks performed:
 The rules read the summaries a table, a bundle and the params carry (side
 totals, largest multiplicity, rank, lowest and highest twist, the
 decomposition), computed once when each was built, and never re-sum them.
-A run-by-run loop runs only where a summary shows a rule is broken, to name
-the offenders; since a side's orders ascend, its first and last runs bound
-its orders.
+A run-by-run loop runs only where a summary shows a rule may be broken (on
+a component, a pair sum reaching d1), to name the offenders; since a side's
+orders ascend, its first and last runs bound its orders.
 
 Both pairings are read off the (order, multiplicity) runs a VanishingTable
-stores, never off per-section lists: `merge_runs` walks one side's runs
-upward and the other's from the top with two pointers and yields
-(x, y, count) stretches, so a check costs O(distinct orders), not O(k).
+stores, never off per-section lists, by one two-pointer walk that reads one
+side's runs upward and the other's from the top, so a check costs
+O(distinct orders), not O(k). `pair_sum_range` walks it for the verdicts
+and returns only the lowest and highest pair sums; `merge_runs` walks it
+for the witnesses and offenders and yields (x, y, count) stretches.
 
 Why the anti-sorted pairing decides both rules (an exchange argument). Call
 two pairs (x, y), (x', y') concordant when x < x' and y < y'; the anti-sorted
@@ -59,9 +61,9 @@ The genericity condition (sections determined by their nodal values) is not
 machine-checkable in this model and is carried as an assumption with its own
 status, so an overall pass reads "pass modulo genericity assumptions".
 
-Witnesses are built only when read: a report's JSON expands each node's
-stretches into its pairs and sums, and a sweep, which reads statuses only,
-never pays for it.
+Witnesses are built only when read: a node verdict keeps its two sides and
+merges them when a report's JSON expands the node's pairs and sums, and a
+sweep, which reads statuses only, never pays for either.
 
 The skeleton and its parts are frozen, because the summaries the rules read
 are right only while the fields they come from cannot change. The verdicts
@@ -129,13 +131,48 @@ def merge_runs(up: Runs, down: Runs) -> list[Stretch]:
             y, my = down[j]
 
 
+def pair_sum_range(up: Runs, down: Runs) -> tuple[int, int]:
+    """(lowest, highest) pair sum of `merge_runs(up, down)`: the same walk,
+    with no stretch built. Both sides must be non-empty."""
+    i, j = 0, len(down) - 1
+    x, mx = up[0]
+    y, my = down[j]
+    lowest = highest = x + y
+    while True:
+        if mx <= my:
+            my -= mx
+            i += 1
+            if i == len(up):
+                return lowest, highest
+            x, mx = up[i]
+        else:
+            mx -= my
+            my = 0
+        if not my:
+            j -= 1
+            if j < 0:
+                return lowest, highest
+            y, my = down[j]
+        total = x + y
+        if total < lowest:
+            lowest = total
+        elif total > highest:
+            highest = total
+
+
 @dataclass(slots=True)
 class NodeVerdict:
     node: int
-    stretches: tuple[Stretch, ...]  # (P-order, Q-order, count), P ascending
+    at_p: Runs  # the next component's P side
+    at_q: Runs
     min_sum: int
     satisfiable: bool
     exact: bool
+
+    @property
+    def stretches(self) -> list[Stretch]:
+        """(P-order, Q-order, count), P ascending: merged on every read."""
+        return merge_runs(self.at_p, self.at_q)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -162,28 +199,14 @@ def node_verdicts(tables: Sequence[VanishingTable], b: int) -> tuple[NodeVerdict
     """Verdicts of the nodes between consecutive tables, numbered from 1. A
     node is satisfiable iff its Q side and the next P side total the same
     (else no bijection exists) and the greedy pairing's minimum sum is at
-    least b. With unequal totals the stretches stop at the shorter side."""
+    least b. With unequal totals the pairing stops at the shorter side."""
     verdicts = []
-    for node in range(1, len(tables)):
-        q_table = tables[node - 1]
-        p_table = tables[node]
-        stretches = tuple(merge_runs(p_table.at_p, q_table.at_q))
-        p, q, _ = stretches[0]
-        min_sum = max_sum = p + q
-        for p, q, _ in stretches:
-            total = p + q
-            if total < min_sum:
-                min_sum = total
-            if total > max_sum:
-                max_sum = total
+    for node, (q_table, p_table) in enumerate(zip(tables, tables[1:]), 1):
+        lowest, highest = pair_sum_range(p_table.at_p, q_table.at_q)
         verdicts.append(
-            NodeVerdict(
-                node=node,
-                stretches=stretches,
-                min_sum=min_sum,
-                satisfiable=min_sum >= b and q_table.total_q == p_table.total_p,
-                exact=min_sum == b and max_sum == b,
-            )
+            NodeVerdict(node=node, at_p=p_table.at_p, at_q=q_table.at_q, min_sum=lowest,
+                        satisfiable=lowest >= b and q_table.total_q == p_table.total_p,
+                        exact=lowest == highest == b)
         )
     return tuple(verdicts)
 
@@ -259,27 +282,28 @@ def check_component_feasibility(
     component: int, bundle: ComponentBundle, table: VanishingTable, *, d1: int, d2: int, r: int
 ) -> ComponentVerdict:
     """Check component `component`: its `component_preconditions` must hold,
-    and the pairing induced by P-orders ascending against Q-orders
-    descending (stopping at the shorter side) must keep the elliptic section
-    rules. A pair above d1 yields one violation per section."""
+    and the anti-sorted pairing (stopping at the shorter side) must keep the
+    elliptic section rules. Its stretches are walked only if a pair sum
+    reaches d1, and a pair above d1 yields one violation per section."""
     violations = component_preconditions(component, bundle, table, d1=d1, r=r)
-    top_groups: dict[int, int] = {}
-    for x, y, count in merge_runs(table.at_p, table.at_q):
-        total = x + y
-        if total > d1:
-            violations.extend(
-                {"rule": "pair_sum", "pair": [x, y], "sum": total, "max": d1} for _ in range(count)
-            )
-        elif total == d1:
-            top_groups[x] = top_groups.get(x, 0) + count
     exceptional = []
-    for a in sorted(top_groups):
-        capacity = exceptional_capacity(bundle, a, d2=d2)
-        exceptional.append((a, top_groups[a], capacity))
-        if top_groups[a] > capacity:
-            violations.append(
-                {"rule": "exceptional_capacity", "order": a, "pairs": top_groups[a], "capacity": capacity}
-            )
+    if pair_sum_range(table.at_p, table.at_q)[1] >= d1:
+        top_groups: dict[int, int] = {}
+        for x, y, count in merge_runs(table.at_p, table.at_q):
+            total = x + y
+            if total > d1:
+                violations.extend(
+                    {"rule": "pair_sum", "pair": [x, y], "sum": total, "max": d1} for _ in range(count)
+                )
+            elif total == d1:
+                top_groups[x] = top_groups.get(x, 0) + count
+        for a in sorted(top_groups):
+            capacity = exceptional_capacity(bundle, a, d2=d2)
+            exceptional.append((a, top_groups[a], capacity))
+            if top_groups[a] > capacity:
+                violations.append(
+                    {"rule": "exceptional_capacity", "order": a, "pairs": top_groups[a], "capacity": capacity}
+                )
     return ComponentVerdict(
         component=component,
         ok=not violations,

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellchain import (
@@ -19,7 +20,11 @@ from ellchain import (
     slope_ok,
     verify,
 )
-from ellchain.verify import check_multiplicity_bounds
+from ellchain.skeleton import skeleton_from_json_dict, skeleton_to_json_dict
+from ellchain.verify import check_multiplicity_bounds, pair_sum_range
+
+# The package's `verify` is the function, so the module is looked up by name.
+verify_module = importlib.import_module("ellchain.verify")
 
 
 def expand_ascending(runs):
@@ -204,6 +209,47 @@ class TestFullVerify:
         assert entry.status == "fail"
         assert any(o["order"] == 2 for o in entry.witness["offenders"])
 
+    @pytest.fixture
+    def merge_calls(self, monkeypatch):
+        """The (up, down) argument of every `merge_runs` call verify makes."""
+        calls = []
+
+        def counting(up, down):
+            calls.append((up, down))
+            return merge_runs(up, down)
+
+        monkeypatch.setattr(verify_module, "merge_runs", counting)
+        return calls
+
+    def test_stretches_are_built_only_when_a_witness_reads_them(self, merge_calls):
+        report = verify(construct(Params(7, 3, 30, 5)))
+        assert report.overall and merge_calls == []
+        report.to_canonical_json()
+        assert len(merge_calls) == 6  # g - 1 node witnesses, one merge each
+        report.to_canonical_json()
+        assert len(merge_calls) == 6
+
+    @pytest.mark.parametrize(
+        "at_q,expected",
+        [
+            ([[3, 3], [5, 2]], {"component": 4, "ok": False, "exceptional": [[5, 2, 0]], "violations": [
+                {"rule": "exceptional_capacity", "order": 5, "pairs": 2, "capacity": 0}]}),
+            ([[3, 3], [6, 2]], {"component": 4, "ok": False, "exceptional": [], "violations": [
+                {"rule": "pair_sum", "pair": [5, 6], "sum": 11, "max": 10}] * 2}),
+        ],
+        ids=["saturated", "over_degree"],
+    )
+    def test_a_pair_sum_reaching_d1_enters_the_stretch_loop(self, merge_calls, at_q, expected):
+        # Component 4 of 7 3 30 5 (d1 = 10) is O(10Q)^3 on generic lines,
+        # with P side [[5, 2], [6, 3]].
+        doc = skeleton_to_json_dict(construct(Params(7, 3, 30, 5)))
+        doc["tables"][3]["at_q"] = at_q
+        s = skeleton_from_json_dict(doc)
+        report = verify(s)
+        assert merge_calls == [(s.table(4).at_p, s.table(4).at_q)]
+        assert report.entry("component_feasibility").witness["components"][3] == expected
+        assert not report.overall
+
     def test_report_json_shape(self):
         doc = verify(construct(Params(4, 2, 8, 4))).to_json_dict()
         assert doc["overall"] == "pass"
@@ -327,7 +373,19 @@ class TestRunMerge:
         expanded = [(y, x) for x, y, count in stretches for _ in range(count)]
         assert expanded == list(zip(expand_descending(q), expand_ascending(p)))
 
+    @given(p=run_tables, q=run_tables)
+    @example(p=((1, 1), (4, 1)), q=((0, 2), (2, 1)))  # the up side runs out first
+    @example(p=((0, 2), (3, 1)), q=((1, 1), (5, 1)))  # the down side runs out first
+    @example(p=((0, 1), (2, 2)), q=((1, 2), (4, 1)))  # both run out together
+    @settings(max_examples=300)
+    def test_sum_range_is_that_of_the_stretches(self, p, q):
+        sums = [x + y for x, y, _ in merge_runs(p, q)]
+        assert pair_sum_range(p, q) == (min(sums), max(sums))
+
     @given(at_q=run_tables, at_p=run_tables, b=st.integers(0, 18))
+    @example(at_q=((2, 1), (3, 1)), at_p=((0, 1), (2, 1)), b=4)  # minimum sum b - 1
+    @example(at_q=((2, 1), (3, 1)), at_p=((0, 1), (2, 1)), b=3)  # minimum sum b
+    @example(at_q=((2, 2),), at_p=((1, 1),), b=3)  # every sum b, unequal totals
     @settings(max_examples=200)
     def test_node_verdict_matches_expanded_reference(self, at_q, at_p, b):
         s = construct(Params(2, 2, 6, 3))
@@ -341,6 +399,7 @@ class TestRunMerge:
         assert list(verdict.pairs) == pairs
         assert verdict.min_sum == min(sums)
         assert verdict.exact == all(v == b for v in sums)
+        assert verdict.satisfiable == (min(sums) >= b and sum(m for _, m in at_q) == sum(m for _, m in at_p))
         assert verdict.to_json_dict()["sums"] == sums
 
     @given(
@@ -353,6 +412,20 @@ class TestRunMerge:
         first_special=st.booleans(),
         degree_shift=st.integers(-1, 1),
     )
+    # Highest pair sum d1 - 1, d1 and d1 + 1 (d1 = 5, P-orders 1 and 2), on a
+    # generic line and on a twist-1 summand, which matches P-order 1.
+    @example(at_p=((1, 1), (2, 1)), at_q=((2, 1), (3, 1)), d1=5, d2=0, r=1, twists=[None],
+             first_special=False, degree_shift=0)
+    @example(at_p=((1, 1), (2, 1)), at_q=((2, 1), (4, 1)), d1=5, d2=0, r=1, twists=[None],
+             first_special=False, degree_shift=0)
+    @example(at_p=((1, 1), (2, 1)), at_q=((2, 1), (5, 1)), d1=5, d2=0, r=1, twists=[None],
+             first_special=False, degree_shift=0)
+    @example(at_p=((1, 1), (2, 1)), at_q=((2, 1), (3, 1)), d1=5, d2=0, r=1, twists=[1],
+             first_special=False, degree_shift=0)
+    @example(at_p=((1, 1), (2, 1)), at_q=((2, 1), (4, 1)), d1=5, d2=0, r=1, twists=[1],
+             first_special=False, degree_shift=0)
+    @example(at_p=((1, 1), (2, 1)), at_q=((2, 1), (5, 1)), d1=5, d2=0, r=1, twists=[1],
+             first_special=False, degree_shift=0)
     @settings(max_examples=300)
     def test_component_verdict_matches_expanded_reference(
         self, at_p, at_q, d1, d2, r, twists, first_special, degree_shift
