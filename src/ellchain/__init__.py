@@ -6,13 +6,11 @@ from .construct import construct, layout
 from .errors import (
     EngineError,
     HypothesisFailed,
-    InstanceTooLarge,
     KLERegime,
     ParameterError,
 )
 from .ledger import AuditResult, DimensionLedger, LedgerRow, audit_equals_rho, ledger
 from .oracle import (
-    DEFAULT_BOUND,
     CrossValidation,
     cross_validate,
     exists_feasible_pairing,
@@ -59,13 +57,11 @@ __all__ = [
     "Classification",
     "ComponentBundle",
     "CrossValidation",
-    "DEFAULT_BOUND",
     "Decomposition",
     "DimensionLedger",
     "EngineError",
     "HypothesisCheck",
     "HypothesisFailed",
-    "InstanceTooLarge",
     "KLERegime",
     "LedgerRow",
     "LimitSeriesSkeleton",

@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("g", "r", "d", "k"):
         check.add_argument(name, type=int)
     check.add_argument("--format", choices=("text", "json"), default="text")
-    check.add_argument("--oracle", action="store_true", help="also cross-validate against the exhaustive oracle")
+    check.add_argument("--oracle", action="store_true", help="also cross-validate against the max-flow oracle")
     check.set_defaults(func=cmd_check)
 
     sweep = sub.add_parser("sweep", help="evaluate a lattice of tuples")

@@ -26,7 +26,3 @@ class HypothesisFailed(EngineError):
     def __init__(self, message: str, failed) -> None:
         super().__init__(message)
         self.failed = failed
-
-
-class InstanceTooLarge(EngineError):
-    """A pairing instance exceeds the exhaustive-search bound."""

@@ -61,9 +61,11 @@ The genericity condition (sections determined by their nodal values) is not
 machine-checkable in this model and is carried as an assumption with its own
 status, so an overall pass reads "pass modulo genericity assumptions".
 
-Witnesses are built only when read: a node verdict keeps its two sides and
-merges them when a report's JSON expands the node's pairs and sums, and a
-sweep, which reads statuses only, never pays for either.
+Witnesses are built only when read: the pairing and boundary checks and a
+passing multiplicity check keep what their witnesses need and build them
+on the first read (`CheckEntry(build=...)`), and a node verdict keeps its
+two sides and merges them when a report's JSON expands the node's pairs
+and sums. A sweep, which reads statuses only, pays for none of them.
 
 The skeleton and its parts are frozen, because the summaries the rules read
 are right only while the fields they come from cannot change. The verdicts
@@ -284,7 +286,8 @@ def check_component_feasibility(
     """Check component `component`: its `component_preconditions` must hold,
     and the anti-sorted pairing (stopping at the shorter side) must keep the
     elliptic section rules. Its stretches are walked only if a pair sum
-    reaches d1, and a pair above d1 yields one violation per section."""
+    reaches d1, and a stretch above d1 yields one violation with its
+    count of sections, so the witness grows with the runs, not with k."""
     violations = component_preconditions(component, bundle, table, d1=d1, r=r)
     exceptional = []
     if pair_sum_range(table.at_p, table.at_q)[1] >= d1:
@@ -292,9 +295,7 @@ def check_component_feasibility(
         for x, y, count in merge_runs(table.at_p, table.at_q):
             total = x + y
             if total > d1:
-                violations.extend(
-                    {"rule": "pair_sum", "pair": [x, y], "sum": total, "max": d1} for _ in range(count)
-                )
+                violations.append({"rule": "pair_sum", "pair": [x, y], "sum": total, "max": d1, "count": count})
             elif total == d1:
                 top_groups[x] = top_groups.get(x, 0) + count
         for a in sorted(top_groups):
@@ -370,9 +371,14 @@ def check_boundary(s: LimitSeriesSkeleton) -> CheckEntry:
     expected = minimal_boundary_table(s.params.r, dec.k1, dec.k2)
     first_p = s.tables[0].at_p
     last_q = s.tables[-1].at_q
+    status = "pass" if first_p == expected and last_q == expected else "fail"
+    return CheckEntry(status, build=partial(_boundary_witness, expected, first_p, last_q))
+
+
+def _boundary_witness(expected: Runs, first_p: Runs, last_q: Runs) -> dict[str, Any]:
     witness: dict[str, Any] = {"expected": list(expected), "first_p": list(first_p), "last_q": list(last_q)}
     if first_p == expected and last_q == expected:
-        return CheckEntry("pass", witness)
+        return witness
     want = dict(expected)
     offenders = []
     for label, side in (("P1", first_p), ("Qg", last_q)):
@@ -381,7 +387,7 @@ def check_boundary(s: LimitSeriesSkeleton) -> CheckEntry:
             if got.get(order) != want.get(order):
                 offenders.append({"point": label, "order": order, "got": got.get(order, 0), "expected": want.get(order, 0)})
     witness["offenders"] = offenders
-    return CheckEntry("fail", witness)
+    return witness
 
 
 def check_multiplicity_bounds(s: LimitSeriesSkeleton) -> CheckEntry:
@@ -405,7 +411,7 @@ def check_multiplicity_bounds(s: LimitSeriesSkeleton) -> CheckEntry:
                     offenders.append({"component": i, "point": point, "order": order, "mult": mult})
     if offenders:
         return CheckEntry("fail", {"offenders": offenders})
-    return CheckEntry("pass", {"components": len(s.tables), "max_multiplicity": r})
+    return CheckEntry("pass", build=partial(dict, components=len(s.tables), max_multiplicity=r))
 
 
 def _node_witness(nodes: tuple[NodeVerdict, ...]) -> dict[str, Any]:

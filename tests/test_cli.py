@@ -63,8 +63,8 @@ class TestCheckCommand:
     @pytest.mark.parametrize(
         "tup, line",
         [(("7", "3", "16", "5"), "oracle cross-validation: agree"),
-         (("3", "4", "40", "9"), "oracle cross-validation: skipped (k=9 exceeds oracle bound 8)")],
-        ids=["agree", "skipped"],
+         (("3", "4", "40", "9"), "oracle cross-validation: agree")],
+        ids=["agree", "k9"],
     )
     def test_json_oracle_line_on_stderr(self, capsys, tup, line):
         # stdout is the same document with and without --oracle; the oracle
@@ -394,9 +394,10 @@ class TestVerifyFileAuditAndLoad:
         assert "verify component_feasibility: pass" in out
         assert "verify boundary_minimality: fail" in out and "verify multiplicity_bounds: fail" in out
 
-    def test_oracle_skips_oversize_instance_with_notice(self, tmp_path, capsys):
-        # Node 1 pairs 9 Q-orders with 9 P-orders, beyond the oracle bound 8
-        # although k = 5; it is skipped, and the report is still printed.
+    def test_oracle_checks_a_node_of_size_9(self, tmp_path, capsys):
+        # Node 1 pairs 9 Q-orders with 9 P-orders although k = 5; the oracle
+        # checks it like any other node. Components 1 and 2 now have sides
+        # that total differently, so only they are skipped.
         path, doc = _dumped(tmp_path, capsys)
         doc["tables"][0]["at_q"] = [[3, 4], [4, 5]]
         doc["tables"][1]["at_p"] = [[0, 5], [1, 4]]
@@ -405,7 +406,8 @@ class TestVerifyFileAuditAndLoad:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify-file", str(path), "--oracle"]) == 1
         out = capsys.readouterr().out
-        assert "oracle cross-validation: agree, skipped (node 1: instance size 9 exceeds oracle bound 8;" in out
+        assert ("oracle cross-validation: agree, skipped (component 1: sides total 5 and 9; "
+                "component 2: sides total 9 and 5)\n") in out
         assert "verify multiplicity_bounds: fail" in out and "overall: fail" in out
 
 

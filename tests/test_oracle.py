@@ -3,7 +3,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 
 from conftest import constructible_tuples
 from ellchain import (
-    DEFAULT_BOUND,
     Params,
     VanishingTable,
     construct,
@@ -21,7 +19,6 @@ from ellchain import (
     min_sum_pairing_exists,
 )
 from ellchain.cli import SweepConfig
-from ellchain.errors import InstanceTooLarge
 from ellchain.oracle import CrossCheck, CrossValidation
 from ellchain.verify import (
     check_component_feasibility,
@@ -52,23 +49,16 @@ SEARCHES = [
 
 
 class TestGuard:
-    # Both searches share one guard, and its messages are the notices
+    # Both modes share one guard, and its messages are the notices
     # cross_validate records for a skipped instance.
     @pytest.mark.parametrize("search", SEARCHES)
     def test_unequal_totals_rejected(self, search):
         with pytest.raises(ValueError, match=r"^sides total 2 and 1$"):
             search(((0, 2),), ((0, 1),))
 
-    @pytest.mark.parametrize("search", SEARCHES)
-    def test_instance_too_large(self, search):
-        with pytest.raises(InstanceTooLarge, match=rf"^instance size 9 exceeds oracle bound {DEFAULT_BOUND}$"):
-            search(((0, 9),), ((0, 9),))
-        assert isinstance(search(((0, 8),), ((3, 8),)), bool)  # the bound itself is searched
-
     def test_unsorted_runs_rejected(self):
-        # The capped search stops at the first partner past the cap, which is
-        # sound only on ascending orders: these unsorted runs used to read as
-        # infeasible, while the same multisets in ascending order are feasible.
+        # Sides are table sides, whose orders ascend: the same multisets in
+        # ascending order are feasible, but unsorted they are rejected.
         assert exists_feasible_pairing(((0, 1), (1, 1)), ((0, 1), (9, 1)), 9, {0: 1})
         with pytest.raises(ValueError, match=r"^right: order 0 after 9, orders must be strictly ascending$"):
             exists_feasible_pairing(((0, 1), (1, 1)), ((9, 1), (0, 1)), 9, {0: 1})
@@ -103,6 +93,22 @@ class TestCappedMode:
         assert not _capped({1: 2}, {3: 2}, threshold=4, budget={1: 1})
         assert _capped({1: 2}, {3: 2}, threshold=4, budget={1: 2})
 
+    def test_feasible_only_by_rerouting_a_unit(self):
+        # The first-fit fill sends both 0s to the 1s, leaving the 1 only the
+        # 2 (sum 3, no budget). The one pairing within the cap sends a 0 to
+        # the 2, so the flow must cancel one unit on the edge 0 -> 1 and
+        # send the 1 there instead.
+        assert _capped({0: 2, 1: 1}, {1: 2, 2: 1}, threshold=3)
+
+    def test_multiplicity_1e9(self):
+        # No size bound: the flow's work depends on the runs, not on the
+        # units they hold.
+        m = 10**9
+        assert _capped({0: m, 1: m}, {1: m, 2: m}, threshold=3)
+        assert not _capped({0: m - 1, 1: m + 1}, {1: m, 2: m}, threshold=3)
+        assert _capped({0: m - 1, 1: m + 1}, {1: m, 2: m}, threshold=3, budget={1: 1})
+        assert not _capped({0: m - 2, 1: m + 2}, {1: m, 2: m}, threshold=3, budget={1: 1})
+
     @given(
         left=st.dictionaries(st.integers(0, 5), st.integers(1, 2), min_size=1, max_size=3),
         data=st.data(),
@@ -129,6 +135,13 @@ class TestMinSumMode:
         assert not min_sum_pairing_exists(((1, 1), (2, 1)), ((0, 1), (1, 1)), 3)
         assert min_sum_pairing_exists(((3, 4),), ((0, 4),), 3)
 
+    def test_multiplicity_1e9(self):
+        m = 10**9
+        assert min_sum_pairing_exists(((1, m), (2, m)), ((1, m), (2, m)), 3)
+        assert not min_sum_pairing_exists(((1, m + 1), (2, m - 1)), ((1, m), (2, m)), 3)
+        assert min_sum_pairing_exists(((0, m), (5, m)), ((0, m), (5, m)), 5)
+        assert not min_sum_pairing_exists(((0, m), (5, m)), ((0, m), (5, m)), 6)
+
     @given(
         orders=st.lists(st.integers(0, 6), min_size=1, max_size=5),
         data=st.data(),
@@ -144,16 +157,18 @@ class TestMinSumMode:
 
 
 class TestExhaustive:
-    # Both searches against an enumeration of every pairing of the expanded
+    # Both modes against an enumeration of every pairing of the expanded
     # units, on every ordered pair of equal-size multisets with total <= 5
     # over orders 0..4. Thresholds sit around the anti-sorted pairing's
     # extreme sum, which is optimal, so each pair is met feasible and
     # infeasible. The capped budgets run 0..2 per order (up to the order's
     # multiplicity) on every left order that can meet the cap exactly, so
-    # some budgets run out. Both reach the failed-state memo. Each verdict
-    # is also asked of the instance translated by u on the left and v on the
-    # right, its threshold moved by u + v and its budget's keys by u: the
-    # invariance cross_validate's per-class memo relies on.
+    # some budgets run out. Both modes share one augmenting routine, and
+    # many capped instances are feasible only once the flow cancels a unit
+    # that its first-fit fill placed. Each verdict is also asked of the
+    # instance translated by u on the left and v on the right, its threshold
+    # moved by u + v and its budget's keys by u: the invariance
+    # cross_validate's per-class memo relies on.
     SHIFTS = ((0, 3), (2, -1), (5, 5))
 
     @staticmethod
@@ -200,121 +215,6 @@ class TestExhaustive:
                     exhausted += not found and bool(charges)
             assert exists_feasible_pairing(lruns, rruns, max(anti) + 1, {})
         assert infeasible > 100_000 and exhausted > 50_000
-
-
-def _entered_states(search, *args):
-    """The search's verdict, and the (i, right counts[, budgets]) state at
-    each entry into its recursive step, read from the step's frame by a
-    profile hook; the first entry is the start state."""
-    step = next(c for c in search.__code__.co_consts if getattr(c, "co_name", None) == "rec")
-    states = []
-
-    def hook(frame, event, arg):
-        if event == "call" and frame.f_code is step:
-            local = frame.f_locals
-            state = (local["i"], tuple(local["rcounts"]))
-            states.append(state + (tuple(local["budgets"]),) if "budgets" in local else state)
-
-    sys.setprofile(hook)
-    try:
-        found = search(*args)
-    finally:
-        sys.setprofile(None)
-    assert states, "no search step was traced"
-    return found, states
-
-
-def _reachable(start, moves):
-    """Every state reachable from `start`, where moves(state) lists its
-    successors."""
-    seen, todo = {start}, [start]
-    while todo:
-        for child in moves(todo.pop()):
-            if child not in seen:
-                seen.add(child)
-                todo.append(child)
-    return seen
-
-
-def _take(counts, j):
-    return counts[:j] + (counts[j] - 1,) + counts[j + 1 :]
-
-
-class TestExhaustiveSearch:
-    # With no pairing to find, an exhaustive search enters every partial
-    # assignment reachable by legal moves, and nothing else: a memo key that
-    # merges distinct states skips some, a missing backtrack stops early and
-    # a missing restore enters states no assignment reaches. The first
-    # descent mirrors the greedy pairing and already decides the verdict, so
-    # verdict tests cannot see any of these. A state is the number i of left
-    # units placed, in the search's fixed order (smallest order first for
-    # the minimum sum, largest first under the cap), with the right counts
-    # left and, under the cap, the budgets left per left order; it is
-    # enumerated here from the multisets alone.
-    @staticmethod
-    def _infeasible(states, n):
-        return all(state[0] < n for state in states)
-
-    def test_min_sum_enters_every_reachable_state(self):
-        checked = 0
-        for left, right, _, anti in TestExhaustive._instances():
-            lruns, rruns = _runs(Counter(left)), _runs(Counter(right))
-            rorders = [o for o, _ in rruns]
-            b = min(anti) + 1  # the anti-sorted pairing is optimal, so none exists
-
-            def moves(state):  # `left` ascends, the order the search places it in
-                i, counts = state
-                if i < len(left):
-                    for j, c in enumerate(counts):
-                        if c and left[i] + rorders[j] >= b:
-                            yield i + 1, _take(counts, j)
-
-            start = (0, tuple(m for _, m in rruns))
-            reachable = _reachable(start, moves)
-            assert self._infeasible(reachable, len(left))
-            found, entered = _entered_states(min_sum_pairing_exists, lruns, rruns, b)
-            assert not found and entered[0] == start
-            assert set(entered) == reachable, (left, right, b)
-            checked += 1
-        assert checked == 22_251
-
-    @staticmethod
-    def _capped_settings(lruns, right, top):
-        """(threshold, budgets per left run): the caps TestExhaustive tries."""
-        for t in (top - 1, top):
-            ranges = [range(min(m, 2) + 1) if t - a in right else (0,) for a, m in lruns]
-            for caps in itertools.product(*ranges):
-                yield t, caps
-
-    def test_capped_enters_every_reachable_state(self):
-        checked = 0
-        for left, right, _, anti in TestExhaustive._instances(max_size=4):
-            lruns, rruns = _runs(Counter(left)), _runs(Counter(right))
-            lorders, rorders = [o for o, _ in lruns], [o for o, _ in rruns]
-            placed = sorted(left, reverse=True)
-            for t, caps in self._capped_settings(lruns, right, max(anti)):
-
-                def moves(state, t=t):
-                    i, counts, budgets = state
-                    if i < len(placed):
-                        li = lorders.index(placed[i])
-                        for j, c in enumerate(counts):
-                            total = placed[i] + rorders[j]
-                            if c and total < t:
-                                yield i + 1, _take(counts, j), budgets
-                            elif c and total == t and budgets[li]:
-                                yield i + 1, _take(counts, j), _take(budgets, li)
-
-                start = (0, tuple(m for _, m in rruns), caps)
-                reachable = _reachable(start, moves)
-                if not self._infeasible(reachable, len(left)):
-                    continue
-                budget = dict(zip(lorders, caps))
-                found, entered = _entered_states(exists_feasible_pairing, lruns, rruns, t, budget)
-                assert not found and entered[0] == start
-                assert set(entered) == reachable, (left, right, t, budget)
-                checked += 1
-        assert checked == 34_334
 
 
 def _unequal_sides():
@@ -384,16 +284,14 @@ def _precondition_apart(wrong):
 
 
 def _cross_validate_per_instance(s):
-    """cross_validate as one exhaustive search per instance, with no memo:
-    the reference the per-class memo must reproduce exactly."""
-    if s.params.k > DEFAULT_BOUND:
-        return CrossValidation(checks=(), skipped=(f"k={s.params.k} exceeds oracle bound {DEFAULT_BOUND}",))
+    """cross_validate as one flow per instance, with no memo: the reference
+    the per-class memo must reproduce exactly."""
     checks, skipped = [], []
     d1, d2, r = s.decomposition.d1, s.decomposition.d2, s.params.r
     for verdict, q_table, p_table in zip(check_node_pairing(s), s.tables, s.tables[1:]):
         try:
             oracle = min_sum_pairing_exists(q_table.at_q, p_table.at_p, s.b)
-        except (ValueError, InstanceTooLarge) as exc:
+        except ValueError as exc:
             skipped.append(f"node {verdict.node}: {exc}")
             continue
         checks.append(CrossCheck(kind="node", index=verdict.node, greedy=verdict.satisfiable, oracle=oracle))
@@ -401,7 +299,7 @@ def _cross_validate_per_instance(s):
         budget = {o: exceptional_capacity(bundle, o, d2=d2) for o, _ in table.at_p}
         try:
             found = exists_feasible_pairing(table.at_p, table.at_q, d1, budget)
-        except (ValueError, InstanceTooLarge) as exc:
+        except ValueError as exc:
             skipped.append(f"component {i}: {exc}")
             continue
         greedy_ok = check_component_feasibility(i, bundle, table, d1=d1, d2=d2, r=r).ok
@@ -425,11 +323,10 @@ class TestCrossValidation:
         g = s.params.g
         assert cv.ok and len(cv.checks) == (g - 2) + (g - 1)  # every other node and component
 
-    def test_oversized_instances_skipped_with_notice(self):
-        s = construct(Params(3, 4, 40, 9))  # k = 9 exceeds the default bound
+    def test_every_instance_checked_at_k_9(self):
+        s = construct(Params(3, 4, 40, 9))  # node 1 pairs 9 units on each side
         cv = cross_validate(s)
-        assert cv.checks == () and cv.skipped == ("k=9 exceeds oracle bound 8",)
-        assert cv.ok
+        assert cv.ok and not cv.skipped and len(cv.checks) == 2 + 3
 
     def test_fuzzed_corruptions_still_agree(self):
         for idx, side_name, corrupted in _fuzzed_corruptions():
@@ -438,11 +335,9 @@ class TestCrossValidation:
 
     def test_p_order_budget_matches_full_budget(self):
         # cross_validate budgets only the table's P-orders, the orders the
-        # capped search charges; the full budget, every order 0..d1 at d2
-        # for the special first bundle or the summed summand twists, must
-        # give the same verdict. A component beyond the oracle bound (k = 9)
-        # cannot be searched, so there the budgets must agree on every order
-        # the search would read.
+        # flow charges; the full budget, every order 0..d1 at d2 for the
+        # special first bundle or the summed summand twists, must give the
+        # same verdict on every component.
         searched = 0
         for p, _ in constructible_tuples(SweepConfig(g=(2, 7), r=(1, 3))):
             s = construct(p)
@@ -456,18 +351,15 @@ class TestCrossValidation:
                         if summand.twist is not None:
                             full[summand.twist] = full.get(summand.twist, 0) + summand.mult
                 budget = {o: exceptional_capacity(bundle, o, d2=d2) for o, _ in table.at_p}
-                if p.k > DEFAULT_BOUND:
-                    assert budget == {o: full.get(o, 0) for o in budget}
-                    continue
                 verdict = exists_feasible_pairing(table.at_p, table.at_q, d1, budget)
                 assert verdict == exists_feasible_pairing(table.at_p, table.at_q, d1, full), p
                 searched += 1
-        assert searched > 10_000
+        assert searched == 15_906  # every component of the lattice
 
     @pytest.mark.parametrize("wrong", [2, 3])
     def test_preconditions_checked_per_instance(self, wrong):
         # The wrong bundle sits on the class's first instance (2), whose
-        # search and greedy verdict fill the memo, or on a later one (3).
+        # flow and greedy verdict fill the memo, or on a later one (3).
         s = _precondition_apart(wrong)
         cv = cross_validate(s)
         reference = _cross_validate_per_instance(s)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import itertools
 import math
 
 import pytest
@@ -235,7 +236,7 @@ class TestFullVerify:
             ([[3, 3], [5, 2]], {"component": 4, "ok": False, "exceptional": [[5, 2, 0]], "violations": [
                 {"rule": "exceptional_capacity", "order": 5, "pairs": 2, "capacity": 0}]}),
             ([[3, 3], [6, 2]], {"component": 4, "ok": False, "exceptional": [], "violations": [
-                {"rule": "pair_sum", "pair": [5, 6], "sum": 11, "max": 10}] * 2}),
+                {"rule": "pair_sum", "pair": [5, 6], "sum": 11, "max": 10, "count": 2}]}),
         ],
         ids=["saturated", "over_degree"],
     )
@@ -249,6 +250,18 @@ class TestFullVerify:
         assert merge_calls == [(s.table(4).at_p, s.table(4).at_q)]
         assert report.entry("component_feasibility").witness["components"][3] == expected
         assert not report.overall
+
+    def test_pair_sum_witness_grows_with_runs_not_sections(self):
+        # One violation per stretch above d1, with its count: the report of a
+        # document whose component 4 pairs 10^5 sections stays small.
+        doc = skeleton_to_json_dict(construct(Params(7, 3, 16, 5)))  # d1 = 5
+        m = 10**5
+        doc["tables"][3]["at_p"], doc["tables"][3]["at_q"] = [[3, m]], [[4, m]]
+        report = verify(skeleton_from_json_dict(doc))
+        violations = report.entry("component_feasibility").witness["components"][3]["violations"]
+        assert [v for v in violations if v["rule"] == "pair_sum"] == [
+            {"rule": "pair_sum", "pair": [3, 4], "sum": 7, "max": 5, "count": m}]
+        assert len(report.to_canonical_json()) < 8192
 
     def test_report_json_shape(self):
         doc = verify(construct(Params(4, 2, 8, 4))).to_json_dict()
@@ -294,11 +307,13 @@ def _component_reference(bundle, table, d1, d2, r):
     if total_p != total_q:
         violations.append({"rule": "side_totals", "total_p": total_p, "total_q": total_q})
     top_groups = {}
-    for x, y in zip(expand_ascending(table.at_p), expand_descending(table.at_q)):
+    pairs = zip(expand_ascending(table.at_p), expand_descending(table.at_q))
+    for (x, y), stretch in itertools.groupby(pairs):
+        count = len(list(stretch))
         if x + y > d1:
-            violations.append({"rule": "pair_sum", "pair": [x, y], "sum": x + y, "max": d1})
+            violations.append({"rule": "pair_sum", "pair": [x, y], "sum": x + y, "max": d1, "count": count})
         elif x + y == d1:
-            top_groups[x] = top_groups.get(x, 0) + 1
+            top_groups[x] = top_groups.get(x, 0) + count
     exceptional = []
     for a in sorted(top_groups):
         capacity = d2 if bundle.kind == "first_special" else bundle.twist_multiplicity(a)
