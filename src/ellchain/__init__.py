@@ -22,7 +22,6 @@ from .params import (
     Decomposition,
     HypothesisCheck,
     Params,
-    brill_noether_rho,
     classify,
     rho_value,
     tail_threshold,
@@ -43,54 +42,8 @@ from .verify import (
     VerificationReport,
     check_boundary,
     check_component_feasibility,
-    check_node_pairing,
     merge_runs,
-    slope_ok,
     verify,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AuditResult",
-    "Case",
-    "Classification",
-    "ComponentBundle",
-    "CrossValidation",
-    "Decomposition",
-    "DimensionLedger",
-    "EngineError",
-    "HypothesisCheck",
-    "HypothesisFailed",
-    "KLERegime",
-    "LedgerRow",
-    "LimitSeriesSkeleton",
-    "ParameterError",
-    "Params",
-    "Summand",
-    "VanishingTable",
-    "VerificationReport",
-    "audit_equals_rho",
-    "brill_noether_rho",
-    "canonical_dumps",
-    "check_boundary",
-    "check_component_feasibility",
-    "check_node_pairing",
-    "classify",
-    "construct",
-    "cross_validate",
-    "degree_balance",
-    "exists_feasible_pairing",
-    "layout",
-    "ledger",
-    "merge_runs",
-    "min_sum_pairing_exists",
-    "minimal_boundary_table",
-    "rho_value",
-    "skeleton_from_json_dict",
-    "skeleton_to_canonical_json",
-    "skeleton_to_json_dict",
-    "slope_ok",
-    "tail_threshold",
-    "verify",
-]

@@ -29,7 +29,7 @@ from .construct import construct
 from .errors import EngineError, HypothesisFailed, KLERegime, ParameterError
 from .ledger import AuditResult, audit_equals_rho
 from .oracle import CrossValidation, cross_validate
-from .params import Case, Classification, Params, brill_noether_rho, classify
+from .params import Case, Classification, Params, classify, rho_value
 from .skeleton import (
     LimitSeriesSkeleton,
     canonical_dumps,
@@ -72,9 +72,9 @@ def analyze(g: int, r: int, d: int, k: int, *, oracle: bool = False) -> Analysis
     try:
         classification = classify(p)
     except KLERegime as exc:
-        return Analysis(params=p, status="k_le_r", detail=str(exc), rho=brill_noether_rho(p))
+        return Analysis(params=p, status="k_le_r", detail=str(exc), rho=rho_value(g, r, d, k))
     except HypothesisFailed as exc:
-        return Analysis(params=p, status="hypothesis_failed", detail=str(exc), rho=brill_noether_rho(p))
+        return Analysis(params=p, status="hypothesis_failed", detail=str(exc), rho=rho_value(g, r, d, k))
     analysis = analyze_skeleton(construct(p), oracle=oracle)
     analysis.classification = classification
     return analysis
@@ -386,6 +386,14 @@ def load_skeleton_file(path: str) -> LimitSeriesSkeleton:
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     if isinstance(doc, dict) and "canonical" in doc and "schema" not in doc:
+        # A `dump --timestamps` wrapper: its keys and its time are checked too.
+        odd = sorted(doc.keys() ^ {"canonical", "generated_at"})
+        if odd:
+            raise ParameterError(f"{odd[0]}: {'unexpected' if odd[0] in doc else 'missing'} key in a timestamped dump")
+        try:
+            datetime.fromisoformat(doc["generated_at"])
+        except (TypeError, ValueError):
+            raise ParameterError(f"generated_at: expected an ISO 8601 time, got {doc['generated_at']!r}") from None
         doc = doc["canonical"]
     return skeleton_from_json_dict(doc)
 

@@ -38,7 +38,7 @@ from typing import Any
 
 from .construct import layout
 from .errors import ParameterError
-from .params import Case, Params, brill_noether_rho, classify
+from .params import Case, Params, classify, rho_value
 from .skeleton import LimitSeriesSkeleton, canonical_dumps
 
 
@@ -191,6 +191,5 @@ def audit_equals_rho(s: LimitSeriesSkeleton) -> AuditResult:
     A mismatch is a hard failure; the termwise ledger is the witness.
     """
     led = ledger(s)
-    return AuditResult(
-        params=s.params, case=led.case, rho=brill_noether_rho(s.params), total=led.total, ledger=led
-    )
+    p = s.params
+    return AuditResult(params=p, case=led.case, rho=rho_value(p.g, p.r, p.d, p.k), total=led.total, ledger=led)

@@ -81,10 +81,6 @@ def rho_value(g: int, r: int, d: int, k: int) -> int:
     return r * r * (g - 1) + 1 - k * (k - d + r * (g - 1))
 
 
-def brill_noether_rho(p: Params) -> int:
-    return rho_value(p.g, p.r, p.d, p.k)
-
-
 class Case(str, Enum):
     """The four construction regimes.
 
@@ -158,10 +154,6 @@ class Classification:
 
     case: Case
     checks: tuple[HypothesisCheck, ...]
-
-    @property
-    def main_check(self) -> HypothesisCheck:
-        return self.checks[0]
 
 
 def classify(p: Params) -> Classification:

@@ -61,11 +61,11 @@ The genericity condition (sections determined by their nodal values) is not
 machine-checkable in this model and is carried as an assumption with its own
 status, so an overall pass reads "pass modulo genericity assumptions".
 
-Witnesses are built only when read: the pairing and boundary checks and a
-passing multiplicity check keep what their witnesses need and build them
-on the first read (`CheckEntry(build=...)`), and a node verdict keeps its
-two sides and merges them when a report's JSON expands the node's pairs
-and sums. A sweep, which reads statuses only, pays for none of them.
+Witnesses are built only when read: every check keeps what its witness
+needs and builds it on the first read (`CheckEntry(build=...)`), and a
+node verdict keeps its two sides and merges them when a report's JSON
+expands the node's pairs and sums. A sweep, which reads statuses only,
+pays for none of them.
 
 The skeleton and its parts are frozen, because the summaries the rules read
 are right only while the fields they come from cannot change. The verdicts
@@ -92,13 +92,6 @@ from .skeleton import (
 
 Runs = Sequence[tuple[int, int]]
 Stretch = tuple[int, int, int]
-
-
-def slope_ok(kprime: int, rprime: int, k: int, r: int) -> bool:
-    """True iff k'/r' <= k/r, computed as k'*r <= k*r' on exact integers."""
-    if rprime < 1 or r < 1:
-        raise ValueError("ranks must be >= 1")
-    return kprime * r <= k * rprime
 
 
 def merge_runs(up: Runs, down: Runs) -> list[Stretch]:
@@ -213,11 +206,6 @@ def node_verdicts(tables: Sequence[VanishingTable], b: int) -> tuple[NodeVerdict
     return tuple(verdicts)
 
 
-def check_node_pairing(s: LimitSeriesSkeleton) -> tuple[NodeVerdict, ...]:
-    """Per-node verdicts of a skeleton: `node_verdicts` over its tables."""
-    return node_verdicts(s.tables, s.b)
-
-
 @dataclass(slots=True)
 class ComponentVerdict:
     component: int
@@ -314,18 +302,15 @@ def check_component_feasibility(
 
 
 class CheckEntry:
-    """A check's status and its witness.
-
-    The witness is given either as a value or as `build`, a function of no
-    arguments that is called once, on the first read of `witness`.
-    """
+    """A check's status and its witness, which `build`, a function of no
+    arguments, returns on the first read of `witness`."""
 
     __slots__ = ("status", "_witness", "_build")
 
-    def __init__(self, status: str, witness: Any = None, *, build: Callable[[], Any] | None = None) -> None:
+    def __init__(self, status: str, *, build: Callable[[], Any]) -> None:
         self.status = status  # "pass" | "fail" | "assumed"
-        self._witness = witness
-        self._build = build
+        self._witness = None
+        self._build: Callable[[], Any] | None = build
 
     @property
     def witness(self) -> Any:
@@ -410,7 +395,7 @@ def check_multiplicity_bounds(s: LimitSeriesSkeleton) -> CheckEntry:
                 if mult > r or not 0 <= order <= d1:
                     offenders.append({"component": i, "point": point, "order": order, "mult": mult})
     if offenders:
-        return CheckEntry("fail", {"offenders": offenders})
+        return CheckEntry("fail", build=partial(dict, offenders=offenders))
     return CheckEntry("pass", build=partial(dict, components=len(s.tables), max_multiplicity=r))
 
 
@@ -434,11 +419,11 @@ def verify(s: LimitSeriesSkeleton) -> VerificationReport:
     checks.append(
         (
             "degree_balance",
-            CheckEntry("pass" if residual == 0 else "fail", {"residual": residual, "b": s.b}),
+            CheckEntry("pass" if residual == 0 else "fail", build=partial(dict, residual=residual, b=s.b)),
         )
     )
 
-    nodes = check_node_pairing(s)
+    nodes = node_verdicts(s.tables, s.b)
     checks.append(
         (
             "node_pairing",
@@ -470,7 +455,7 @@ def verify(s: LimitSeriesSkeleton) -> VerificationReport:
             "genericity",
             CheckEntry(
                 "assumed",
-                {"note": "sections determined by nodal values: genericity assumption, not verified"},
+                build=partial(dict, note="sections determined by nodal values: genericity assumption, not verified"),
             ),
         )
     )

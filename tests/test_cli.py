@@ -114,6 +114,29 @@ class TestDumpAndVerifyFile:
         assert main(["verify-file", str(stamped)]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("generated_at", 5, "generated_at: expected an ISO 8601 time, got 5"),
+            ("generated_at", "not a time", "generated_at: expected an ISO 8601 time, got 'not a time'"),
+            ("extra", {"x": 1}, "extra: unexpected key in a timestamped dump"),
+            ("generated_at", DELETE, "generated_at: missing key in a timestamped dump"),
+        ],
+        ids=["int_time", "unparsable_time", "extra_key", "missing_time"],
+    )
+    def test_dump_timestamps_wrapper_checked(self, tmp_path, capsys, key, value, message):
+        path = tmp_path / "s.json"
+        main(["dump", "7", "3", "16", "5", "--out", str(path), "--timestamps"])
+        capsys.readouterr()
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if value is DELETE:
+            del doc[key]
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify-file", str(path)]) == 1
+        assert capsys.readouterr().out == f"cannot load {path}: {message}\n"
+
     def test_dump_rejected_tuple_exit_two(self, tmp_path, capsys):
         code = main(["dump", "8", "3", "16", "5", "--out", str(tmp_path / "x.json")])
         assert code == 2

@@ -9,7 +9,6 @@ from ellchain import (
     Case,
     Params,
     audit_equals_rho,
-    brill_noether_rho,
     construct,
     ledger,
     Summand,
@@ -26,7 +25,7 @@ from ellchain.errors import ParameterError
 def test_ledger_totals(tup, expected_total):
     p = Params(*tup)
     led = ledger(construct(p))
-    assert led.total == expected_total == brill_noether_rho(p)
+    assert led.total == expected_total == rho_value(p.g, p.r, p.d, p.k)
 
 
 def test_audit_worked_instance():

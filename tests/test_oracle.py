@@ -22,9 +22,9 @@ from ellchain.cli import SweepConfig
 from ellchain.oracle import CrossCheck, CrossValidation
 from ellchain.verify import (
     check_component_feasibility,
-    check_node_pairing,
     component_preconditions,
     exceptional_capacity,
+    node_verdicts,
 )
 
 
@@ -288,7 +288,7 @@ def _cross_validate_per_instance(s):
     the per-class memo must reproduce exactly."""
     checks, skipped = [], []
     d1, d2, r = s.decomposition.d1, s.decomposition.d2, s.params.r
-    for verdict, q_table, p_table in zip(check_node_pairing(s), s.tables, s.tables[1:]):
+    for verdict, q_table, p_table in zip(node_verdicts(s.tables, s.b), s.tables, s.tables[1:]):
         try:
             oracle = min_sum_pairing_exists(q_table.at_q, p_table.at_p, s.b)
         except ValueError as exc:

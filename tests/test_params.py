@@ -11,7 +11,6 @@ from ellchain import (
     Case,
     Decomposition,
     Params,
-    brill_noether_rho,
     classify,
     rho_value,
     tail_threshold,
@@ -44,8 +43,8 @@ def test_decompose_euclidean_identities(g, r, d, k):
 
 
 def test_rho_examples():
-    assert brill_noether_rho(Params(2, 2, 6, 2)) == 9
-    assert brill_noether_rho(Params(7, 3, 16, 5)) == 20
+    assert rho_value(2, 2, 6, 2) == 9
+    assert rho_value(7, 3, 16, 5) == 20
     # k = 0 annihilates the second term (raw form, below the Params domain)
     for g, r, d in [(2, 1, 0), (5, 3, 17), (9, 4, 2)]:
         assert rho_value(g, r, d, 0) == r * r * (g - 1) + 1
@@ -70,14 +69,14 @@ def test_classify_k_le_r_rejected():
 def test_classify_large_sections():
     c = classify(Params(2, 2, 6, 3))
     assert c.case is Case.LARGE_SECTIONS
-    assert c.main_check.value == 4  # d + r(1-g) = 6 - 2
-    assert c.main_check.min_pass == 3
+    assert c.checks[0].value == 4  # d + r(1-g) = 6 - 2
+    assert c.checks[0].min_pass == 3
 
 
 def test_classify_small_a_with_slack():
     c = classify(Params(7, 3, 16, 5))
     assert c.case is Case.SMALL_A
-    main = c.main_check
+    main = c.checks[0]
     assert main.name == "(***)"
     assert main.value == 1 and main.satisfied and main.slack == 1
     # the auxiliary deficiency condition is reported independently
@@ -88,15 +87,15 @@ def test_classify_small_a_with_slack():
 def test_classify_small_b():
     c = classify(Params(7, 3, 14, 4))
     assert c.case is Case.SMALL_B
-    assert c.main_check.name == "(*)"
-    assert c.main_check.value == 1 and c.main_check.satisfied
+    assert c.checks[0].name == "(*)"
+    assert c.checks[0].value == 1 and c.checks[0].satisfied
 
 
 def test_classify_small_c():
     c = classify(Params(4, 2, 8, 4))
     assert c.case is Case.SMALL_C
-    assert c.main_check.name == "(**)"
-    assert c.main_check.value == 2 and c.main_check.min_pass == 2
+    assert c.checks[0].name == "(**)"
+    assert c.checks[0].value == 2 and c.checks[0].min_pass == 2
 
 
 def test_classify_hypothesis_failure_reports_deficit():

@@ -15,14 +15,12 @@ from ellchain import (
     Summand,
     VanishingTable,
     check_component_feasibility,
-    check_node_pairing,
     construct,
     merge_runs,
-    slope_ok,
     verify,
 )
 from ellchain.skeleton import skeleton_from_json_dict, skeleton_to_json_dict
-from ellchain.verify import check_multiplicity_bounds, pair_sum_range
+from ellchain.verify import check_multiplicity_bounds, node_verdicts, pair_sum_range
 
 # The package's `verify` is the function, so the module is looked up by name.
 verify_module = importlib.import_module("ellchain.verify")
@@ -58,7 +56,7 @@ def _node_min_sum(at_q, at_p_next):
 class TestNodePairing:
     def test_worked_instance_node_one_exact(self):
         s = construct(Params(7, 3, 16, 5))
-        verdicts = check_node_pairing(s)
+        verdicts = node_verdicts(s.tables, s.b)
         first = verdicts[0]
         assert first.satisfiable and first.exact and first.min_sum == 5
         assert sorted(first.pairs) == [(3, 2), (4, 1), (4, 1), (4, 1), (5, 0)]
@@ -80,7 +78,7 @@ class TestNodePairing:
         tables = list(s.tables)
         tables[2] = VanishingTable(s.table(3).at_p, tuple(sorted(at_q.items())))
         corrupted = dataclasses.replace(s, tables=tuple(tables))
-        verdicts = check_node_pairing(corrupted)
+        verdicts = node_verdicts(corrupted.tables, corrupted.b)
         assert not verdicts[2].satisfiable and verdicts[2].node == 3
         assert verdicts[2].to_json_dict()["oracle_used"] is False  # the run merge alone decides
         assert all(v.satisfiable for i, v in enumerate(verdicts) if i != 2)
@@ -152,38 +150,6 @@ class TestComponentFeasibility:
         entry = check_multiplicity_bounds(broken)
         assert entry.status == "fail"
         assert entry.witness == {"offenders": [{"component": 2, "point": "P", "order": 1, "mult": 3}]}
-
-
-class TestSlope:
-    @pytest.mark.parametrize(
-        "kp,rp,k,r,expected",
-        [(2, 1, 5, 3, False), (1, 1, 5, 3, True), (5, 3, 5, 3, True)],
-    )
-    def test_examples(self, kp, rp, k, r, expected):
-        assert slope_ok(kp, rp, k, r) is expected
-
-    @given(
-        kp=st.integers(0, 100), rp=st.integers(1, 50),
-        k=st.integers(0, 100), r=st.integers(1, 50),
-        a=st.integers(1, 9), b=st.integers(1, 9),
-    )
-    def test_scale_invariance(self, kp, rp, k, r, a, b):
-        assert slope_ok(a * kp, a * rp, b * k, b * r) == slope_ok(kp, rp, k, r)
-
-    def test_zero_rank_rejected(self):
-        with pytest.raises(ValueError):
-            slope_ok(1, 0, 5, 3)
-
-    def test_subbundle_section_bound_chain(self):
-        # k' = r'*k1 + d2' vs k = r*k1 + d2: the slope comparison reduces to
-        # d2'/r' <= d2/r exactly.
-        for r in range(1, 21):
-            for rp in range(1, 21):
-                for k1 in range(0, 4):
-                    for d2 in range(0, r + 1):
-                        for d2p in range(0, rp + 1):
-                            expected = d2p * r <= d2 * rp
-                            assert slope_ok(rp * k1 + d2p, rp, r * k1 + d2, r) is expected
 
 
 class TestFullVerify:
@@ -408,7 +374,7 @@ class TestRunMerge:
             VanishingTable(s.table(1).at_p, at_q),
             VanishingTable(at_p, s.table(2).at_q),
         )
-        verdict = check_node_pairing(dataclasses.replace(s, tables=tables, b=b))[0]
+        verdict = node_verdicts(tables, b)[0]
         pairs = list(zip(expand_descending(at_q), expand_ascending(at_p)))
         sums = [q + p for q, p in pairs]
         assert list(verdict.pairs) == pairs
