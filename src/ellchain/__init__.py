@@ -2,7 +2,7 @@
 components: parameter classification, explicit construction, combinatorial
 certification, and the dimension audit against the Brill-Noether number."""
 
-from .construct import construct, layout
+from .construct import construct
 from .errors import (
     EngineError,
     HypothesisFailed,
@@ -23,6 +23,7 @@ from .params import (
     HypothesisCheck,
     Params,
     classify,
+    layout,
     rho_value,
     tail_threshold,
 )

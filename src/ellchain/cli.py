@@ -83,7 +83,8 @@ def analyze(g: int, r: int, d: int, k: int, *, oracle: bool = False) -> Analysis
 def analyze_skeleton(skeleton: LimitSeriesSkeleton, *, oracle: bool = False) -> Analysis:
     """Verify, audit and optionally cross-validate a built or loaded skeleton.
     Its status is verify_fail, else audit_fail (also when the audit cannot
-    run, as on a wrong `case` tag), else oracle_disagree, else pass."""
+    run, as on a skeleton built in code with a wrong `case` tag), else
+    oracle_disagree, else pass."""
     report = verify(skeleton)
     try:
         audit, audit_error = audit_equals_rho(skeleton), None

@@ -1,18 +1,18 @@
 """Explicit skeleton construction for the four parameter regimes.
 
 Every recipe fixes the twist parameter b = d1 and emits the head of the
-chain in order, one entry per component: its bundle, the vanishing
-multiset of the k-dimensional section space at its Q point, and the
-description of the gluing entering it, None on component 1 and at a
-generic node (the skeleton derives each node's dimension from the bundles
-it joins). `construct` then appends the one generic-line tail every regime
-ends in: r generic lines on each component i of the layout's tail (2..g
-for LARGE_SECTIONS), Q side topping out at g-i+k1, which is d1-i+t+s in a
+chain in order, one entry per component: its bundle and the vanishing
+multiset of the k-dimensional section space at its Q point. A recipe emits
+no text: the skeleton derives each node's dimension from the bundles it
+joins and each gluing label and note from the case and the layout.
+`construct` then appends the one generic-line tail every regime ends in:
+r generic lines on each component i of the layout's tail (2..g for
+LARGE_SECTIONS), Q side topping out at g-i+k1, which is d1-i+t+s in a
 small case since d1 + t + s = g + k1. No entry carries an index;
 `construct` walks the list once, and the skeleton's count check (g
-bundles and tables, g-1 gluings) is the one length rule. Component 1
-carries degree d; every other component carries degree r*d1, which is the
-unique choice balancing total degree against the twist.
+bundles and tables) is the one length rule. Component 1 carries degree d;
+every other component carries degree r*d1, which is the unique choice
+balancing total degree against the twist.
 
 The P sides follow from exact gluing: at every node each order at Q_i meets
 one at P_{i+1} summing to b = d1 (a refined limit series), so `construct`
@@ -32,17 +32,16 @@ Regime layouts (t is the regime's tail threshold, `params.tail_threshold`):
   components each (alpha = 1..t-1), the first of each block carrying
   O((k1*alpha+1-s)P+...)^(k2) plus lines and the rest fully twisted; then a
   generic-line tail of g-(k1+1)t-1 components. Every order window and
-  block twist of SMALL_B is SMALL_A's shifted by s. Only three
-  things depend on the case: component 2 carries O(P+(d1-1)Q)^e plus lines
-  in SMALL_A (the early pattern) but O(d1*Q)^(k2) plus lines in SMALL_B; the
-  gluing at node 1; and SMALL_B's note on node 2.
+  block twist of SMALL_B is SMALL_A's shifted by s. Only component 2's
+  bundle depends on the case otherwise: O(P+(d1-1)Q)^e plus lines in
+  SMALL_A (the early pattern) but O(d1*Q)^(k2) plus lines in SMALL_B.
 * SMALL_C (d2 = k2 = 0, t = g-d1+k1-1): r generic lines on component 1;
   blocks of k1 fully twisted components O((2*beta+alpha*(k1-1)-1)P+...)^r for
   alpha = 0..t-1; generic-line tail (nonempty under the strict hypothesis).
 
-`layout(case, dec, g)` states these parts once: the small recipes fill its
-line chain, `construct` its tail, each component carries the gluing of its
-part, and the ledger groups its rows by the same parts.
+`params.layout(case, dec, g)` states these parts once: the small recipes
+fill its line chain, `construct` its tail, the skeleton labels each node by
+the part it enters, and the ledger groups its rows by the same parts.
 
 The verifier re-derives nothing from here: it checks the emitted data against
 the balance, pairing, feasibility and boundary rules independently, exact
@@ -53,9 +52,9 @@ derived from the bundles and tables this module emits.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .params import Case, Decomposition, Params, classify, tail_threshold
+from .params import Case, Decomposition, Params, classify, layout, tail_threshold
 from .skeleton import (
     ComponentBundle,
     LimitSeriesSkeleton,
@@ -92,31 +91,7 @@ def _mixed(degree: int, summands: tuple[Summand, ...]) -> ComponentBundle:
     return ComponentBundle(kind="mixed", degree=degree, summands=summands)
 
 
-def layout(case: Case, dec: Decomposition, g: int) -> dict[str, Sequence[int]]:
-    """The labelled parts of a small case's chain (see the module docstring),
-    each a run of component indices; together they cover 1..g once. An
-    alpha-block's first component is in `block_first`, the rest of it in
-    `block_rest`. Raises ValueError for LARGE_SECTIONS, which has none."""
-    k1 = dec.k1
-    t = tail_threshold(case, dec, g)
-    if case is Case.SMALL_C:
-        return {
-            "first_component": range(1, 2),
-            "twisted_blocks": range(2, t * k1 + 2),
-            "tail": range(t * k1 + 2, g + 1),
-        }
-    w = k1 + 1
-    return {
-        "first_component": range(1, 2),
-        "second_component": range(2, 3),
-        "line_chain": range(3, k1 + 3),
-        "block_first": range(w + 2, t * w + 2, w),
-        "block_rest": [i for i in range(w + 2, t * w + 2) if (i - 2) % w],
-        "tail": range(t * w + 2, g + 1),
-    }
-
-
-Chain = list[tuple[ComponentBundle, Runs, str | None]]
+Chain = list[tuple[ComponentBundle, Runs]]
 
 
 def _first_special(p: Params, dec: Decomposition) -> ComponentBundle:
@@ -144,20 +119,11 @@ def _block_q(base: int, beta: int, width: int, head: int, *, r: int, d1: int) ->
     return _mixed(r * d1, _twisted(base + 2 * beta - 1, mult) + _lines(r - mult)), at_q
 
 
-def _build_large(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, list[str]]:
-    d2, k1, k2 = dec.d2, dec.k1, dec.k2
-    chain: Chain = [(_first_special(p, dec), _staircase_q(p.g - 1 + k1, k1=k1, r=p.r, head=k2), None)]
-    notes = []
-    if d2 != k2:
-        notes.append(
-            "boundary table reading: the last vanishing at the final point carries the "
-            f"section-count remainder k2={k2}; the degree remainder d2={d2} would break "
-            "boundary minimality"
-        )
-    return chain, notes
+def _build_large(p: Params, dec: Decomposition, case: Case) -> Chain:
+    return [(_first_special(p, dec), _staircase_q(p.g - 1 + dec.k1, k1=dec.k1, r=p.r, head=dec.k2))]
 
 
-def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, list[str]]:
+def _build_shifted(p: Params, dec: Decomposition, case: Case) -> Chain:
     """The SMALL_A (s = 0) / SMALL_B (s = 1) recipe."""
     r, d1, d2, k1, k2 = p.r, dec.d1, dec.d2, dec.k1, dec.k2
     s = 0 if case is Case.SMALL_A else 1
@@ -175,49 +141,28 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, li
             (o, k2 if o == top else r - e if o == mid else e if o == bottom else r) for o in _run(bottom, top)
         )
 
-    # Each component carries the gluing of the node entering it: node 1
-    # links the special first bundle into component 2, the line chain's
-    # nodes chain the line blocks, a block head's node links its twisted
-    # block into the section chain; every other node is generic.
-    if s:
-        second = _twisted(0, k2) + _lines(r - k2)
-        second_gluing = "max_vanishing_block->first_bundle_sections"
-        notes = [
-            "node 2 links the line block into the glued section space of dimension d2-k2 "
-            "on component 2"
-        ]
-    else:
-        second = _twisted(1, e) + _lines(r - e)
-        second_gluing = "full_vanishing_block->line_block"
-        notes = []
-    chain: Chain = [
-        (
-            _first_special(p, dec),
-            _table([(d1 - k1 - 1 + s, e)] + [(d1 - j, r) for j in range(k1 - s, 0, -1)] + [(d1, d2)]),
-            None,
-        ),
-        (_mixed(r * d1, second), early_q(2), second_gluing),
-    ]
+    second = _twisted(0, k2) + _lines(r - k2) if s else _twisted(1, e) + _lines(r - e)
+    first_q = _table([(d1 - k1 - 1 + s, e)] + [(d1 - j, r) for j in range(k1 - s, 0, -1)] + [(d1, d2)])
+    chain: Chain = [(_first_special(p, dec), first_q), (_mixed(r * d1, second), early_q(2))]
     for i in layout(case, dec, p.g)["line_chain"]:
-        chain.append((_mixed(r * d1, _twisted(2 * i - 3 - s, e) + _lines(r - e)), early_q(i), "line_block->line_block"))
+        chain.append((_mixed(r * d1, _twisted(2 * i - 3 - s, e) + _lines(r - e)), early_q(i)))
 
     # Alpha-blocks at base k1*alpha-s: in SMALL_B the recipe's own gluing
     # and section-space lines fix the head's twist at k1*alpha, one below
     # SMALL_A's.
     for alpha in _run(1, tail_threshold(case, dec, p.g) - 1):
         for beta in _run(1, k1 + 1):
-            bundle, at_q = _block_q(alpha * k1 - s, beta, k1 + 1, k2, r=r, d1=d1)
-            chain.append((bundle, at_q, "twisted_block->section_chain" if beta == 1 else None))
-    return chain, notes
+            chain.append(_block_q(alpha * k1 - s, beta, k1 + 1, k2, r=r, d1=d1))
+    return chain
 
 
-def _build_small_c(p: Params, dec: Decomposition, case: Case) -> tuple[Chain, list[str]]:
+def _build_small_c(p: Params, dec: Decomposition, case: Case) -> Chain:
     r, d1, k1 = p.r, dec.d1, dec.k1
-    chain: Chain = [(_mixed(r * d1, _lines(r)), _staircase_q(d1, k1=k1, r=r, head=0), None)]
+    chain: Chain = [(_mixed(r * d1, _lines(r)), _staircase_q(d1, k1=k1, r=r, head=0))]
     for alpha in _run(0, tail_threshold(case, dec, p.g) - 1):
         for beta in _run(1, k1):
-            chain.append((*_block_q(alpha * (k1 - 1), beta, k1, r, r=r, d1=d1), None))
-    return chain, []
+            chain.append(_block_q(alpha * (k1 - 1), beta, k1, r, r=r, d1=d1))
+    return chain
 
 
 _BUILDERS = {
@@ -238,27 +183,17 @@ def construct(p: Params) -> LimitSeriesSkeleton:
     """
     case = classify(p).case
     dec = p.decomposition
-    chain, notes = _BUILDERS[case](p, dec, case)
+    chain = _BUILDERS[case](p, dec, case)
     # The generic-line tail. Its components come from the layout, not from
     # padding the chain to g, so a recipe that drops one still fails the count.
     tail = range(2, p.g + 1) if case is Case.LARGE_SECTIONS else layout(case, dec, p.g)["tail"]
     line = _mixed(p.r * dec.d1, _lines(p.r))
-    chain += [(line, _staircase_q(p.g - i + dec.k1, k1=dec.k1, r=p.r, head=dec.k2), None) for i in tail]
+    chain += [(line, _staircase_q(p.g - i + dec.k1, k1=dec.k1, r=p.r, head=dec.k2)) for i in tail]
 
     # Exact gluing: each later P side is d1 minus the previous Q side.
     at_p, d1 = minimal_boundary_table(p.r, dec.k1, dec.k2), dec.d1
     tables = []
-    for _, at_q, _ in chain:
+    for _, at_q in chain:
         tables.append(VanishingTable(at_p, at_q))
         at_p = tuple([(d1 - o, m) for o, m in reversed(at_q)])
-    bundles, _, gluings = zip(*chain)
-
-    return LimitSeriesSkeleton(
-        params=p,
-        case=case,
-        b=dec.d1,
-        bundles=bundles,
-        tables=tuple(tables),
-        gluings=gluings[1:],
-        notes=tuple(notes),
-    )
+    return LimitSeriesSkeleton(p, case, dec.d1, tuple([bundle for bundle, _ in chain]), tuple(tables))

@@ -12,7 +12,7 @@ the data the engine emits rather than a parallel formula. Per component:
   component has no such node).
 
 In the small cases, rows group the components of one part of
-`construct.layout` (first component, line chain, block heads, ...), the
+`params.layout` (first component, line chain, block heads, ...), the
 parts the recipes fill; a row whose components disagree is split into one
 row per component, so a mismatch localizes to a single term.
 The closing +1 accounts for the one-dimensional automorphism family of the
@@ -36,10 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .construct import layout
 from .errors import ParameterError
-from .params import Case, Params, classify, rho_value
-from .skeleton import LimitSeriesSkeleton, canonical_dumps
+from .params import Case, Params, classify, layout, rho_value
+from .skeleton import LimitSeriesSkeleton
 
 
 @dataclass(slots=True)
@@ -84,9 +83,6 @@ class DimensionLedger:
             "closing": self.closing,
             "total": self.total,
         }
-
-    def to_canonical_json(self) -> str:
-        return canonical_dumps(self.to_json_dict())
 
     def to_text(self) -> str:
         headers = ("row", "components", "count", "moduli", "autos", "gluing", "net")

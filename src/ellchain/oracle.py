@@ -46,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ParameterError
 from .skeleton import LimitSeriesSkeleton, side_summary
 from .verify import (
     Runs,
@@ -60,14 +59,10 @@ from .verify import (
 def _total(left: Runs, right: Runs) -> int:
     """The units on each side, or the guard's error: unequal totals first
     (they admit no bijection), even over a broken side; then a broken side."""
-    try:
-        size, other = side_summary("left", left)[0], side_summary("right", right)[0]
-    except ParameterError:
-        size, other = sum(m for _, m in left), sum(m for _, m in right)
-        if size == other:
-            raise
+    size, other = sum(m for _, m in left), sum(m for _, m in right)
     if size != other:
         raise ValueError(f"sides total {size} and {other}")
+    side_summary("left", left), side_summary("right", right)
     return size
 
 

@@ -1,5 +1,6 @@
 """Parameter arithmetic: Euclidean decomposition, the Brill-Noether number,
-and classification into the four construction regimes.
+classification into the four construction regimes, and the small cases'
+part layout.
 
 Everything here is exact integer arithmetic. A tuple (g, r, d, k) is the
 genus, the bundle rank, the bundle degree and the dimension of the section
@@ -10,14 +11,16 @@ Each small case's main hypothesis is one inequality g - w*t >= least, with
 t = `tail_threshold` and w = k1+1 (k1 for SMALL_C), the components per
 twisted block. The recipe's head fills w*t + 1 components, so the value minus
 one is the length of the generic-line tail: (***) and (*) (least 1) ask for a
-tail of at least 0 components, (**) (least 2) for at least 1.
+tail of at least 0 components, (**) (least 2) for at least 1. `layout`
+names those parts: the recipes fill them, the ledger groups its rows by
+them, and the skeleton derives its gluing labels from them.
 
 A Params carries its Euclidean decomposition, computed once when it is
 built; `classify` and every later layer read that stored value. Its
 hand-written `__init__` validates the tuple and stores all five fields in one
-instance-dict update, as the skeleton records do. Params and Decomposition
-are frozen, since that stored value is right only while the fields it comes
-from cannot change. HypothesisCheck and Classification are result records,
+instance-dict update, as the bundle and table records do. Params and
+Decomposition are frozen, since that stored value is right only while the
+fields it comes from cannot change. HypothesisCheck and Classification are result records,
 built once per call and handed to the caller, so they are plain slotted
 dataclasses.
 """
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
+from typing import Sequence
 
 from .errors import HypothesisFailed, KLERegime, ParameterError
 
@@ -108,6 +112,30 @@ def tail_threshold(case: Case, dec: Decomposition, g: int) -> int:
     if case is Case.LARGE_SECTIONS:
         raise ValueError("the tail threshold applies to small cases only")
     return g + dec.k1 - dec.d1 - (0 if case is Case.SMALL_A else 1)
+
+
+def layout(case: Case, dec: Decomposition, g: int) -> dict[str, Sequence[int]]:
+    """The labelled parts of a small case's chain (see `construct`), each a
+    run of component indices; together they cover 1..g once. An
+    alpha-block's first component is in `block_first`, the rest of it in
+    `block_rest`. Raises ValueError for LARGE_SECTIONS, which has none."""
+    k1 = dec.k1
+    t = tail_threshold(case, dec, g)
+    if case is Case.SMALL_C:
+        return {
+            "first_component": range(1, 2),
+            "twisted_blocks": range(2, t * k1 + 2),
+            "tail": range(t * k1 + 2, g + 1),
+        }
+    w = k1 + 1
+    return {
+        "first_component": range(1, 2),
+        "second_component": range(2, 3),
+        "line_chain": range(3, k1 + 3),
+        "block_first": range(w + 2, t * w + 2, w),
+        "block_rest": [i for i in range(w + 2, t * w + 2) if (i - 2) % w],
+        "tail": range(t * w + 2, g + 1),
+    }
 
 
 # The main hypothesis g - w*t >= least per small case: name, w and t as

@@ -1,11 +1,12 @@
-"""Combinatorial data model: bundle summand lists, vanishing tables, gluing
-labels, and the skeleton that assembles them on a chain of g elliptic
-components.
+"""Combinatorial data model: bundle summand lists, vanishing tables, and
+the skeleton that assembles them on a chain of g elliptic components.
 
 The chain is implicit: g is `params.g`, and position is the index. The i-th
 bundle and table (1-based) sit on component i, and the n-th gluing on node
 n, which identifies Q_n on component n with P_{n+1}; no record stores its
-own index. Points P_i, Q_i are symbolic; a gluing stores only its label.
+own index. Points P_i, Q_i are symbolic, and no gluing is stored: the
+skeleton derives each node's dimension from the bundles it joins, and its
+label from the case and the `params.layout` part it enters.
 A vanishing table stores (order, multiplicity) runs at both marked points
 of a component, and the type itself rejects a side that is empty, out of
 order or has a multiplicity below 1; that multiplicities at each point sum
@@ -17,22 +18,22 @@ skeleton each node's gluing dimension. They are derived fields, left out of
 equality and repr, so `dataclasses.replace` recomputes them and every rule
 reads them instead of re-summing. Each record is a frozen dataclass with a
 hand-written `__init__` (init=False) that validates, derives, and stores all
-fields, derived ones included, in one instance-dict update rather than one
-`object.__setattr__` per field. The generated `__setattr__` and `__delattr__`
-still raise FrozenInstanceError, so a summary cannot go stale.
+fields, derived ones included, straight into the instance dict rather than
+through one `object.__setattr__` per field. The generated `__setattr__` and
+`__delattr__` still raise FrozenInstanceError, so a summary cannot go stale.
+The skeleton's gluing labels and notes are read only by the JSON writer and
+`check`'s text, so they are properties, derived on each read.
 
 Skeletons serialize to a canonical JSON document (schema 1, sorted keys, no
 floats) used by the CLI and the test fixtures. The writer derives
-`components`, `nodes`, `decomposition`, every `component`/`node` key and
-each gluing's `tag` ("generic" iff its description is null) and
-`parameter_dim` from params, positions and the chain. The loader accepts a
-document iff the skeleton it builds writes back the same JSON value,
+`components`, `nodes`, `decomposition`, `notes`, every `component`/`node`
+key and each gluing's `description`, `tag` ("generic" iff the description
+is null) and `parameter_dim` from params, positions and the chain. The
+loader builds a skeleton from `params`, `b`, `bundles` and `tables` alone
+and accepts the document iff that skeleton writes back the same JSON value,
 integers exact; otherwise it names the first field that differs. Each
 integer read is tested inline (`type(v) is int`); `_exact_int`, called
-only on a value that fails, is the one place that words the message. A
-gluing's `description` (a string or null) and each note (a string) are
-labels: the loader checks their type and carries them verbatim, and no
-rule or ledger term reads them.
+only on a value that fails, is the one place that words the message.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import ParameterError
-from .params import Case, Decomposition, Params
+from .errors import HypothesisFailed, KLERegime, ParameterError
+from .params import Case, Decomposition, Params, classify, layout
 
 
 @dataclass(frozen=True, init=False)
@@ -179,11 +180,18 @@ def minimal_boundary_table(r: int, k1: int, k2: int) -> tuple[tuple[int, int], .
     return tuple([(j, r) for j in range(k1)]) + (((k1, k2),) if k2 else ())
 
 
+# Gluing labels: node 1's by case, and every node entering a layout part by that part.
+_NODE_ONE = {
+    Case.SMALL_A: "full_vanishing_block->line_block",
+    Case.SMALL_B: "max_vanishing_block->first_bundle_sections",
+}
+_PART_GLUINGS = {"line_chain": "line_block->line_block", "block_first": "twisted_block->section_chain"}
+
+
 @dataclass(frozen=True, init=False)
 class LimitSeriesSkeleton:
-    """The whole chain: g = params.g bundles and tables and g-1 gluing
-    descriptions (None when generic) in chain order, the twist parameter b,
-    and the case tag the recipe came from.
+    """The whole chain: g = params.g bundles and tables in chain order, the
+    twist parameter b, and the case tag the recipe came from.
 
     `gluing_dims[n-1]` is node n's family dimension: with t the twisted
     copies on the component it enters, r^2 - t(r-t), the r x r matrices
@@ -197,26 +205,22 @@ class LimitSeriesSkeleton:
     b: int
     bundles: tuple[ComponentBundle, ...]
     tables: tuple[VanishingTable, ...]
-    gluings: tuple[str | None, ...]
-    notes: tuple[str, ...] = ()
     gluing_dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(
         self, params: Params, case: Case, b: int, bundles: tuple[ComponentBundle, ...],
-        tables: tuple[VanishingTable, ...], gluings: tuple[str | None, ...], notes: tuple[str, ...] = (),
+        tables: tuple[VanishingTable, ...],
     ) -> None:
         g, r = params.g, params.r
         if len(bundles) != g or len(tables) != g:
             raise ParameterError("skeleton component counts disagree with g")
-        if len(gluings) != g - 1:
-            raise ParameterError("skeleton needs exactly g-1 gluings")
+        self.__dict__.update(params=params, case=case, b=b, bundles=bundles, tables=tables)
         twisted = [e.rank - e.moduli if e.kind == "mixed" else 0 for e in bundles[1:]]
         dims = [r * r - t * (r - t) for t in twisted]
-        if bundles[0].kind == "first_special" and twisted[0]:  # node_one_reads_q1
+        if self.node_one_reads_q1:
             t, m = twisted[0], dict(tables[0].at_q).get(b, 0)
             dims[0] = r * r - t * (r - m if bundles[1].min_twist == 0 else m)
-        self.__dict__.update(params=params, case=case, b=b, bundles=bundles, tables=tables, gluings=gluings,
-                             notes=notes, gluing_dims=tuple(dims))
+        self.__dict__["gluing_dims"] = tuple(dims)
 
     @property
     def node_one_reads_q1(self) -> bool:
@@ -224,6 +228,37 @@ class LimitSeriesSkeleton:
         above): a first_special bundle enters a twisted summand."""
         entered = self.bundles[1]
         return self.bundles[0].kind == "first_special" and entered.kind == "mixed" and entered.rank > entered.moduli
+
+    @property
+    def gluings(self) -> tuple[str | None, ...]:
+        """Node n's gluing description at index n-1, None when generic. In
+        SMALL_A and SMALL_B node 1 links the special first bundle into
+        component 2 (a label per case), the node entering a line-chain
+        component chains the line blocks, and the node entering a block's
+        first component links its twisted block into the section chain;
+        every other node is generic."""
+        g = self.params.g
+        if self.case not in _NODE_ONE:
+            return (None,) * (g - 1)
+        parts = layout(self.case, self.decomposition, g)
+        # Each label keyed by the component its node enters: node n enters n+1.
+        entering = {i: label for part, label in _PART_GLUINGS.items() for i in parts[part]}
+        entering[2] = _NODE_ONE[self.case]
+        return tuple([entering.get(i) for i in range(2, g + 1)])
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """The reading notes: SMALL_B's on node 2, and LARGE_SECTIONS' on its
+        boundary table when d2 != k2."""
+        dec = self.decomposition
+        if self.case is Case.SMALL_B:
+            return ("node 2 links the line block into the glued section space of dimension d2-k2 on component 2",)
+        if self.case is Case.LARGE_SECTIONS and dec.d2 != dec.k2:
+            return (
+                "boundary table reading: the last vanishing at the final point carries the section-count "
+                f"remainder k2={dec.k2}; the degree remainder d2={dec.d2} would break boundary minimality",
+            )
+        return ()
 
     @property
     def decomposition(self) -> Decomposition:
@@ -322,13 +357,6 @@ def _optional_int(value: Any, name: str) -> int | None:
     return None if value is None else _exact_int(value, name)
 
 
-def _text(value: Any, name: str, optional: bool = False) -> str | None:
-    """A free-text label, carried verbatim: a string, or null if optional."""
-    if not (isinstance(value, str) or (optional and value is None)):
-        raise ParameterError(f"{name}: expected a string{' or null' if optional else ''}, got {value!r}")
-    return value
-
-
 def _table_side(entries: Iterable[Any], name: str) -> tuple[tuple[int, int], ...]:
     """One side of a table as exact-int runs; VanishingTable checks the rest."""
     runs = []
@@ -406,10 +434,13 @@ def _first_difference(got: Any, want: Any, path: str = "") -> tuple[str, Any, An
 def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
     """Rebuild a skeleton from its canonical JSON document.
 
-    A document loads iff the skeleton built from it writes back the same
-    JSON value, every integer an exact int. Anything else, a stale derived
-    field or a table side breaking the VanishingTable invariant included,
-    raises ParameterError naming the first offending field.
+    The skeleton is built from `params`, `b`, `bundles` and `tables`, with
+    the case from classifying the params (a tuple that does not classify
+    raises ParameterError("params: ...")). A document loads iff that
+    skeleton writes back the same JSON value, every integer an exact int.
+    Anything else, a stale derived field or a table side breaking the
+    VanishingTable invariant included, raises ParameterError naming the
+    first offending field.
     """
     if not isinstance(doc, Mapping):
         raise ParameterError(f"a skeleton document is a JSON object, not {type(doc).__name__}")
@@ -418,14 +449,17 @@ def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
         raise ParameterError(f"unsupported schema {schema!r}")
     try:
         pd = doc["params"]
+        params = Params(g=pd["g"], r=pd["r"], d=pd["d"], k=pd["k"])
+        try:
+            case = classify(params).case
+        except (KLERegime, HypothesisFailed) as exc:
+            raise ParameterError(f"params: {exc}") from None
         skeleton = LimitSeriesSkeleton(
-            params=Params(g=pd["g"], r=pd["r"], d=pd["d"], k=pd["k"]),
-            case=Case(doc["case"]),
+            params=params,
+            case=case,
             b=_exact_int(doc["b"], "b"),
             bundles=_entries(doc, "bundles", _bundle_from_json),
             tables=_entries(doc, "tables", _table_from_json),
-            gluings=_entries(doc, "gluings", lambda gd: _text(gd["description"], "description", optional=True)),
-            notes=tuple(_text(note, f"notes[{i}]") for i, note in enumerate(doc["notes"])),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ParameterError):

@@ -275,12 +275,28 @@ class TestVerifyFileAuditAndLoad:
         assert "oracle cross-validation: agree\n" in capsys.readouterr().out
 
     def test_wrong_case_tag_fails_audit(self, tmp_path, capsys):
+        # The loader takes the case from classifying the params, so a wrong
+        # tag is a stale field: the document cannot load.
         path, doc = _dumped(tmp_path, capsys)
         doc["case"] = "small_c"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        line = "audit: cannot audit: skeleton is tagged small_c but the tuple classifies as small_a"
+        line = f"cannot load {path}: stale case: the document has 'small_c', the skeleton gives 'small_a'"
         assert main(["verify-file", str(path)]) == 1
-        assert line in capsys.readouterr().out.splitlines()
+        assert capsys.readouterr().out.splitlines() == [line]
+        # JSON mode: stdout is empty and the load failure goes to stderr.
+        assert main(["verify-file", str(path), "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [line]
+        # An audit mismatch a document can still reach: component 4's
+        # O(2P+3Q)^2 written as two twisted summands of multiplicity 1 has
+        # autos 1+1, not 2^2, so the ledger totals 22 against rho 20.
+        path, doc = _dumped(tmp_path, capsys)
+        doc["bundles"][3]["summands"][:1] = [{"a": 2, "kind": "twisted", "mult": 1}] * 2
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        line = "audit: total 22 == rho 20: MISMATCH"
+        assert main(["verify-file", str(path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert line in out and "overall: fail" in out
         # JSON mode: stdout is the report alone, which passes; the audit line goes to stderr.
         assert main(["verify-file", str(path), "--format", "json"]) == 1
         out, err = capsys.readouterr()
@@ -337,7 +353,7 @@ class TestVerifyFileAuditAndLoad:
             (("components",), 7.0, "components"),
             (("bundles", 0, "component"), True, "bundles[0].component"),
             (("gluings", 1, "description"), 5, "gluings[1].description"),
-            (("notes",), [1, {"x": 2}], "notes[0]"),
+            (("notes",), [1, {"x": 2}], "stale notes:"),
             (("bundles", 1, "summands"),
              [{"a": 1, "kind": "twisted", "mult": 1}, {"kind": "generic_line", "mult": 2},
               {"kind": "generic_line", "mult": 0}], "bundles[1].summands"),
@@ -347,15 +363,21 @@ class TestVerifyFileAuditAndLoad:
             (("bundles", 0), {"block_degree": -16, "block_rank": -3, "blocks": -1, "component": 1, "degree": 16,
                               "kind": "first_special"}, "bundles[0].blocks"),
             (("gluings", 1, "tag"), "generic", "gluings[1].tag"),
-            (("gluings", 1, "description"), None, "gluings[1].tag"),
+            (("gluings", 1, "description"), None, "stale gluings[1].description:"),
             (("gluings", 0, "parameter_dim"), 8.0, "gluings[0].parameter_dim"),
+            (("gluings", 1, "description"), "twisted_block->section_chain", "stale gluings[1].description:"),
+            (("notes",), ["node 2 links the line block into the glued section space of dimension d2-k2 on component 2"],
+             "stale notes:"),
+            (("params", "g"), 8, "params: (***) fails: g - (k1+1)*(g-d1+k1) = 8 - 2*4 = 0 < 1"),
+            (("params", "k"), 3, "params: k <= r regime not covered (k=3, r=3)"),
         ],
         ids=["empty_side", "duplicate_order", "unsorted_side", "zero_multiplicity",
              "stale_decomposition", "emptied_nodes", "table_component", "bundle_component",
              "gluing_node", "bogus_bundle_kind", "stale_summand_kind", "extra_top_level_key",
              "blocks_on_mixed_bundle", "deleted_notes", "bool_schema", "float_components",
              "bool_component", "numeric_description", "non_string_notes", "zero_summand", "cancelling_summand",
-             "negated_blocks", "stale_tag", "description_to_null", "float_parameter_dim"],
+             "negated_blocks", "stale_tag", "description_to_null", "float_parameter_dim", "moved_description",
+             "edited_note", "params_failing_hypothesis", "params_k_le_r"],
     )
     def test_inconsistent_document_rejected(self, tmp_path, capsys, field, value, named):
         path, doc = _dumped(tmp_path, capsys)

@@ -179,8 +179,7 @@ def test_short_chain_rejected_by_skeleton(monkeypatch, tup):
     build = _BUILDERS[case]
 
     def dropping_last(*args):
-        chain, notes = build(*args)
-        return chain[:-1], notes
+        return build(*args)[:-1]
 
     monkeypatch.setitem(_BUILDERS, case, dropping_last)
     with pytest.raises(ParameterError, match="component counts disagree with g"):

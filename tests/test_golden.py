@@ -18,7 +18,7 @@ import hashlib
 from collections import Counter
 
 from conftest import ACCEPTANCE_SWEEP, constructible_tuples
-from ellchain import Case, construct, ledger, skeleton_to_canonical_json, verify
+from ellchain import Case, canonical_dumps, construct, ledger, skeleton_to_canonical_json, verify
 from ellchain.cli import SweepConfig, run_sweep
 
 SMALL_FRONTIER = SweepConfig(g=(2, 30), r=(1, 5))
@@ -41,7 +41,7 @@ def test_small_regime_golden_digests():
             continue
         skeleton = construct(p)
         skeletons.update(skeleton_to_canonical_json(skeleton).encode("utf-8") + b"\n")
-        ledgers.update(ledger(skeleton).to_canonical_json().encode("utf-8") + b"\n")
+        ledgers.update(canonical_dumps(ledger(skeleton).to_json_dict()).encode("utf-8") + b"\n")
         reports.update(verify(skeleton).to_canonical_json().encode("utf-8") + b"\n")
         count += 1
     assert count == SMALL_TUPLES
@@ -56,7 +56,7 @@ def test_large_sections_ledger_golden_digest():
     for p, classification in constructible_tuples(ACCEPTANCE_SWEEP):
         if classification.case is not Case.LARGE_SECTIONS:
             continue
-        ledgers.update(ledger(construct(p)).to_canonical_json().encode("utf-8") + b"\n")
+        ledgers.update(canonical_dumps(ledger(construct(p)).to_json_dict()).encode("utf-8") + b"\n")
         count += 1
     assert count == LARGE_TUPLES
     assert ledgers.hexdigest() == LARGE_LEDGER_SHA256

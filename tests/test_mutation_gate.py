@@ -3,7 +3,7 @@
 Single leaves: every leaf of each dumped document is changed, one at a
 time: an integer by +-1; a bundle or summand `kind`, a gluing `tag` or the
 `case` to each other legal value; a gluing `description` to each other
-string the recipes emit, or to null; a `notes` or `nodes` string by
+label the skeleton derives, or to null; a `notes` or `nodes` string by
 appending one character.
 
 Paired moves: for every ordered pair of distinct integer leaves on the same
@@ -40,22 +40,10 @@ RECIPE_DESCRIPTIONS = (
     "twisted_block->section_chain",
 )
 
-# Survives: a constrained node's description moved to another recipe
-# string. A move to or from null changes the derived tag, so it fails to load.
-DESCRIPTION_MOVE = (
-    "a constrained gluing's description is a free-text label: type-checked, carried verbatim, read by no rule"
-)
-
 # (dump, leaf path, new value), "*" matching anything, a frozenset any of its
-# members, and why it survives.
+# members, and why it survives. The case, every description and every note
+# are derived, so no label mutation survives.
 ALLOWED = {
-    ((7, 3, 16, 5), ("gluings", frozenset({0, 1, 2, 4}), "description"), frozenset(RECIPE_DESCRIPTIONS)): (
-        DESCRIPTION_MOVE
-    ),
-    ((6, 2, 9, 3), ("gluings", frozenset({0, 1, 2}), "description"), frozenset(RECIPE_DESCRIPTIONS)): (
-        DESCRIPTION_MOVE
-    ),
-    ("*", ("notes", "*"), "*"): "a note is free text carried verbatim",
     ((7, 3, 30, 5), ("tables", 0, "at_q", 1, 0), 8): (
         "a crude limit series: node 1 is no longer exact, but every pair sum is still >= b "
         "and every component rule holds"
