@@ -146,7 +146,7 @@ def ledger(s: LimitSeriesSkeleton) -> DimensionLedger:
         return DimensionLedger(case=case, rows=rows)
 
     out: list[LedgerRow] = []
-    for label, components in layout(case, s.decomposition, g).items():
+    for label, components in layout(case, s.params.decomposition, g).items():
         group = [terms[c - 1] for c in components]
         if not group:
             continue

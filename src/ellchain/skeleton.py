@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import HypothesisFailed, KLERegime, ParameterError
-from .params import Case, Decomposition, Params, classify, layout
+from .params import Case, Params, classify, layout
 
 
 @dataclass(frozen=True, init=False)
@@ -79,6 +79,8 @@ class ComponentBundle:
     `min_twist`/`max_twist` (None without twisted summands) and the ledger's
     `moduli`/`autos` terms are derived here: h blocks give moduli h and
     autos h, m copies of one twisted line 0 and m^2, m generic lines m and m.
+    A bundle has one spelling: twisted summands strictly ascending by twist,
+    then at most one generic-line entry; any other list raises ParameterError.
     """
 
     kind: str  # "first_special" | "mixed"
@@ -104,19 +106,27 @@ class ComponentBundle:
         rank = moduli = autos = 0
         twists = []
         for s in summands:
+            if moduli:  # a generic-line entry came before
+                raise ParameterError(
+                    f"summands: a {s.kind} summand after the generic lines, generic lines must be one last entry"
+                )
             rank += s.mult
             if s.twist is None:
                 moduli += s.mult
                 autos += s.mult
             else:
+                if twists and s.twist <= twists[-1]:
+                    raise ParameterError(
+                        f"summands: twist {s.twist} after {twists[-1]}, twists must be strictly ascending"
+                    )
                 autos += s.mult * s.mult
                 twists.append(s.twist)
         if kind == "first_special":
             rank = blocks * block_rank  # type: ignore[operator]
             moduli = autos = blocks  # type: ignore[assignment]
         self.__dict__.update(kind=kind, degree=degree, blocks=blocks, block_rank=block_rank, block_degree=block_degree,
-                             summands=summands, rank=rank, min_twist=min(twists) if twists else None,
-                             max_twist=max(twists) if twists else None, moduli=moduli, autos=autos)
+                             summands=summands, rank=rank, min_twist=twists[0] if twists else None,
+                             max_twist=twists[-1] if twists else None, moduli=moduli, autos=autos)
 
     def twist_multiplicity(self, a: int) -> int:
         """Copies of O(a*P + (d1-a)*Q) among the summands (mixed only), 0 outside the twist range."""
@@ -240,7 +250,7 @@ class LimitSeriesSkeleton:
         g = self.params.g
         if self.case not in _NODE_ONE:
             return (None,) * (g - 1)
-        parts = layout(self.case, self.decomposition, g)
+        parts = layout(self.case, self.params.decomposition, g)
         # Each label keyed by the component its node enters: node n enters n+1.
         entering = {i: label for part, label in _PART_GLUINGS.items() for i in parts[part]}
         entering[2] = _NODE_ONE[self.case]
@@ -250,7 +260,7 @@ class LimitSeriesSkeleton:
     def notes(self) -> tuple[str, ...]:
         """The reading notes: SMALL_B's on node 2, and LARGE_SECTIONS' on its
         boundary table when d2 != k2."""
-        dec = self.decomposition
+        dec = self.params.decomposition
         if self.case is Case.SMALL_B:
             return ("node 2 links the line block into the glued section space of dimension d2-k2 on component 2",)
         if self.case is Case.LARGE_SECTIONS and dec.d2 != dec.k2:
@@ -259,16 +269,6 @@ class LimitSeriesSkeleton:
                 f"remainder k2={dec.k2}; the degree remainder d2={dec.d2} would break boundary minimality",
             )
         return ()
-
-    @property
-    def decomposition(self) -> Decomposition:
-        return self.params.decomposition
-
-    def bundle(self, i: int) -> ComponentBundle:
-        return self.bundles[i - 1]
-
-    def table(self, i: int) -> VanishingTable:
-        return self.tables[i - 1]
 
 
 def degree_balance(s: LimitSeriesSkeleton) -> int:
@@ -318,7 +318,7 @@ def _bundle_to_json(i: int, b: ComponentBundle) -> dict[str, Any]:
 
 def skeleton_to_json_dict(s: LimitSeriesSkeleton) -> dict[str, Any]:
     g = s.params.g
-    dec = s.decomposition
+    dec = s.params.decomposition
     return {
         "schema": SCHEMA_VERSION,
         "params": {"g": g, "r": s.params.r, "d": s.params.d, "k": s.params.k},

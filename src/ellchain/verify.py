@@ -34,16 +34,17 @@ Checks performed:
 The rules read the summaries a table, a bundle and the params carry (side
 totals, largest multiplicity, rank, lowest and highest twist, the
 decomposition), computed once when each was built, and never re-sum them.
-A run-by-run loop runs only where a summary shows a rule may be broken (on
-a component, a pair sum reaching d1), to name the offenders; since a side's
-orders ascend, its first and last runs bound its orders.
+A table's runs are looped over only where a summary shows a bound may be
+broken, to name the offenders; since a side's orders ascend, its first and
+last runs bound its orders.
 
 Both pairings are read off the (order, multiplicity) runs a VanishingTable
-stores, never off per-section lists, by one two-pointer walk that reads one
-side's runs upward and the other's from the top, so a check costs
-O(distinct orders), not O(k). `pair_sum_range` walks it for the verdicts
-and returns only the lowest and highest pair sums; `merge_runs` walks it
-for the witnesses and offenders and yields (x, y, count) stretches.
+stores, never off per-section lists, by one two-pointer walk, `merge_runs`,
+that reads one side's runs upward and the other's from the top, so a check
+costs O(distinct orders), not O(k). One walk returns the lowest and highest
+pair sums and the (x, y, count) stretches at or above a floor: a node asks
+for those above b (none on an exact node), a component for those at or
+above d1 (its saturated groups and offenders), and a node witness for all.
 
 Why the anti-sorted pairing decides both rules (an exchange argument). Call
 two pairs (x, y), (x', y') concordant when x < x' and y < y'; the anti-sorted
@@ -94,51 +95,35 @@ Runs = Sequence[tuple[int, int]]
 Stretch = tuple[int, int, int]
 
 
-def merge_runs(up: Runs, down: Runs) -> list[Stretch]:
-    """Anti-sorted pairing of two run tables, as (x, y, count) stretches.
+def merge_runs(up: Runs, down: Runs, floor: int) -> tuple[int, int, list[Stretch]]:
+    """One walk of the anti-sorted pairing of two run tables: its lowest
+    and highest pair sums, and its (x, y, count) stretches whose sum x + y
+    is at least `floor`.
 
     `up`'s orders are read ascending and `down`'s from the top, so x rises
-    and y falls from one stretch to the next. Both sides must hold strictly
-    ascending distinct orders with positive multiplicities (the
+    and y falls from one stretch to the next. Both sides must be non-empty,
+    with strictly ascending distinct orders and positive multiplicities (the
     VanishingTable invariant). Unequal totals stop the pairing at the
     shorter side, as `zip` over the expanded lists would.
     """
     out: list[Stretch] = []
-    if not up or not down:
-        return out
-    i, j = 0, len(down) - 1
-    x, mx = up[0]
-    y, my = down[j]
-    while True:
-        count = mx if mx < my else my
-        out.append((x, y, count))
-        mx -= count
-        my -= count
-        if not mx:
-            i += 1
-            if i == len(up):
-                return out
-            x, mx = up[i]
-        if not my:
-            j -= 1
-            if j < 0:
-                return out
-            y, my = down[j]
-
-
-def pair_sum_range(up: Runs, down: Runs) -> tuple[int, int]:
-    """(lowest, highest) pair sum of `merge_runs(up, down)`: the same walk,
-    with no stretch built. Both sides must be non-empty."""
     i, j = 0, len(down) - 1
     x, mx = up[0]
     y, my = down[j]
     lowest = highest = x + y
     while True:
+        total = x + y
+        if total < lowest:
+            lowest = total
+        elif total > highest:
+            highest = total
+        if total >= floor:
+            out.append((x, y, mx if mx < my else my))
         if mx <= my:
             my -= mx
             i += 1
             if i == len(up):
-                return lowest, highest
+                return lowest, highest, out
             x, mx = up[i]
         else:
             mx -= my
@@ -146,13 +131,8 @@ def pair_sum_range(up: Runs, down: Runs) -> tuple[int, int]:
         if not my:
             j -= 1
             if j < 0:
-                return lowest, highest
+                return lowest, highest, out
             y, my = down[j]
-        total = x + y
-        if total < lowest:
-            lowest = total
-        elif total > highest:
-            highest = total
 
 
 @dataclass(slots=True)
@@ -167,7 +147,7 @@ class NodeVerdict:
     @property
     def stretches(self) -> list[Stretch]:
         """(P-order, Q-order, count), P ascending: merged on every read."""
-        return merge_runs(self.at_p, self.at_q)
+        return merge_runs(self.at_p, self.at_q, self.min_sum)[2]
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -194,10 +174,11 @@ def node_verdicts(tables: Sequence[VanishingTable], b: int) -> tuple[NodeVerdict
     """Verdicts of the nodes between consecutive tables, numbered from 1. A
     node is satisfiable iff its Q side and the next P side total the same
     (else no bijection exists) and the greedy pairing's minimum sum is at
-    least b. With unequal totals the pairing stops at the shorter side."""
+    least b. With unequal totals the pairing stops at the shorter side. The
+    walk collects only the stretches above b, where a node is not exact."""
     verdicts = []
     for node, (q_table, p_table) in enumerate(zip(tables, tables[1:]), 1):
-        lowest, highest = pair_sum_range(p_table.at_p, q_table.at_q)
+        lowest, highest, _ = merge_runs(p_table.at_p, q_table.at_q, b + 1)
         verdicts.append(
             NodeVerdict(node=node, at_p=p_table.at_p, at_q=q_table.at_q, min_sum=lowest,
                         satisfiable=lowest >= b and q_table.total_q == p_table.total_p,
@@ -273,26 +254,21 @@ def check_component_feasibility(
 ) -> ComponentVerdict:
     """Check component `component`: its `component_preconditions` must hold,
     and the anti-sorted pairing (stopping at the shorter side) must keep the
-    elliptic section rules. Its stretches are walked only if a pair sum
-    reaches d1, and a stretch above d1 yields one violation with its
-    count of sections, so the witness grows with the runs, not with k."""
+    elliptic section rules. One walk collects the stretches summing to d1 or
+    more: a stretch above d1 yields one violation with its count of
+    sections, so the witness grows with the runs, not with k, and a stretch
+    at d1 is its P-order's whole saturated group, since y changes between
+    stretches of equal x."""
     violations = component_preconditions(component, bundle, table, d1=d1, r=r)
     exceptional = []
-    if pair_sum_range(table.at_p, table.at_q)[1] >= d1:
-        top_groups: dict[int, int] = {}
-        for x, y, count in merge_runs(table.at_p, table.at_q):
-            total = x + y
-            if total > d1:
-                violations.append({"rule": "pair_sum", "pair": [x, y], "sum": total, "max": d1, "count": count})
-            elif total == d1:
-                top_groups[x] = top_groups.get(x, 0) + count
-        for a in sorted(top_groups):
-            capacity = exceptional_capacity(bundle, a, d2=d2)
-            exceptional.append((a, top_groups[a], capacity))
-            if top_groups[a] > capacity:
-                violations.append(
-                    {"rule": "exceptional_capacity", "order": a, "pairs": top_groups[a], "capacity": capacity}
-                )
+    for x, y, count in merge_runs(table.at_p, table.at_q, d1)[2]:
+        if x + y > d1:
+            violations.append({"rule": "pair_sum", "pair": [x, y], "sum": x + y, "max": d1, "count": count})
+        else:
+            exceptional.append((x, count, exceptional_capacity(bundle, x, d2=d2)))
+    for a, pairs, capacity in exceptional:
+        if pairs > capacity:
+            violations.append({"rule": "exceptional_capacity", "order": a, "pairs": pairs, "capacity": capacity})
     return ComponentVerdict(
         component=component,
         ok=not violations,
@@ -352,7 +328,7 @@ class VerificationReport:
 
 
 def check_boundary(s: LimitSeriesSkeleton) -> CheckEntry:
-    dec = s.decomposition
+    dec = s.params.decomposition
     expected = minimal_boundary_table(s.params.r, dec.k1, dec.k2)
     first_p = s.tables[0].at_p
     last_q = s.tables[-1].at_q
@@ -376,8 +352,7 @@ def _boundary_witness(expected: Runs, first_p: Runs, last_q: Runs) -> dict[str, 
 
 
 def check_multiplicity_bounds(s: LimitSeriesSkeleton) -> CheckEntry:
-    r, k = s.params.r, s.params.k
-    d1 = s.decomposition.d1
+    r, k, d1 = s.params.r, s.params.k, s.params.decomposition.d1
     offenders = []
     for i, t in enumerate(s.tables, 1):
         at_p, at_q = t.at_p, t.at_q
@@ -412,7 +387,7 @@ def _component_witness(comps: list[ComponentVerdict]) -> dict[str, Any]:
 
 def verify(s: LimitSeriesSkeleton) -> VerificationReport:
     """Run every check and aggregate the verdicts into one report."""
-    dec = s.decomposition
+    dec = s.params.decomposition
     checks: list[tuple[str, CheckEntry]] = []
 
     residual = degree_balance(s)

@@ -130,8 +130,8 @@ def test_criterion_4_worked_instance():
         and rho_value(7, 3, 16, 5) == 20
         and skeleton.params.g == 7
         and skeleton.b == 5
-        and skeleton.table(1).at_p == ((0, 3), (1, 2))
-        and skeleton.table(1).at_q == ((3, 1), (4, 3), (5, 1))
+        and skeleton.tables[0].at_p == ((0, 3), (1, 2))
+        and skeleton.tables[0].at_q == ((3, 1), (4, 3), (5, 1))
         and audit.total == 20
         and report.overall
         and report.all_nodes_exact

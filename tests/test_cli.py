@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,18 @@ import pytest
 
 import ellchain
 from conftest import constructible_tuples
-from ellchain import Case, Params, cli, construct, skeleton_from_json_dict, skeleton_to_canonical_json, verify
+from ellchain import (
+    Case,
+    ComponentBundle,
+    Params,
+    Summand,
+    cli,
+    construct,
+    skeleton_from_json_dict,
+    skeleton_to_canonical_json,
+    skeleton_to_json_dict,
+    verify,
+)
 from ellchain.cli import (
     SweepConfig,
     analyze,
@@ -287,13 +299,15 @@ class TestVerifyFileAuditAndLoad:
         assert main(["verify-file", str(path), "--format", "json"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [line]
-        # An audit mismatch a document can still reach: component 4's
-        # O(2P+3Q)^2 written as two twisted summands of multiplicity 1 has
-        # autos 1+1, not 2^2, so the ledger totals 22 against rho 20.
-        path, doc = _dumped(tmp_path, capsys)
-        doc["bundles"][3]["summands"][:1] = [{"a": 2, "kind": "twisted", "mult": 1}] * 2
+        # An audit mismatch a canonical document can still reach: component 4
+        # as O(2P+3Q)^3, with the gluing dimensions the writer derives for it.
+        # Every check passes, but the ledger totals 17 against rho 20.
+        s = construct(Params(7, 3, 16, 5))
+        bundles = list(s.bundles)
+        bundles[3] = ComponentBundle("mixed", 15, summands=(Summand(3, 2),))
+        doc = skeleton_to_json_dict(dataclasses.replace(s, bundles=tuple(bundles)))
         path.write_text(json.dumps(doc), encoding="utf-8")
-        line = "audit: total 22 == rho 20: MISMATCH"
+        line = "audit: total 17 == rho 20: MISMATCH"
         assert main(["verify-file", str(path)]) == 1
         out = capsys.readouterr().out.splitlines()
         assert line in out and "overall: fail" in out

@@ -77,23 +77,23 @@ class TestSmallAWorkedInstance:
     def test_tables(self):
         s = construct(self.P)
         for i, (at_p, at_q) in SMALL_A_TABLES.items():
-            assert s.table(i).at_p == _runs(at_p), f"C{i} at P"
-            assert s.table(i).at_q == _runs(at_q), f"C{i} at Q"
+            assert s.tables[i - 1].at_p == _runs(at_p), f"C{i} at P"
+            assert s.tables[i - 1].at_q == _runs(at_q), f"C{i} at Q"
 
     def test_bundles(self):
         s = construct(self.P)
-        first = s.bundle(1)
+        first = s.bundles[0]
         assert first.kind == "first_special"
         assert (first.blocks, first.block_rank, first.block_degree) == (1, 3, 16)
         assert first.degree == 16
         # early components carry O((2i-3)P+(d1-2i+3)Q)^(k2-d2) plus lines
-        assert _twists(s.bundle(2)) == [(1, 1)] and _line_mult(s.bundle(2)) == 2
-        assert _twists(s.bundle(3)) == [(3, 1)] and _line_mult(s.bundle(3)) == 2
+        assert _twists(s.bundles[1]) == [(1, 1)] and _line_mult(s.bundles[1]) == 2
+        assert _twists(s.bundles[2]) == [(3, 1)] and _line_mult(s.bundles[2]) == 2
         # alpha-blocks: first component twisted^k2 plus lines, rest fully twisted
-        assert _twists(s.bundle(4)) == [(2, 2)] and _line_mult(s.bundle(4)) == 1
-        assert _twists(s.bundle(5)) == [(4, 3)] and _line_mult(s.bundle(5)) == 0
-        assert _twists(s.bundle(6)) == [(3, 2)] and _line_mult(s.bundle(6)) == 1
-        assert _twists(s.bundle(7)) == [(5, 3)] and _line_mult(s.bundle(7)) == 0
+        assert _twists(s.bundles[3]) == [(2, 2)] and _line_mult(s.bundles[3]) == 1
+        assert _twists(s.bundles[4]) == [(4, 3)] and _line_mult(s.bundles[4]) == 0
+        assert _twists(s.bundles[5]) == [(3, 2)] and _line_mult(s.bundles[5]) == 1
+        assert _twists(s.bundles[6]) == [(5, 3)] and _line_mult(s.bundles[6]) == 0
         assert all(b.degree == 15 for b in s.bundles[1:])
 
     def test_gluing_dims(self):
@@ -111,20 +111,20 @@ class TestSmallBWorkedInstance:
     def test_tables(self):
         s = construct(self.P)
         for i, (at_p, at_q) in SMALL_B_TABLES.items():
-            assert s.table(i).at_p == _runs(at_p), f"C{i} at P"
-            assert s.table(i).at_q == _runs(at_q), f"C{i} at Q"
+            assert s.tables[i - 1].at_p == _runs(at_p), f"C{i} at P"
+            assert s.tables[i - 1].at_q == _runs(at_q), f"C{i} at Q"
 
     def test_bundles(self):
         s = construct(self.P)
         # component 2 carries O(d1*Q)^(k2) plus generic lines
-        assert _twists(s.bundle(2)) == [(0, 1)] and _line_mult(s.bundle(2)) == 2
-        assert _twists(s.bundle(3)) == [(2, 2)] and _line_mult(s.bundle(3)) == 1
+        assert _twists(s.bundles[1]) == [(0, 1)] and _line_mult(s.bundles[1]) == 2
+        assert _twists(s.bundles[2]) == [(2, 2)] and _line_mult(s.bundles[2]) == 1
         # block twists: the first block component's exceptional sections sit
         # at a = alpha*k1, the rest one step past the previous block
-        assert _twists(s.bundle(4)) == [(1, 1)]
-        assert _twists(s.bundle(5)) == [(3, 3)]
-        assert _twists(s.bundle(6)) == [(2, 1)]
-        assert _twists(s.bundle(7)) == [(4, 3)]
+        assert _twists(s.bundles[3]) == [(1, 1)]
+        assert _twists(s.bundles[4]) == [(3, 3)]
+        assert _twists(s.bundles[5]) == [(2, 1)]
+        assert _twists(s.bundles[6]) == [(4, 3)]
 
     def test_tail_count(self):
         assert _tail_count(self.P) == 0
@@ -145,15 +145,15 @@ class TestSmallCWorkedInstance:
     def test_tables(self):
         s = construct(self.P)
         for i, (at_p, at_q) in SMALL_C_TABLES.items():
-            assert s.table(i).at_p == _runs(at_p), f"C{i} at P"
-            assert s.table(i).at_q == _runs(at_q), f"C{i} at Q"
+            assert s.tables[i - 1].at_p == _runs(at_p), f"C{i} at P"
+            assert s.tables[i - 1].at_q == _runs(at_q), f"C{i} at Q"
 
     def test_bundles(self):
         s = construct(self.P)
-        assert s.bundle(1).kind == "mixed" and _line_mult(s.bundle(1)) == 2
-        assert _twists(s.bundle(2)) == [(1, 2)]
-        assert _twists(s.bundle(3)) == [(3, 2)]
-        assert _line_mult(s.bundle(4)) == 2
+        assert s.bundles[0].kind == "mixed" and _line_mult(s.bundles[0]) == 2
+        assert _twists(s.bundles[1]) == [(1, 2)]
+        assert _twists(s.bundles[2]) == [(3, 2)]
+        assert _line_mult(s.bundles[3]) == 2
 
     def test_tail_is_nonempty_under_strict_hypothesis(self):
         assert _tail_count(self.P) == 1
@@ -161,11 +161,11 @@ class TestSmallCWorkedInstance:
 
 def test_large_sections_worked_instance():
     s = construct(Params(2, 2, 6, 3))
-    first = s.bundle(1)
+    first = s.bundles[0]
     assert first.kind == "first_special"
     assert (first.blocks, first.block_rank, first.block_degree) == (2, 1, 3)
-    assert s.bundle(2).kind == "mixed" and _line_mult(s.bundle(2)) == 2
-    assert s.table(2).at_q == ((0, 2), (1, 1))
+    assert s.bundles[1].kind == "mixed" and _line_mult(s.bundles[1]) == 2
+    assert s.tables[1].at_q == ((0, 2), (1, 1))
     assert _gluings(s) == [("generic", 4)]
     assert degree_balance(s) == 0
 
@@ -224,8 +224,8 @@ def test_construction_invariants_over_small_sweep():
         assert all(b.rank == p.r for b in s.bundles)
         for t in s.tables:
             assert t.total_p == p.k and t.total_q == p.k
-        assert s.table(1).at_p == minimal_boundary_table(p.r, dec.k1, dec.k2)
-        assert s.table(p.g).at_q == minimal_boundary_table(p.r, dec.k1, dec.k2)
+        assert s.tables[0].at_p == minimal_boundary_table(p.r, dec.k1, dec.k2)
+        assert s.tables[-1].at_q == minimal_boundary_table(p.r, dec.k1, dec.k2)
         for b in s.bundles:
             for summand in b.summands:
                 assert summand.mult > 0

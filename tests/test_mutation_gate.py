@@ -19,6 +19,11 @@ Each mutated document must fail to load or get a status other than pass
 from `analyze_skeleton`, the verdict `verify-file` reports. The only
 survivors are the mutations an allowlist names, each with its reason, and
 every one of them must survive.
+
+Spellings: each summand list of two or more entries is reversed, and each
+summand of multiplicity m >= 2 is split into two of 1 and m - 1. These
+write the same bundle a second way, so every such document must fail to
+load, with a message naming the bundle's summands.
 """
 
 from __future__ import annotations
@@ -199,3 +204,30 @@ def test_every_paired_move_fails_unless_allowed():
 
 def test_every_node_coupled_move_fails_unless_allowed():
     _assert_gate(_node_coupled_moves(), ALLOWED_COUPLED, 10196)
+
+
+def _respelled_summand_lists():
+    for dump, doc in _dumps():
+        for i, bundle in enumerate(doc["bundles"]):
+            summands = bundle.get("summands", [])
+            path = ("bundles", i, "summands")
+            if len(summands) > 1:
+                yield (dump, i, "reversed"), _mutated(doc, (path, summands[::-1]))
+            for j, summand in enumerate(summands):
+                if summand["mult"] >= 2:
+                    halves = [{**summand, "mult": 1}, {**summand, "mult": summand["mult"] - 1}]
+                    yield (dump, i, f"split {j}"), _mutated(doc, (path, summands[:j] + halves + summands[j + 1:]))
+
+
+def test_every_respelled_summand_list_fails_to_load():
+    mutants = list(_respelled_summand_lists())
+    assert len(mutants) == 27
+    loaded = []
+    for (dump, i, edit), doc in mutants:
+        try:
+            skeleton_from_json_dict(doc)
+        except ParameterError as exc:
+            assert str(exc).startswith(f"bundles[{i}].summands: "), exc
+        else:
+            loaded.append((dump, i, edit))
+    assert loaded == []

@@ -221,7 +221,7 @@ def _unequal_sides():
     """7 3 16 5 with component 2's P side cut to total 4 against 5."""
     s = construct(Params(7, 3, 16, 5))
     tables = list(s.tables)
-    tables[1] = VanishingTable(((0, 4),), s.table(2).at_q)
+    tables[1] = VanishingTable(((0, 4),), s.tables[1].at_q)
     return dataclasses.replace(s, tables=tuple(tables))
 
 
@@ -230,7 +230,7 @@ def _fuzzed_corruptions():
     moved to another order in [0, d1], as (table index, side, skeleton)."""
     rng = random.Random(170381)
     base = construct(Params(7, 3, 16, 5))
-    d1 = base.decomposition.d1
+    d1 = base.params.decomposition.d1
     for _ in range(300):
         tables = list(base.tables)
         idx = rng.randrange(len(tables))
@@ -287,7 +287,7 @@ def _cross_validate_per_instance(s):
     """cross_validate as one flow per instance, with no memo: the reference
     the per-class memo must reproduce exactly."""
     checks, skipped = [], []
-    d1, d2, r = s.decomposition.d1, s.decomposition.d2, s.params.r
+    d1, d2, r = s.params.decomposition.d1, s.params.decomposition.d2, s.params.r
     for verdict, q_table, p_table in zip(node_verdicts(s.tables, s.b), s.tables, s.tables[1:]):
         try:
             oracle = min_sum_pairing_exists(q_table.at_q, p_table.at_p, s.b)

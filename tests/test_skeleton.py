@@ -51,7 +51,7 @@ def test_degree_balance_perturbation_is_linear():
 def test_b_equals_d1():
     for tup in [(7, 3, 16, 5), (7, 3, 14, 4), (2, 2, 6, 3), (4, 2, 8, 4)]:
         s = construct(Params(*tup))
-        assert s.b == s.decomposition.d1
+        assert s.b == s.params.decomposition.d1
 
 
 def test_json_round_trip_identity():
@@ -88,7 +88,7 @@ def test_canonical_json_is_sorted_and_compact():
 def test_table_total_guard():
     s = construct(Params(7, 3, 16, 5))
     tables = list(s.tables)
-    broken = VanishingTable(((0, 1), (1, 3)), s.table(2).at_q)  # sums to 4, not k=5
+    broken = VanishingTable(((0, 1), (1, 3)), s.tables[1].at_q)  # sums to 4, not k=5
     tables[1] = broken
     entry = verify(dataclasses.replace(s, tables=tuple(tables))).entry("multiplicity_bounds")
     assert entry.status == "fail"
@@ -142,9 +142,13 @@ def test_table_summaries_equal_recomputed_runs(at_p, at_q, new_q):
         assert table.max_mult == max(m for _, m in table.at_p + table.at_q)
 
 
-summands = st.lists(
-    st.builds(Summand, mult=st.integers(1, 6), twist=st.one_of(st.none(), st.integers(-3, 12))), max_size=5
-).map(tuple)
+# Canonical summand lists: twisted summands ascending by twist, then at most
+# one generic-line entry.
+def _canonical(twisted, lines):
+    return tuple(Summand(m, a) for a, m in sorted(twisted.items())) + ((Summand(lines),) if lines else ())
+
+
+summands = st.builds(_canonical, st.dictionaries(st.integers(-3, 12), st.integers(1, 6), max_size=5), st.integers(0, 6))
 
 
 def _twists(bundle):
@@ -171,8 +175,8 @@ def test_twist_multiplicity_equals_summed_reference():
     # max_twist]; inside, gaps between twists must still read 0.
     gapped = [
         ComponentBundle(kind="mixed", degree=0, summands=(Summand(2, 0), Summand(1, 3))),
-        ComponentBundle(kind="mixed", degree=0, summands=(Summand(1, 3), Summand(1, None), Summand(2, 0))),
-        ComponentBundle(kind="mixed", degree=0, summands=(Summand(1, 1), Summand(1, 4), Summand(1, 1))),
+        ComponentBundle(kind="mixed", degree=0, summands=(Summand(2, 0), Summand(1, 3), Summand(1, None))),
+        ComponentBundle(kind="mixed", degree=0, summands=(Summand(2, 1), Summand(1, 4))),
     ]
     assert [gapped[0].twist_multiplicity(a) for a in (1, 2, 4)] == [0, 0, 0]
     for bundle in gapped:
@@ -231,7 +235,7 @@ def _frozen_records():
     s = construct(Params(7, 3, 16, 5))
     return [
         s.bundles[1].summands[0], s.bundles[0], s.bundles[1], s.tables[0], s,
-        s.params, s.decomposition,
+        s.params, s.params.decomposition,
         SweepConfig(g=(2, 3), r=(1, 2)),
     ]
 
@@ -315,6 +319,7 @@ def _skeleton_parts(**changes):
 
 _AT_LEAST_ONE_BLOCK = "blocks: a first_special bundle needs blocks and block_rank of at least 1"
 _COUNTS = "skeleton component counts disagree with g"
+_LINES_LAST = "summands: a twisted summand after the generic lines, generic lines must be one last entry"
 
 # (id, build, message): each build breaks one or more checks, and the message
 # is the first one's, in the order each record checks.
@@ -325,6 +330,13 @@ _INVALID = [
     ("bundle_kind", lambda: ComponentBundle("line", 3, blocks=0), "kind: unknown bundle kind 'line'"),
     ("bundle_blocks", lambda: ComponentBundle("first_special", 3, blocks=0, block_rank=2), _AT_LEAST_ONE_BLOCK),
     ("bundle_block_rank", lambda: ComponentBundle("first_special", 3, blocks=1), _AT_LEAST_ONE_BLOCK),
+    ("bundle_lines_first", lambda: ComponentBundle("mixed", 10, summands=(Summand(1), Summand(1, 2))), _LINES_LAST),
+    ("bundle_two_line_entries", lambda: ComponentBundle("mixed", 10, summands=(Summand(1), Summand(1))),
+     "summands: a generic_line summand after the generic lines, generic lines must be one last entry"),
+    ("bundle_repeated_twist", lambda: ComponentBundle("mixed", 10, summands=(Summand(1, 2), Summand(1, 2))),
+     "summands: twist 2 after 2, twists must be strictly ascending"),
+    ("bundle_descending_twists", lambda: ComponentBundle("mixed", 10, summands=(Summand(1, 3), Summand(1, 2))),
+     "summands: twist 2 after 3, twists must be strictly ascending"),
     ("table_empty_p", lambda: VanishingTable((), ()), "at_p: empty table side"),
     ("table_empty_q", lambda: VanishingTable(((0, 1),), ()), "at_q: empty table side"),
     ("table_unsorted_p", lambda: VanishingTable(((2, 1), (1, 1)), ((0, 0),)),

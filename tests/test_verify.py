@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import importlib
 import itertools
@@ -20,7 +21,7 @@ from ellchain import (
     verify,
 )
 from ellchain.skeleton import skeleton_from_json_dict, skeleton_to_json_dict
-from ellchain.verify import check_multiplicity_bounds, node_verdicts, pair_sum_range
+from ellchain.verify import check_multiplicity_bounds, node_verdicts
 
 # The package's `verify` is the function, so the module is looked up by name.
 verify_module = importlib.import_module("ellchain.verify")
@@ -44,13 +45,22 @@ def _mixed(summands, degree=0):
     return ComponentBundle(kind="mixed", degree=degree, summands=summands)
 
 
+def _canonical_summands(twists):
+    """One line per entry of `twists` (None a generic line), spelled as a
+    bundle must be: repeated twists merged and ascending, generic lines last."""
+    counts = collections.Counter(twists)
+    lines = counts.pop(None, 0)
+    twisted = tuple(Summand(mult=m, twist=t) for t, m in sorted(counts.items()))
+    return twisted + ((Summand(mult=lines),) if lines else ())
+
+
 def _table(at_p, at_q):
     return VanishingTable(tuple(sorted(at_p.items())), tuple(sorted(at_q.items())))
 
 
 def _node_min_sum(at_q, at_p_next):
     """Minimum pair sum of the greedy pairing (Q descending vs P ascending)."""
-    return min(p + q for p, q, _ in merge_runs(at_p_next, at_q))
+    return merge_runs(at_p_next, at_q, 0)[0]
 
 
 class TestNodePairing:
@@ -72,11 +82,11 @@ class TestNodePairing:
 
     def test_corrupted_order_fails_at_node_three(self):
         s = construct(Params(7, 3, 16, 5))
-        at_q = dict(s.table(3).at_q)  # {3: 2, 2: 3}
+        at_q = dict(s.tables[2].at_q)  # {3: 2, 2: 3}
         at_q[3] -= 1
         at_q[2] += 1
         tables = list(s.tables)
-        tables[2] = VanishingTable(s.table(3).at_p, tuple(sorted(at_q.items())))
+        tables[2] = VanishingTable(s.tables[2].at_p, tuple(sorted(at_q.items())))
         corrupted = dataclasses.replace(s, tables=tuple(tables))
         verdicts = node_verdicts(corrupted.tables, corrupted.b)
         assert not verdicts[2].satisfiable and verdicts[2].node == 3
@@ -102,7 +112,7 @@ class TestComponentFeasibility:
 
     def test_first_special_budget(self):
         s = construct(Params(7, 3, 16, 5))
-        verdict = check_component_feasibility(1, s.bundle(1), s.table(1), d1=5, d2=1, r=3)
+        verdict = check_component_feasibility(1, s.bundles[0], s.tables[0], d1=5, d2=1, r=3)
         assert verdict.ok
         # groups of degree-5 pairs, one per P-order, each within the d2 budget
         assert verdict.exceptional == ((0, 1, 1), (1, 1, 1))
@@ -122,7 +132,7 @@ class TestComponentFeasibility:
              [{"rule": "bundle_shape", "field": "kind", "component": 2, "expected": 1}]),
             (1, ComponentBundle(kind="first_special", degree=16, blocks=1, block_rank=2, block_degree=16),
              [{"rule": "bundle_shape", "field": "block_degree", "gcd": 2, "expected": 1}]),
-            (3, _mixed((Summand(mult=1, twist=6), Summand(mult=1, twist=2)), degree=10),
+            (3, _mixed((Summand(mult=1, twist=2), Summand(mult=1, twist=6)), degree=10),
              [{"rule": "bundle_shape", "field": "twist", "lowest": 2, "highest": 6, "min": 0, "max": 5}]),
             (3, _mixed((Summand(mult=1, twist=-1), Summand(mult=1)), degree=10),
              [{"rule": "bundle_shape", "field": "twist", "lowest": -1, "highest": -1, "min": 0, "max": 5}]),
@@ -143,9 +153,9 @@ class TestComponentFeasibility:
         # component check leaves it alone, as no pairing can change it.
         s = construct(Params(4, 2, 8, 4))  # r = 2, d1 = 4
         tables = list(s.tables)
-        tables[1] = VanishingTable(((1, 3), (2, 1)), s.table(2).at_q)
+        tables[1] = VanishingTable(((1, 3), (2, 1)), s.tables[1].at_q)
         broken = dataclasses.replace(s, tables=tuple(tables))
-        verdict = check_component_feasibility(2, broken.bundle(2), broken.table(2), d1=4, d2=0, r=2)
+        verdict = check_component_feasibility(2, broken.bundles[1], broken.tables[1], d1=4, d2=0, r=2)
         assert verdict.ok and verdict.violations == ()
         entry = check_multiplicity_bounds(broken)
         assert entry.status == "fail"
@@ -169,7 +179,7 @@ class TestFullVerify:
     def test_boundary_violation_detected(self):
         s = construct(Params(7, 3, 16, 5))
         tables = list(s.tables)
-        tables[0] = VanishingTable(((0, 3), (2, 2)), s.table(1).at_q)
+        tables[0] = VanishingTable(((0, 3), (2, 2)), s.tables[0].at_q)
         broken = dataclasses.replace(s, tables=tuple(tables))
         report = verify(broken)
         entry = report.entry("boundary_minimality")
@@ -178,23 +188,26 @@ class TestFullVerify:
 
     @pytest.fixture
     def merge_calls(self, monkeypatch):
-        """The (up, down) argument of every `merge_runs` call verify makes."""
+        """(up, down, stretches returned) of every `merge_runs` call verify makes."""
         calls = []
 
-        def counting(up, down):
-            calls.append((up, down))
-            return merge_runs(up, down)
+        def counting(up, down, floor):
+            walked = merge_runs(up, down, floor)
+            calls.append((up, down, walked[2]))
+            return walked
 
         monkeypatch.setattr(verify_module, "merge_runs", counting)
         return calls
 
     def test_stretches_are_built_only_when_a_witness_reads_them(self, merge_calls):
         report = verify(construct(Params(7, 3, 30, 5)))
-        assert report.overall and merge_calls == []
+        # 2g - 1 walks: one per node and one per component, none returning a stretch.
+        assert report.overall and [stretches for _, _, stretches in merge_calls] == [[]] * 13
         report.to_canonical_json()
-        assert len(merge_calls) == 6  # g - 1 node witnesses, one merge each
+        assert len(merge_calls) == 13 + 6  # g - 1 node witnesses, one merge each
+        assert all(stretches for _, _, stretches in merge_calls[13:])
         report.to_canonical_json()
-        assert len(merge_calls) == 6
+        assert len(merge_calls) == 19
 
     @pytest.mark.parametrize(
         "at_q,expected",
@@ -213,7 +226,10 @@ class TestFullVerify:
         doc["tables"][3]["at_q"] = at_q
         s = skeleton_from_json_dict(doc)
         report = verify(s)
-        assert merge_calls == [(s.table(4).at_p, s.table(4).at_q)]
+        assert len(merge_calls) == 2 * 7 - 1
+        component_4 = (s.tables[3].at_p, s.tables[3].at_q)
+        walks = [stretches for up, down, stretches in merge_calls if (up, down) == component_4]
+        assert len(walks) == 1 and walks[0]  # one walk, which returns the offending stretch
         assert report.entry("component_feasibility").witness["components"][3] == expected
         assert not report.overall
 
@@ -295,7 +311,7 @@ def _component_reference(bundle, table, d1, d2, r):
 def _bounds_reference(s):
     """multiplicity_bounds applied run by run to every side of every table,
     each total summed afresh."""
-    r, k, d1 = s.params.r, s.params.k, s.decomposition.d1
+    r, k, d1 = s.params.r, s.params.k, s.params.decomposition.d1
     offenders = []
     for i, t in enumerate(s.tables, 1):
         for point, side in (("P", t.at_p), ("Q", t.at_q)):
@@ -346,22 +362,24 @@ def test_multiplicity_bounds_match_full_loop(tables):
 
 
 class TestRunMerge:
-    @given(p=run_tables, q=run_tables)
+    @given(p=run_tables, q=run_tables, floor=st.integers(-1, 19))
+    @example(p=((1, 1), (4, 1)), q=((0, 2), (2, 1)), floor=3)  # the up side runs out first
+    @example(p=((0, 2), (3, 1)), q=((1, 1), (5, 1)), floor=5)  # the down side runs out first
+    @example(p=((0, 1), (2, 2)), q=((1, 2), (4, 1)), floor=4)  # both run out together
     @settings(max_examples=300)
-    def test_stretches_expand_to_the_zipped_pairing(self, p, q):
-        stretches = merge_runs(p, q)
+    def test_stretches_expand_to_the_zipped_pairing(self, p, q, floor):
+        # Orders lie in [0, 9], so floors -1 and 19 lie below and above every sum.
+        lowest, highest, stretches = merge_runs(p, q, floor)
+        pairs = list(zip(expand_ascending(p), expand_descending(q)))
+        sums = [x + y for x, y in pairs]
+        assert (lowest, highest) == (min(sums), max(sums))
         assert all(count > 0 for _, _, count in stretches)
-        expanded = [(y, x) for x, y, count in stretches for _ in range(count)]
-        assert expanded == list(zip(expand_descending(q), expand_ascending(p)))
-
-    @given(p=run_tables, q=run_tables)
-    @example(p=((1, 1), (4, 1)), q=((0, 2), (2, 1)))  # the up side runs out first
-    @example(p=((0, 2), (3, 1)), q=((1, 1), (5, 1)))  # the down side runs out first
-    @example(p=((0, 1), (2, 2)), q=((1, 2), (4, 1)))  # both run out together
-    @settings(max_examples=300)
-    def test_sum_range_is_that_of_the_stretches(self, p, q):
-        sums = [x + y for x, y, _ in merge_runs(p, q)]
-        assert pair_sum_range(p, q) == (min(sums), max(sums))
+        expanded = [(x, y) for x, y, count in stretches for _ in range(count)]
+        assert expanded == [(x, y) for x, y in pairs if x + y >= floor]
+        # The floor only filters: below every sum, every stretch is returned.
+        every = merge_runs(p, q, lowest)[2]
+        assert stretches == [(x, y, count) for x, y, count in every if x + y >= floor]
+        assert every == merge_runs(p, q, -1)[2]
 
     @given(at_q=run_tables, at_p=run_tables, b=st.integers(0, 18))
     @example(at_q=((2, 1), (3, 1)), at_p=((0, 1), (2, 1)), b=4)  # minimum sum b - 1
@@ -371,8 +389,8 @@ class TestRunMerge:
     def test_node_verdict_matches_expanded_reference(self, at_q, at_p, b):
         s = construct(Params(2, 2, 6, 3))
         tables = (
-            VanishingTable(s.table(1).at_p, at_q),
-            VanishingTable(at_p, s.table(2).at_q),
+            VanishingTable(s.tables[0].at_p, at_q),
+            VanishingTable(at_p, s.tables[1].at_q),
         )
         verdict = node_verdicts(tables, b)[0]
         pairs = list(zip(expand_descending(at_q), expand_ascending(at_p)))
@@ -415,6 +433,6 @@ class TestRunMerge:
         if first_special:
             bundle = ComponentBundle(kind="first_special", degree=0, blocks=1, block_rank=r)
         else:
-            bundle = _mixed(tuple(Summand(mult=1, twist=t) for t in twists), len(twists) * d1 + degree_shift)
+            bundle = _mixed(_canonical_summands(twists), len(twists) * d1 + degree_shift)
         verdict = check_component_feasibility(1, bundle, table, d1=d1, d2=d2, r=r)
         assert verdict.to_json_dict() == _component_reference(bundle, table, d1, d2, r)
