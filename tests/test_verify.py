@@ -369,10 +369,8 @@ class TestRunMerge:
     @settings(max_examples=300)
     def test_stretches_expand_to_the_zipped_pairing(self, p, q, floor):
         # Orders lie in [0, 9], so floors -1 and 19 lie below and above every sum.
-        lowest, highest, stretches = merge_runs(p, q, floor)
+        lowest, _, stretches = merge_runs(p, q, floor)
         pairs = list(zip(expand_ascending(p), expand_descending(q)))
-        sums = [x + y for x, y in pairs]
-        assert (lowest, highest) == (min(sums), max(sums))
         assert all(count > 0 for _, _, count in stretches)
         expanded = [(x, y) for x, y, count in stretches for _ in range(count)]
         assert expanded == [(x, y) for x, y in pairs if x + y >= floor]
@@ -380,6 +378,19 @@ class TestRunMerge:
         every = merge_runs(p, q, lowest)[2]
         assert stretches == [(x, y, count) for x, y, count in every if x + y >= floor]
         assert every == merge_runs(p, q, -1)[2]
+
+    @given(p=run_tables, q=run_tables, floor=st.integers(-1, 19))
+    @example(p=((1, 1), (4, 1)), q=((0, 2), (2, 1)), floor=0)  # the up side runs out first
+    @example(p=((0, 2), (3, 1)), q=((1, 1), (5, 1)), floor=0)  # the down side runs out first
+    @example(p=((0, 1), (2, 2)), q=((1, 2), (4, 1)), floor=0)  # both run out together
+    @settings(max_examples=300)
+    def test_sum_range_is_that_of_the_stretches(self, p, q, floor):
+        # The extreme sums are those of the whole pairing, whatever the floor.
+        lowest, highest, _ = merge_runs(p, q, floor)
+        sums = [x + y for x, y, _ in merge_runs(p, q, -1)[2]]
+        assert (lowest, highest) == (min(sums), max(sums))
+        expanded = [x + y for x, y in zip(expand_ascending(p), expand_descending(q))]
+        assert (lowest, highest) == (min(expanded), max(expanded))
 
     @given(at_q=run_tables, at_p=run_tables, b=st.integers(0, 18))
     @example(at_q=((2, 1), (3, 1)), at_p=((0, 1), (2, 1)), b=4)  # minimum sum b - 1
