@@ -50,12 +50,15 @@ class Analysis:
     status: str  # "pass" | "verify_fail" | "audit_fail" | "oracle_disagree" | "k_le_r" | "hypothesis_failed"
     detail: str = ""
     classification: Classification | None = None
-    rho: int | None = None
     skeleton: LimitSeriesSkeleton | None = None
     report: VerificationReport | None = None
     audit: AuditResult | None = None
-    audit_error: EngineError | None = None  # why the audit could not run, when `audit` is None
     cross: CrossValidation | None = None
+
+    @property
+    def rho(self) -> int:
+        p = self.params
+        return rho_value(p.g, p.r, p.d, p.k)
 
     @property
     def exit_code(self) -> int:
@@ -72,9 +75,9 @@ def analyze(g: int, r: int, d: int, k: int, *, oracle: bool = False) -> Analysis
     try:
         classification = classify(p)
     except KLERegime as exc:
-        return Analysis(params=p, status="k_le_r", detail=str(exc), rho=rho_value(g, r, d, k))
+        return Analysis(params=p, status="k_le_r", detail=str(exc))
     except HypothesisFailed as exc:
-        return Analysis(params=p, status="hypothesis_failed", detail=str(exc), rho=rho_value(g, r, d, k))
+        return Analysis(params=p, status="hypothesis_failed", detail=str(exc))
     analysis = analyze_skeleton(construct(p), oracle=oracle)
     analysis.classification = classification
     return analysis
@@ -82,29 +85,22 @@ def analyze(g: int, r: int, d: int, k: int, *, oracle: bool = False) -> Analysis
 
 def analyze_skeleton(skeleton: LimitSeriesSkeleton, *, oracle: bool = False) -> Analysis:
     """Verify, audit and optionally cross-validate a built or loaded skeleton.
-    Its status is verify_fail, else audit_fail (also when the audit cannot
-    run, as on a skeleton built in code with a wrong `case` tag), else
-    oracle_disagree, else pass."""
+    Its status is verify_fail, else audit_fail, else oracle_disagree, else
+    pass. A skeleton built in code whose params do not classify, or whose
+    `case` tag is not theirs, raises the audit's EngineError."""
     report = verify(skeleton)
-    try:
-        audit, audit_error = audit_equals_rho(skeleton), None
-    except EngineError as exc:
-        audit, audit_error = None, exc
+    audit = audit_equals_rho(skeleton)
     cross = cross_validate(skeleton) if oracle else None
     if not report.overall:
         status, detail = "verify_fail", "verification failed"
-    elif audit is None:
-        status, detail = "audit_fail", f"cannot audit: {audit_error}"
     elif not audit.ok:
         status, detail = "audit_fail", f"ledger total {audit.total} != rho {audit.rho}"
     elif cross is not None and not cross.ok:
         status, detail = "oracle_disagree", "greedy/oracle disagreement"
     else:
         status, detail = "pass", ""
-    return Analysis(
-        params=skeleton.params, status=status, detail=detail, rho=audit.rho if audit else None,
-        skeleton=skeleton, report=report, audit=audit, audit_error=audit_error, cross=cross,
-    )
+    return Analysis(params=skeleton.params, status=status, detail=detail, skeleton=skeleton, report=report,
+                    audit=audit, cross=cross)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +169,7 @@ def evaluate_tuple(args: tuple[int, int, int, int]) -> tuple[tuple[int, int, int
     g, r, d, k = args
     result = analyze(g, r, d, k)
     case = result.classification.case.value if result.classification else "-"
-    return args, result.status, case, result.rho if result.rho is not None else 0
+    return args, result.status, case, result.rho
 
 
 @dataclass
@@ -255,11 +251,8 @@ def _oracle_line(cross: CrossValidation) -> str:
     return f"oracle cross-validation: {f'{verdict}, ' if cross.checks else ''}{skipped}"
 
 
-def _audit_line(analysis: Analysis) -> str:
+def _audit_line(audit: AuditResult) -> str:
     """The audit verdict `check` and `verify-file` print."""
-    audit = analysis.audit
-    if audit is None:
-        return f"audit: cannot audit: {analysis.audit_error}"
     return f"audit: total {audit.total} == rho {audit.rho}: {'ok' if audit.ok else 'MISMATCH'}"
 
 
@@ -276,14 +269,14 @@ def _render_check_text(analysis: Analysis) -> str:
     s = analysis.skeleton
     lines.append(f"skeleton: {s.params.g} components, b={s.b}, degrees "
                  f"{[b.degree for b in s.bundles]}")
-    for name, entry in analysis.report.checks:
+    for name, entry in analysis.report.checks.items():
         lines.append(f"verify {name}: {entry.status}")
     lines.append(f"node pairing exact: {analysis.report.all_nodes_exact}")
     if analysis.cross is not None:
         lines.append(_oracle_line(analysis.cross))
     lines.append("ledger:")
     lines.extend("  " + row for row in analysis.audit.ledger.to_text().splitlines())
-    lines.append(_audit_line(analysis))
+    lines.append(_audit_line(analysis.audit))
     lines.append(f"overall: {analysis.status}")
     for note in s.notes:
         lines.append(f"note: {note}")
@@ -411,14 +404,14 @@ def cmd_verify_file(args: argparse.Namespace) -> int:
         print(analysis.report.to_canonical_json())
         if analysis.cross is not None:
             print(_oracle_line(analysis.cross), file=sys.stderr)
-        if analysis.audit is None or not analysis.audit.ok:
-            print(_audit_line(analysis), file=sys.stderr)
+        if not analysis.audit.ok:
+            print(_audit_line(analysis.audit), file=sys.stderr)
     else:
-        for name, entry in analysis.report.checks:
+        for name, entry in analysis.report.checks.items():
             print(f"verify {name}: {entry.status}")
         if analysis.cross is not None:
             print(_oracle_line(analysis.cross))
-        print(_audit_line(analysis))
+        print(_audit_line(analysis.audit))
         print(f"overall: {'pass' if analysis.status == 'pass' else 'fail'}")
     return analysis.exit_code
 

@@ -102,8 +102,7 @@ class DimensionLedger:
 
 
 def _compact_indices(indices: tuple[int, ...]) -> str:
-    if not indices:
-        return "(none)"
+    """Ascending, non-empty indices as runs: (3, 4, 5, 7) -> "3-5,7"."""
     parts = []
     start = prev = indices[0]
     for i in indices[1:]:

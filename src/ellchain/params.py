@@ -16,13 +16,12 @@ names those parts: the recipes fill them, the ledger groups its rows by
 them, and the skeleton derives its gluing labels from them.
 
 A Params carries its Euclidean decomposition, computed once when it is
-built; `classify` and every later layer read that stored value. Its
-hand-written `__init__` validates the tuple and stores all five fields in one
-instance-dict update, as the bundle and table records do. Params and
+built; `classify` and every later layer read that stored value. It is built
+as the `skeleton` module docstring says of every record. Params and
 Decomposition are frozen, since that stored value is right only while the
-fields it comes from cannot change. HypothesisCheck and Classification are result records,
-built once per call and handed to the caller, so they are plain slotted
-dataclasses.
+fields it comes from cannot change. HypothesisCheck and Classification are
+result records, built once per call and handed to the caller, so they are
+plain slotted dataclasses.
 """
 
 from __future__ import annotations

@@ -15,12 +15,14 @@ to k is a rule `verify` checks.
 Records carry their summaries, computed once when built: a table its side
 totals and largest multiplicity, a bundle its rank and twist range, the
 skeleton each node's gluing dimension. They are derived fields, left out of
-equality and repr, so `dataclasses.replace` recomputes them and every rule
-reads them instead of re-summing. Each record is a frozen dataclass with a
-hand-written `__init__` (init=False) that validates, derives, and stores all
-fields, derived ones included, straight into the instance dict rather than
-through one `object.__setattr__` per field. The generated `__setattr__` and
-`__delattr__` still raise FrozenInstanceError, so a summary cannot go stale.
+equality, hashing and repr, so `dataclasses.replace` recomputes them and every
+rule reads them instead of re-summing. Each record (and `Params`) is a frozen
+dataclass with a hand-written `__init__` (init=False, the generated signature)
+that validates, derives, and stores all fields, derived ones included, with
+one instance-dict update rather than one `object.__setattr__` (about 250 ns)
+per field. The generated `__setattr__` and `__delattr__` still raise
+FrozenInstanceError, so a summary cannot go stale, and records pickle as
+dataclasses do.
 The skeleton's gluing labels and notes are read only by the JSON writer and
 `check`'s text, so they are properties, derived on each read.
 
@@ -103,6 +105,8 @@ class ComponentBundle:
             raise ParameterError(f"kind: unknown bundle kind {kind!r}")
         if kind == "first_special" and min(blocks or 0, block_rank or 0) < 1:
             raise ParameterError("blocks: a first_special bundle needs blocks and block_rank of at least 1")
+        if kind == "first_special" and block_degree is None:
+            raise ParameterError("block_degree: a first_special bundle needs a block_degree")
         rank = moduli = autos = 0
         twists = []
         for s in summands:

@@ -66,7 +66,9 @@ Witnesses are built only when read: every check keeps what its witness
 needs and builds it on the first read (`CheckEntry(build=...)`), and a
 node verdict keeps its two sides and merges them when a report's JSON
 expands the node's pairs and sums. A sweep, which reads statuses only,
-pays for none of them.
+pays for none of them. The report maps each check's name to its entry, in
+report order, and keeps the node verdicts: `all_nodes_exact` reads their
+`exact` flags, as the witness's `all_exact` does, so it builds no witness.
 
 The skeleton and its parts are frozen, because the summaries the rules read
 are right only while the fields they come from cannot change. The verdicts
@@ -218,13 +220,12 @@ def component_preconditions(
     if bundle.rank != r:
         violations.append({"rule": "bundle_rank", "rank": bundle.rank, "expected": r})
     if bundle.kind == "first_special":
-        block_degree = bundle.block_degree
-        degree = None if block_degree is None else bundle.blocks * block_degree  # type: ignore[operator]
+        degree = bundle.blocks * bundle.block_degree  # type: ignore[operator]
         if degree != bundle.degree:
             violations.append(
                 {"rule": "bundle_shape", "field": "block_degree", "degree": degree, "expected": bundle.degree}
             )
-        common = 1 if block_degree is None else gcd(bundle.block_rank, block_degree)  # type: ignore[arg-type]
+        common = gcd(bundle.block_rank, bundle.block_degree)  # type: ignore[arg-type]
         if common != 1:
             violations.append({"rule": "bundle_shape", "field": "block_degree", "gcd": common, "expected": 1})
         if component != 1:
@@ -300,27 +301,24 @@ class CheckEntry:
 
 @dataclass(slots=True)
 class VerificationReport:
-    checks: tuple[tuple[str, CheckEntry], ...]
+    checks: dict[str, CheckEntry]  # by check name, in report order
+    nodes: tuple[NodeVerdict, ...]
 
     def entry(self, name: str) -> CheckEntry:
-        for key, value in self.checks:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return self.checks[name]
 
     @property
     def overall(self) -> bool:
-        return all(entry.status != "fail" for _, entry in self.checks)
+        return all(entry.status != "fail" for entry in self.checks.values())
 
     @property
     def all_nodes_exact(self) -> bool:
-        witness = self.entry("node_pairing").witness
-        return bool(witness["all_exact"])
+        return all(n.exact for n in self.nodes)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "overall": "pass" if self.overall else "fail",
-            "checks": {name: entry.to_json_dict() for name, entry in self.checks},
+            "checks": {name: entry.to_json_dict() for name, entry in self.checks.items()},
         }
 
     def to_canonical_json(self) -> str:
@@ -388,50 +386,22 @@ def _component_witness(comps: list[ComponentVerdict]) -> dict[str, Any]:
 def verify(s: LimitSeriesSkeleton) -> VerificationReport:
     """Run every check and aggregate the verdicts into one report."""
     dec = s.params.decomposition
-    checks: list[tuple[str, CheckEntry]] = []
-
     residual = degree_balance(s)
-    checks.append(
-        (
-            "degree_balance",
-            CheckEntry("pass" if residual == 0 else "fail", build=partial(dict, residual=residual, b=s.b)),
-        )
-    )
-
     nodes = node_verdicts(s.tables, s.b)
-    checks.append(
-        (
-            "node_pairing",
-            CheckEntry(
-                "pass" if all(n.satisfiable for n in nodes) else "fail",
-                build=partial(_node_witness, nodes),
-            ),
-        )
-    )
-
     comps = [
         check_component_feasibility(i, bundle, table, d1=dec.d1, d2=dec.d2, r=s.params.r)
         for i, (bundle, table) in enumerate(zip(s.bundles, s.tables), 1)
     ]
-    checks.append(
-        (
-            "component_feasibility",
-            CheckEntry(
-                "pass" if all(c.ok for c in comps) else "fail",
-                build=partial(_component_witness, comps),
-            ),
-        )
-    )
-
-    checks.append(("boundary_minimality", check_boundary(s)))
-    checks.append(("multiplicity_bounds", check_multiplicity_bounds(s)))
-    checks.append(
-        (
-            "genericity",
-            CheckEntry(
-                "assumed",
-                build=partial(dict, note="sections determined by nodal values: genericity assumption, not verified"),
-            ),
-        )
-    )
-    return VerificationReport(checks=tuple(checks))
+    checks = {
+        "degree_balance": CheckEntry("pass" if residual == 0 else "fail",
+                                     build=partial(dict, residual=residual, b=s.b)),
+        "node_pairing": CheckEntry("pass" if all(n.satisfiable for n in nodes) else "fail",
+                                   build=partial(_node_witness, nodes)),
+        "component_feasibility": CheckEntry("pass" if all(c.ok for c in comps) else "fail",
+                                            build=partial(_component_witness, comps)),
+        "boundary_minimality": check_boundary(s),
+        "multiplicity_bounds": check_multiplicity_bounds(s),
+        "genericity": CheckEntry("assumed", build=partial(
+            dict, note="sections determined by nodal values: genericity assumption, not verified")),
+    }
+    return VerificationReport(checks=checks, nodes=nodes)

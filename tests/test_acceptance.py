@@ -64,7 +64,7 @@ def test_criterion_2_construction_verification():
         report = verify(skeleton)
         checked += 1
         cases[classification.case] += 1
-        bad = [name for name, entry in report.checks if entry.status == "fail"]
+        bad = [name for name, entry in report.checks.items() if entry.status == "fail"]
         if bad or not report.all_nodes_exact:
             failures.append((p, bad or ["pairing not exact"]))
     all_cases = set(cases) == set(Case)

@@ -33,6 +33,7 @@ from ellchain.cli import (
     run_sweep,
 )
 from ellchain.errors import ParameterError
+from ellchain.oracle import CrossCheck, CrossValidation
 
 DELETE = object()  # a field value meaning "remove the key"
 
@@ -87,6 +88,39 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == plain.out and plain.err == ""
         assert captured.err == line + "\n"
+
+    def test_oracle_disagreement_fails_below_verify(self, capsys, monkeypatch):
+        disagree = CrossValidation(checks=(CrossCheck(kind="node", index=1, greedy=True, oracle=False),))
+        monkeypatch.setattr(cli, "cross_validate", lambda skeleton: disagree)
+        assert main(["check", "7", "3", "16", "5", "--oracle"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "oracle cross-validation: DISAGREE" in out and out[-1] == "overall: oracle_disagree"
+        assert main(["check", "7", "3", "16", "5", "--oracle", "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["status"], doc["detail"]) == ("oracle_disagree", "greedy/oracle disagreement")
+        # A verify failure outranks the disagreement.
+        s = construct(Params(7, 3, 16, 5))
+        assert analyze_skeleton(dataclasses.replace(s, b=s.b + 1), oracle=True).status == "verify_fail"
+
+    @pytest.mark.parametrize(
+        "tup, note",
+        [(("6", "2", "9", "3"), "note: node 2 links the line block into the glued section space of dimension "
+                                "d2-k2 on component 2"),
+         (("7", "3", "30", "5"), "note: boundary table reading: the last vanishing at the final point carries "
+                                 "the section-count remainder k2=2; the degree remainder d2=0 would break "
+                                 "boundary minimality")],
+        ids=["small_b", "large_sections"],
+    )
+    def test_notes_follow_the_verdict(self, capsys, tup, note):
+        assert main(["check", *tup]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == ["overall: pass", note]
+        assert "node pairing exact: True" in out
+
+    def test_code_built_skeleton_with_a_wrong_case_raises(self):
+        s = dataclasses.replace(construct(Params(7, 3, 16, 5)), case=Case.SMALL_B)
+        with pytest.raises(ParameterError, match="tagged small_b but the tuple classifies as small_a"):
+            analyze_skeleton(s)
 
 
 class TestDumpAndVerifyFile:
@@ -376,6 +410,8 @@ class TestVerifyFileAuditAndLoad:
               {"kind": "generic_line", "mult": 1}, {"kind": "generic_line", "mult": -1}], "bundles[1].summands"),
             (("bundles", 0), {"block_degree": -16, "block_rank": -3, "blocks": -1, "component": 1, "degree": 16,
                               "kind": "first_special"}, "bundles[0].blocks"),
+            (("bundles", 0, "block_degree"), None,
+             "bundles[0].block_degree: a first_special bundle needs a block_degree"),
             (("gluings", 1, "tag"), "generic", "gluings[1].tag"),
             (("gluings", 1, "description"), None, "stale gluings[1].description:"),
             (("gluings", 0, "parameter_dim"), 8.0, "gluings[0].parameter_dim"),
@@ -390,7 +426,7 @@ class TestVerifyFileAuditAndLoad:
              "gluing_node", "bogus_bundle_kind", "stale_summand_kind", "extra_top_level_key",
              "blocks_on_mixed_bundle", "deleted_notes", "bool_schema", "float_components",
              "bool_component", "numeric_description", "non_string_notes", "zero_summand", "cancelling_summand",
-             "negated_blocks", "stale_tag", "description_to_null", "float_parameter_dim", "moved_description",
+             "negated_blocks", "null_block_degree", "stale_tag", "description_to_null", "float_parameter_dim", "moved_description",
              "edited_note", "params_failing_hypothesis", "params_k_le_r"],
     )
     def test_inconsistent_document_rejected(self, tmp_path, capsys, field, value, named):
@@ -487,6 +523,12 @@ class TestSweep:
         assert code == 1 and captured.out == ""
         lo, hi = bounds.split(":")
         assert captured.err == f"error: empty {name} range ({lo}, {hi})\n"
+
+    def test_invalid_jobs_and_format_rejected(self, capsys):
+        assert main(["sweep", "--jobs", "0"]) == 1
+        assert capsys.readouterr() == ("", "error: jobs must be >= 1\n")
+        with pytest.raises(ParameterError, match="format must be text or json, got 'xml'"):
+            SweepConfig(g=(2, 2), r=(1, 1), fmt="xml")
 
     @pytest.mark.parametrize("bounds", ["x:2", "5:", ":5", "1:2:3", "2.5"])
     def test_malformed_range_rejected(self, capsys, bounds):

@@ -18,7 +18,7 @@ import hashlib
 from collections import Counter
 
 from conftest import ACCEPTANCE_SWEEP, constructible_tuples
-from ellchain import Case, canonical_dumps, construct, ledger, skeleton_to_canonical_json, verify
+from ellchain import Case, Params, canonical_dumps, construct, ledger, skeleton_to_canonical_json, verify
 from ellchain.cli import SweepConfig, run_sweep
 
 SMALL_FRONTIER = SweepConfig(g=(2, 30), r=(1, 5))
@@ -65,7 +65,8 @@ def test_large_sections_ledger_golden_digest():
 def test_high_k_small_regime_sweep_digest():
     # A sweep status of pass means the skeleton was built, verified and its
     # ledger equals rho, so this extends the acceptance gate's criteria 1
-    # and 2 to the recipe branches that only run at k1 >= 4.
+    # and 2 to the recipe branches that only run at k1 >= 4; criterion 2's
+    # exact node pairing is asserted on each skeleton below.
     lines: list[str] = []
     failures = 0
     for r in range(1, 6):
@@ -77,3 +78,5 @@ def test_high_k_small_regime_sweep_digest():
     assert max(int(f["k"]) // int(f["r"]) for f in fields) == 6
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode("utf-8"))
     assert digest.hexdigest() == HIGH_K_SWEEP_SHA256
+    inexact = [f for f in fields if not verify(construct(Params(*(int(f[key]) for key in "grdk")))).all_nodes_exact]
+    assert inexact == []

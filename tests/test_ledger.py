@@ -16,6 +16,7 @@ from ellchain import (
 )
 from ellchain.cli import SweepConfig
 from ellchain.errors import ParameterError
+from ellchain.ledger import _compact_indices
 
 
 @pytest.mark.parametrize(
@@ -144,3 +145,7 @@ def test_ledger_rejects_wrong_case_tag():
     s = construct(Params(7, 3, 16, 5))
     with pytest.raises(ParameterError, match="classifies as small_a"):
         ledger(dataclasses.replace(s, case=Case.SMALL_B))
+
+
+def test_compact_indices_joins_contiguous_runs():
+    assert _compact_indices((3, 4, 5, 7, 9, 10)) == "3-5,7,9-10"

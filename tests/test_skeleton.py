@@ -200,7 +200,7 @@ def test_twist_multiplicity_of_any_summands(parts, a):
 
 @given(blocks=st.integers(1, 6), block_rank=st.integers(1, 6), new_blocks=st.integers(1, 6))
 def test_first_special_rank_is_blocks_times_block_rank(blocks, block_rank, new_blocks):
-    bundle = ComponentBundle(kind="first_special", degree=0, blocks=blocks, block_rank=block_rank)
+    bundle = ComponentBundle(kind="first_special", degree=0, blocks=blocks, block_rank=block_rank, block_degree=1)
     assert bundle.rank == blocks * block_rank and bundle.min_twist is None and bundle.max_twist is None
     assert dataclasses.replace(bundle, blocks=new_blocks).rank == new_blocks * block_rank
 
@@ -222,7 +222,7 @@ def _ledger_terms(bundle):
 @given(parts=summands, new_parts=summands, blocks=st.integers(1, 6), new_blocks=st.integers(1, 6))
 def test_bundle_moduli_and_autos_equal_summand_loop(parts, new_parts, blocks, new_blocks):
     mixed = ComponentBundle(kind="mixed", degree=0, summands=parts)
-    special = ComponentBundle(kind="first_special", degree=0, blocks=blocks, block_rank=2)
+    special = ComponentBundle(kind="first_special", degree=0, blocks=blocks, block_rank=2, block_degree=1)
     for b in (mixed, dataclasses.replace(mixed, summands=new_parts), special,
               dataclasses.replace(special, blocks=new_blocks)):
         assert (b.moduli, b.autos) == _ledger_terms(b)
@@ -330,6 +330,8 @@ _INVALID = [
     ("bundle_kind", lambda: ComponentBundle("line", 3, blocks=0), "kind: unknown bundle kind 'line'"),
     ("bundle_blocks", lambda: ComponentBundle("first_special", 3, blocks=0, block_rank=2), _AT_LEAST_ONE_BLOCK),
     ("bundle_block_rank", lambda: ComponentBundle("first_special", 3, blocks=1), _AT_LEAST_ONE_BLOCK),
+    ("bundle_block_degree", lambda: ComponentBundle("first_special", 3, blocks=1, block_rank=2),
+     "block_degree: a first_special bundle needs a block_degree"),
     ("bundle_lines_first", lambda: ComponentBundle("mixed", 10, summands=(Summand(1), Summand(1, 2))), _LINES_LAST),
     ("bundle_two_line_entries", lambda: ComponentBundle("mixed", 10, summands=(Summand(1), Summand(1))),
      "summands: a generic_line summand after the generic lines, generic lines must be one last entry"),

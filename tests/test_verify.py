@@ -166,6 +166,9 @@ class TestFullVerify:
     def test_constructor_output_passes(self):
         report = verify(construct(Params(7, 3, 16, 5)))
         assert report.overall and report.all_nodes_exact
+        assert list(report.checks) == ["degree_balance", "node_pairing", "component_feasibility",
+                                       "boundary_minimality", "multiplicity_bounds", "genericity"]
+        assert report.entry("genericity") is report.checks["genericity"]
         assert report.entry("genericity").status == "assumed"
 
     def test_wrong_twist_breaks_degree_balance(self):
@@ -203,6 +206,8 @@ class TestFullVerify:
         report = verify(construct(Params(7, 3, 30, 5)))
         # 2g - 1 walks: one per node and one per component, none returning a stretch.
         assert report.overall and [stretches for _, _, stretches in merge_calls] == [[]] * 13
+        # The exactness flag reads the node verdicts: no witness, no walk.
+        assert report.all_nodes_exact and len(merge_calls) == 13
         report.to_canonical_json()
         assert len(merge_calls) == 13 + 6  # g - 1 node witnesses, one merge each
         assert all(stretches for _, _, stretches in merge_calls[13:])
@@ -271,12 +276,12 @@ def _component_reference(bundle, table, d1, d2, r):
     total_p, total_q = len(expand_ascending(table.at_p)), len(expand_ascending(table.at_q))
     violations = [{"rule": "bundle_rank", "rank": bundle.rank, "expected": r}] if bundle.rank != r else []
     if bundle.kind == "first_special":
-        degree = None if bundle.block_degree is None else bundle.blocks * bundle.block_degree
+        degree = bundle.blocks * bundle.block_degree
         if degree != bundle.degree:
             violations.append(
                 {"rule": "bundle_shape", "field": "block_degree", "degree": degree, "expected": bundle.degree}
             )
-        if bundle.block_degree is not None and math.gcd(bundle.block_rank, bundle.block_degree) != 1:
+        if math.gcd(bundle.block_rank, bundle.block_degree) != 1:
             violations.append({"rule": "bundle_shape", "field": "block_degree",
                                "gcd": math.gcd(bundle.block_rank, bundle.block_degree), "expected": 1})
     elif bundle.degree != sum(s.mult for s in bundle.summands) * d1:
@@ -442,7 +447,8 @@ class TestRunMerge:
     ):
         table = VanishingTable(at_p, at_q)
         if first_special:
-            bundle = ComponentBundle(kind="first_special", degree=0, blocks=1, block_rank=r)
+            bundle = ComponentBundle(kind="first_special", degree=1 + degree_shift, blocks=1, block_rank=r,
+                                     block_degree=1)
         else:
             bundle = _mixed(_canonical_summands(twists), len(twists) * d1 + degree_shift)
         verdict = check_component_feasibility(1, bundle, table, d1=d1, d2=d2, r=r)
