@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Callable, Iterable, Iterator
@@ -211,7 +210,9 @@ def run_sweep(
             for item in tuples:
                 yield evaluate_tuple(item)
         else:
-            # The pool forks all its workers on the first submit, so it gets no more than the CPUs.
+            # Imported here, not at every command's start-up. The pool forks all its
+            # workers on the first submit, so it gets no more than the CPUs.
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=min(cfg.jobs, os.cpu_count() or 1)) as pool:
                 yield from pool.map(evaluate_tuple, tuples, chunksize=256)
 

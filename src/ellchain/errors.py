@@ -18,11 +18,14 @@ class KLERegime(EngineError):
 class HypothesisFailed(EngineError):
     """The hypothesis inequality of the classified case fails.
 
-    The message is the failing check's `describe()` line and `failed` is that
-    HypothesisCheck, so callers can report which inequality failed and by
-    how much (its slack).
+    `failed` is the failing HypothesisCheck, so callers can report which
+    inequality failed and by how much (its slack). The message is its
+    `describe()` line, formatted when it is read.
     """
 
-    def __init__(self, message: str, failed) -> None:
-        super().__init__(message)
+    def __init__(self, failed) -> None:
+        super().__init__(failed)
         self.failed = failed
+
+    def __str__(self) -> str:
+        return self.failed.describe()

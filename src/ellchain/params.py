@@ -16,17 +16,17 @@ names those parts: the recipes fill them, the ledger groups its rows by
 them, and the skeleton derives its gluing labels from them.
 
 A Params carries its Euclidean decomposition, computed once when it is
-built; `classify` and every later layer read that stored value. It is built
-as the `skeleton` module docstring says of every record. Params and
-Decomposition are frozen, since that stored value is right only while the
+built; `classify` and every later layer read that stored value. Params and
+Decomposition are built as the `skeleton` module docstring says of every
+record, and are frozen, since that stored value is right only while the
 fields it comes from cannot change. HypothesisCheck and Classification are
 result records, built once per call and handed to the caller, so they are
-plain slotted dataclasses.
+plain slotted dataclasses; a check formats its text only when it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import Enum
 from math import gcd
 from typing import Sequence
@@ -34,7 +34,7 @@ from typing import Sequence
 from .errors import HypothesisFailed, KLERegime, ParameterError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Decomposition:
     """Euclidean data: d = r*d1 + d2, k = r*k1 + k2, h = gcd(d, r) = d/dbar = r/rbar."""
 
@@ -45,6 +45,9 @@ class Decomposition:
     h: int
     rbar: int
     dbar: int
+
+    def __init__(self, d1: int, d2: int, k1: int, k2: int, h: int, rbar: int, dbar: int) -> None:
+        self.__dict__.update(d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=rbar, dbar=dbar)
 
 
 @dataclass(frozen=True, init=False)
@@ -58,9 +61,10 @@ class Params:
     decomposition: Decomposition = field(init=False, repr=False, compare=False)
 
     def __init__(self, g: int, r: int, d: int, k: int) -> None:
-        for name, value in zip("grdk", (g, r, d, k)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if not (type(g) is int and type(r) is int and type(d) is int and type(k) is int):
+            for name, value in zip("grdk", (g, r, d, k)):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ParameterError(f"{name} must be an integer, got {value!r}")
         if g < 2:
             raise ParameterError(f"genus must be >= 2, got g={g}")
         if r < 1:
@@ -72,8 +76,7 @@ class Params:
         d1, d2 = divmod(d, r)
         k1, k2 = divmod(k, r)
         h = gcd(d, r)
-        dec = Decomposition(d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=r // h, dbar=d // h)
-        self.__dict__.update(g=g, r=r, d=d, k=k, decomposition=dec)
+        self.__dict__.update(g=g, r=r, d=d, k=k, decomposition=Decomposition(d1, d2, k1, k2, h, r // h, d // h))
 
 
 def rho_value(g: int, r: int, d: int, k: int) -> int:
@@ -137,12 +140,11 @@ def layout(case: Case, dec: Decomposition, g: int) -> dict[str, Sequence[int]]:
     }
 
 
-# The main hypothesis g - w*t >= least per small case: name, w and t as
-# printed, least.
+# The main hypothesis g - w*t >= least per small case: name, template over (g, w, t), least.
 _MAIN_HYPOTHESES = {
-    Case.SMALL_A: ("(***)", "(k1+1)", "(g-d1+k1)", 1),
-    Case.SMALL_B: ("(*)", "(k1+1)", "(g-d1+k1-1)", 1),
-    Case.SMALL_C: ("(**)", "k1", "(g-d1+k1-1)", 2),  # strict "> 1"
+    Case.SMALL_A: ("(***)", "g - (k1+1)*(g-d1+k1) = {} - {}*{}", 1),
+    Case.SMALL_B: ("(*)", "g - (k1+1)*(g-d1+k1-1) = {} - {}*{}", 1),
+    Case.SMALL_C: ("(**)", "g - k1*(g-d1+k1-1) = {} - {}*{}", 2),  # strict "> 1"
 }
 
 
@@ -151,13 +153,19 @@ class HypothesisCheck:
     """One inequality `value >= min_pass`, with its evaluated left side.
 
     slack = value - min_pass + 1: positive iff the inequality holds, and it
-    counts how far the left side sits above the first failing value.
+    counts how far the left side sits above the first failing value. The
+    text, `statement`, is formatted from template and operands when read.
     """
 
     name: str
-    statement: str
+    template: str
+    operands: tuple[int, ...]
     value: int
     min_pass: int
+
+    @property
+    def statement(self) -> str:
+        return self.template.format(*self.operands)
 
     @property
     def satisfied(self) -> bool:
@@ -173,6 +181,9 @@ class HypothesisCheck:
             f"{self.name} {verdict}: {self.statement} = {self.value} "
             f"{'>=' if self.satisfied else '<'} {self.min_pass}"
         )
+
+    def __reduce__(self):
+        return HypothesisCheck, astuple(self)  # slotted: pickle protocols 0 and 1 need this
 
 
 @dataclass(slots=True)
@@ -198,26 +209,21 @@ def classify(p: Params) -> Classification:
     d1, d2, k1, k2 = dec.d1, dec.d2, dec.k1, dec.k2
 
     surplus = p.d + r * (1 - g)
-    ls_check = HypothesisCheck(
-        name="section_surplus",
-        statement=f"d + r*(1-g) = {p.d} + {r}*(1-{g})",
-        value=surplus,
-        min_pass=p.k,
-    )
+    ls_check = HypothesisCheck("section_surplus", "d + r*(1-g) = {} + {}*(1-{})", (p.d, r, g), surplus, p.k)
     if ls_check.satisfied:
         return Classification(Case.LARGE_SECTIONS, (ls_check,))
 
     case = Case.SMALL_A if d2 < k2 else Case.SMALL_B if d2 else Case.SMALL_C
-    name, w_text, t_text, least = _MAIN_HYPOTHESES[case]
+    name, template, least = _MAIN_HYPOTHESES[case]
     w = k1 if case is Case.SMALL_C else k1 + 1
     t = tail_threshold(case, dec, g)
-    checks = (HypothesisCheck(name, f"g - {w_text}*{t_text} = {g} - {w}*{t}", g - w * t, least),)
+    checks = (HypothesisCheck(name, template, (g, w, t), g - w * t, least),)
     if case is Case.SMALL_A:
-        checks += (HypothesisCheck("generic_bundle_deficit", f"g - d1 + k1 = {g} - {d1} + {k1}", t, 1),)
+        checks += (HypothesisCheck("generic_bundle_deficit", "g - d1 + k1 = {} - {} + {}", (g, d1, k1), t, 1),)
     elif case is Case.SMALL_B:
-        checks += (HypothesisCheck("generic_bundle_deficit", f"g + k1 - d1 = {g} + {k1} - {d1}", t + 1, 2),)
+        checks += (HypothesisCheck("generic_bundle_deficit", "g + k1 - d1 = {} + {} - {}", (g, k1, d1), t + 1, 2),)
 
     for check in checks:
         if not check.satisfied:
-            raise HypothesisFailed(check.describe(), failed=check)
+            raise HypothesisFailed(check)
     return Classification(case, checks)

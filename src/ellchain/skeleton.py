@@ -16,13 +16,13 @@ Records carry their summaries, computed once when built: a table its side
 totals and largest multiplicity, a bundle its rank and twist range, the
 skeleton each node's gluing dimension. They are derived fields, left out of
 equality, hashing and repr, so `dataclasses.replace` recomputes them and every
-rule reads them instead of re-summing. Each record (and `Params`) is a frozen
-dataclass with a hand-written `__init__` (init=False, the generated signature)
-that validates, derives, and stores all fields, derived ones included, with
-one instance-dict update rather than one `object.__setattr__` (about 250 ns)
-per field. The generated `__setattr__` and `__delattr__` still raise
-FrozenInstanceError, so a summary cannot go stale, and records pickle as
-dataclasses do.
+rule reads them instead of re-summing. Each record (and `Params` and its
+`Decomposition`) is a frozen dataclass with a hand-written `__init__`
+(init=False, the generated signature) that validates, derives, and stores
+all fields, derived ones included, with one instance-dict update rather
+than one `object.__setattr__` (about 250 ns) per field. The generated
+`__setattr__` and `__delattr__` still raise FrozenInstanceError, so a
+summary cannot go stale, and records pickle as dataclasses do.
 The skeleton's gluing labels and notes are read only by the JSON writer and
 `check`'s text, so they are properties, derived on each read.
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -658,7 +659,9 @@ class TestSweep:
 
         serial: list[str] = []
         run_sweep(SweepConfig(g=(2, 3), r=(1, 1)), emit=serial.append)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # run_sweep imports the pool class when it needs one, so the fake
+        # replaces it in concurrent.futures.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         pooled: list[str] = []
         run_sweep(SweepConfig(g=(2, 3), r=(1, 1), jobs=5000), emit=pooled.append)
@@ -668,6 +671,16 @@ class TestSweep:
     def test_corrupt_hook_requires_serial(self):
         with pytest.raises(ParameterError):
             run_sweep(SweepConfig(g=(2, 2), r=(1, 1), jobs=2), corrupt=lambda t, s: s)
+
+    def test_cli_import_loads_no_pool(self):
+        # Only `sweep --jobs N` with N > 1 needs a process pool, so no other
+        # command pays for loading multiprocessing at start-up.
+        src = str(Path(ellchain.__file__).resolve().parents[1])
+        code = ("import ellchain.cli, sys; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "[]\n"
 
     def test_closed_pipe_exits_quietly(self):
         # `ellchain sweep | head -1`: the default lattice overflows the pipe

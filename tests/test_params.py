@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import enum
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given
@@ -109,6 +111,7 @@ def test_classify_hypothesis_failure_reports_deficit():
 @pytest.mark.parametrize(
     "tup,lines",
     [
+        ((2, 2, 6, 3), ["section_surplus holds: d + r*(1-g) = 6 + 2*(1-2) = 4 >= 3"]),
         ((7, 3, 16, 5), ["(***) holds: g - (k1+1)*(g-d1+k1) = 7 - 2*3 = 1 >= 1",
                          "generic_bundle_deficit holds: g - d1 + k1 = 7 - 5 + 1 = 3 >= 1"]),
         ((7, 3, 14, 4), ["(*) holds: g - (k1+1)*(g-d1+k1-1) = 7 - 2*3 = 1 >= 1",
@@ -129,6 +132,17 @@ def test_hypothesis_text(tup, lines):
         assert [str(exc)] == [exc.failed.describe()] == lines
     else:
         assert [c.describe() for c in checks] == lines
+
+
+@pytest.mark.parametrize("tup", [(8, 3, 16, 5), (2, 2, 3, 3), (3, 1, 3, 2)])
+def test_hypothesis_failure_pickles(tup):
+    with pytest.raises(HypothesisFailed) as excinfo:
+        classify(Params(*tup))
+    exc = excinfo.value
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        loaded = pickle.loads(pickle.dumps(exc, protocol))
+        assert type(loaded) is HypothesisFailed
+        assert (str(loaded), loaded.failed, loaded.args) == (str(exc), exc.failed, (exc.failed,))
 
 
 @given(g=st.integers(2, 40), r=st.integers(1, 7), d=st.integers(0, 400), k=st.integers(2, 400))
@@ -180,6 +194,17 @@ def test_classify_total_and_unique_on_k_gt_r(g, r, d, k):
     else:
         assert c.case is Case.SMALL_C
     assert all(ch.satisfied for ch in c.checks)
+
+
+def test_params_accept_int_subclasses_other_than_bool():
+    # Only bool is refused among int subclasses; the check is isinstance,
+    # not an exact type test.
+    class Genus(enum.IntEnum):
+        SEVEN = 7
+
+    p = Params(Genus.SEVEN, 3, 16, 5)
+    assert p == Params(7, 3, 16, 5) and p.g is Genus.SEVEN
+    assert classify(p).case is Case.SMALL_A
 
 
 @pytest.mark.parametrize("bad", [dict(g=1), dict(r=0), dict(d=-1), dict(k=0)])

@@ -249,7 +249,8 @@ def test_data_model_and_input_records_are_frozen(record):
 
 def _data_model():
     """(record, a replacement value for each init field) for the five data-model
-    records, each built by a hand-written __init__ that derives its summaries.
+    records, each built by a hand-written __init__ that derives its summaries,
+    and for Decomposition, whose hand-written __init__ only stores its fields.
     Every replacement keeps the record valid and changes a derived field
     where the field feeds one. The skeleton is small_b with node 1 reading
     Q1's table, so `b` moves its first gluing dimension."""
@@ -265,6 +266,7 @@ def _data_model():
         (s, {"params": Params(6, 3, 9, 4), "case": Case.SMALL_A, "b": s.b + 1, "bundles": s.bundles[::-1],
              "tables": s.tables[::-1]}),
         (Params(7, 3, 16, 5), {"g": 8, "r": 2, "d": 17, "k": 6}),
+        (Params(7, 3, 16, 5).decomposition, {"d1": 6, "d2": 0, "k1": 2, "k2": 1, "h": 3, "rbar": 2, "dbar": 4}),
     ]
     return [pytest.param(record, changes, id=type(record).__name__) for record, changes in cases]
 
