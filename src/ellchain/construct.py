@@ -39,7 +39,7 @@ Regime layouts (t is the regime's tail threshold, `params.tail_threshold`):
   blocks of k1 fully twisted components O((2*beta+alpha*(k1-1)-1)P+...)^r for
   alpha = 0..t-1; generic-line tail (nonempty under the strict hypothesis).
 
-`params.layout(case, dec, g)` states these parts once: the small recipes
+`params.layout(p)` states these parts once: the small recipes
 fill its line chain, `construct` its tail, the skeleton labels each node by
 the part it enters, and the ledger groups its rows by the same parts.
 
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .params import Case, Decomposition, Params, classify, layout, tail_threshold
+from .params import Case, Params, classify, layout, tail_threshold
 from .skeleton import (
     ComponentBundle,
     LimitSeriesSkeleton,
@@ -94,11 +94,9 @@ def _mixed(degree: int, summands: tuple[Summand, ...]) -> ComponentBundle:
 Chain = list[tuple[ComponentBundle, Runs]]
 
 
-def _first_special(p: Params, dec: Decomposition) -> ComponentBundle:
-    return ComponentBundle(
-        kind="first_special", degree=p.d,
-        blocks=dec.h, block_rank=dec.rbar, block_degree=dec.dbar,
-    )
+def _first_special(p: Params) -> ComponentBundle:
+    dec = p.decomposition
+    return ComponentBundle("first_special", p.d, blocks=dec.h, block_rank=dec.rbar, block_degree=dec.dbar)
 
 
 def _staircase_q(hi: int, *, k1: int, r: int, head: int) -> Runs:
@@ -119,14 +117,16 @@ def _block_q(base: int, beta: int, width: int, head: int, *, r: int, d1: int) ->
     return _mixed(r * d1, _twisted(base + 2 * beta - 1, mult) + _lines(r - mult)), at_q
 
 
-def _build_large(p: Params, dec: Decomposition, case: Case) -> Chain:
-    return [(_first_special(p, dec), _staircase_q(p.g - 1 + dec.k1, k1=dec.k1, r=p.r, head=dec.k2))]
+def _build_large(p: Params) -> Chain:
+    dec = p.decomposition
+    return [(_first_special(p), _staircase_q(p.g - 1 + dec.k1, k1=dec.k1, r=p.r, head=dec.k2))]
 
 
-def _build_shifted(p: Params, dec: Decomposition, case: Case) -> Chain:
+def _build_shifted(p: Params) -> Chain:
     """The SMALL_A (s = 0) / SMALL_B (s = 1) recipe."""
+    dec = p.decomposition
     r, d1, d2, k1, k2 = p.r, dec.d1, dec.d2, dec.k1, dec.k2
-    s = 0 if case is Case.SMALL_A else 1
+    s = 0 if p.case is Case.SMALL_A else 1
     e = k2 - d2 + s * r
 
     def early_q(i: int) -> Runs:
@@ -143,23 +143,23 @@ def _build_shifted(p: Params, dec: Decomposition, case: Case) -> Chain:
 
     second = _twisted(0, k2) + _lines(r - k2) if s else _twisted(1, e) + _lines(r - e)
     first_q = _table([(d1 - k1 - 1 + s, e)] + [(d1 - j, r) for j in range(k1 - s, 0, -1)] + [(d1, d2)])
-    chain: Chain = [(_first_special(p, dec), first_q), (_mixed(r * d1, second), early_q(2))]
-    for i in layout(case, dec, p.g)["line_chain"]:
+    chain: Chain = [(_first_special(p), first_q), (_mixed(r * d1, second), early_q(2))]
+    for i in layout(p)["line_chain"]:
         chain.append((_mixed(r * d1, _twisted(2 * i - 3 - s, e) + _lines(r - e)), early_q(i)))
 
     # Alpha-blocks at base k1*alpha-s: in SMALL_B the recipe's own gluing
     # and section-space lines fix the head's twist at k1*alpha, one below
     # SMALL_A's.
-    for alpha in _run(1, tail_threshold(case, dec, p.g) - 1):
+    for alpha in _run(1, tail_threshold(p) - 1):
         for beta in _run(1, k1 + 1):
             chain.append(_block_q(alpha * k1 - s, beta, k1 + 1, k2, r=r, d1=d1))
     return chain
 
 
-def _build_small_c(p: Params, dec: Decomposition, case: Case) -> Chain:
-    r, d1, k1 = p.r, dec.d1, dec.k1
+def _build_small_c(p: Params) -> Chain:
+    r, d1, k1 = p.r, p.decomposition.d1, p.decomposition.k1
     chain: Chain = [(_mixed(r * d1, _lines(r)), _staircase_q(d1, k1=k1, r=r, head=0))]
-    for alpha in _run(0, tail_threshold(case, dec, p.g) - 1):
+    for alpha in _run(0, tail_threshold(p) - 1):
         for beta in _run(1, k1):
             chain.append(_block_q(alpha * (k1 - 1), beta, k1, r, r=r, d1=d1))
     return chain
@@ -181,12 +181,12 @@ def construct(p: Params) -> LimitSeriesSkeleton:
     breaking the VanishingTable invariant, raises ParameterError from the
     skeleton's own checks; neither can happen on a tuple that classifies.
     """
-    case = classify(p).case
+    classify(p)
     dec = p.decomposition
-    chain = _BUILDERS[case](p, dec, case)
+    chain = _BUILDERS[p.case](p)
     # The generic-line tail. Its components come from the layout, not from
     # padding the chain to g, so a recipe that drops one still fails the count.
-    tail = range(2, p.g + 1) if case is Case.LARGE_SECTIONS else layout(case, dec, p.g)["tail"]
+    tail = range(2, p.g + 1) if p.case is Case.LARGE_SECTIONS else layout(p)["tail"]
     line = _mixed(p.r * dec.d1, _lines(p.r))
     chain += [(line, _staircase_q(p.g - i + dec.k1, k1=dec.k1, r=p.r, head=dec.k2)) for i in tail]
 
@@ -196,4 +196,4 @@ def construct(p: Params) -> LimitSeriesSkeleton:
     for _, at_q in chain:
         tables.append(VanishingTable(at_p, at_q))
         at_p = tuple([(d1 - o, m) for o, m in reversed(at_q)])
-    return LimitSeriesSkeleton(p, case, dec.d1, tuple([bundle for bundle, _ in chain]), tuple(tables))
+    return LimitSeriesSkeleton(p, dec.d1, tuple([bundle for bundle, _ in chain]), tuple(tables))

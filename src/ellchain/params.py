@@ -15,10 +15,11 @@ tail of at least 0 components, (**) (least 2) for at least 1. `layout`
 names those parts: the recipes fill them, the ledger groups its rows by
 them, and the skeleton derives its gluing labels from them.
 
-A Params carries its Euclidean decomposition, computed once when it is
-built; `classify` and every later layer read that stored value. Params and
+A Params carries its Euclidean decomposition and its case, computed once
+when it is built; `classify` and every later layer read those stored
+values, and no call takes a case beside its params. Params and
 Decomposition are built as the `skeleton` module docstring says of every
-record, and are frozen, since that stored value is right only while the
+record, and are frozen, since a stored value is right only while the
 fields it comes from cannot change. HypothesisCheck and Classification are
 result records, built once per call and handed to the caller, so they are
 plain slotted dataclasses; a check formats its text only when it is read.
@@ -50,6 +51,22 @@ class Decomposition:
         self.__dict__.update(d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=rbar, dbar=dbar)
 
 
+class Case(str, Enum):
+    """The four construction regimes.
+
+    LARGE_SECTIONS: d + r(1-g) >= k (a generic bundle already has k sections).
+    SMALL_A:        d2 < k2.
+    SMALL_B:        d2 >= k2, d2 != 0.
+    SMALL_C:        d2 = k2 = 0.
+    LARGE_SECTIONS takes precedence over the small cases; `Params.case` applies these.
+    """
+
+    LARGE_SECTIONS = "large_sections"
+    SMALL_A = "small_a"
+    SMALL_B = "small_b"
+    SMALL_C = "small_c"
+
+
 @dataclass(frozen=True, init=False)
 class Params:
     """Input tuple: genus g >= 2, rank r >= 1, degree d >= 0, sections k >= 1."""
@@ -59,6 +76,7 @@ class Params:
     d: int
     k: int
     decomposition: Decomposition = field(init=False, repr=False, compare=False)
+    case: Case = field(init=False, repr=False, compare=False)
 
     def __init__(self, g: int, r: int, d: int, k: int) -> None:
         if not (type(g) is int and type(r) is int and type(d) is int and type(k) is int):
@@ -76,7 +94,10 @@ class Params:
         d1, d2 = divmod(d, r)
         k1, k2 = divmod(k, r)
         h = gcd(d, r)
-        self.__dict__.update(g=g, r=r, d=d, k=k, decomposition=Decomposition(d1, d2, k1, k2, h, r // h, d // h))
+        case = (Case.LARGE_SECTIONS if d + r * (1 - g) >= k
+                else Case.SMALL_A if d2 < k2 else Case.SMALL_B if d2 else Case.SMALL_C)
+        self.__dict__.update(g=g, r=r, d=d, k=k, decomposition=Decomposition(d1, d2, k1, k2, h, r // h, d // h),
+                             case=case)
 
 
 def rho_value(g: int, r: int, d: int, k: int) -> int:
@@ -87,23 +108,7 @@ def rho_value(g: int, r: int, d: int, k: int) -> int:
     return r * r * (g - 1) + 1 - k * (k - d + r * (g - 1))
 
 
-class Case(str, Enum):
-    """The four construction regimes.
-
-    LARGE_SECTIONS: d + r(1-g) >= k (a generic bundle already has k sections).
-    SMALL_A:        d2 < k2.
-    SMALL_B:        d2 >= k2, d2 != 0.
-    SMALL_C:        d2 = k2 = 0.
-    LARGE_SECTIONS takes precedence over the small cases.
-    """
-
-    LARGE_SECTIONS = "large_sections"
-    SMALL_A = "small_a"
-    SMALL_B = "small_b"
-    SMALL_C = "small_c"
-
-
-def tail_threshold(case: Case, dec: Decomposition, g: int) -> int:
+def tail_threshold(p: Params) -> int:
     """The small cases' tail threshold t = g + k1 - d1 - s.
 
     The shift s is 0 for SMALL_A and 1 for SMALL_B and SMALL_C. The
@@ -111,19 +116,19 @@ def tail_threshold(case: Case, dec: Decomposition, g: int) -> int:
     or t (SMALL_C) twisted blocks, and the generic-line tail starts after
     them.
     """
-    if case is Case.LARGE_SECTIONS:
+    if p.case is Case.LARGE_SECTIONS:
         raise ValueError("the tail threshold applies to small cases only")
-    return g + dec.k1 - dec.d1 - (0 if case is Case.SMALL_A else 1)
+    return p.g + p.decomposition.k1 - p.decomposition.d1 - (0 if p.case is Case.SMALL_A else 1)
 
 
-def layout(case: Case, dec: Decomposition, g: int) -> dict[str, Sequence[int]]:
+def layout(p: Params) -> dict[str, Sequence[int]]:
     """The labelled parts of a small case's chain (see `construct`), each a
     run of component indices; together they cover 1..g once. An
     alpha-block's first component is in `block_first`, the rest of it in
     `block_rest`. Raises ValueError for LARGE_SECTIONS, which has none."""
-    k1 = dec.k1
-    t = tail_threshold(case, dec, g)
-    if case is Case.SMALL_C:
+    g, k1 = p.g, p.decomposition.k1
+    t = tail_threshold(p)
+    if p.case is Case.SMALL_C:
         return {
             "first_component": range(1, 2),
             "twisted_blocks": range(2, t * k1 + 2),
@@ -195,7 +200,7 @@ class Classification:
 
 
 def classify(p: Params) -> Classification:
-    """Classify a tuple with k > r into its construction regime.
+    """Classify a tuple with k > r: its regime `p.case`, with that regime's checks.
 
     Raises KLERegime for k <= r and HypothesisFailed when the regime's
     inequality does not hold. The returned record keeps every evaluated
@@ -204,19 +209,15 @@ def classify(p: Params) -> Classification:
     """
     if p.k <= p.r:
         raise KLERegime(f"k <= r regime not covered (k={p.k}, r={p.r})")
-    g, r = p.g, p.r
-    dec = p.decomposition
-    d1, d2, k1, k2 = dec.d1, dec.d2, dec.k1, dec.k2
+    g, r, d, case = p.g, p.r, p.d, p.case
+    if case is Case.LARGE_SECTIONS:
+        template = "d + r*(1-g) = {} + {}*(1-{})"
+        return Classification(case, (HypothesisCheck("section_surplus", template, (d, r, g), d + r * (1 - g), p.k),))
 
-    surplus = p.d + r * (1 - g)
-    ls_check = HypothesisCheck("section_surplus", "d + r*(1-g) = {} + {}*(1-{})", (p.d, r, g), surplus, p.k)
-    if ls_check.satisfied:
-        return Classification(Case.LARGE_SECTIONS, (ls_check,))
-
-    case = Case.SMALL_A if d2 < k2 else Case.SMALL_B if d2 else Case.SMALL_C
+    d1, k1 = p.decomposition.d1, p.decomposition.k1
     name, template, least = _MAIN_HYPOTHESES[case]
     w = k1 if case is Case.SMALL_C else k1 + 1
-    t = tail_threshold(case, dec, g)
+    t = tail_threshold(p)
     checks = (HypothesisCheck(name, template, (g, w, t), g - w * t, least),)
     if case is Case.SMALL_A:
         checks += (HypothesisCheck("generic_bundle_deficit", "g - d1 + k1 = {} - {} + {}", (g, d1, k1), t, 1),)

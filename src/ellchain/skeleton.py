@@ -6,7 +6,7 @@ bundle and table (1-based) sit on component i, and the n-th gluing on node
 n, which identifies Q_n on component n with P_{n+1}; no record stores its
 own index. Points P_i, Q_i are symbolic, and no gluing is stored: the
 skeleton derives each node's dimension from the bundles it joins, and its
-label from the case and the `params.layout` part it enters.
+label from the params' case and the `params.layout` part it enters.
 A vanishing table stores (order, multiplicity) runs at both marked points
 of a component, and the type itself rejects a side that is empty, out of
 order or has a multiplicity below 1; that multiplicities at each point sum
@@ -44,7 +44,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import HypothesisFailed, KLERegime, ParameterError
+from .errors import EngineError, ParameterError
 from .params import Case, Params, classify, layout
 
 
@@ -204,8 +204,8 @@ _PART_GLUINGS = {"line_chain": "line_block->line_block", "block_first": "twisted
 
 @dataclass(frozen=True, init=False)
 class LimitSeriesSkeleton:
-    """The whole chain: g = params.g bundles and tables in chain order, the
-    twist parameter b, and the case tag the recipe came from.
+    """The whole chain: g = params.g bundles and tables in chain order and
+    the twist parameter b. Its `case` is `params.case`, stored nowhere else.
 
     `gluing_dims[n-1]` is node n's family dimension: with t the twisted
     copies on the component it enters, r^2 - t(r-t), the r x r matrices
@@ -215,26 +215,29 @@ class LimitSeriesSkeleton:
     summand's twist is 0, else r^2 - t*m."""
 
     params: Params
-    case: Case
     b: int
     bundles: tuple[ComponentBundle, ...]
     tables: tuple[VanishingTable, ...]
     gluing_dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(
-        self, params: Params, case: Case, b: int, bundles: tuple[ComponentBundle, ...],
-        tables: tuple[VanishingTable, ...],
+        self, params: Params, b: int, bundles: tuple[ComponentBundle, ...], tables: tuple[VanishingTable, ...],
     ) -> None:
         g, r = params.g, params.r
         if len(bundles) != g or len(tables) != g:
-            raise ParameterError("skeleton component counts disagree with g")
-        self.__dict__.update(params=params, case=case, b=b, bundles=bundles, tables=tables)
+            name, entries = ("bundles", bundles) if len(bundles) != g else ("tables", tables)
+            raise ParameterError(f"{name}: {len(entries)} entries for g = {g}")
+        self.__dict__.update(params=params, b=b, bundles=bundles, tables=tables)
         twisted = [e.rank - e.moduli if e.kind == "mixed" else 0 for e in bundles[1:]]
         dims = [r * r - t * (r - t) for t in twisted]
         if self.node_one_reads_q1:
             t, m = twisted[0], dict(tables[0].at_q).get(b, 0)
             dims[0] = r * r - t * (r - m if bundles[1].min_twist == 0 else m)
         self.__dict__["gluing_dims"] = tuple(dims)
+
+    @property
+    def case(self) -> Case:
+        return self.params.case
 
     @property
     def node_one_reads_q1(self) -> bool:
@@ -254,7 +257,7 @@ class LimitSeriesSkeleton:
         g = self.params.g
         if self.case not in _NODE_ONE:
             return (None,) * (g - 1)
-        parts = layout(self.case, self.params.decomposition, g)
+        parts = layout(self.params)
         # Each label keyed by the component its node enters: node n enters n+1.
         entering = {i: label for part, label in _PART_GLUINGS.items() for i in parts[part]}
         entering[2] = _NODE_ONE[self.case]
@@ -438,9 +441,9 @@ def _first_difference(got: Any, want: Any, path: str = "") -> tuple[str, Any, An
 def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
     """Rebuild a skeleton from its canonical JSON document.
 
-    The skeleton is built from `params`, `b`, `bundles` and `tables`, with
-    the case from classifying the params (a tuple that does not classify
-    raises ParameterError("params: ...")). A document loads iff that
+    The skeleton is built from `params`, `b`, `bundles` and `tables`, and
+    its case is the params' own; params that `Params` rejects or that do not
+    classify raise ParameterError("params: ..."). A document loads iff that
     skeleton writes back the same JSON value, every integer an exact int.
     Anything else, a stale derived field or a table side breaking the
     VanishingTable invariant included, raises ParameterError naming the
@@ -453,14 +456,13 @@ def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
         raise ParameterError(f"unsupported schema {schema!r}")
     try:
         pd = doc["params"]
-        params = Params(g=pd["g"], r=pd["r"], d=pd["d"], k=pd["k"])
         try:
-            case = classify(params).case
-        except (KLERegime, HypothesisFailed) as exc:
+            params = Params(g=pd["g"], r=pd["r"], d=pd["d"], k=pd["k"])
+            classify(params)
+        except EngineError as exc:
             raise ParameterError(f"params: {exc}") from None
         skeleton = LimitSeriesSkeleton(
             params=params,
-            case=case,
             b=_exact_int(doc["b"], "b"),
             bundles=_entries(doc, "bundles", _bundle_from_json),
             tables=_entries(doc, "tables", _table_from_json),

@@ -118,11 +118,6 @@ class TestCheckCommand:
         assert out[-2:] == ["overall: pass", note]
         assert "node pairing exact: True" in out
 
-    def test_code_built_skeleton_with_a_wrong_case_raises(self):
-        s = dataclasses.replace(construct(Params(7, 3, 16, 5)), case=Case.SMALL_B)
-        with pytest.raises(ParameterError, match="tagged small_b but the tuple classifies as small_a"):
-            analyze_skeleton(s)
-
 
 class TestDumpAndVerifyFile:
     def test_round_trip(self, tmp_path, capsys):
@@ -421,6 +416,8 @@ class TestVerifyFileAuditAndLoad:
              "stale notes:"),
             (("params", "g"), 8, "params: (***) fails: g - (k1+1)*(g-d1+k1) = 8 - 2*4 = 0 < 1"),
             (("params", "k"), 3, "params: k <= r regime not covered (k=3, r=3)"),
+            (("params", "g"), 1, "params: genus must be >= 2, got g=1"),
+            (("params", "g"), 7.0, "params: g must be an integer, got 7.0"),
         ],
         ids=["empty_side", "duplicate_order", "unsorted_side", "zero_multiplicity",
              "stale_decomposition", "emptied_nodes", "table_component", "bundle_component",
@@ -428,7 +425,8 @@ class TestVerifyFileAuditAndLoad:
              "blocks_on_mixed_bundle", "deleted_notes", "bool_schema", "float_components",
              "bool_component", "numeric_description", "non_string_notes", "zero_summand", "cancelling_summand",
              "negated_blocks", "null_block_degree", "stale_tag", "description_to_null", "float_parameter_dim", "moved_description",
-             "edited_note", "params_failing_hypothesis", "params_k_le_r"],
+             "edited_note", "params_failing_hypothesis", "params_k_le_r", "params_genus_below_two",
+             "params_float_genus"],
     )
     def test_inconsistent_document_rejected(self, tmp_path, capsys, field, value, named):
         path, doc = _dumped(tmp_path, capsys)

@@ -30,7 +30,7 @@ def _gluings(s):
 
 def _tail_count(p):
     """Trailing generic-line components of a small-case tuple."""
-    return len(layout(classify(p).case, p.decomposition, p.g)["tail"])
+    return len(layout(p)["tail"])
 
 
 # Frozen per-component tables for the fully worked instances; every entry was
@@ -182,7 +182,7 @@ def test_short_chain_rejected_by_skeleton(monkeypatch, tup):
         return build(*args)[:-1]
 
     monkeypatch.setitem(_BUILDERS, case, dropping_last)
-    with pytest.raises(ParameterError, match="component counts disagree with g"):
+    with pytest.raises(ParameterError, match=f"^bundles: {p.g - 1} entries for g = {p.g}$"):
         construct(p)
 
 
@@ -194,7 +194,7 @@ def test_tail_count_examples():
         classify(Params(8, 3, 16, 5))
     p = Params(2, 2, 6, 3)
     with pytest.raises(ValueError):
-        layout(Case.LARGE_SECTIONS, p.decomposition, p.g)  # large-sections tuple has no tail notion
+        layout(p)  # large-sections tuple has no tail notion
 
 
 def test_tail_nonnegative_whenever_hypotheses_pass():
@@ -202,7 +202,7 @@ def test_tail_nonnegative_whenever_hypotheses_pass():
     for p, classification in constructible_tuples(cfg):
         if classification.case is Case.LARGE_SECTIONS:
             continue
-        n = len(layout(classification.case, p.decomposition, p.g)["tail"])
+        n = len(layout(p)["tail"])
         assert n >= 0
         # The main hypothesis is the tail budget: (***) and (*) ask for a
         # tail of at least 0 components, (**) for at least 1.

@@ -15,7 +15,6 @@ from ellchain import (
     rho_value,
 )
 from ellchain.cli import SweepConfig
-from ellchain.errors import ParameterError
 from ellchain.ledger import _compact_indices
 
 
@@ -139,12 +138,6 @@ def test_ledger_reads_gluing_dims_off_the_skeleton():
     assert "block_first" not in rows
     assert rows["block_first[C4]"].gluing == 7 and rows["block_first[C6]"].gluing == 9
     assert led.total == 20 - 3 + 9
-
-
-def test_ledger_rejects_wrong_case_tag():
-    s = construct(Params(7, 3, 16, 5))
-    with pytest.raises(ParameterError, match="classifies as small_a"):
-        ledger(dataclasses.replace(s, case=Case.SMALL_B))
 
 
 def test_compact_indices_joins_contiguous_runs():

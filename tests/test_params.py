@@ -155,11 +155,36 @@ def test_generic_bundle_deficit_never_fails_on_its_own(g, r, d, k):
     p = Params(g, r, d, k)
     dec = p.decomposition
     case = Case.SMALL_A if dec.d2 < dec.k2 else Case.SMALL_B if dec.d2 else Case.SMALL_C
-    assert tail_threshold(case, dec, g) >= 1
+    assert p.case is case
+    assert tail_threshold(p) >= 1
     try:
         classify(p)
     except HypothesisFailed as exc:
         assert exc.failed.name != "generic_bundle_deficit"
+
+
+# Each regime's own inequalities, by name.
+_REGIME_CHECKS = {
+    Case.LARGE_SECTIONS: {"section_surplus"},
+    Case.SMALL_A: {"(***)", "generic_bundle_deficit"},
+    Case.SMALL_B: {"(*)", "generic_bundle_deficit"},
+    Case.SMALL_C: {"(**)"},
+}
+
+
+@given(g=st.integers(2, 40), r=st.integers(1, 7), d=st.integers(0, 400), k=st.integers(2, 400))
+def test_classify_keeps_the_params_case(g, r, d, k):
+    # Classification never moves a tuple to another regime: it returns the
+    # case Params derived, or fails on one of that case's own inequalities.
+    assume(k > r)
+    p = Params(g, r, d, k)
+    try:
+        c = classify(p)
+    except HypothesisFailed as exc:
+        assert exc.failed.name in _REGIME_CHECKS[p.case]
+    else:
+        assert c.case is p.case
+        assert {check.name for check in c.checks} == _REGIME_CHECKS[p.case]
 
 
 @given(g=st.integers(2, 30), r=st.integers(1, 12), d=st.integers(0, 400), k=st.integers(1, 60),

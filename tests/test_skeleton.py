@@ -62,17 +62,12 @@ def test_json_round_trip_identity():
     assert skeleton_to_canonical_json(rebuilt) == text
 
 
-def test_wrong_case_skeleton_dumps_but_cannot_load():
-    # A skeleton built in code may carry a case its tuple does not classify
-    # as. The writer derives its labels from that case all the same (small_a
-    # lays out blocks past this small_c chain's end), and the loader, which
-    # classifies the tuple, rejects the dump as a stale case.
-    s = dataclasses.replace(construct(Params(6, 2, 10, 4)), case=Case.SMALL_A)
-    doc = skeleton_to_json_dict(s)
-    assert [gl["description"] for gl in doc["gluings"]][:2] == ["full_vanishing_block->line_block",
-                                                                "line_block->line_block"]
-    with pytest.raises(ParameterError, match="^stale case: the document has 'small_a', the skeleton gives 'small_c'$"):
-        skeleton_from_json_dict(doc)
+def test_skeleton_case_is_read_off_its_params():
+    s = construct(Params(6, 2, 10, 4))
+    assert "case" not in {f.name for f in dataclasses.fields(s)}
+    assert s.case is s.params.case is Case.SMALL_C
+    with pytest.raises(TypeError):
+        dataclasses.replace(s, case=Case.SMALL_B)
 
 
 def test_canonical_json_is_sorted_and_compact():
@@ -263,8 +258,7 @@ def _data_model():
         (bundle, {"kind": "mixed", "degree": 17, "blocks": 2, "block_rank": 1, "block_degree": 5,
                   "summands": (Summand(1, 0), Summand(2, 7))}),
         (VanishingTable(((0, 2), (1, 1)), ((0, 1), (2, 2))), {"at_p": ((0, 4),), "at_q": ((5, 1), (6, 4))}),
-        (s, {"params": Params(6, 3, 9, 4), "case": Case.SMALL_A, "b": s.b + 1, "bundles": s.bundles[::-1],
-             "tables": s.tables[::-1]}),
+        (s, {"params": Params(6, 3, 9, 4), "b": s.b + 1, "bundles": s.bundles[::-1], "tables": s.tables[::-1]}),
         (Params(7, 3, 16, 5), {"g": 8, "r": 2, "d": 17, "k": 6}),
         (Params(7, 3, 16, 5).decomposition, {"d1": 6, "d2": 0, "k1": 2, "k2": 1, "h": 3, "rbar": 2, "dbar": 4}),
     ]
@@ -320,7 +314,6 @@ def _skeleton_parts(**changes):
 
 
 _AT_LEAST_ONE_BLOCK = "blocks: a first_special bundle needs blocks and block_rank of at least 1"
-_COUNTS = "skeleton component counts disagree with g"
 _LINES_LAST = "summands: a twisted summand after the generic lines, generic lines must be one last entry"
 
 # (id, build, message): each build breaks one or more checks, and the message
@@ -347,8 +340,8 @@ _INVALID = [
      "at_p: order 1 after 2, orders must be strictly ascending"),
     ("table_zero_mult_q", lambda: VanishingTable(((0, 1),), ((1, 1), (2, 0))),
      "at_q: order 2 has multiplicity 0, multiplicities must be positive"),
-    ("skeleton_bundles", lambda: LimitSeriesSkeleton(**_skeleton_parts(bundles=())), _COUNTS),
-    ("skeleton_tables", lambda: LimitSeriesSkeleton(**_skeleton_parts(tables=())), _COUNTS),
+    ("skeleton_bundles", lambda: LimitSeriesSkeleton(**_skeleton_parts(bundles=())), "bundles: 0 entries for g = 3"),
+    ("skeleton_tables", lambda: LimitSeriesSkeleton(**_skeleton_parts(tables=())), "tables: 0 entries for g = 3"),
     ("params_g_type", lambda: Params(2.0, 0, -1, 0), "g must be an integer, got 2.0"),
     ("params_r_bool", lambda: Params(2, True, 0, 1), "r must be an integer, got True"),
     ("params_d_str", lambda: Params(2, 1, "0", 1), "d must be an integer, got '0'"),
