@@ -134,9 +134,10 @@ class ComponentBundle:
 
     def twist_multiplicity(self, a: int) -> int:
         """Copies of O(a*P + (d1-a)*Q) among the summands (mixed only), 0 outside the twist range."""
-        if self.min_twist is None or not self.min_twist <= a <= self.max_twist:  # type: ignore[operator]
-            return 0
-        return sum(s.mult for s in self.summands if s.twist == a)
+        for s in self.summands:  # twists are distinct: the canonical spelling
+            if s.twist == a:
+                return s.mult
+        return 0
 
 
 def side_summary(name: str, side: tuple[tuple[int, int], ...]) -> tuple[int, int]:

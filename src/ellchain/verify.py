@@ -74,7 +74,8 @@ The skeleton and its parts are frozen, because the summaries the rules read
 are right only while the fields they come from cannot change. The verdicts
 and the report are result records, built once per call and handed to the
 caller, so they are plain slotted dataclasses, as CheckEntry is a plain
-slotted class.
+slotted class. Each verdict is built positionally from its one walk, and a
+component whose walk returns no stretch at or above d1 reads no capacity.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ from .skeleton import (
 
 Runs = Sequence[tuple[int, int]]
 Stretch = tuple[int, int, int]
+_GENERICITY_WITNESS = partial(dict, note="sections determined by nodal values: genericity assumption, not verified")
 
 
 def merge_runs(up: Runs, down: Runs, floor: int) -> tuple[int, int, list[Stretch]]:
@@ -157,10 +159,10 @@ class NodeVerdict:
         return tuple((q, p) for p, q, count in self.stretches for _ in range(count))
 
     def to_json_dict(self) -> dict[str, Any]:
-        pairs = self.pairs
+        pairs = [[q, p] for p, q, count in self.stretches for _ in range(count)]
         return {
             "node": self.node,
-            "pairs": [[q, p] for q, p in pairs],
+            "pairs": pairs,
             "sums": [q + p for q, p in pairs],
             "min_sum": self.min_sum,
             "satisfiable": self.satisfiable,
@@ -178,14 +180,13 @@ def node_verdicts(tables: Sequence[VanishingTable], b: int) -> tuple[NodeVerdict
     (else no bijection exists) and the greedy pairing's minimum sum is at
     least b. With unequal totals the pairing stops at the shorter side. The
     walk collects only the stretches above b, where a node is not exact."""
+    above = b + 1
     verdicts = []
     for node, (q_table, p_table) in enumerate(zip(tables, tables[1:]), 1):
-        lowest, highest, _ = merge_runs(p_table.at_p, q_table.at_q, b + 1)
-        verdicts.append(
-            NodeVerdict(node=node, at_p=p_table.at_p, at_q=q_table.at_q, min_sum=lowest,
-                        satisfiable=lowest >= b and q_table.total_q == p_table.total_p,
-                        exact=lowest == highest == b)
-        )
+        at_p, at_q = p_table.at_p, q_table.at_q
+        lowest, highest, _ = merge_runs(at_p, at_q, above)
+        verdicts.append(NodeVerdict(node, at_p, at_q, lowest, lowest >= b and q_table.total_q == p_table.total_p,
+                                    lowest == highest == b))
     return tuple(verdicts)
 
 
@@ -261,8 +262,11 @@ def check_component_feasibility(
     at d1 is its P-order's whole saturated group, since y changes between
     stretches of equal x."""
     violations = component_preconditions(component, bundle, table, d1=d1, r=r)
+    saturated = merge_runs(table.at_p, table.at_q, d1)[2]
+    if not saturated:
+        return ComponentVerdict(component, not violations, tuple(violations), ())
     exceptional = []
-    for x, y, count in merge_runs(table.at_p, table.at_q, d1)[2]:
+    for x, y, count in saturated:
         if x + y > d1:
             violations.append({"rule": "pair_sum", "pair": [x, y], "sum": x + y, "max": d1, "count": count})
         else:
@@ -270,12 +274,7 @@ def check_component_feasibility(
     for a, pairs, capacity in exceptional:
         if pairs > capacity:
             violations.append({"rule": "exceptional_capacity", "order": a, "pairs": pairs, "capacity": capacity})
-    return ComponentVerdict(
-        component=component,
-        ok=not violations,
-        violations=tuple(violations),
-        exceptional=tuple(exceptional),
-    )
+    return ComponentVerdict(component, not violations, tuple(violations), tuple(exceptional))
 
 
 class CheckEntry:
@@ -385,11 +384,11 @@ def _component_witness(comps: list[ComponentVerdict]) -> dict[str, Any]:
 
 def verify(s: LimitSeriesSkeleton) -> VerificationReport:
     """Run every check and aggregate the verdicts into one report."""
-    dec = s.params.decomposition
+    d1, d2, r = s.params.decomposition.d1, s.params.decomposition.d2, s.params.r
     residual = degree_balance(s)
     nodes = node_verdicts(s.tables, s.b)
     comps = [
-        check_component_feasibility(i, bundle, table, d1=dec.d1, d2=dec.d2, r=s.params.r)
+        check_component_feasibility(i, bundle, table, d1=d1, d2=d2, r=r)
         for i, (bundle, table) in enumerate(zip(s.bundles, s.tables), 1)
     ]
     checks = {
@@ -401,7 +400,6 @@ def verify(s: LimitSeriesSkeleton) -> VerificationReport:
                                             build=partial(_component_witness, comps)),
         "boundary_minimality": check_boundary(s),
         "multiplicity_bounds": check_multiplicity_bounds(s),
-        "genericity": CheckEntry("assumed", build=partial(
-            dict, note="sections determined by nodal values: genericity assumption, not verified")),
+        "genericity": CheckEntry("assumed", build=_GENERICITY_WITNESS),
     }
-    return VerificationReport(checks=checks, nodes=nodes)
+    return VerificationReport(checks, nodes)

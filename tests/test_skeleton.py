@@ -166,8 +166,8 @@ def _summed_twist_multiplicity(bundle, a):
 
 
 def test_twist_multiplicity_equals_summed_reference():
-    # twist_multiplicity returns 0 without a walk outside [min_twist,
-    # max_twist]; inside, gaps between twists must still read 0.
+    # twist_multiplicity returns 0 for a twist no summand has: outside
+    # [min_twist, max_twist] and in the gaps between twists.
     gapped = [
         ComponentBundle(kind="mixed", degree=0, summands=(Summand(2, 0), Summand(1, 3))),
         ComponentBundle(kind="mixed", degree=0, summands=(Summand(2, 0), Summand(1, 3), Summand(1, None))),

@@ -214,6 +214,27 @@ class TestFullVerify:
         report.to_canonical_json()
         assert len(merge_calls) == 19
 
+    @pytest.mark.parametrize("t,reads", [((7, 3, 30, 5), 0), ((6, 2, 9, 3), 4)], ids=["large_sections", "small_b"])
+    def test_capacity_is_read_only_at_a_saturated_stretch(self, monkeypatch, t, reads):
+        # A mixed bundle's capacity is read once per stretch summing to
+        # exactly d1 and never elsewhere; a first_special bundle's is d2.
+        s = construct(Params(*t))
+        calls = []
+        original = ComponentBundle.twist_multiplicity
+
+        def counting(bundle, a):
+            calls.append((bundle, a))
+            return original(bundle, a)
+
+        monkeypatch.setattr(ComponentBundle, "twist_multiplicity", counting)
+        assert verify(s).overall
+        d1 = s.params.decomposition.d1
+        saturated = [
+            (bundle, x) for bundle, table in zip(s.bundles, s.tables) if bundle.kind == "mixed"
+            for x, y, _ in merge_runs(table.at_p, table.at_q, d1)[2] if x + y == d1
+        ]
+        assert len(calls) == reads and calls == saturated
+
     @pytest.mark.parametrize(
         "at_q,expected",
         [
