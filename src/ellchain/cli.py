@@ -33,7 +33,6 @@ from .skeleton import (
     LimitSeriesSkeleton,
     canonical_dumps,
     skeleton_from_json_dict,
-    skeleton_to_canonical_json,
     skeleton_to_json_dict,
 )
 from .verify import VerificationReport, verify
@@ -333,22 +332,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fmt=args.format, jobs=args.jobs, fail_fast=args.fail_fast,
     )
     summary = run_sweep(cfg)
-    trailer = {
-        "tried": summary.tried,
-        "hypothesis_ok": summary.hypothesis_ok,
-        "constructed": summary.constructed,
-        "verified": summary.verified,
-        "ledger_ok": summary.ledger_ok,
-        "failures": len(summary.failures),
-    }
+    trailer = {"tried": summary.tried, "hypothesis_ok": summary.hypothesis_ok, "constructed": summary.constructed,
+               "verified": summary.verified, "ledger_ok": summary.ledger_ok, "failures": len(summary.failures)}
     if args.format == "json":
         print(canonical_dumps({"summary": trailer}))
     else:
-        print(
-            "summary: tried={tried} hypothesis_ok={hypothesis_ok} "
-            "constructed={constructed} verified={verified} "
-            "ledger_ok={ledger_ok} failures={failures}".format(**trailer)
-        )
+        print("summary: " + " ".join(f"{key}={value}" for key, value in trailer.items()))
     return EXIT_OK if summary.ok else EXIT_VERIFICATION_FAILED
 
 
@@ -358,18 +347,12 @@ def cmd_dump(args: argparse.Namespace) -> int:
     except (KLERegime, HypothesisFailed) as exc:
         print(f"rejected: {exc}")
         return EXIT_HYPOTHESIS
-    payload = skeleton_to_canonical_json(skeleton)
+    doc = skeleton_to_json_dict(skeleton)
     if args.timestamps:
-        payload = canonical_dumps(
-            {
-                "canonical": skeleton_to_json_dict(skeleton),
-                "generated_at": datetime.now(timezone.utc).isoformat(),
-            }
-        )
+        doc = {"canonical": doc, "generated_at": datetime.now(timezone.utc).isoformat()}
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.write("\n")
+            handle.write(canonical_dumps(doc) + "\n")
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}")
         return EXIT_VERIFICATION_FAILED
@@ -426,6 +409,15 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Arguments shared by several commands, each stated once as a parent parser.
+    tuple_args = argparse.ArgumentParser(add_help=False)
+    for name in ("g", "r", "d", "k"):
+        tuple_args.add_argument(name, type=int)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    oracle = argparse.ArgumentParser(add_help=False)
+    oracle.add_argument("--oracle", action="store_true", help="also cross-validate against the max-flow oracle")
+
     parser = argparse.ArgumentParser(
         prog="ellchain",
         description="Construct, certify and dimension-audit limit-series skeletons "
@@ -433,38 +425,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="analyze a single (g, r, d, k) tuple")
-    for name in ("g", "r", "d", "k"):
-        check.add_argument(name, type=int)
-    check.add_argument("--format", choices=("text", "json"), default="text")
-    check.add_argument("--oracle", action="store_true", help="also cross-validate against the max-flow oracle")
+    check = sub.add_parser("check", parents=[tuple_args, fmt, oracle], help="analyze a single (g, r, d, k) tuple")
     check.set_defaults(func=cmd_check)
 
-    sweep = sub.add_parser("sweep", help="evaluate a lattice of tuples")
-    sweep.add_argument("--g", type=_parse_range, default=(2, 12), metavar="LO:HI")
-    sweep.add_argument("--r", type=_parse_range, default=(1, 5), metavar="LO:HI")
-    sweep.add_argument("--k", type=_parse_range, default=None, metavar="LO:HI",
-                       help="absolute bounds; default (r, 3r] per rank")
-    sweep.add_argument("--d", type=_parse_range, default=None, metavar="LO:HI",
-                       help="absolute bounds; default [0, 5rg] per cell")
-    sweep.add_argument("--case", action="append", choices=[c.value for c in Case])
-    sweep.add_argument("--format", choices=("text", "json"), default="text")
+    # The lattice bounds are a parent too, so `--format` keeps its place after them.
+    lattice = argparse.ArgumentParser(add_help=False)
+    lattice.add_argument("--g", type=_parse_range, default=(2, 12), metavar="LO:HI")
+    lattice.add_argument("--r", type=_parse_range, default=(1, 5), metavar="LO:HI")
+    lattice.add_argument("--k", type=_parse_range, default=None, metavar="LO:HI",
+                         help="absolute bounds; default (r, 3r] per rank")
+    lattice.add_argument("--d", type=_parse_range, default=None, metavar="LO:HI",
+                         help="absolute bounds; default [0, 5rg] per cell")
+    lattice.add_argument("--case", action="append", choices=[c.value for c in Case])
+    sweep = sub.add_parser("sweep", parents=[lattice, fmt], help="evaluate a lattice of tuples")
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--fail-fast", action="store_true")
     sweep.set_defaults(func=cmd_sweep)
 
-    dump = sub.add_parser("dump", help="write the canonical JSON skeleton")
-    for name in ("g", "r", "d", "k"):
-        dump.add_argument(name, type=int)
+    dump = sub.add_parser("dump", parents=[tuple_args], help="write the canonical JSON skeleton")
     dump.add_argument("--out", required=True)
     dump.add_argument("--timestamps", action="store_true",
                       help="wrap the canonical body with generation metadata")
     dump.set_defaults(func=cmd_dump)
 
-    vf = sub.add_parser("verify-file", help="re-verify a dumped skeleton")
+    vf = sub.add_parser("verify-file", parents=[fmt, oracle], help="re-verify a dumped skeleton")
     vf.add_argument("path")
-    vf.add_argument("--format", choices=("text", "json"), default="text")
-    vf.add_argument("--oracle", action="store_true")
     vf.set_defaults(func=cmd_verify_file)
     return parser
 

@@ -27,7 +27,9 @@ A bundle carries its (moduli, autos) terms, derived once when it is built;
 the skeleton's records are frozen because such derived summaries are right
 only while their fields cannot change. LedgerRow, DimensionLedger and
 AuditResult are result records, built once per audit and handed to the
-caller, so they are plain slotted dataclasses.
+caller, so they are plain slotted dataclasses. The ledger holds the
+skeleton's params and the audit holds only its ledger and rho, so the case
+and the total are each read from one place.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class LedgerRow:
 
 @dataclass(slots=True)
 class DimensionLedger:
-    case: Case
+    params: Params
     rows: tuple[LedgerRow, ...]
     closing: ClassVar[int] = 1
 
@@ -76,7 +78,7 @@ class DimensionLedger:
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
-            "case": self.case.value,
+            "case": self.params.case.value,
             "rows": [row.to_json_dict() for row in self.rows],
             "closing": self.closing,
             "total": self.total,
@@ -140,7 +142,7 @@ def ledger(s: LimitSeriesSkeleton) -> DimensionLedger:
                 moduli=p.k * (h0 - p.k), autos=0, gluing=0,
             ),
         )
-        return DimensionLedger(case=case, rows=rows)
+        return DimensionLedger(p, rows)
 
     out: list[LedgerRow] = []
     for label, components in layout(p).items():
@@ -151,24 +153,27 @@ def ledger(s: LimitSeriesSkeleton) -> DimensionLedger:
             out.append(LedgerRow(label, tuple(components), len(group), *group[0]))
         else:
             out.extend(LedgerRow(f"{label}[C{c}]", (c,), 1, *term) for c, term in zip(components, group))
-    return DimensionLedger(case=case, rows=tuple(out))
+    return DimensionLedger(p, tuple(out))
 
 
 @dataclass(slots=True)
 class AuditResult:
-    params: Params
-    rho: int
-    total: int
     ledger: DimensionLedger
+    rho: int
+
+    @property
+    def total(self) -> int:
+        return self.ledger.total
 
     @property
     def ok(self) -> bool:
         return self.rho == self.total
 
     def to_json_dict(self) -> dict[str, Any]:
+        p = self.ledger.params
         return {
-            "params": {"g": self.params.g, "r": self.params.r, "d": self.params.d, "k": self.params.k},
-            "case": self.ledger.case.value,
+            "params": {"g": p.g, "r": p.r, "d": p.d, "k": p.k},
+            "case": p.case.value,
             "rho": self.rho,
             "total": self.total,
             "ok": self.ok,
@@ -182,6 +187,5 @@ def audit_equals_rho(s: LimitSeriesSkeleton) -> AuditResult:
 
     A mismatch is a hard failure; the termwise ledger is the witness.
     """
-    led = ledger(s)
     p = s.params
-    return AuditResult(params=p, rho=rho_value(p.g, p.r, p.d, p.k), total=led.total, ledger=led)
+    return AuditResult(ledger(s), rho_value(p.g, p.r, p.d, p.k))

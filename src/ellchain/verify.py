@@ -63,7 +63,7 @@ machine-checkable in this model and is carried as an assumption with its own
 status, so an overall pass reads "pass modulo genericity assumptions".
 
 Witnesses are built only when read: every check keeps what its witness
-needs and builds it on the first read (`CheckEntry(build=...)`), and a
+needs and builds it on the first read (`CheckEntry(status, build)`), and a
 node verdict keeps its two sides and merges them when a report's JSON
 expands the node's pairs and sums. A sweep, which reads statuses only,
 pays for none of them. The report maps each check's name to its entry, in
@@ -152,11 +152,6 @@ class NodeVerdict:
     def stretches(self) -> list[Stretch]:
         """(P-order, Q-order, count), P ascending: merged on every read."""
         return merge_runs(self.at_p, self.at_q, self.min_sum)[2]
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """(Q-order, P-order) per section, Q descending."""
-        return tuple((q, p) for p, q, count in self.stretches for _ in range(count))
 
     def to_json_dict(self) -> dict[str, Any]:
         pairs = [[q, p] for p, q, count in self.stretches for _ in range(count)]
@@ -283,7 +278,7 @@ class CheckEntry:
 
     __slots__ = ("status", "_witness", "_build")
 
-    def __init__(self, status: str, *, build: Callable[[], Any]) -> None:
+    def __init__(self, status: str, build: Callable[[], Any]) -> None:
         self.status = status  # "pass" | "fail" | "assumed"
         self._witness = None
         self._build: Callable[[], Any] | None = build
@@ -330,7 +325,7 @@ def check_boundary(s: LimitSeriesSkeleton) -> CheckEntry:
     first_p = s.tables[0].at_p
     last_q = s.tables[-1].at_q
     status = "pass" if first_p == expected and last_q == expected else "fail"
-    return CheckEntry(status, build=partial(_boundary_witness, expected, first_p, last_q))
+    return CheckEntry(status, partial(_boundary_witness, expected, first_p, last_q))
 
 
 def _boundary_witness(expected: Runs, first_p: Runs, last_q: Runs) -> dict[str, Any]:
@@ -367,8 +362,8 @@ def check_multiplicity_bounds(s: LimitSeriesSkeleton) -> CheckEntry:
                 if mult > r or not 0 <= order <= d1:
                     offenders.append({"component": i, "point": point, "order": order, "mult": mult})
     if offenders:
-        return CheckEntry("fail", build=partial(dict, offenders=offenders))
-    return CheckEntry("pass", build=partial(dict, components=len(s.tables), max_multiplicity=r))
+        return CheckEntry("fail", partial(dict, offenders=offenders))
+    return CheckEntry("pass", partial(dict, components=len(s.tables), max_multiplicity=r))
 
 
 def _node_witness(nodes: tuple[NodeVerdict, ...]) -> dict[str, Any]:
@@ -393,13 +388,13 @@ def verify(s: LimitSeriesSkeleton) -> VerificationReport:
     ]
     checks = {
         "degree_balance": CheckEntry("pass" if residual == 0 else "fail",
-                                     build=partial(dict, residual=residual, b=s.b)),
+                                     partial(dict, residual=residual, b=s.b)),
         "node_pairing": CheckEntry("pass" if all(n.satisfiable for n in nodes) else "fail",
-                                   build=partial(_node_witness, nodes)),
+                                   partial(_node_witness, nodes)),
         "component_feasibility": CheckEntry("pass" if all(c.ok for c in comps) else "fail",
-                                            build=partial(_component_witness, comps)),
+                                            partial(_component_witness, comps)),
         "boundary_minimality": check_boundary(s),
         "multiplicity_bounds": check_multiplicity_bounds(s),
-        "genericity": CheckEntry("assumed", build=_GENERICITY_WITNESS),
+        "genericity": CheckEntry("assumed", _GENERICITY_WITNESS),
     }
     return VerificationReport(checks, nodes)

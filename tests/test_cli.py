@@ -574,6 +574,15 @@ class TestSweep:
         assert out[-1].startswith("summary:") and "failures=0" in out[-1]
         assert any("status=pass" in line for line in out)
 
+    def test_whole_trailer(self, capsys):
+        # Both formats print the same six counters; the text form keeps their order.
+        assert main(["sweep", "--g", "2:3", "--r", "1:2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "summary: tried=262 hypothesis_ok=188 constructed=188 verified=188 ledger_ok=188 failures=0")
+        assert main(["sweep", "--g", "2:3", "--r", "1:2", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {"summary": {
+            "tried": 262, "hypothesis_ok": 188, "constructed": 188, "verified": 188, "ledger_ok": 188, "failures": 0}}
+
     def test_case_filter(self, capsys):
         code = main(["sweep", "--g", "2:4", "--r", "1:2", "--case", "small_c"])
         out = capsys.readouterr().out.strip().splitlines()

@@ -86,7 +86,7 @@ def test_ledger_gluing_matches_skeleton_gluings():
     for tup in [(7, 3, 16, 5), (7, 3, 14, 4), (4, 2, 8, 4), (6, 3, 16, 5), (8, 3, 17, 4)]:
         p = Params(*tup)
         led = ledger(construct(p))
-        if led.case is Case.LARGE_SECTIONS:
+        if led.params.case is Case.LARGE_SECTIONS:
             continue
         s = construct(p)
         per_node = dict(enumerate(s.gluing_dims, 1))
@@ -104,7 +104,7 @@ def test_small_c_closed_form():
     for tup in [(4, 2, 8, 4), (5, 2, 10, 4), (7, 3, 21, 6)]:
         p = Params(*tup)
         led = ledger(construct(p))
-        if led.case is not Case.SMALL_C:
+        if led.params.case is not Case.SMALL_C:
             continue
         g, r = p.g, p.r
         k1 = p.k // r

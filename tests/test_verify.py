@@ -69,7 +69,7 @@ class TestNodePairing:
         verdicts = node_verdicts(s.tables, s.b)
         first = verdicts[0]
         assert first.satisfiable and first.exact and first.min_sum == 5
-        assert sorted(first.pairs) == [(3, 2), (4, 1), (4, 1), (4, 1), (5, 0)]
+        assert sorted(first.to_json_dict()["pairs"]) == [[3, 2], [4, 1], [4, 1], [4, 1], [5, 0]]
 
     def test_forced_failure(self):
         # best bijection of {2,1} against {0,1} has a pair summing to 2 < 3
@@ -432,7 +432,7 @@ class TestRunMerge:
         verdict = node_verdicts(tables, b)[0]
         pairs = list(zip(expand_descending(at_q), expand_ascending(at_p)))
         sums = [q + p for q, p in pairs]
-        assert list(verdict.pairs) == pairs
+        assert verdict.to_json_dict()["pairs"] == [list(pair) for pair in pairs]
         assert verdict.min_sum == min(sums)
         assert verdict.exact == all(v == b for v in sums)
         assert verdict.satisfiable == (min(sums) >= b and sum(m for _, m in at_q) == sum(m for _, m in at_p))
