@@ -284,9 +284,8 @@ def _render_check_text(analysis: Analysis) -> str:
 
 
 def _render_check_json(analysis: Analysis) -> str:
-    p = analysis.params
     doc: dict[str, Any] = {
-        "params": {"g": p.g, "r": p.r, "d": p.d, "k": p.k},
+        "params": analysis.params.to_json_dict(),
         "rho": analysis.rho,
         "status": analysis.status,
         "detail": analysis.detail,

@@ -172,7 +172,7 @@ class AuditResult:
     def to_json_dict(self) -> dict[str, Any]:
         p = self.ledger.params
         return {
-            "params": {"g": p.g, "r": p.r, "d": p.d, "k": p.k},
+            "params": p.to_json_dict(),
             "case": p.case.value,
             "rho": self.rho,
             "total": self.total,

@@ -27,7 +27,8 @@ Both modes share one guard, whose messages are the notices `cross_validate`
 records for an instance it skips: sides that total differently raise
 ValueError("sides total A and B"), even over a broken side; then a side
 that breaks the table-side rule of `skeleton.side_summary` raises its
-ParameterError. No VanishingTable side trips the second check.
+ParameterError, a run that is not two integers included ("left: expected
+an integer, got 1.0"). No VanishingTable side trips the second check.
 
 It states no rule of its own: `cross_validate` reads the greedy verdicts,
 the pairing-independent rules and the exceptional capacity from `verify`.

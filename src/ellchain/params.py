@@ -99,6 +99,10 @@ class Params:
         self.__dict__.update(g=g, r=r, d=d, k=k, decomposition=Decomposition(d1, d2, k1, k2, h, r // h, d // h),
                              case=case)
 
+    def to_json_dict(self) -> dict[str, int]:
+        """The tuple as every JSON document writes it under "params"."""
+        return {"g": self.g, "r": self.r, "d": self.d, "k": self.k}
+
 
 def rho_value(g: int, r: int, d: int, k: int) -> int:
     """Brill-Noether number r^2(g-1) + 1 - k(k - d + r(g-1)), for any integers.

@@ -9,8 +9,8 @@ skeleton derives each node's dimension from the bundles it joins, and its
 label from the params' case and the `params.layout` part it enters.
 A vanishing table stores (order, multiplicity) runs at both marked points
 of a component, and the type itself rejects a side that is empty, out of
-order or has a multiplicity below 1; that multiplicities at each point sum
-to k is a rule `verify` checks.
+order, has a multiplicity below 1 or a run that is not two integers; that
+multiplicities at each point sum to k is a rule `verify` checks.
 
 Records carry their summaries, computed once when built: a table its side
 totals and largest multiplicity, a bundle its rank and twist range, the
@@ -31,21 +31,32 @@ floats) used by the CLI and the test fixtures. The writer derives
 `components`, `nodes`, `decomposition`, `notes`, every `component`/`node`
 key and each gluing's `description`, `tag` ("generic" iff the description
 is null) and `parameter_dim` from params, positions and the chain. The
-loader builds a skeleton from `params`, `b`, `bundles` and `tables` alone
-and accepts the document iff that skeleton writes back the same JSON value,
-integers exact; otherwise it names the first field that differs. Each
-integer read is tested inline (`type(v) is int`); `_exact_int`, called
-only on a value that fails, is the one place that words the message.
+loader only maps `params`, `b`, `bundles` and `tables` to records, and
+accepts the document iff the skeleton built writes back the same JSON
+value, integers exact; otherwise it names the first field that differs.
+Each record tests the integers it holds inline (`type(v) is int`), and
+`_exact_int` words the message for a value that fails, so every skeleton
+that can be built on params that classify writes a document that loads:
+`verify` and `verify-file` cannot disagree on a type.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import EngineError, ParameterError
 from .params import Case, Params, classify, layout
+
+
+def _exact_int(value: Any, name: str) -> int:
+    """`value` if it is an integer as `Params` reads one, an int that is not
+    a bool; otherwise ParameterError naming `name`. Floats and strings are
+    rejected, never converted. Callers test `type(value) is int` first."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{name}: expected an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, init=False)
@@ -60,6 +71,10 @@ class Summand:
     twist: int | None = None
 
     def __init__(self, mult: int, twist: int | None = None) -> None:
+        if type(mult) is not int or not (twist is None or type(twist) is int):
+            _exact_int(mult, "summands")
+            if twist is not None:
+                _exact_int(twist, "summands")
         if mult < 1:
             raise ParameterError(f"summands: multiplicity {mult}, a summand needs at least one copy")
         self.__dict__.update(mult=mult, twist=twist)
@@ -99,8 +114,16 @@ class ComponentBundle:
 
     def __init__(
         self, kind: str, degree: int, blocks: int | None = None, block_rank: int | None = None,
-        block_degree: int | None = None, summands: tuple[Summand, ...] = (),
+        block_degree: int | None = None, summands: Iterable[Summand] = (),
     ) -> None:
+        # The fast path: an int degree, and no block scalars (mixed) or three ints (first_special).
+        if type(degree) is not int or not (blocks is block_rank is block_degree is None
+                                           or type(blocks) is type(block_rank) is type(block_degree) is int):
+            for name, value in zip(("degree", "blocks", "block_rank", "block_degree"),
+                                   (degree, blocks, block_rank, block_degree)):
+                if name == "degree" or value is not None:
+                    _exact_int(value, name)
+        summands = tuple(summands)  # read after the scalars: a loaded bundle passes a generator
         if kind not in ("first_special", "mixed"):
             raise ParameterError(f"kind: unknown bundle kind {kind!r}")
         if kind == "first_special" and min(blocks or 0, block_rank or 0) < 1:
@@ -141,14 +164,17 @@ class ComponentBundle:
 
 
 def side_summary(name: str, side: tuple[tuple[int, int], ...]) -> tuple[int, int]:
-    """(total multiplicity, largest multiplicity) of one table side, which
-    must be non-empty with strictly ascending orders and positive
-    multiplicities; ParameterError otherwise."""
+    """(total multiplicity, largest multiplicity) of one table side: non-empty
+    runs of two integers (each run's order tested, then its multiplicity),
+    orders strictly ascending, multiplicities positive; ParameterError
+    naming `name` otherwise."""
     if not side:
         raise ParameterError(f"{name}: empty table side")
     prev = None
     total = top = 0
     for order, mult in side:
+        if type(order) is not int or type(mult) is not int:
+            _exact_int(order, name), _exact_int(mult, name)
         if prev is not None and order <= prev:
             raise ParameterError(f"{name}: order {order} after {prev}, orders must be strictly ascending")
         if mult <= 0:
@@ -167,12 +193,13 @@ class VanishingTable:
     """Vanishing multisets of the section space at P_i and at Q_i.
 
     Stored as (order, multiplicity) runs. Each side is non-empty, with
-    strictly ascending distinct orders and positive multiplicities; the
-    verifier's run merge relies on this, so a side that breaks it raises
-    ParameterError here, whoever builds the table. The walk that checks
-    this also derives `total_p`, `total_q` (each side's total multiplicity)
-    and `max_mult` (the largest multiplicity on either side); by the
-    invariant, each side's first and last runs hold its extreme orders.
+    integer runs, strictly ascending distinct orders and positive
+    multiplicities; the verifier's run merge relies on this, so a side that
+    breaks it raises ParameterError here, whoever builds the table. The walk
+    that checks this also derives `total_p`, `total_q` (each side's total
+    multiplicity) and `max_mult` (the largest multiplicity on either side);
+    by the invariant, each side's first and last runs hold its extreme
+    orders. A side given as JSON arrays is stored as tuples once checked.
     """
 
     at_p: tuple[tuple[int, int], ...]
@@ -181,9 +208,11 @@ class VanishingTable:
     total_q: int = field(init=False, repr=False, compare=False)
     max_mult: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, at_p: tuple[tuple[int, int], ...], at_q: tuple[tuple[int, int], ...]) -> None:
+    def __init__(self, at_p: Sequence[Sequence[int]], at_q: Sequence[Sequence[int]]) -> None:
         total_p, top_p = side_summary("at_p", at_p)
         total_q, top_q = side_summary("at_q", at_q)
+        if type(at_p) is not tuple or type(at_q) is not tuple:  # JSON arrays, checked above
+            at_p, at_q = tuple(map(tuple, at_p)), tuple(map(tuple, at_q))
         self.__dict__.update(at_p=at_p, at_q=at_q, total_p=total_p, total_q=total_q,
                              max_mult=top_p if top_p > top_q else top_q)
 
@@ -224,6 +253,8 @@ class LimitSeriesSkeleton:
     def __init__(
         self, params: Params, b: int, bundles: tuple[ComponentBundle, ...], tables: tuple[VanishingTable, ...],
     ) -> None:
+        if type(b) is not int:
+            _exact_int(b, "b")
         g, r = params.g, params.r
         if len(bundles) != g or len(tables) != g:
             name, entries = ("bundles", bundles) if len(bundles) != g else ("tables", tables)
@@ -329,7 +360,7 @@ def skeleton_to_json_dict(s: LimitSeriesSkeleton) -> dict[str, Any]:
     dec = s.params.decomposition
     return {
         "schema": SCHEMA_VERSION,
-        "params": {"g": g, "r": s.params.r, "d": s.params.d, "k": s.params.k},
+        "params": s.params.to_json_dict(),
         "decomposition": {
             "d1": dec.d1, "d2": dec.d2, "k1": dec.k1, "k2": dec.k2, "h": dec.h, "rbar": dec.rbar, "dbar": dec.dbar,
         },
@@ -354,51 +385,15 @@ def skeleton_to_canonical_json(s: LimitSeriesSkeleton) -> str:
     return canonical_dumps(skeleton_to_json_dict(s))
 
 
-def _exact_int(value: Any, name: str) -> int:
-    """An exact int: bool, float and str are rejected, never converted."""
-    if type(value) is not int:
-        raise ParameterError(f"{name}: expected an integer, got {value!r}")
-    return value
-
-
-def _optional_int(value: Any, name: str) -> int | None:
-    return None if value is None else _exact_int(value, name)
-
-
-def _table_side(entries: Iterable[Any], name: str) -> tuple[tuple[int, int], ...]:
-    """One side of a table as exact-int runs; VanishingTable checks the rest."""
-    runs = []
-    for o, m in entries:
-        if type(o) is not int or type(m) is not int:
-            _exact_int(o, name), _exact_int(m, name)
-        runs.append((o, m))
-    return tuple(runs)
-
-
-def _summands(entries: Iterable[Any]) -> tuple[Summand, ...]:
-    """Summands with exact-int `mult` and twist `a`; Summand checks the rest."""
-    summands = []
-    for sd in entries:
-        mult, a = sd["mult"], sd.get("a")
-        if type(mult) is not int or not (a is None or type(a) is int):
-            _exact_int(mult, "summands"), _optional_int(a, "summands")
-        summands.append(Summand(mult, a))
-    return tuple(summands)
-
-
 def _bundle_from_json(bd: Mapping[str, Any]) -> ComponentBundle:
     return ComponentBundle(
-        kind=bd["kind"],
-        degree=_exact_int(bd["degree"], "degree"),
-        blocks=_optional_int(bd.get("blocks"), "blocks"),
-        block_rank=_optional_int(bd.get("block_rank"), "block_rank"),
-        block_degree=_optional_int(bd.get("block_degree"), "block_degree"),
-        summands=_summands(bd.get("summands", ())),
+        bd["kind"], bd["degree"], bd.get("blocks"), bd.get("block_rank"), bd.get("block_degree"),
+        (Summand(sd["mult"], sd.get("a")) for sd in bd.get("summands", ())),
     )
 
 
 def _table_from_json(td: Mapping[str, Any]) -> VanishingTable:
-    return VanishingTable(_table_side(td["at_p"], "at_p"), _table_side(td["at_q"], "at_q"))
+    return VanishingTable(td["at_p"], td["at_q"])
 
 
 def _entries(doc: Mapping[str, Any], key: str, build: Callable[[Any], Any]) -> tuple[Any, ...]:
@@ -446,9 +441,9 @@ def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
     its case is the params' own; params that `Params` rejects or that do not
     classify raise ParameterError("params: ..."). A document loads iff that
     skeleton writes back the same JSON value, every integer an exact int.
-    Anything else, a stale derived field or a table side breaking the
-    VanishingTable invariant included, raises ParameterError naming the
-    first offending field.
+    Anything else, a value a record rejects (a non-integer, a table side
+    breaking the VanishingTable invariant) or a stale derived field
+    included, raises ParameterError naming the first offending field.
     """
     if not isinstance(doc, Mapping):
         raise ParameterError(f"a skeleton document is a JSON object, not {type(doc).__name__}")
@@ -464,7 +459,7 @@ def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
             raise ParameterError(f"params: {exc}") from None
         skeleton = LimitSeriesSkeleton(
             params=params,
-            b=_exact_int(doc["b"], "b"),
+            b=doc["b"],
             bundles=_entries(doc, "bundles", _bundle_from_json),
             tables=_entries(doc, "tables", _table_from_json),
         )

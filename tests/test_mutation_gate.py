@@ -24,6 +24,12 @@ Spellings: each summand list of two or more entries is reversed, and each
 summand of multiplicity m >= 2 is split into two of 1 and m - 1. These
 write the same bundle a second way, so every such document must fail to
 load, with a message naming the bundle's summands.
+
+Inexact integers: every integer leaf is replaced by its float twin and its
+string twin, and a 0 or 1 also by its bool twin. Every such document must
+fail to load with a message naming the leaf: the record that holds a
+read-back integer names its entry and field, `Params` the params key, the
+schema check the schema, and the write-back comparison a derived integer.
 """
 
 from __future__ import annotations
@@ -231,3 +237,42 @@ def test_every_respelled_summand_list_fails_to_load():
         else:
             loaded.append((dump, i, edit))
     assert loaded == []
+
+
+def _path_text(path) -> str:
+    return "".join(f"[{key}]" if type(key) is int else f".{key}" if i else key for i, key in enumerate(path))
+
+
+def _inexact_message(path, value, twin) -> str:
+    """The loader's message for the integer leaf `value` at `path` written as `twin`."""
+    got = f"expected an integer, got {twin!r}"
+    if path[0] in ("tables", "bundles") and path[2] != "component":
+        field = "summands" if path[2] == "summands" else path[2]
+        return f"{path[0]}[{path[1]}].{field}: {got}"
+    if path == ("b",):
+        return f"b: {got}"
+    if path[0] == "params":
+        return f"params: {path[1]} must be an integer, got {twin!r}"
+    if path == ("schema",):
+        return f"unsupported schema {twin!r}"
+    return f"stale {_path_text(path)}: the document has {twin!r}, the skeleton gives {value!r}"
+
+
+def _inexact_integers():
+    for dump, doc in _dumps():
+        for path, value in _leaves(doc):
+            if type(value) is int:
+                for twin in (float(value), str(value)) + ((bool(value),) if value in (0, 1) else ()):
+                    yield (path, value, twin), _mutated(doc, (path, twin))
+
+
+def test_every_inexact_integer_fails_to_load_naming_its_leaf():
+    mutants = list(_inexact_integers())
+    assert len(mutants) == 988
+    for (path, value, twin), doc in mutants:
+        try:
+            skeleton_from_json_dict(doc)
+        except ParameterError as exc:
+            assert str(exc).startswith(_inexact_message(path, value, twin)), (path, twin, str(exc))
+        else:
+            raise AssertionError(f"{path} = {twin!r} loads")

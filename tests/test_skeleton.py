@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import json
 import pickle
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import constructible_tuples
+from test_mutation_gate import DUMPS
 from ellchain import (
     ComponentBundle,
     LimitSeriesSkeleton,
@@ -25,6 +27,7 @@ from ellchain import (
 )
 from ellchain.cli import SweepConfig
 from ellchain.errors import ParameterError
+from ellchain.oracle import exists_feasible_pairing, min_sum_pairing_exists
 from ellchain.params import Case
 
 
@@ -415,6 +418,86 @@ def test_loader_requires_exact_int_table_entries(bad):
     # A bundle's degree is read before its summands.
     doc["bundles"][2]["degree"] = 15.0
     assert _load_error(doc) == "bundles[2].degree: expected an integer, got 15.0"
+
+
+@pytest.mark.parametrize(
+    "path, value, entry, message",
+    [
+        (("b",), 5.0, "", "b: expected an integer, got 5.0"),
+        (("tables", 0, "at_q", 0, 1), True, "tables[0].", "at_q: expected an integer, got True"),
+        (("bundles", 0, "degree"), 16.0, "bundles[0].", "degree: expected an integer, got 16.0"),
+    ],
+)
+def test_built_records_reject_non_integers(path, value, entry, message):
+    # The edit, made to the skeleton, raises at build what the loader raises
+    # on the same edit to its dump, less the entry the loader names.
+    s = construct(Params(7, 3, 16, 5))
+    assert s.tables[0].at_q[0] == (3, 1)
+    with pytest.raises(ParameterError) as info:
+        _rebuilt(s, path, value)
+    assert str(info.value) == message
+    doc = skeleton_to_json_dict(s)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    assert _load_error(doc) == entry + message
+
+
+def test_pairings_reject_a_float_order():
+    for pairing in (lambda l, r: exists_feasible_pairing(l, r, 2, {}), lambda l, r: min_sum_pairing_exists(l, r, 1)):
+        with pytest.raises(ParameterError) as info:
+            pairing(((0, 1), (1.0, 1)), ((0, 2),))
+        assert str(info.value) == "left: expected an integer, got 1.0"
+
+
+def test_records_accept_int_subclasses_other_than_bool():
+    count = type("Count", (int,), {})
+    s = construct(Params(7, 3, 16, 5))
+    assert dataclasses.replace(s, b=count(s.b)) == s
+    assert Summand(count(2), count(1)) == Summand(2, 1)
+    assert VanishingTable(((count(0), count(1)),), ((0, 1),)) == VanishingTable(((0, 1),), ((0, 1),))
+
+
+def _record_ints(obj, path=()):
+    """(path, value) of each int that a skeleton's records hold in an init
+    field, except in its params; a path names a field or a tuple index."""
+    if isinstance(obj, tuple):
+        for i, item in enumerate(obj):
+            yield from _record_ints(item, path + (i,))
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, Params):
+        for name, value in _init_fields(obj).items():
+            yield from _record_ints(value, path + (name,))
+    elif type(obj) is int:
+        yield path, obj
+
+
+def _rebuilt(obj, path, value):
+    """`obj` with the leaf at `path` set to `value`, each record on the way
+    rebuilt by its own __init__, the innermost first."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(obj, tuple):
+        return obj[:head] + (_rebuilt(obj[head], rest, value),) + obj[head + 1:]
+    return dataclasses.replace(obj, **{head: _rebuilt(getattr(obj, head), rest, value)})
+
+
+@given(
+    dump=st.sampled_from(DUMPS),
+    pick=st.integers(0, 10**6),
+    value=st.one_of(st.integers(-3, 40), st.floats(), st.booleans(), st.text(max_size=3)),
+)
+def test_a_built_skeleton_raises_or_reloads(dump, pick, value):
+    s = construct(Params(*dump))
+    leaves = list(_record_ints(s))
+    path, _ = leaves[pick % len(leaves)]
+    try:
+        edited = _rebuilt(s, path, value)
+    except ParameterError:
+        return
+    assert type(value) is int, (path, value)
+    assert skeleton_from_json_dict(json.loads(skeleton_to_canonical_json(edited))) == edited
 
 
 @pytest.mark.parametrize(
