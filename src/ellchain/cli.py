@@ -84,8 +84,7 @@ def analyze(g: int, r: int, d: int, k: int, *, oracle: bool = False) -> Analysis
 def analyze_skeleton(skeleton: LimitSeriesSkeleton, *, oracle: bool = False) -> Analysis:
     """Verify, audit and optionally cross-validate a built or loaded skeleton.
     Its status is verify_fail, else audit_fail, else oracle_disagree, else
-    pass. A skeleton built in code whose params do not classify raises the
-    audit's EngineError."""
+    pass."""
     report = verify(skeleton)
     audit = audit_equals_rho(skeleton)
     cross = cross_validate(skeleton) if oracle else None

@@ -15,22 +15,23 @@ tail of at least 0 components, (**) (least 2) for at least 1. `layout`
 names those parts: the recipes fill them, the ledger groups its rows by
 them, and the skeleton derives its gluing labels from them.
 
-A Params carries its Euclidean decomposition and its case, computed once
-when it is built; `classify` and every later layer read those stored
-values, and no call takes a case beside its params. Params and
-Decomposition are built as the `skeleton` module docstring says of every
-record, and are frozen, since a stored value is right only while the
-fields it comes from cannot change. HypothesisCheck and Classification are
-result records, built once per call and handed to the caller, so they are
-plain slotted dataclasses; a check formats its text only when it is read.
+A Params carries its Euclidean decomposition, its case and its case's
+hypothesis checks (none when k <= r), computed once when it is built;
+`classify` and every later layer read those stored values, and no call
+takes a case beside its params. Params and Decomposition are built as the
+`skeleton` module docstring says of every record, and are frozen, since a
+stored value is right only while the fields it comes from cannot change.
+A frozen Params holds its checks, so a HypothesisCheck is an immutable
+named tuple, which formats its text only when it is read. Classification
+is a result record, built once per call and handed to the caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import HypothesisFailed, KLERegime, ParameterError
 
@@ -77,6 +78,7 @@ class Params:
     k: int
     decomposition: Decomposition = field(init=False, repr=False, compare=False)
     case: Case = field(init=False, repr=False, compare=False)
+    hypotheses: tuple[HypothesisCheck, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, g: int, r: int, d: int, k: int) -> None:
         if not (type(g) is int and type(r) is int and type(d) is int and type(k) is int):
@@ -98,6 +100,7 @@ class Params:
                 else Case.SMALL_A if d2 < k2 else Case.SMALL_B if d2 else Case.SMALL_C)
         self.__dict__.update(g=g, r=r, d=d, k=k, decomposition=Decomposition(d1, d2, k1, k2, h, r // h, d // h),
                              case=case)
+        self.__dict__["hypotheses"] = _hypotheses(self) if k > r else ()
 
     def to_json_dict(self) -> dict[str, int]:
         """The tuple as every JSON document writes it under "params"."""
@@ -157,8 +160,7 @@ _MAIN_HYPOTHESES = {
 }
 
 
-@dataclass(slots=True)
-class HypothesisCheck:
+class HypothesisCheck(NamedTuple):
     """One inequality `value >= min_pass`, with its evaluated left side.
 
     slack = value - min_pass + 1: positive iff the inequality holds, and it
@@ -191,9 +193,6 @@ class HypothesisCheck:
             f"{'>=' if self.satisfied else '<'} {self.min_pass}"
         )
 
-    def __reduce__(self):
-        return HypothesisCheck, astuple(self)  # slotted: pickle protocols 0 and 1 need this
-
 
 @dataclass(slots=True)
 class Classification:
@@ -203,21 +202,13 @@ class Classification:
     checks: tuple[HypothesisCheck, ...]
 
 
-def classify(p: Params) -> Classification:
-    """Classify a tuple with k > r: its regime `p.case`, with that regime's checks.
-
-    Raises KLERegime for k <= r and HypothesisFailed when the regime's
-    inequality does not hold. The returned record keeps every evaluated
-    check: the auxiliary deficiency condition never fails on its own (off
-    LARGE_SECTIONS t >= 1), but its value and slack are part of the output.
-    """
-    if p.k <= p.r:
-        raise KLERegime(f"k <= r regime not covered (k={p.k}, r={p.r})")
+def _hypotheses(p: Params) -> tuple[HypothesisCheck, ...]:
+    """The checks of `p.case`, in the order `classify` reads them. The
+    auxiliary deficiency condition never fails on its own (off
+    LARGE_SECTIONS t >= 1), but its value and slack are part of the output."""
     g, r, d, case = p.g, p.r, p.d, p.case
     if case is Case.LARGE_SECTIONS:
-        template = "d + r*(1-g) = {} + {}*(1-{})"
-        return Classification(case, (HypothesisCheck("section_surplus", template, (d, r, g), d + r * (1 - g), p.k),))
-
+        return (HypothesisCheck("section_surplus", "d + r*(1-g) = {} + {}*(1-{})", (d, r, g), d + r * (1 - g), p.k),)
     d1, k1 = p.decomposition.d1, p.decomposition.k1
     name, template, least = _MAIN_HYPOTHESES[case]
     w = k1 if case is Case.SMALL_C else k1 + 1
@@ -227,8 +218,16 @@ def classify(p: Params) -> Classification:
         checks += (HypothesisCheck("generic_bundle_deficit", "g - d1 + k1 = {} - {} + {}", (g, d1, k1), t, 1),)
     elif case is Case.SMALL_B:
         checks += (HypothesisCheck("generic_bundle_deficit", "g + k1 - d1 = {} + {} - {}", (g, k1, d1), t + 1, 2),)
+    return checks
 
-    for check in checks:
+
+def classify(p: Params) -> Classification:
+    """Read a tuple's classification off its params: its regime `p.case`
+    and the checks `p.hypotheses`. Raises KLERegime for k <= r and
+    HypothesisFailed naming the first check that does not hold."""
+    if p.k <= p.r:
+        raise KLERegime(f"k <= r regime not covered (k={p.k}, r={p.r})")
+    for check in p.hypotheses:
         if not check.satisfied:
             raise HypothesisFailed(check)
-    return Classification(case, checks)
+    return Classification(p.case, p.hypotheses)

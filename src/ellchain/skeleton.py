@@ -34,10 +34,10 @@ is null) and `parameter_dim` from params, positions and the chain. The
 loader only maps `params`, `b`, `bundles` and `tables` to records, and
 accepts the document iff the skeleton built writes back the same JSON
 value, integers exact; otherwise it names the first field that differs.
-Each record tests the integers it holds inline (`type(v) is int`), and
-`_exact_int` words the message for a value that fails, so every skeleton
-that can be built on params that classify writes a document that loads:
-`verify` and `verify-file` cannot disagree on a type.
+Each record tests its integers inline (`type(v) is int`; `_exact_int` words
+the message), a bundle holds only its kind's fields, and the skeleton only
+params that classify. So every skeleton that can be built writes a document
+that loads, and `verify` and `verify-file` cannot disagree on a type.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .errors import EngineError, ParameterError
+from .errors import HypothesisFailed, KLERegime, ParameterError
 from .params import Case, Params, classify, layout
 
 
@@ -96,8 +96,9 @@ class ComponentBundle:
     `min_twist`/`max_twist` (None without twisted summands) and the ledger's
     `moduli`/`autos` terms are derived here: h blocks give moduli h and
     autos h, m copies of one twisted line 0 and m^2, m generic lines m and m.
-    A bundle has one spelling: twisted summands strictly ascending by twist,
-    then at most one generic-line entry; any other list raises ParameterError.
+    A bundle has one spelling: each kind holds only its own fields, and
+    twisted summands are strictly ascending by twist, then at most one
+    generic-line entry; anything else raises ParameterError.
     """
 
     kind: str  # "first_special" | "mixed"
@@ -126,6 +127,11 @@ class ComponentBundle:
         summands = tuple(summands)  # read after the scalars: a loaded bundle passes a generator
         if kind not in ("first_special", "mixed"):
             raise ParameterError(f"kind: unknown bundle kind {kind!r}")
+        if kind == "mixed" and not blocks is block_rank is block_degree is None:
+            name = "blocks" if blocks is not None else "block_rank" if block_rank is not None else "block_degree"
+            raise ParameterError(f"{name}: a mixed bundle has no blocks, block_rank or block_degree")
+        if kind == "first_special" and summands:
+            raise ParameterError(f"summands: a first_special bundle has no summands, got {len(summands)}")
         if kind == "first_special" and min(blocks or 0, block_rank or 0) < 1:
             raise ParameterError("blocks: a first_special bundle needs blocks and block_rank of at least 1")
         if kind == "first_special" and block_degree is None:
@@ -255,6 +261,10 @@ class LimitSeriesSkeleton:
     ) -> None:
         if type(b) is not int:
             _exact_int(b, "b")
+        try:
+            classify(params)
+        except (KLERegime, HypothesisFailed) as exc:
+            raise ParameterError(f"params: {exc}") from None
         g, r = params.g, params.r
         if len(bundles) != g or len(tables) != g:
             name, entries = ("bundles", bundles) if len(bundles) != g else ("tables", tables)
@@ -454,8 +464,7 @@ def skeleton_from_json_dict(doc: Mapping[str, Any]) -> LimitSeriesSkeleton:
         pd = doc["params"]
         try:
             params = Params(g=pd["g"], r=pd["r"], d=pd["d"], k=pd["k"])
-            classify(params)
-        except EngineError as exc:
+        except ParameterError as exc:
             raise ParameterError(f"params: {exc}") from None
         skeleton = LimitSeriesSkeleton(
             params=params,

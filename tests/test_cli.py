@@ -391,7 +391,8 @@ class TestVerifyFileAuditAndLoad:
             (("bundles", 1, "kind"), "bogus", "bundles[1].kind"),
             (("bundles", 1, "summands", 0, "kind"), "generic_line", "bundles[1].summands[0].kind"),
             (("extra",), 1, "extra"),
-            (("bundles", 1, "blocks"), 2, "bundles[1].blocks"),
+            (("bundles", 1, "blocks"), 2,
+             "bundles[1].blocks: a mixed bundle has no blocks, block_rank or block_degree\n"),
             (("notes",), DELETE, "notes"),
             (("schema",), True, "schema"),
             (("components",), 7.0, "components"),
@@ -418,6 +419,8 @@ class TestVerifyFileAuditAndLoad:
             (("params", "k"), 3, "params: k <= r regime not covered (k=3, r=3)"),
             (("params", "g"), 1, "params: genus must be >= 2, got g=1"),
             (("params", "g"), 7.0, "params: g must be an integer, got 7.0"),
+            (("bundles", 0, "summands"), [{"kind": "generic_line", "mult": 1}],
+             "bundles[0].summands: a first_special bundle has no summands, got 1\n"),
         ],
         ids=["empty_side", "duplicate_order", "unsorted_side", "zero_multiplicity",
              "stale_decomposition", "emptied_nodes", "table_component", "bundle_component",
@@ -426,7 +429,7 @@ class TestVerifyFileAuditAndLoad:
              "bool_component", "numeric_description", "non_string_notes", "zero_summand", "cancelling_summand",
              "negated_blocks", "null_block_degree", "stale_tag", "description_to_null", "float_parameter_dim", "moved_description",
              "edited_note", "params_failing_hypothesis", "params_k_le_r", "params_genus_below_two",
-             "params_float_genus"],
+             "params_float_genus", "summands_on_first_special_bundle"],
     )
     def test_inconsistent_document_rejected(self, tmp_path, capsys, field, value, named):
         path, doc = _dumped(tmp_path, capsys)

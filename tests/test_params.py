@@ -221,6 +221,28 @@ def test_classify_total_and_unique_on_k_gt_r(g, r, d, k):
     assert all(ch.satisfied for ch in c.checks)
 
 
+@given(g=st.integers(2, 14), r=st.integers(1, 6), d=st.integers(0, 250), k=st.integers(1, 40))
+def test_classify_reads_the_checks_its_params_derived(g, r, d, k):
+    p = Params(g, r, d, k)
+    if k <= r:
+        assert p.hypotheses == ()
+        return
+    try:
+        c = classify(p)
+    except HypothesisFailed as exc:
+        assert exc.failed is next(check for check in p.hypotheses if not check.satisfied)
+    else:
+        assert c.checks is p.hypotheses and c.case is p.case
+
+
+def test_hypothesis_checks_are_immutable_and_outside_equality():
+    p = Params(7, 3, 16, 5)
+    with pytest.raises(AttributeError):
+        p.hypotheses[0].value = 2
+    assert repr(p) == "Params(g=7, r=3, d=16, k=5)"
+    assert "hypotheses" not in {f.name for f in dataclasses.fields(p) if f.compare or f.repr or f.init}
+
+
 def test_params_accept_int_subclasses_other_than_bool():
     # Only bool is refused among int subclasses; the check is isinstance,
     # not an exact type test.

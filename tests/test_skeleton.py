@@ -4,9 +4,10 @@ import dataclasses
 import inspect
 import json
 import pickle
+from typing import Any, NamedTuple
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constructible_tuples
@@ -25,7 +26,7 @@ from ellchain import (
     skeleton_to_json_dict,
     verify,
 )
-from ellchain.cli import SweepConfig
+from ellchain.cli import SweepConfig, analyze_skeleton
 from ellchain.errors import ParameterError
 from ellchain.oracle import exists_feasible_pairing, min_sum_pairing_exists
 from ellchain.params import Case
@@ -245,27 +246,37 @@ def test_data_model_and_input_records_are_frozen(record):
             setattr(record, f.name, getattr(record, f.name))
 
 
+class _Rejected(NamedTuple):
+    value: Any  # a replacement that its record must reject
+
+
 def _data_model():
     """(record, a replacement value for each init field) for the five data-model
     records, each built by a hand-written __init__ that derives its summaries,
     and for Decomposition, whose hand-written __init__ only stores its fields.
-    Every replacement keeps the record valid and changes a derived field
-    where the field feeds one. The skeleton is small_b with node 1 reading
-    Q1's table, so `b` moves its first gluing dimension."""
+    Every replacement but a _Rejected one keeps the record valid and changes
+    a derived field where the field feeds one. A bundle holds only its
+    kind's fields, so no replacement of its kind, or of a field its kind
+    does not use, keeps it valid. The skeleton is small_b with node 1
+    reading Q1's table, so `b` moves its first gluing dimension."""
     s = construct(Params(6, 2, 9, 3))
     assert s.node_one_reads_q1
-    bundle = ComponentBundle("first_special", 16, blocks=1, block_rank=3, block_degree=16,
-                             summands=(Summand(2, 4), Summand(1)))
+    first_special = ComponentBundle("first_special", 16, blocks=1, block_rank=3, block_degree=16)
+    mixed = ComponentBundle("mixed", 16, summands=(Summand(2, 4), Summand(1)))
     cases = [
         (Summand(mult=2, twist=1), {"mult": 3, "twist": None}),
-        (bundle, {"kind": "mixed", "degree": 17, "blocks": 2, "block_rank": 1, "block_degree": 5,
-                  "summands": (Summand(1, 0), Summand(2, 7))}),
+        (first_special, {"kind": _Rejected("mixed"), "degree": 17, "blocks": 2, "block_rank": 1, "block_degree": 5,
+                         "summands": _Rejected((Summand(1, 0),))}),
+        (mixed, {"kind": _Rejected("first_special"), "degree": 17, "blocks": _Rejected(2),
+                 "block_rank": _Rejected(1), "block_degree": _Rejected(5),
+                 "summands": (Summand(1, 0), Summand(3, 7))}),
         (VanishingTable(((0, 2), (1, 1)), ((0, 1), (2, 2))), {"at_p": ((0, 4),), "at_q": ((5, 1), (6, 4))}),
-        (s, {"params": Params(6, 3, 9, 4), "b": s.b + 1, "bundles": s.bundles[::-1], "tables": s.tables[::-1]}),
+        (s, {"params": Params(6, 3, 13, 4), "b": s.b + 1, "bundles": s.bundles[::-1], "tables": s.tables[::-1]}),
         (Params(7, 3, 16, 5), {"g": 8, "r": 2, "d": 17, "k": 6}),
         (Params(7, 3, 16, 5).decomposition, {"d1": 6, "d2": 0, "k1": 2, "k2": 1, "h": 3, "rbar": 2, "dbar": 4}),
     ]
-    return [pytest.param(record, changes, id=type(record).__name__) for record, changes in cases]
+    return [pytest.param(record, changes, id=type(record).__name__ + ("_mixed" if record is mixed else ""))
+            for record, changes in cases]
 
 
 def _init_fields(record):
@@ -295,13 +306,24 @@ class TestDataModelContract:
     def test_replace_equals_a_fresh_build(self, record, changes):
         moved = set()
         for name, value in changes.items():
+            if type(value) is _Rejected:
+                with pytest.raises(ParameterError) as replaced:
+                    dataclasses.replace(record, **{name: value.value})
+                with pytest.raises(ParameterError) as fresh:
+                    type(record)(**{**_init_fields(record), name: value.value})
+                assert str(replaced.value) == str(fresh.value), name
+                continue
             replaced = dataclasses.replace(record, **{name: value})
             fresh = type(record)(**{**_init_fields(record), name: value})
             assert replaced == fresh and vars(replaced) == vars(fresh), name
             assert replaced != record and hash(replaced) == hash(fresh), name
             moved |= {key for key, v in vars(fresh).items() if v != vars(record)[key]}
-        # Each derived field is recomputed at least once above.
-        assert moved == {f.name for f in dataclasses.fields(record)}
+        # Each derived field is recomputed at least once above. A rejected
+        # field cannot move, nor can a first_special bundle's twist range.
+        fixed = {name for name, value in changes.items() if type(value) is _Rejected}
+        if getattr(record, "kind", None) == "first_special":
+            fixed |= {"min_twist", "max_twist"}
+        assert moved == {f.name for f in dataclasses.fields(record)} - fixed
 
     def test_pickle_round_trip(self, record, changes):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
@@ -317,6 +339,7 @@ def _skeleton_parts(**changes):
 
 
 _AT_LEAST_ONE_BLOCK = "blocks: a first_special bundle needs blocks and block_rank of at least 1"
+_NO_BLOCKS = "a mixed bundle has no blocks, block_rank or block_degree"
 _LINES_LAST = "summands: a twisted summand after the generic lines, generic lines must be one last entry"
 
 # (id, build, message): each build breaks one or more checks, and the message
@@ -330,6 +353,12 @@ _INVALID = [
     ("bundle_block_rank", lambda: ComponentBundle("first_special", 3, blocks=1), _AT_LEAST_ONE_BLOCK),
     ("bundle_block_degree", lambda: ComponentBundle("first_special", 3, blocks=1, block_rank=2),
      "block_degree: a first_special bundle needs a block_degree"),
+    ("bundle_blocks_on_mixed", lambda: dataclasses.replace(construct(Params(7, 3, 16, 5)).bundles[1], blocks=2),
+     f"blocks: {_NO_BLOCKS}"),
+    ("bundle_block_degree_on_mixed", lambda: ComponentBundle("mixed", 3, block_degree=1), f"block_degree: {_NO_BLOCKS}"),
+    ("bundle_summands_on_first_special",
+     lambda: dataclasses.replace(construct(Params(7, 3, 16, 5)).bundles[0], summands=(Summand(1),)),
+     "summands: a first_special bundle has no summands, got 1"),
     ("bundle_lines_first", lambda: ComponentBundle("mixed", 10, summands=(Summand(1), Summand(1, 2))), _LINES_LAST),
     ("bundle_two_line_entries", lambda: ComponentBundle("mixed", 10, summands=(Summand(1), Summand(1))),
      "summands: a generic_line summand after the generic lines, generic lines must be one last entry"),
@@ -345,6 +374,12 @@ _INVALID = [
      "at_q: order 2 has multiplicity 0, multiplicities must be positive"),
     ("skeleton_bundles", lambda: LimitSeriesSkeleton(**_skeleton_parts(bundles=())), "bundles: 0 entries for g = 3"),
     ("skeleton_tables", lambda: LimitSeriesSkeleton(**_skeleton_parts(tables=())), "tables: 0 entries for g = 3"),
+    ("skeleton_params_k_le_r", lambda: dataclasses.replace(construct(Params(7, 3, 16, 5)), params=Params(7, 3, 16, 3)),
+     "params: k <= r regime not covered (k=3, r=3)"),
+    ("skeleton_params_hypothesis", lambda: LimitSeriesSkeleton(**_skeleton_parts(params=Params(3, 1, 3, 2))),
+     "params: (**) fails: g - k1*(g-d1+k1-1) = 3 - 2*1 = 1 < 2"),
+    ("skeleton_params_before_count", lambda: LimitSeriesSkeleton(**_skeleton_parts(params=Params(8, 3, 16, 5))),
+     "params: (***) fails: g - (k1+1)*(g-d1+k1) = 8 - 2*4 = 0 < 1"),
     ("params_g_type", lambda: Params(2.0, 0, -1, 0), "g must be an integer, got 2.0"),
     ("params_r_bool", lambda: Params(2, True, 0, 1), "r must be an integer, got True"),
     ("params_d_str", lambda: Params(2, 1, "0", 1), "d must be an integer, got '0'"),
@@ -459,17 +494,40 @@ def test_records_accept_int_subclasses_other_than_bool():
     assert VanishingTable(((count(0), count(1)),), ((0, 1),)) == VanishingTable(((0, 1),), ((0, 1),))
 
 
-def _record_ints(obj, path=()):
-    """(path, value) of each int that a skeleton's records hold in an init
-    field, except in its params; a path names a field or a tuple index."""
-    if isinstance(obj, tuple):
-        for i, item in enumerate(obj):
-            yield from _record_ints(item, path + (i,))
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, Params):
-        for name, value in _init_fields(obj).items():
-            yield from _record_ints(value, path + (name,))
-    elif type(obj) is int:
-        yield path, obj
+def _records(obj, path=()):
+    """(path, record) of a skeleton and of each record it holds, its params
+    included; a path names a field or a tuple index."""
+    yield path, obj
+    for name, value in _init_fields(obj).items():
+        if dataclasses.is_dataclass(value):
+            yield from _records(value, path + (name,))
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
+                if dataclasses.is_dataclass(item):
+                    yield from _records(item, path + (name, i))
+
+
+# An int, or a value that an int field must reject.
+_INTS = st.integers(-3, 40) | st.sampled_from([1.0, -2.5, float("nan"), True, False, "1", ""])
+
+
+def _replacements(record, name):
+    """New values for a record's field: values it holds and values it must
+    reject. A field that holds a record is replaced through its fields."""
+    value = getattr(record, name)
+    ints = (st.integers(value - 3, value + 3) | _INTS) if type(value) is int else _INTS
+    if name == "kind":
+        return st.sampled_from(["first_special", "mixed", "line"])
+    if name in ("blocks", "block_rank", "block_degree", "twist"):
+        return st.none() | ints
+    if name == "summands":
+        return st.lists(st.builds(Summand, st.integers(1, 3), st.none() | st.integers(-1, 8)), max_size=3).map(tuple)
+    if name in ("at_p", "at_q"):
+        runs = st.dictionaries(st.integers(-1, 8), st.integers(0, 3), max_size=3)
+        return runs.map(lambda side: tuple(sorted(side.items())))
+    if name in ("bundles", "tables"):
+        return (st.permutations(value) | st.lists(st.sampled_from(value), max_size=len(value) + 1)).map(tuple)
+    return ints  # params' g, r, d and k, the skeleton's b, a bundle's degree, a summand's mult
 
 
 def _rebuilt(obj, path, value):
@@ -483,21 +541,31 @@ def _rebuilt(obj, path, value):
     return dataclasses.replace(obj, **{head: _rebuilt(getattr(obj, head), rest, value)})
 
 
-@given(
-    dump=st.sampled_from(DUMPS),
-    pick=st.integers(0, 10**6),
-    value=st.one_of(st.integers(-3, 40), st.floats(), st.booleans(), st.text(max_size=3)),
-)
-def test_a_built_skeleton_raises_or_reloads(dump, pick, value):
+@settings(max_examples=300)
+@given(dump=st.sampled_from(DUMPS), data=st.data())
+def test_a_built_skeleton_raises_or_reloads(dump, data):
+    # Any field of any record (a record type drawn first, then one record of
+    # it), a table run's order or multiplicity included: the edited skeleton
+    # either raises when built or reloads equal, and its analysis returns a
+    # status.
     s = construct(Params(*dump))
-    leaves = list(_record_ints(s))
-    path, _ = leaves[pick % len(leaves)]
+    by_type = {}
+    for path, record in _records(s):
+        by_type.setdefault(type(record), []).append((path, record))
+    path, record = data.draw(st.sampled_from(list(by_type.values())).flatmap(st.sampled_from))
+    name = data.draw(st.sampled_from([n for n, v in _init_fields(record).items() if not dataclasses.is_dataclass(v)]))
+    if name in ("at_p", "at_q") and data.draw(st.booleans()):
+        side = getattr(record, name)
+        field, value = (name, data.draw(st.integers(0, len(side) - 1)), data.draw(st.integers(0, 1))), data.draw(_INTS)
+    else:
+        field, value = (name,), data.draw(_replacements(record, name))
     try:
-        edited = _rebuilt(s, path, value)
+        edited = _rebuilt(s, path + field, value)
     except ParameterError:
         return
-    assert type(value) is int, (path, value)
+    assert type(value) in (int, tuple, type(None)) or name == "kind", (path + field, value)
     assert skeleton_from_json_dict(json.loads(skeleton_to_canonical_json(edited))) == edited
+    assert analyze_skeleton(edited, oracle=True).status in ("pass", "verify_fail", "audit_fail")
 
 
 @pytest.mark.parametrize(

@@ -282,6 +282,33 @@ class TestFullVerify:
             assert entry["status"] in ("pass", "fail", "assumed")
 
 
+@pytest.mark.parametrize(
+    "tup, table, side, runs, failing, name, witness",
+    [
+        # Q3's last order, 5, raised to d1 + 1 = 11: only that run leaves [0, d1].
+        ((7, 3, 30, 5), 2, "at_q", [[4, 3], [11, 2]], {"component_feasibility", "multiplicity_bounds"},
+         "multiplicity_bounds", {"offenders": [{"component": 3, "point": "Q", "order": 11, "mult": 2}]}),
+        # P1's copies at order 1 moved to order 2, which the minimal table lacks.
+        ((7, 3, 16, 5), 0, "at_p", [[0, 3], [2, 2]], {"component_feasibility", "boundary_minimality"},
+         "boundary_minimality", {"offenders": [{"point": "P1", "order": 1, "got": 0, "expected": 2},
+                                               {"point": "P1", "order": 2, "got": 2, "expected": 0}]}),
+    ],
+    ids=["order_past_d1", "boundary_order_moved"],
+)
+def test_a_loaded_edit_fails_exactly_its_checks(tup, table, side, runs, failing, name, witness):
+    # Each check's status and the named check's witness, on the document
+    # `verify-file` reads after the edit.
+    doc = skeleton_to_json_dict(construct(Params(*tup)))
+    doc["tables"][table][side] = runs
+    checks = verify(skeleton_from_json_dict(doc)).to_json_dict()["checks"]
+    assert {n: e["status"] for n, e in checks.items()} == {
+        "degree_balance": "pass", "node_pairing": "pass", "component_feasibility": "pass",
+        "boundary_minimality": "pass", "multiplicity_bounds": "pass", "genericity": "assumed",
+        **dict.fromkeys(failing, "fail"),
+    }
+    assert {key: checks[name]["witness"][key] for key in witness} == witness
+
+
 def _runs(orders):
     """(order, multiplicity) runs of a list of orders."""
     return tuple((o, orders.count(o)) for o in sorted(set(orders)))
