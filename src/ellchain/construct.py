@@ -39,9 +39,13 @@ Regime layouts (t is the regime's tail threshold, `params.tail_threshold`):
   blocks of k1 fully twisted components O((2*beta+alpha*(k1-1)-1)P+...)^r for
   alpha = 0..t-1; generic-line tail (nonempty under the strict hypothesis).
 
-`params.layout(p)` states these parts once: the small recipes
-fill its line chain, `construct` its tail, the skeleton labels each node by
-the part it enters, and the ledger groups its rows by the same parts.
+`params.layout(p)` states these parts once, and `construct` reads it once:
+the recipes fill its line chain, `construct` its tail, the skeleton labels
+each node by the part it enters, and the ledger groups its rows by them.
+
+Records are built positionally. A summand tuple that a loop repeats (the
+generic lines of each line-chain component and block head, the tail's
+bundle) is built once and shared, which is safe as records are frozen.
 
 The verifier re-derives nothing from here: it checks the emitted data against
 the balance, pairing, feasibility and boundary rules independently, exact
@@ -52,7 +56,7 @@ derived from the bundles and tables this module emits.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Mapping, Sequence
 
 from .params import Case, Params, classify, layout, tail_threshold
 from .skeleton import (
@@ -67,36 +71,32 @@ from .skeleton import (
 Runs = tuple[tuple[int, int], ...]
 
 
-def _table(entries: Iterable[tuple[int, int]]) -> Runs:
+def _table(entries: list[tuple[int, int]]) -> Runs:
     """(order, multiplicity) runs from entries given in ascending order,
     zero rows dropped. VanishingTable rejects an order out of sequence or a
     negative multiplicity."""
     return tuple([(order, mult) for order, mult in entries if mult])
 
 
-def _run(lo: int, hi: int) -> range:
-    """Inclusive ascending order range; empty when hi < lo."""
-    return range(lo, hi + 1)
-
-
 def _lines(mult: int) -> tuple[Summand, ...]:
-    return (Summand(mult=mult),) if mult else ()
+    return (Summand(mult),) if mult else ()
 
 
 def _twisted(a: int, mult: int) -> tuple[Summand, ...]:
-    return (Summand(mult=mult, twist=a),) if mult else ()
+    return (Summand(mult, a),) if mult else ()
 
 
 def _mixed(degree: int, summands: tuple[Summand, ...]) -> ComponentBundle:
-    return ComponentBundle(kind="mixed", degree=degree, summands=summands)
+    return ComponentBundle("mixed", degree, None, None, None, summands)
 
 
 Chain = list[tuple[ComponentBundle, Runs]]
+Parts = Mapping[str, Sequence[int]]
 
 
 def _first_special(p: Params) -> ComponentBundle:
     dec = p.decomposition
-    return ComponentBundle("first_special", p.d, blocks=dec.h, block_rank=dec.rbar, block_degree=dec.dbar)
+    return ComponentBundle("first_special", p.d, dec.h, dec.rbar, dec.dbar)
 
 
 def _staircase_q(hi: int, *, k1: int, r: int, head: int) -> Runs:
@@ -105,29 +105,33 @@ def _staircase_q(hi: int, *, k1: int, r: int, head: int) -> Runs:
     return runs + ((hi, head),) if head else runs
 
 
-def _block_q(base: int, beta: int, width: int, head: int, *, r: int, d1: int) -> tuple[ComponentBundle, Runs]:
+def _block_q(base: int, beta: int, width: int, head: int, lines: tuple[Summand, ...], *, r: int,
+             d1: int) -> tuple[ComponentBundle, Runs]:
     """Component `beta` of a twisted block of `width` components at twist
-    base `base`: the bundle carries O((base+2*beta-1)P+...), `head` copies on
-    the block's first component and r on the rest, and the Q side runs
-    `width` orders down from top = d1-base-beta, with `head` at the top and
-    order top-beta skipped."""
-    mult = head if beta == 1 else r
-    top = d1 - base - beta
-    at_q = _table([(o, r) for o in _run(top - width, top - 1) if o != top - beta] + [(top, head)])
-    return _mixed(r * d1, _twisted(base + 2 * beta - 1, mult) + _lines(r - mult)), at_q
+    base `base`: the bundle carries O((base+2*beta-1)P+...), `head` copies
+    and `lines` on the block's first component and r on the rest, and the Q
+    side runs `width` orders down from top = d1-base-beta, with `head` at
+    the top and order top-beta skipped; every other run has multiplicity r."""
+    top, skip = d1 - base - beta, d1 - base - 2 * beta
+    at_q = [(o, r) for o in range(top - width, top) if o != skip]
+    if head:
+        at_q.append((top, head))
+    summands = _twisted(base + 1, head) + lines if beta == 1 else (Summand(r, base + 2 * beta - 1),)
+    return ComponentBundle("mixed", r * d1, None, None, None, summands), tuple(at_q)
 
 
-def _build_large(p: Params) -> Chain:
+def _build_large(p: Params, parts: Parts) -> Chain:
     dec = p.decomposition
     return [(_first_special(p), _staircase_q(p.g - 1 + dec.k1, k1=dec.k1, r=p.r, head=dec.k2))]
 
 
-def _build_shifted(p: Params) -> Chain:
+def _build_shifted(p: Params, parts: Parts) -> Chain:
     """The SMALL_A (s = 0) / SMALL_B (s = 1) recipe."""
     dec = p.decomposition
     r, d1, d2, k1, k2 = p.r, dec.d1, dec.d2, dec.k1, dec.k2
     s = 0 if p.case is Case.SMALL_A else 1
     e = k2 - d2 + s * r
+    degree, early_lines, head_lines = r * d1, _lines(r - e), _lines(r - k2)
 
     def early_q(i: int) -> Runs:
         # Orders top-k1-1 up to top = d1-i+1+s: top carries k2, d1-2i+2+s
@@ -138,30 +142,30 @@ def _build_shifted(p: Params) -> Chain:
             return _staircase_q(top, k1=k1, r=r, head=k2)
         mid, bottom = d1 - 2 * i + 2 + s, top - k1 - 1
         return _table(
-            (o, k2 if o == top else r - e if o == mid else e if o == bottom else r) for o in _run(bottom, top)
+            [(o, k2 if o == top else r - e if o == mid else e if o == bottom else r) for o in range(bottom, top + 1)]
         )
 
-    second = _twisted(0, k2) + _lines(r - k2) if s else _twisted(1, e) + _lines(r - e)
+    second = _twisted(0, k2) + head_lines if s else _twisted(1, e) + early_lines
     first_q = _table([(d1 - k1 - 1 + s, e)] + [(d1 - j, r) for j in range(k1 - s, 0, -1)] + [(d1, d2)])
-    chain: Chain = [(_first_special(p), first_q), (_mixed(r * d1, second), early_q(2))]
-    for i in layout(p)["line_chain"]:
-        chain.append((_mixed(r * d1, _twisted(2 * i - 3 - s, e) + _lines(r - e)), early_q(i)))
+    chain: Chain = [(_first_special(p), first_q), (_mixed(degree, second), early_q(2))]
+    for i in parts["line_chain"]:
+        chain.append((_mixed(degree, _twisted(2 * i - 3 - s, e) + early_lines), early_q(i)))
 
     # Alpha-blocks at base k1*alpha-s: in SMALL_B the recipe's own gluing
     # and section-space lines fix the head's twist at k1*alpha, one below
     # SMALL_A's.
-    for alpha in _run(1, tail_threshold(p) - 1):
-        for beta in _run(1, k1 + 1):
-            chain.append(_block_q(alpha * k1 - s, beta, k1 + 1, k2, r=r, d1=d1))
+    for alpha in range(1, tail_threshold(p)):
+        for beta in range(1, k1 + 2):
+            chain.append(_block_q(alpha * k1 - s, beta, k1 + 1, k2, head_lines, r=r, d1=d1))
     return chain
 
 
-def _build_small_c(p: Params) -> Chain:
+def _build_small_c(p: Params, parts: Parts) -> Chain:
     r, d1, k1 = p.r, p.decomposition.d1, p.decomposition.k1
     chain: Chain = [(_mixed(r * d1, _lines(r)), _staircase_q(d1, k1=k1, r=r, head=0))]
-    for alpha in _run(0, tail_threshold(p) - 1):
-        for beta in _run(1, k1):
-            chain.append(_block_q(alpha * (k1 - 1), beta, k1, r, r=r, d1=d1))
+    for alpha in range(tail_threshold(p)):
+        for beta in range(1, k1 + 1):
+            chain.append(_block_q(alpha * (k1 - 1), beta, k1, r, (), r=r, d1=d1))
     return chain
 
 
@@ -183,12 +187,12 @@ def construct(p: Params) -> LimitSeriesSkeleton:
     """
     classify(p)
     dec = p.decomposition
-    chain = _BUILDERS[p.case](p)
+    parts = {"tail": range(2, p.g + 1)} if p.case is Case.LARGE_SECTIONS else layout(p)
+    chain = _BUILDERS[p.case](p, parts)
     # The generic-line tail. Its components come from the layout, not from
     # padding the chain to g, so a recipe that drops one still fails the count.
-    tail = range(2, p.g + 1) if p.case is Case.LARGE_SECTIONS else layout(p)["tail"]
     line = _mixed(p.r * dec.d1, _lines(p.r))
-    chain += [(line, _staircase_q(p.g - i + dec.k1, k1=dec.k1, r=p.r, head=dec.k2)) for i in tail]
+    chain += [(line, _staircase_q(p.g - i + dec.k1, k1=dec.k1, r=p.r, head=dec.k2)) for i in parts["tail"]]
 
     # Exact gluing: each later P side is d1 minus the previous Q side.
     at_p, d1 = minimal_boundary_table(p.r, dec.k1, dec.k2), dec.d1

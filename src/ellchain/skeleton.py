@@ -125,41 +125,41 @@ class ComponentBundle:
                 if name == "degree" or value is not None:
                     _exact_int(value, name)
         summands = tuple(summands)  # read after the scalars: a loaded bundle passes a generator
-        if kind not in ("first_special", "mixed"):
-            raise ParameterError(f"kind: unknown bundle kind {kind!r}")
-        if kind == "mixed" and not blocks is block_rank is block_degree is None:
-            name = "blocks" if blocks is not None else "block_rank" if block_rank is not None else "block_degree"
-            raise ParameterError(f"{name}: a mixed bundle has no blocks, block_rank or block_degree")
-        if kind == "first_special" and summands:
-            raise ParameterError(f"summands: a first_special bundle has no summands, got {len(summands)}")
-        if kind == "first_special" and min(blocks or 0, block_rank or 0) < 1:
-            raise ParameterError("blocks: a first_special bundle needs blocks and block_rank of at least 1")
-        if kind == "first_special" and block_degree is None:
-            raise ParameterError("block_degree: a first_special bundle needs a block_degree")
-        rank = moduli = autos = 0
-        twists = []
-        for s in summands:
-            if moduli:  # a generic-line entry came before
-                raise ParameterError(
-                    f"summands: a {s.kind} summand after the generic lines, generic lines must be one last entry"
-                )
-            rank += s.mult
-            if s.twist is None:
-                moduli += s.mult
-                autos += s.mult
-            else:
-                if twists and s.twist <= twists[-1]:
+        if kind == "mixed":
+            if not blocks is block_rank is block_degree is None:
+                name = "blocks" if blocks is not None else "block_rank" if block_rank is not None else "block_degree"
+                raise ParameterError(f"{name}: a mixed bundle has no blocks, block_rank or block_degree")
+            rank = moduli = autos = 0
+            twists = []
+            for s in summands:
+                if moduli:  # a generic-line entry came before
                     raise ParameterError(
-                        f"summands: twist {s.twist} after {twists[-1]}, twists must be strictly ascending"
+                        f"summands: a {s.kind} summand after the generic lines, generic lines must be one last entry"
                     )
-                autos += s.mult * s.mult
-                twists.append(s.twist)
-        if kind == "first_special":
-            rank = blocks * block_rank  # type: ignore[operator]
-            moduli = autos = blocks  # type: ignore[assignment]
+                rank += s.mult
+                if s.twist is None:
+                    moduli += s.mult
+                    autos += s.mult
+                else:
+                    if twists and s.twist <= twists[-1]:
+                        raise ParameterError(
+                            f"summands: twist {s.twist} after {twists[-1]}, twists must be strictly ascending"
+                        )
+                    autos += s.mult * s.mult
+                    twists.append(s.twist)
+            lo, hi = (twists[0], twists[-1]) if twists else (None, None)
+        elif kind == "first_special":
+            if summands:
+                raise ParameterError(f"summands: a first_special bundle has no summands, got {len(summands)}")
+            if min(blocks or 0, block_rank or 0) < 1:
+                raise ParameterError("blocks: a first_special bundle needs blocks and block_rank of at least 1")
+            if block_degree is None:
+                raise ParameterError("block_degree: a first_special bundle needs a block_degree")
+            rank, moduli, autos, lo, hi = blocks * block_rank, blocks, blocks, None, None  # type: ignore[operator]
+        else:
+            raise ParameterError(f"kind: unknown bundle kind {kind!r}")
         self.__dict__.update(kind=kind, degree=degree, blocks=blocks, block_rank=block_rank, block_degree=block_degree,
-                             summands=summands, rank=rank, min_twist=twists[0] if twists else None,
-                             max_twist=twists[-1] if twists else None, moduli=moduli, autos=autos)
+                             summands=summands, rank=rank, min_twist=lo, max_twist=hi, moduli=moduli, autos=autos)
 
     def twist_multiplicity(self, a: int) -> int:
         """Copies of O(a*P + (d1-a)*Q) among the summands (mixed only), 0 outside the twist range."""

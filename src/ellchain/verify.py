@@ -173,9 +173,8 @@ def node_verdicts(tables: Sequence[VanishingTable], b: int) -> tuple[NodeVerdict
     """Verdicts of the nodes between consecutive tables, numbered from 1. A
     node is satisfiable iff its Q side and the next P side total the same
     (else no bijection exists) and the greedy pairing's minimum sum is at
-    least b. With unequal totals the pairing stops at the shorter side. The
-    walk collects only the stretches above b, where a node is not exact."""
-    above = b + 1
+    least b. With unequal totals the pairing stops at the shorter side."""
+    above = b + 1  # only a cost bound: the walk's stretches are discarded, and an exact node has none
     verdicts = []
     for node, (q_table, p_table) in enumerate(zip(tables, tables[1:]), 1):
         at_p, at_q = p_table.at_p, q_table.at_q
@@ -320,15 +319,17 @@ class VerificationReport:
 
 
 def check_boundary(s: LimitSeriesSkeleton) -> CheckEntry:
-    dec = s.params.decomposition
-    expected = minimal_boundary_table(s.params.r, dec.k1, dec.k2)
-    first_p = s.tables[0].at_p
-    last_q = s.tables[-1].at_q
-    status = "pass" if first_p == expected and last_q == expected else "fail"
-    return CheckEntry(status, partial(_boundary_witness, expected, first_p, last_q))
+    """Both boundary sides must equal the minimal table. A side of another run
+    count fails before the table is built; the witness builds it when read."""
+    r, k1, k2 = s.params.r, s.params.decomposition.k1, s.params.decomposition.k2
+    first_p, last_q = s.tables[0].at_p, s.tables[-1].at_q
+    runs = k1 + (1 if k2 else 0)
+    ok = len(first_p) == len(last_q) == runs and first_p == last_q == minimal_boundary_table(r, k1, k2)
+    return CheckEntry("pass" if ok else "fail", partial(_boundary_witness, r, k1, k2, first_p, last_q))
 
 
-def _boundary_witness(expected: Runs, first_p: Runs, last_q: Runs) -> dict[str, Any]:
+def _boundary_witness(r: int, k1: int, k2: int, first_p: Runs, last_q: Runs) -> dict[str, Any]:
+    expected = minimal_boundary_table(r, k1, k2)
     witness: dict[str, Any] = {"expected": list(expected), "first_p": list(first_p), "last_q": list(last_q)}
     if first_p == expected and last_q == expected:
         return witness

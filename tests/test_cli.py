@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from ellchain.cli import (
 )
 from ellchain.errors import ParameterError
 from ellchain.oracle import CrossCheck, CrossValidation
+from ellchain.skeleton import LimitSeriesSkeleton
 
 DELETE = object()  # a field value meaning "remove the key"
 
@@ -723,3 +725,27 @@ def test_built_and_reloaded_skeletons_share_one_verdict():
         assert (reloaded.status, reloaded.rho) == (built.status, built.rho), p
         assert reloaded.report.to_canonical_json() == built.report.to_canonical_json(), p
         assert reloaded.audit.to_json_dict() == built.audit.to_json_dict(), p
+
+
+def test_boundary_check_is_bounded_by_the_document_not_its_k(tmp_path, capsys):
+    # The (2,1,3,2) skeleton with params (2, 1, K + 1, K) loads: its
+    # minimal boundary table would have K runs, but its sides have 2, so
+    # text-mode verify-file decides every status without building it.
+    k = 10**6
+    s = construct(Params(2, 1, 3, 2))
+    path = tmp_path / "gap_b.json"
+    doc = skeleton_to_json_dict(LimitSeriesSkeleton(Params(2, 1, k + 1, k), s.b, s.bundles, s.tables))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        assert main(["verify-file", str(path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("verify ")] == [
+        "verify degree_balance: fail", "verify node_pairing: pass", "verify component_feasibility: fail",
+        "verify boundary_minimality: fail", "verify multiplicity_bounds: fail", "verify genericity: assumed",
+    ]
+    assert lines[-1] == "overall: fail"
+    assert peak < 8 * 2**20

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from conftest import constructible_tuples
@@ -232,3 +234,19 @@ def test_construction_invariants_over_small_sweep():
                 if summand.twist is not None:
                     assert 0 <= summand.twist <= dec.d1
     assert seen == set(Case)
+
+
+@pytest.mark.parametrize("tup, calls", [((7, 3, 16, 5), 1), ((6, 2, 9, 3), 1), ((6, 2, 10, 4), 1), ((7, 3, 30, 5), 0)],
+                         ids=["small_a", "small_b", "small_c", "large_sections"])
+def test_construct_reads_the_layout_once(monkeypatch, tup, calls):
+    # A small recipe is handed the parts construct read; large_sections has none.
+    module = sys.modules["ellchain.construct"]
+    seen = []
+
+    def counting(p):
+        seen.append(p)
+        return layout(p)
+
+    monkeypatch.setattr(module, "layout", counting)
+    construct(Params(*tup))
+    assert len(seen) == calls
