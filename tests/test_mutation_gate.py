@@ -18,7 +18,10 @@ both sit on the two sides of one node (`tables[n-1].at_q` and
 Each mutated document must fail to load or get a status other than pass
 from `analyze_skeleton`, the verdict `verify-file` reports. The only
 survivors are the mutations an allowlist names, each with its reason, and
-every one of them must survive.
+every one of them must survive. Each family also pins how its mutants fail:
+a tally of outcomes, each a load failure or the failing checks and audit.
+Every check but multiplicity_bounds, and the audit, is the only failure of
+some mutant.
 
 Spellings: each summand list of two or more entries is reversed, and each
 summand of multiplicity m >= 2 is split into two of 1 and m - 1. These
@@ -35,8 +38,10 @@ schema check the schema, and the write-back comparison a derived integer.
 from __future__ import annotations
 
 import copy
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations, product
+
+import pytest
 
 from ellchain import Case, Params, construct, skeleton_from_json_dict, skeleton_to_json_dict
 from ellchain.cli import analyze_skeleton
@@ -82,6 +87,95 @@ ALLOWED_COUPLED = {
 }
 
 
+# What each family's mutants do: ("load",) for a document that fails to load,
+# else the checks it fails in report order, then "audit" when the audit fails;
+# () is a survivor. A move that starts or stops failing a check changes its
+# family's tally.
+SINGLE_LEAF_OUTCOMES = Counter({  # 1,115 mutants
+    ("load",): 666,
+    ("node_pairing", "component_feasibility", "multiplicity_bounds"): 166,
+    ("component_feasibility",): 119,
+    ("node_pairing",): 51,
+    ("degree_balance", "component_feasibility"): 50,
+    ("component_feasibility", "boundary_minimality", "multiplicity_bounds"): 30,
+    ("boundary_minimality", "multiplicity_bounds"): 8,
+    ("component_feasibility", "boundary_minimality"): 7,
+    ("node_pairing", "multiplicity_bounds"): 4,
+    ("component_feasibility", "audit"): 3,
+    ("component_feasibility", "multiplicity_bounds"): 2,
+    ("degree_balance",): 2,
+    ("degree_balance", "component_feasibility", "audit"): 2,
+    ("degree_balance", "node_pairing"): 2,
+    (): 1,
+    ("boundary_minimality",): 1,
+    ("node_pairing", "audit"): 1,
+})
+
+PAIRED_OUTCOMES = Counter({  # 6,582 mutants
+    ("load",): 3193,
+    ("node_pairing", "component_feasibility", "multiplicity_bounds"): 1898,
+    ("node_pairing", "component_feasibility", "boundary_minimality", "multiplicity_bounds"): 593,
+    ("node_pairing", "component_feasibility"): 295,
+    ("component_feasibility",): 241,
+    ("component_feasibility", "boundary_minimality", "multiplicity_bounds"): 187,
+    ("node_pairing", "component_feasibility", "boundary_minimality"): 45,
+    ("node_pairing",): 26,
+    ("component_feasibility", "audit"): 21,
+    ("component_feasibility", "multiplicity_bounds"): 20,
+    ("node_pairing", "multiplicity_bounds"): 20,
+    ("node_pairing", "component_feasibility", "multiplicity_bounds", "audit"): 12,
+    ("boundary_minimality", "multiplicity_bounds"): 8,
+    ("node_pairing", "boundary_minimality"): 6,
+    ("component_feasibility", "boundary_minimality"): 5,
+    ("node_pairing", "component_feasibility", "audit"): 5,
+    ("node_pairing", "component_feasibility", "boundary_minimality", "multiplicity_bounds", "audit"): 2,
+    (): 1,
+    ("audit",): 1,
+    ("boundary_minimality",): 1,
+    ("node_pairing", "audit"): 1,
+    ("node_pairing", "component_feasibility", "boundary_minimality", "audit"): 1,
+})
+
+COUPLED_OUTCOMES = Counter({  # 10,196 mutants
+    ("load",): 5797,
+    ("node_pairing", "component_feasibility", "multiplicity_bounds"): 2069,
+    ("degree_balance", "node_pairing", "component_feasibility", "multiplicity_bounds"): 332,
+    ("component_feasibility",): 331,
+    ("component_feasibility", "boundary_minimality", "multiplicity_bounds"): 230,
+    ("degree_balance", "component_feasibility"): 227,
+    ("node_pairing",): 181,
+    ("node_pairing", "component_feasibility"): 166,
+    ("component_feasibility", "multiplicity_bounds"): 155,
+    ("node_pairing", "component_feasibility", "boundary_minimality", "multiplicity_bounds"): 151,
+    ("node_pairing", "multiplicity_bounds"): 129,
+    ("degree_balance", "node_pairing", "component_feasibility"): 102,
+    ("degree_balance", "component_feasibility", "boundary_minimality", "multiplicity_bounds"): 66,
+    ("node_pairing", "boundary_minimality", "multiplicity_bounds"): 50,
+    ("component_feasibility", "boundary_minimality"): 42,
+    ("node_pairing", "component_feasibility", "multiplicity_bounds", "audit"): 34,
+    ("boundary_minimality", "multiplicity_bounds"): 21,
+    ("component_feasibility", "audit"): 18,
+    ("degree_balance", "component_feasibility", "audit"): 18,
+    ("degree_balance", "component_feasibility", "boundary_minimality"): 14,
+    ("node_pairing", "component_feasibility", "audit"): 12,
+    ("degree_balance", "component_feasibility", "boundary_minimality", "multiplicity_bounds", "audit"): 10,
+    ("degree_balance", "node_pairing", "component_feasibility", "multiplicity_bounds", "audit"): 8,
+    ("node_pairing", "boundary_minimality"): 6,
+    ("degree_balance", "component_feasibility", "multiplicity_bounds"): 4,
+    ("node_pairing", "component_feasibility", "boundary_minimality", "multiplicity_bounds", "audit"): 4,
+    ("boundary_minimality",): 3,
+    ("node_pairing", "audit"): 3,
+    (): 2,
+    ("audit",): 2,
+    ("degree_balance", "component_feasibility", "boundary_minimality", "audit"): 2,
+    ("degree_balance", "node_pairing", "component_feasibility", "audit"): 2,
+    ("node_pairing", "component_feasibility", "boundary_minimality"): 2,
+    ("degree_balance",): 1,
+    ("node_pairing", "boundary_minimality", "audit"): 1,
+    ("node_pairing", "boundary_minimality", "multiplicity_bounds", "audit"): 1,
+})
+
+
 def _alternatives(path: tuple, value) -> list:
     """The values a leaf is mutated to."""
     if type(value) is int:
@@ -124,13 +218,17 @@ def _mutated(doc, *edits):
     return out
 
 
-def _passes(doc) -> bool:
-    """Whether `verify-file` would exit 0 on the document."""
+def _outcome(doc) -> tuple[str, ...]:
+    """Why `verify-file` would exit 1 on the document: ("load",) when it
+    fails to load, else the failing checks in report order, then "audit"
+    when the audit fails. () means it passes."""
     try:
         skeleton = skeleton_from_json_dict(doc)
     except ParameterError:
-        return False
-    return analyze_skeleton(skeleton).status == "pass"
+        return ("load",)
+    analysis = analyze_skeleton(skeleton)
+    failed = tuple(name for name, entry in analysis.report.checks.items() if entry.status == "fail")
+    return failed + (() if analysis.audit.ok else ("audit",))
 
 
 def _matches(pattern, mutation) -> bool:
@@ -144,21 +242,25 @@ def _matches(pattern, mutation) -> bool:
 def _dumps():
     for dump in DUMPS:
         doc = skeleton_to_json_dict(construct(Params(*dump)))
-        assert _passes(doc), dump
+        assert _outcome(doc) == (), dump
         yield dump, doc
 
 
-def _assert_gate(cases, allowlist, count):
+def _assert_gate(cases, allowlist, outcomes):
     """Every (mutation, document) of `cases` fails unless an allowlist
-    pattern matches the mutation, and each matched mutation survives."""
+    pattern matches the mutation, each matched mutation survives, and the
+    mutants' outcomes tally to `outcomes`."""
     mutations = []
     survivors = set()
+    tally = Counter()
     for mutation, doc in cases:
         mutations.append(mutation)
-        if _passes(doc):
+        outcome = _outcome(doc)
+        tally[outcome] += 1
+        if not outcome:
             survivors.add(mutation)
     allowed = {m for m in mutations if any(_matches(p, m) for p in allowlist)}
-    assert len(mutations) == count
+    assert tally == outcomes
     assert not survivors - allowed, f"unlisted survivors: {sorted(survivors - allowed, key=repr)}"
     assert not allowed - survivors, f"listed mutations that fail: {sorted(allowed - survivors, key=repr)}"
     for pattern in allowlist:
@@ -201,15 +303,30 @@ def _node_coupled_moves():
 
 
 def test_every_single_leaf_mutation_fails_unless_allowed():
-    _assert_gate(_single_leaf_mutations(), ALLOWED, 1115)
+    _assert_gate(_single_leaf_mutations(), ALLOWED, SINGLE_LEAF_OUTCOMES)
 
 
 def test_every_paired_move_fails_unless_allowed():
-    _assert_gate(_paired_moves(), ALLOWED_PAIRS, 6582)
+    _assert_gate(_paired_moves(), ALLOWED_PAIRS, PAIRED_OUTCOMES)
 
 
 def test_every_node_coupled_move_fails_unless_allowed():
-    _assert_gate(_node_coupled_moves(), ALLOWED_COUPLED, 10196)
+    _assert_gate(_node_coupled_moves(), ALLOWED_COUPLED, COUPLED_OUTCOMES)
+
+
+@pytest.mark.parametrize("check, alone", [
+    ("degree_balance", True),
+    ("node_pairing", True),
+    ("component_feasibility", True),
+    ("boundary_minimality", True),
+    # Never alone: every gate mutant that fails it fails another check too,
+    # so these gates would not notice a multiplicity_bounds that never fails.
+    ("multiplicity_bounds", False),
+    ("audit", True),
+])
+def test_a_check_is_the_only_failure_of_some_gate_mutant(check, alone):
+    pinned = (SINGLE_LEAF_OUTCOMES, PAIRED_OUTCOMES, COUPLED_OUTCOMES)
+    assert any((check,) in outcomes for outcomes in pinned) is alone
 
 
 def _respelled_summand_lists():
