@@ -19,7 +19,6 @@ from .oracle import (
 from .params import (
     Case,
     Classification,
-    Decomposition,
     HypothesisCheck,
     Params,
     classify,

@@ -252,7 +252,8 @@ def _oracle_line(cross: CrossValidation) -> str:
 
 def _audit_line(audit: AuditResult) -> str:
     """The audit verdict `check` and `verify-file` print."""
-    return f"audit: total {audit.total} == rho {audit.rho}: {'ok' if audit.ok else 'MISMATCH'}"
+    relation, verdict = ("==", "ok") if audit.ok else ("!=", "MISMATCH")
+    return f"audit: total {audit.total} {relation} rho {audit.rho}: {verdict}"
 
 
 def _render_check_text(analysis: Analysis) -> str:

@@ -95,8 +95,7 @@ Parts = Mapping[str, Sequence[int]]
 
 
 def _first_special(p: Params) -> ComponentBundle:
-    dec = p.decomposition
-    return ComponentBundle("first_special", p.d, dec.h, dec.rbar, dec.dbar)
+    return ComponentBundle("first_special", p.d, p.h, p.rbar, p.dbar)
 
 
 def _staircase_q(hi: int, *, k1: int, r: int, head: int) -> Runs:
@@ -121,14 +120,12 @@ def _block_q(base: int, beta: int, width: int, head: int, lines: tuple[Summand, 
 
 
 def _build_large(p: Params, parts: Parts) -> Chain:
-    dec = p.decomposition
-    return [(_first_special(p), _staircase_q(p.g - 1 + dec.k1, k1=dec.k1, r=p.r, head=dec.k2))]
+    return [(_first_special(p), _staircase_q(p.g - 1 + p.k1, k1=p.k1, r=p.r, head=p.k2))]
 
 
 def _build_shifted(p: Params, parts: Parts) -> Chain:
     """The SMALL_A (s = 0) / SMALL_B (s = 1) recipe."""
-    dec = p.decomposition
-    r, d1, d2, k1, k2 = p.r, dec.d1, dec.d2, dec.k1, dec.k2
+    r, d1, d2, k1, k2 = p.r, p.d1, p.d2, p.k1, p.k2
     s = 0 if p.case is Case.SMALL_A else 1
     e = k2 - d2 + s * r
     degree, early_lines, head_lines = r * d1, _lines(r - e), _lines(r - k2)
@@ -161,7 +158,7 @@ def _build_shifted(p: Params, parts: Parts) -> Chain:
 
 
 def _build_small_c(p: Params, parts: Parts) -> Chain:
-    r, d1, k1 = p.r, p.decomposition.d1, p.decomposition.k1
+    r, d1, k1 = p.r, p.d1, p.k1
     chain: Chain = [(_mixed(r * d1, _lines(r)), _staircase_q(d1, k1=k1, r=r, head=0))]
     for alpha in range(tail_threshold(p)):
         for beta in range(1, k1 + 1):
@@ -186,18 +183,17 @@ def construct(p: Params) -> LimitSeriesSkeleton:
     skeleton's own checks; neither can happen on a tuple that classifies.
     """
     classify(p)
-    dec = p.decomposition
     parts = {"tail": range(2, p.g + 1)} if p.case is Case.LARGE_SECTIONS else layout(p)
     chain = _BUILDERS[p.case](p, parts)
     # The generic-line tail. Its components come from the layout, not from
     # padding the chain to g, so a recipe that drops one still fails the count.
-    line = _mixed(p.r * dec.d1, _lines(p.r))
-    chain += [(line, _staircase_q(p.g - i + dec.k1, k1=dec.k1, r=p.r, head=dec.k2)) for i in parts["tail"]]
+    line = _mixed(p.r * p.d1, _lines(p.r))
+    chain += [(line, _staircase_q(p.g - i + p.k1, k1=p.k1, r=p.r, head=p.k2)) for i in parts["tail"]]
 
     # Exact gluing: each later P side is d1 minus the previous Q side.
-    at_p, d1 = minimal_boundary_table(p.r, dec.k1, dec.k2), dec.d1
+    at_p, d1 = minimal_boundary_table(p.r, p.k1, p.k2), p.d1
     tables = []
     for _, at_q in chain:
         tables.append(VanishingTable(at_p, at_q))
         at_p = tuple([(d1 - o, m) for o, m in reversed(at_q)])
-    return LimitSeriesSkeleton(p, dec.d1, tuple([bundle for bundle, _ in chain]), tuple(tables))
+    return LimitSeriesSkeleton(p, d1, tuple([bundle for bundle, _ in chain]), tuple(tables))

@@ -185,7 +185,7 @@ def cross_validate(s: LimitSeriesSkeleton) -> CrossValidation:
     docstring says."""
     checks: list[CrossCheck] = []
     skipped: list[str] = []
-    d1, d2, r, b = s.params.decomposition.d1, s.params.decomposition.d2, s.params.r, s.b
+    d1, d2, r, b = s.params.d1, s.params.d2, s.params.r, s.b
     verdicts: dict[tuple, tuple[bool, bool]] = {}  # translation class -> (greedy, flow)
     # Each table's (P side, Q side), each shifted to start at order 0 and paired with its first order.
     shifted = [[(tuple([(o - side[0][0], m) for o, m in side]), side[0][0]) for side in (t.at_p, t.at_q)] for t in s.tables]

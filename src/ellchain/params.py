@@ -15,12 +15,12 @@ tail of at least 0 components, (**) (least 2) for at least 1. `layout`
 names those parts: the recipes fill them, the ledger groups its rows by
 them, and the skeleton derives its gluing labels from them.
 
-A Params carries its Euclidean decomposition, its case and its case's
-hypothesis checks (none when k <= r), computed once when it is built;
+A Params carries its Euclidean data, its case and its case's hypothesis
+checks (none when k <= r) as derived fields, computed once when it is built;
 `classify` and every later layer read those stored values, and no call
-takes a case beside its params. Params and Decomposition are built as the
-`skeleton` module docstring says of every record, and are frozen, since a
-stored value is right only while the fields it comes from cannot change.
+takes a case beside its params. Params is built as the `skeleton` module
+docstring says of every record, and is frozen, since a stored value is
+right only while the fields it comes from cannot change.
 A frozen Params holds its checks, so a HypothesisCheck is an immutable
 named tuple, which formats its text only when it is read. Classification
 is a result record, built once per call and handed to the caller.
@@ -34,22 +34,6 @@ from math import gcd
 from typing import NamedTuple, Sequence
 
 from .errors import HypothesisFailed, KLERegime, ParameterError
-
-
-@dataclass(frozen=True, init=False)
-class Decomposition:
-    """Euclidean data: d = r*d1 + d2, k = r*k1 + k2, h = gcd(d, r) = d/dbar = r/rbar."""
-
-    d1: int
-    d2: int
-    k1: int
-    k2: int
-    h: int
-    rbar: int
-    dbar: int
-
-    def __init__(self, d1: int, d2: int, k1: int, k2: int, h: int, rbar: int, dbar: int) -> None:
-        self.__dict__.update(d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=rbar, dbar=dbar)
 
 
 class Case(str, Enum):
@@ -70,13 +54,20 @@ class Case(str, Enum):
 
 @dataclass(frozen=True, init=False)
 class Params:
-    """Input tuple: genus g >= 2, rank r >= 1, degree d >= 0, sections k >= 1."""
+    """Input tuple: genus g >= 2, rank r >= 1, degree d >= 0, sections k >= 1,
+    with its Euclidean data d = r*d1 + d2, k = r*k1 + k2, h = gcd(d, r) = d/dbar = r/rbar."""
 
     g: int
     r: int
     d: int
     k: int
-    decomposition: Decomposition = field(init=False, repr=False, compare=False)
+    d1: int = field(init=False, repr=False, compare=False)
+    d2: int = field(init=False, repr=False, compare=False)
+    k1: int = field(init=False, repr=False, compare=False)
+    k2: int = field(init=False, repr=False, compare=False)
+    h: int = field(init=False, repr=False, compare=False)
+    rbar: int = field(init=False, repr=False, compare=False)
+    dbar: int = field(init=False, repr=False, compare=False)
     case: Case = field(init=False, repr=False, compare=False)
     hypotheses: tuple[HypothesisCheck, ...] = field(init=False, repr=False, compare=False)
 
@@ -98,8 +89,7 @@ class Params:
         h = gcd(d, r)
         case = (Case.LARGE_SECTIONS if d + r * (1 - g) >= k
                 else Case.SMALL_A if d2 < k2 else Case.SMALL_B if d2 else Case.SMALL_C)
-        self.__dict__.update(g=g, r=r, d=d, k=k, decomposition=Decomposition(d1, d2, k1, k2, h, r // h, d // h),
-                             case=case)
+        self.__dict__.update(g=g, r=r, d=d, k=k, d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=r // h, dbar=d // h, case=case)
         self.__dict__["hypotheses"] = _hypotheses(self) if k > r else ()
 
     def to_json_dict(self) -> dict[str, int]:
@@ -125,7 +115,7 @@ def tail_threshold(p: Params) -> int:
     """
     if p.case is Case.LARGE_SECTIONS:
         raise ValueError("the tail threshold applies to small cases only")
-    return p.g + p.decomposition.k1 - p.decomposition.d1 - (0 if p.case is Case.SMALL_A else 1)
+    return p.g + p.k1 - p.d1 - (0 if p.case is Case.SMALL_A else 1)
 
 
 def layout(p: Params) -> dict[str, Sequence[int]]:
@@ -133,7 +123,7 @@ def layout(p: Params) -> dict[str, Sequence[int]]:
     run of component indices; together they cover 1..g once. An
     alpha-block's first component is in `block_first`, the rest of it in
     `block_rest`. Raises ValueError for LARGE_SECTIONS, which has none."""
-    g, k1 = p.g, p.decomposition.k1
+    g, k1 = p.g, p.k1
     t = tail_threshold(p)
     if p.case is Case.SMALL_C:
         return {
@@ -209,7 +199,7 @@ def _hypotheses(p: Params) -> tuple[HypothesisCheck, ...]:
     g, r, d, case = p.g, p.r, p.d, p.case
     if case is Case.LARGE_SECTIONS:
         return (HypothesisCheck("section_surplus", "d + r*(1-g) = {} + {}*(1-{})", (d, r, g), d + r * (1 - g), p.k),)
-    d1, k1 = p.decomposition.d1, p.decomposition.k1
+    d1, k1 = p.d1, p.k1
     name, template, least = _MAIN_HYPOTHESES[case]
     w = k1 if case is Case.SMALL_C else k1 + 1
     t = tail_threshold(p)

@@ -14,10 +14,11 @@ multiplicities at each point sum to k is a rule `verify` checks.
 
 Records carry their summaries, computed once when built: a table its side
 totals and largest multiplicity, a bundle its rank and twist range, the
-skeleton each node's gluing dimension. They are derived fields, left out of
-equality, hashing and repr, so `dataclasses.replace` recomputes them and every
-rule reads them instead of re-summing. Each record (and `Params` and its
-`Decomposition`) is a frozen dataclass with a hand-written `__init__`
+skeleton each node's gluing dimension, and `Params` its Euclidean data (d1,
+d2, k1, k2, h, rbar, dbar), case and hypothesis checks. They are derived
+fields, left out of equality, hashing and repr, so `dataclasses.replace`
+recomputes them and every rule reads them instead of re-summing. Each record
+(and `Params`) is a frozen dataclass with a hand-written `__init__`
 (init=False, the generated signature) that validates, derives, and stores
 all fields, derived ones included, with one instance-dict update rather
 than one `object.__setattr__` (about 250 ns) per field. The generated
@@ -309,13 +310,13 @@ class LimitSeriesSkeleton:
     def notes(self) -> tuple[str, ...]:
         """The reading notes: SMALL_B's on node 2, and LARGE_SECTIONS' on its
         boundary table when d2 != k2."""
-        dec = self.params.decomposition
+        p = self.params
         if self.case is Case.SMALL_B:
             return ("node 2 links the line block into the glued section space of dimension d2-k2 on component 2",)
-        if self.case is Case.LARGE_SECTIONS and dec.d2 != dec.k2:
+        if self.case is Case.LARGE_SECTIONS and p.d2 != p.k2:
             return (
                 "boundary table reading: the last vanishing at the final point carries the section-count "
-                f"remainder k2={dec.k2}; the degree remainder d2={dec.d2} would break boundary minimality",
+                f"remainder k2={p.k2}; the degree remainder d2={p.d2} would break boundary minimality",
             )
         return ()
 
@@ -366,18 +367,15 @@ def _bundle_to_json(i: int, b: ComponentBundle) -> dict[str, Any]:
 
 
 def skeleton_to_json_dict(s: LimitSeriesSkeleton) -> dict[str, Any]:
-    g = s.params.g
-    dec = s.params.decomposition
+    p = s.params
     return {
         "schema": SCHEMA_VERSION,
-        "params": s.params.to_json_dict(),
-        "decomposition": {
-            "d1": dec.d1, "d2": dec.d2, "k1": dec.k1, "k2": dec.k2, "h": dec.h, "rbar": dec.rbar, "dbar": dec.dbar,
-        },
+        "params": p.to_json_dict(),
+        "decomposition": {"d1": p.d1, "d2": p.d2, "k1": p.k1, "k2": p.k2, "h": p.h, "rbar": p.rbar, "dbar": p.dbar},
         "case": s.case.value,
         "b": s.b,
-        "components": g,
-        "nodes": [[f"Q{n}", f"P{n + 1}"] for n in range(1, g)],
+        "components": p.g,
+        "nodes": [[f"Q{n}", f"P{n + 1}"] for n in range(1, p.g)],
         "bundles": [_bundle_to_json(i, b) for i, b in enumerate(s.bundles, 1)],
         "tables": [
             {"component": i, "at_p": [list(x) for x in t.at_p], "at_q": [list(x) for x in t.at_q]}

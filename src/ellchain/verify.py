@@ -32,8 +32,8 @@ Checks performed:
   which its passing witness names as `max_multiplicity`.
 
 The rules read the summaries a table, a bundle and the params carry (side
-totals, largest multiplicity, rank, lowest and highest twist, the
-decomposition), computed once when each was built, and never re-sum them.
+totals, largest multiplicity, rank, lowest and highest twist, d1, d2, k1
+and k2), computed once when each was built, and never re-sum them.
 A table's runs are looped over only where a summary shows a bound may be
 broken, to name the offenders; since a side's orders ascend, its first and
 last runs bound its orders.
@@ -321,7 +321,7 @@ class VerificationReport:
 def check_boundary(s: LimitSeriesSkeleton) -> CheckEntry:
     """Both boundary sides must equal the minimal table. A side of another run
     count fails before the table is built; the witness builds it when read."""
-    r, k1, k2 = s.params.r, s.params.decomposition.k1, s.params.decomposition.k2
+    r, k1, k2 = s.params.r, s.params.k1, s.params.k2
     first_p, last_q = s.tables[0].at_p, s.tables[-1].at_q
     runs = k1 + (1 if k2 else 0)
     ok = len(first_p) == len(last_q) == runs and first_p == last_q == minimal_boundary_table(r, k1, k2)
@@ -345,7 +345,7 @@ def _boundary_witness(r: int, k1: int, k2: int, first_p: Runs, last_q: Runs) -> 
 
 
 def check_multiplicity_bounds(s: LimitSeriesSkeleton) -> CheckEntry:
-    r, k, d1 = s.params.r, s.params.k, s.params.decomposition.d1
+    r, k, d1 = s.params.r, s.params.k, s.params.d1
     offenders = []
     for i, t in enumerate(s.tables, 1):
         at_p, at_q = t.at_p, t.at_q
@@ -380,7 +380,7 @@ def _component_witness(comps: list[ComponentVerdict]) -> dict[str, Any]:
 
 def verify(s: LimitSeriesSkeleton) -> VerificationReport:
     """Run every check and aggregate the verdicts into one report."""
-    d1, d2, r = s.params.decomposition.d1, s.params.decomposition.d2, s.params.r
+    d1, d2, r = s.params.d1, s.params.d2, s.params.r
     residual = degree_balance(s)
     nodes = node_verdicts(s.tables, s.b)
     comps = [

@@ -339,7 +339,7 @@ class TestVerifyFileAuditAndLoad:
         bundles[3] = ComponentBundle("mixed", 15, summands=(Summand(3, 2),))
         doc = skeleton_to_json_dict(dataclasses.replace(s, bundles=tuple(bundles)))
         path.write_text(json.dumps(doc), encoding="utf-8")
-        line = "audit: total 17 == rho 20: MISMATCH"
+        line = "audit: total 17 != rho 20: MISMATCH"
         assert main(["verify-file", str(path)]) == 1
         out = capsys.readouterr().out.splitlines()
         assert line in out and "overall: fail" in out

@@ -219,20 +219,19 @@ def test_construction_invariants_over_small_sweep():
     for p, classification in constructible_tuples(cfg):
         s = construct(p)
         seen.add(classification.case)
-        dec = p.decomposition
-        assert s.b == dec.d1
+        assert s.b == p.d1
         assert degree_balance(s) == 0
         assert [b["component"] for b in skeleton_to_json_dict(s)["bundles"]] == list(range(1, p.g + 1))
         assert all(b.rank == p.r for b in s.bundles)
         for t in s.tables:
             assert t.total_p == p.k and t.total_q == p.k
-        assert s.tables[0].at_p == minimal_boundary_table(p.r, dec.k1, dec.k2)
-        assert s.tables[-1].at_q == minimal_boundary_table(p.r, dec.k1, dec.k2)
+        assert s.tables[0].at_p == minimal_boundary_table(p.r, p.k1, p.k2)
+        assert s.tables[-1].at_q == minimal_boundary_table(p.r, p.k1, p.k2)
         for b in s.bundles:
             for summand in b.summands:
                 assert summand.mult > 0
                 if summand.twist is not None:
-                    assert 0 <= summand.twist <= dec.d1
+                    assert 0 <= summand.twist <= p.d1
     assert seen == set(Case)
 
 

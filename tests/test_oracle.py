@@ -230,7 +230,7 @@ def _fuzzed_corruptions():
     moved to another order in [0, d1], as (table index, side, skeleton)."""
     rng = random.Random(170381)
     base = construct(Params(7, 3, 16, 5))
-    d1 = base.params.decomposition.d1
+    d1 = base.params.d1
     for _ in range(300):
         tables = list(base.tables)
         idx = rng.randrange(len(tables))
@@ -287,7 +287,7 @@ def _cross_validate_per_instance(s):
     """cross_validate as one flow per instance, with no memo: the reference
     the per-class memo must reproduce exactly."""
     checks, skipped = [], []
-    d1, d2, r = s.params.decomposition.d1, s.params.decomposition.d2, s.params.r
+    d1, d2, r = s.params.d1, s.params.d2, s.params.r
     for verdict, q_table, p_table in zip(node_verdicts(s.tables, s.b), s.tables, s.tables[1:]):
         try:
             oracle = min_sum_pairing_exists(q_table.at_q, p_table.at_p, s.b)
@@ -341,7 +341,7 @@ class TestCrossValidation:
         searched = 0
         for p, _ in constructible_tuples(SweepConfig(g=(2, 7), r=(1, 3))):
             s = construct(p)
-            d1, d2 = p.decomposition.d1, p.decomposition.d2
+            d1, d2 = p.d1, p.d2
             for bundle, table in zip(s.bundles, s.tables):
                 if bundle.kind == "first_special":
                     full = {a: d2 for a in range(d1 + 1)}

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ellchain import (
     Case,
-    Decomposition,
     Params,
     classify,
     rho_value,
@@ -29,19 +28,18 @@ from ellchain.errors import HypothesisFailed, KLERegime, ParameterError
     ],
 )
 def test_decompose_examples(g, r, d, k, expected):
-    dec = Params(g, r, d, k).decomposition
+    p = Params(g, r, d, k)
     for field, value in expected.items():
-        assert getattr(dec, field) == value
+        assert getattr(p, field) == value
 
 
 @given(g=st.integers(2, 30), r=st.integers(1, 12), d=st.integers(0, 400), k=st.integers(1, 60))
 def test_decompose_euclidean_identities(g, r, d, k):
     p = Params(g, r, d, k)
-    dec = p.decomposition
-    assert d == r * dec.d1 + dec.d2 and 0 <= dec.d2 < r
-    assert k == r * dec.k1 + dec.k2 and 0 <= dec.k2 < r
-    assert dec.h * dec.rbar == r and dec.h * dec.dbar == d
-    assert dec.d2 % dec.h == 0
+    assert d == r * p.d1 + p.d2 and 0 <= p.d2 < r
+    assert k == r * p.k1 + p.k2 and 0 <= p.k2 < r
+    assert p.h * p.rbar == r and p.h * p.dbar == d
+    assert p.d2 % p.h == 0
 
 
 def test_rho_examples():
@@ -153,8 +151,7 @@ def test_generic_bundle_deficit_never_fails_on_its_own(g, r, d, k):
     # check (t >= 1 in SMALL_A, t+1 >= 2 in SMALL_B).
     assume(k > r and d + r * (1 - g) < k)
     p = Params(g, r, d, k)
-    dec = p.decomposition
-    case = Case.SMALL_A if dec.d2 < dec.k2 else Case.SMALL_B if dec.d2 else Case.SMALL_C
+    case = Case.SMALL_A if p.d2 < p.k2 else Case.SMALL_B if p.d2 else Case.SMALL_C
     assert p.case is case
     assert tail_threshold(p) >= 1
     try:
@@ -194,8 +191,8 @@ def test_params_carry_their_decomposition(g, r, d, k, new_d):
         d1, d2 = divmod(p.d, p.r)
         k1, k2 = divmod(p.k, p.r)
         h = math.gcd(p.d, p.r)
-        expected = Decomposition(d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=p.r // h, dbar=p.d // h)
-        assert p.decomposition == expected
+        expected = dict(d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=p.r // h, dbar=p.d // h)
+        assert {name: getattr(p, name) for name in expected} == expected
 
 
 @given(g=st.integers(2, 14), r=st.integers(1, 6), d=st.integers(0, 250), k=st.integers(1, 40))
@@ -205,16 +202,15 @@ def test_classify_total_and_unique_on_k_gt_r(g, r, d, k):
         with pytest.raises(KLERegime):
             classify(p)
         return
-    dec = p.decomposition
     try:
         c = classify(p)
     except HypothesisFailed:
         return
     if d + r * (1 - g) >= k:
         assert c.case is Case.LARGE_SECTIONS
-    elif dec.d2 < dec.k2:
+    elif p.d2 < p.k2:
         assert c.case is Case.SMALL_A
-    elif dec.d2 != 0:
+    elif p.d2 != 0:
         assert c.case is Case.SMALL_B
     else:
         assert c.case is Case.SMALL_C

@@ -55,7 +55,7 @@ def test_degree_balance_perturbation_is_linear():
 def test_b_equals_d1():
     for tup in [(7, 3, 16, 5), (7, 3, 14, 4), (2, 2, 6, 3), (4, 2, 8, 4)]:
         s = construct(Params(*tup))
-        assert s.b == s.params.decomposition.d1
+        assert s.b == s.params.d1
 
 
 def test_json_round_trip_identity():
@@ -183,9 +183,8 @@ def test_twist_multiplicity_equals_summed_reference():
             assert bundle.twist_multiplicity(a) == _summed_twist_multiplicity(bundle, a), (bundle, a)
     seen = 0
     for p, _ in constructible_tuples(SweepConfig(g=(2, 8), r=(1, 3))):
-        d1 = p.decomposition.d1
         for bundle in construct(p).bundles:
-            for a in range(-1, d1 + 2):
+            for a in range(-1, p.d1 + 2):
                 assert bundle.twist_multiplicity(a) == _summed_twist_multiplicity(bundle, a), (p, bundle, a)
             seen += 1
     assert seen > 10_000
@@ -234,7 +233,7 @@ def _frozen_records():
     s = construct(Params(7, 3, 16, 5))
     return [
         s.bundles[1].summands[0], s.bundles[0], s.bundles[1], s.tables[0], s,
-        s.params, s.params.decomposition,
+        s.params,
         SweepConfig(g=(2, 3), r=(1, 2)),
     ]
 
@@ -252,8 +251,7 @@ class _Rejected(NamedTuple):
 
 def _data_model():
     """(record, a replacement value for each init field) for the five data-model
-    records, each built by a hand-written __init__ that derives its summaries,
-    and for Decomposition, whose hand-written __init__ only stores its fields.
+    records, each built by a hand-written __init__ that derives its summaries.
     Every replacement but a _Rejected one keeps the record valid and changes
     a derived field where the field feeds one. A bundle holds only its
     kind's fields, so no replacement of its kind, or of a field its kind
@@ -273,7 +271,6 @@ def _data_model():
         (VanishingTable(((0, 2), (1, 1)), ((0, 1), (2, 2))), {"at_p": ((0, 4),), "at_q": ((5, 1), (6, 4))}),
         (s, {"params": Params(6, 3, 13, 4), "b": s.b + 1, "bundles": s.bundles[::-1], "tables": s.tables[::-1]}),
         (Params(7, 3, 16, 5), {"g": 8, "r": 2, "d": 17, "k": 6}),
-        (Params(7, 3, 16, 5).decomposition, {"d1": 6, "d2": 0, "k1": 2, "k2": 1, "h": 3, "rbar": 2, "dbar": 4}),
     ]
     return [pytest.param(record, changes, id=type(record).__name__ + ("_mixed" if record is mixed else ""))
             for record, changes in cases]

@@ -228,7 +228,7 @@ class TestFullVerify:
 
         monkeypatch.setattr(ComponentBundle, "twist_multiplicity", counting)
         assert verify(s).overall
-        d1 = s.params.decomposition.d1
+        d1 = s.params.d1
         saturated = [
             (bundle, x) for bundle, table in zip(s.bundles, s.tables) if bundle.kind == "mixed"
             for x, y, _ in merge_runs(table.at_p, table.at_q, d1)[2] if x + y == d1
@@ -364,7 +364,7 @@ def _component_reference(bundle, table, d1, d2, r):
 def _bounds_reference(s):
     """multiplicity_bounds applied run by run to every side of every table,
     each total summed afresh."""
-    r, k, d1 = s.params.r, s.params.k, s.params.decomposition.d1
+    r, k, d1 = s.params.r, s.params.k, s.params.d1
     offenders = []
     for i, t in enumerate(s.tables, 1):
         for point, side in (("P", t.at_p), ("Q", t.at_q)):
