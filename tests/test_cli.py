@@ -70,6 +70,44 @@ class TestCheckCommand:
         assert doc["case"] == "large_sections"
         assert doc["audit"]["ok"] is True
 
+    @pytest.mark.parametrize(
+        "tup, lines, hypotheses",
+        [(("7", "3", "16", "5"),
+          ["case: small_a",
+           "hypothesis (***) holds: g - (k1+1)*(g-d1+k1) = 7 - 2*3 = 1 >= 1 (slack 1)",
+           "hypothesis generic_bundle_deficit holds: g - d1 + k1 = 7 - 5 + 1 = 3 >= 1 (slack 3)"],
+          [("(***)", 1, 1, 1), ("generic_bundle_deficit", 3, 1, 3)]),
+         (("6", "2", "9", "3"),
+          ["case: small_b",
+           "hypothesis (*) holds: g - (k1+1)*(g-d1+k1-1) = 6 - 2*2 = 2 >= 1 (slack 2)",
+           "hypothesis generic_bundle_deficit holds: g + k1 - d1 = 6 + 1 - 4 = 3 >= 2 (slack 2)"],
+          [("(*)", 2, 1, 2), ("generic_bundle_deficit", 3, 2, 2)]),
+         (("6", "2", "10", "4"),
+          ["case: small_c",
+           "hypothesis (**) holds: g - k1*(g-d1+k1-1) = 6 - 2*2 = 2 >= 2 (slack 1)"],
+          [("(**)", 2, 2, 1)]),
+         (("7", "3", "30", "5"),
+          ["case: large_sections",
+           "hypothesis section_surplus holds: d + r*(1-g) = 30 + 3*(1-7) = 12 >= 5 (slack 8)"],
+          [("section_surplus", 12, 5, 8)])],
+        ids=["small_a", "small_b", "small_c", "large_sections"],
+    )
+    def test_classification_lines(self, capsys, tup, lines, hypotheses):
+        # The case line and every hypothesis line, in text and in JSON
+        # (name, value, min_pass, slack; each one holds).
+        assert main(["check", *tup]) == 0
+        out = capsys.readouterr().out.splitlines()
+        start = out.index(lines[0])
+        assert out[start:start + len(lines)] == lines
+        assert not out[start + len(lines)].startswith("hypothesis ")
+        assert main(["check", *tup, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["case"] == lines[0].removeprefix("case: ")
+        assert doc["hypotheses"] == [
+            {"name": name, "value": value, "min_pass": least, "satisfied": True, "slack": slack}
+            for name, value, least, slack in hypotheses
+        ]
+
     def test_oracle_flag(self, capsys):
         code = main(["check", "7", "3", "16", "5", "--oracle"])
         out = capsys.readouterr().out

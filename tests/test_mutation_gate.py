@@ -319,8 +319,9 @@ def test_every_node_coupled_move_fails_unless_allowed():
     ("node_pairing", True),
     ("component_feasibility", True),
     ("boundary_minimality", True),
-    # Never alone: every gate mutant that fails it fails another check too,
-    # so these gates would not notice a multiplicity_bounds that never fails.
+    # Never alone: every gate mutant that fails it fails another check too.
+    # test_verify.py's multiplicity_past_rank document is one that it alone
+    # fails, so a multiplicity_bounds that never fails is noticed there.
     ("multiplicity_bounds", False),
     ("audit", True),
 ])

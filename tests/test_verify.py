@@ -15,6 +15,7 @@ from ellchain import (
     Params,
     Summand,
     VanishingTable,
+    audit_equals_rho,
     check_component_feasibility,
     construct,
     merge_runs,
@@ -283,24 +284,32 @@ class TestFullVerify:
 
 
 @pytest.mark.parametrize(
-    "tup, table, side, runs, failing, name, witness",
+    "tup, edits, failing, name, witness",
     [
         # Q3's last order, 5, raised to d1 + 1 = 11: only that run leaves [0, d1].
-        ((7, 3, 30, 5), 2, "at_q", [[4, 3], [11, 2]], {"component_feasibility", "multiplicity_bounds"},
+        ((7, 3, 30, 5), [(2, "at_q", [[4, 3], [11, 2]])], {"component_feasibility", "multiplicity_bounds"},
          "multiplicity_bounds", {"offenders": [{"component": 3, "point": "Q", "order": 11, "mult": 2}]}),
         # P1's copies at order 1 moved to order 2, which the minimal table lacks.
-        ((7, 3, 16, 5), 0, "at_p", [[0, 3], [2, 2]], {"component_feasibility", "boundary_minimality"},
+        ((7, 3, 16, 5), [(0, "at_p", [[0, 3], [2, 2]])], {"component_feasibility", "boundary_minimality"},
          "boundary_minimality", {"offenders": [{"point": "P1", "order": 1, "got": 0, "expected": 2},
                                                {"point": "P1", "order": 2, "got": 2, "expected": 0}]}),
+        # One unit of Q1 moved from order 3 to order 4, and P2 follows, so node
+        # 1 stays exact: only the rank-1 bound on a multiplicity fails.
+        ((3, 1, 6, 3), [(0, "at_q", [[2, 1], [4, 2]]), (1, "at_p", [[2, 2], [4, 1]])], {"multiplicity_bounds"},
+         "multiplicity_bounds", {"offenders": [{"component": 1, "point": "Q", "order": 4, "mult": 2},
+                                               {"component": 2, "point": "P", "order": 2, "mult": 2}]}),
     ],
-    ids=["order_past_d1", "boundary_order_moved"],
+    ids=["order_past_d1", "boundary_order_moved", "multiplicity_past_rank"],
 )
-def test_a_loaded_edit_fails_exactly_its_checks(tup, table, side, runs, failing, name, witness):
+def test_a_loaded_edit_fails_exactly_its_checks(tup, edits, failing, name, witness):
     # Each check's status and the named check's witness, on the document
-    # `verify-file` reads after the edit.
+    # `verify-file` reads after the edits; the audit still matches rho.
     doc = skeleton_to_json_dict(construct(Params(*tup)))
-    doc["tables"][table][side] = runs
-    checks = verify(skeleton_from_json_dict(doc)).to_json_dict()["checks"]
+    for table, side, runs in edits:
+        doc["tables"][table][side] = runs
+    skeleton = skeleton_from_json_dict(doc)
+    assert audit_equals_rho(skeleton).ok
+    checks = verify(skeleton).to_json_dict()["checks"]
     assert {n: e["status"] for n, e in checks.items()} == {
         "degree_balance": "pass", "node_pairing": "pass", "component_feasibility": "pass",
         "boundary_minimality": "pass", "multiplicity_bounds": "pass", "genericity": "assumed",
