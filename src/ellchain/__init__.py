@@ -18,13 +18,11 @@ from .oracle import (
 )
 from .params import (
     Case,
-    Classification,
     HypothesisCheck,
     Params,
     classify,
     layout,
     rho_value,
-    tail_threshold,
 )
 from .skeleton import (
     ComponentBundle,

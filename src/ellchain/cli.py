@@ -28,7 +28,7 @@ from .construct import construct
 from .errors import EngineError, HypothesisFailed, KLERegime, ParameterError
 from .ledger import AuditResult, audit_equals_rho
 from .oracle import CrossValidation, cross_validate
-from .params import Case, Classification, Params, classify, rho_value
+from .params import Case, Params, classify, rho_value
 from .skeleton import (
     LimitSeriesSkeleton,
     canonical_dumps,
@@ -47,7 +47,7 @@ class Analysis:
     params: Params
     status: str  # "pass" | "verify_fail" | "audit_fail" | "oracle_disagree" | "k_le_r" | "hypothesis_failed"
     detail: str = ""
-    classification: Classification | None = None
+    classification: Params | None = None
     skeleton: LimitSeriesSkeleton | None = None
     report: VerificationReport | None = None
     audit: AuditResult | None = None
@@ -264,7 +264,7 @@ def _render_check_text(analysis: Analysis) -> str:
         return "\n".join(lines)
     assert analysis.classification and analysis.skeleton and analysis.report and analysis.audit
     lines.append(f"case: {analysis.classification.case.value}")
-    for check in analysis.classification.checks:
+    for check in analysis.classification.hypotheses:
         lines.append(f"hypothesis {check.describe()} (slack {check.slack})")
     s = analysis.skeleton
     lines.append(f"skeleton: {s.params.g} components, b={s.b}, degrees "
@@ -295,7 +295,7 @@ def _render_check_json(analysis: Analysis) -> str:
         doc["hypotheses"] = [
             {"name": c.name, "value": c.value, "min_pass": c.min_pass, "slack": c.slack,
              "satisfied": c.satisfied}
-            for c in analysis.classification.checks
+            for c in analysis.classification.hypotheses
         ]
     if analysis.report is not None:
         doc["report"] = analysis.report.to_json_dict()

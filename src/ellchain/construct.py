@@ -20,7 +20,7 @@ sets component 1's P side to the minimal boundary table and each later one
 to d1 minus the previous Q side. Two Q-side shapes serve all recipes:
 `_staircase_q` (generic lines) and `_block_q` (twisted blocks).
 
-Regime layouts (t is the regime's tail threshold, `params.tail_threshold`):
+Regime layouts (s, t and w are the params' shift, tail threshold and width):
 
 * LARGE_SECTIONS (d + r(1-g) >= k): special first bundle, then the tail on
   components 2..g, generic gluings; the section space slides one vanishing
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .params import Case, Params, classify, layout, tail_threshold
+from .params import Case, Params, classify, layout
 from .skeleton import (
     ComponentBundle,
     LimitSeriesSkeleton,
@@ -126,43 +126,42 @@ def _build_large(p: Params, parts: Parts) -> Chain:
 def _build_shifted(p: Params, parts: Parts) -> Chain:
     """The SMALL_A (s = 0) / SMALL_B (s = 1) recipe."""
     r, d1, d2, k1, k2 = p.r, p.d1, p.d2, p.k1, p.k2
-    s = 0 if p.case is Case.SMALL_A else 1
-    e = k2 - d2 + s * r
+    e = k2 - d2 + p.s * r
     degree, early_lines, head_lines = r * d1, _lines(r - e), _lines(r - k2)
 
     def early_q(i: int) -> Runs:
         # Orders top-k1-1 up to top = d1-i+1+s: top carries k2, d1-2i+2+s
         # carries r-e, the lowest order e and every other r. At i = k1+2
         # the run degenerates into the staircase below top.
-        top = d1 - i + 1 + s
+        top = d1 - i + 1 + p.s
         if i == k1 + 2:
             return _staircase_q(top, k1=k1, r=r, head=k2)
-        mid, bottom = d1 - 2 * i + 2 + s, top - k1 - 1
+        mid, bottom = d1 - 2 * i + 2 + p.s, top - k1 - 1
         return _table(
             [(o, k2 if o == top else r - e if o == mid else e if o == bottom else r) for o in range(bottom, top + 1)]
         )
 
-    second = _twisted(0, k2) + head_lines if s else _twisted(1, e) + early_lines
-    first_q = _table([(d1 - k1 - 1 + s, e)] + [(d1 - j, r) for j in range(k1 - s, 0, -1)] + [(d1, d2)])
+    second = _twisted(0, k2) + head_lines if p.s else _twisted(1, e) + early_lines
+    first_q = _table([(d1 - k1 - 1 + p.s, e)] + [(d1 - j, r) for j in range(k1 - p.s, 0, -1)] + [(d1, d2)])
     chain: Chain = [(_first_special(p), first_q), (_mixed(degree, second), early_q(2))]
     for i in parts["line_chain"]:
-        chain.append((_mixed(degree, _twisted(2 * i - 3 - s, e) + early_lines), early_q(i)))
+        chain.append((_mixed(degree, _twisted(2 * i - 3 - p.s, e) + early_lines), early_q(i)))
 
     # Alpha-blocks at base k1*alpha-s: in SMALL_B the recipe's own gluing
     # and section-space lines fix the head's twist at k1*alpha, one below
     # SMALL_A's.
-    for alpha in range(1, tail_threshold(p)):
-        for beta in range(1, k1 + 2):
-            chain.append(_block_q(alpha * k1 - s, beta, k1 + 1, k2, head_lines, r=r, d1=d1))
+    for alpha in range(1, p.t):
+        for beta in range(1, p.w + 1):
+            chain.append(_block_q(alpha * k1 - p.s, beta, p.w, k2, head_lines, r=r, d1=d1))
     return chain
 
 
 def _build_small_c(p: Params, parts: Parts) -> Chain:
     r, d1, k1 = p.r, p.d1, p.k1
     chain: Chain = [(_mixed(r * d1, _lines(r)), _staircase_q(d1, k1=k1, r=r, head=0))]
-    for alpha in range(tail_threshold(p)):
-        for beta in range(1, k1 + 1):
-            chain.append(_block_q(alpha * (k1 - 1), beta, k1, r, (), r=r, d1=d1))
+    for alpha in range(p.t):
+        for beta in range(1, p.w + 1):
+            chain.append(_block_q(alpha * (k1 - 1), beta, p.w, r, (), r=r, d1=d1))
     return chain
 
 

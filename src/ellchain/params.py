@@ -8,22 +8,23 @@ space. The constructions require k > r; the Brill-Noether count itself is
 defined for any integers.
 
 Each small case's main hypothesis is one inequality g - w*t >= least, with
-t = `tail_threshold` and w = k1+1 (k1 for SMALL_C), the components per
-twisted block. The recipe's head fills w*t + 1 components, so the value minus
-one is the length of the generic-line tail: (***) and (*) (least 1) ask for a
+the shift s (0 for SMALL_A, 1 otherwise), the tail threshold t = g+k1-d1-s
+and the block width w = k1+1 (k1 for SMALL_C), the components per twisted
+block. The recipe's head fills w*t + 1 components, so the value minus one
+is the length of the generic-line tail: (***) and (*) (least 1) ask for a
 tail of at least 0 components, (**) (least 2) for at least 1. `layout`
 names those parts: the recipes fill them, the ledger groups its rows by
 them, and the skeleton derives its gluing labels from them.
 
-A Params carries its Euclidean data, its case and its case's hypothesis
-checks (none when k <= r) as derived fields, computed once when it is built;
-`classify` and every later layer read those stored values, and no call
-takes a case beside its params. Params is built as the `skeleton` module
-docstring says of every record, and is frozen, since a stored value is
-right only while the fields it comes from cannot change.
-A frozen Params holds its checks, so a HypothesisCheck is an immutable
-named tuple, which formats its text only when it is read. Classification
-is a result record, built once per call and handed to the caller.
+A Params carries its Euclidean data, its case, s, t and w (None on
+LARGE_SECTIONS) and its case's hypothesis checks (none when k <= r) as
+derived fields, computed once when it is built. Every later layer reads
+them, and no call takes a case beside its params: a Params is its own
+classification, which `classify` checks and returns. It is built as the
+`skeleton` module docstring says of every record, and is frozen, since a
+stored value is right only while the fields it comes from cannot change;
+so a HypothesisCheck is an immutable named tuple, which formats its text
+only when it is read.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ class Params:
     rbar: int = field(init=False, repr=False, compare=False)
     dbar: int = field(init=False, repr=False, compare=False)
     case: Case = field(init=False, repr=False, compare=False)
+    s: int | None = field(init=False, repr=False, compare=False)
+    t: int | None = field(init=False, repr=False, compare=False)
+    w: int | None = field(init=False, repr=False, compare=False)
     hypotheses: tuple[HypothesisCheck, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, g: int, r: int, d: int, k: int) -> None:
@@ -89,7 +93,12 @@ class Params:
         h = gcd(d, r)
         case = (Case.LARGE_SECTIONS if d + r * (1 - g) >= k
                 else Case.SMALL_A if d2 < k2 else Case.SMALL_B if d2 else Case.SMALL_C)
-        self.__dict__.update(g=g, r=r, d=d, k=k, d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=r // h, dbar=d // h, case=case)
+        s = t = w = None
+        if case is not Case.LARGE_SECTIONS:
+            s = 0 if case is Case.SMALL_A else 1
+            t, w = g + k1 - d1 - s, k1 if case is Case.SMALL_C else k1 + 1
+        self.__dict__.update(g=g, r=r, d=d, k=k, d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=r // h, dbar=d // h,
+                             case=case, s=s, t=t, w=w)
         self.__dict__["hypotheses"] = _hypotheses(self) if k > r else ()
 
     def to_json_dict(self) -> dict[str, int]:
@@ -105,37 +114,26 @@ def rho_value(g: int, r: int, d: int, k: int) -> int:
     return r * r * (g - 1) + 1 - k * (k - d + r * (g - 1))
 
 
-def tail_threshold(p: Params) -> int:
-    """The small cases' tail threshold t = g + k1 - d1 - s.
-
-    The shift s is 0 for SMALL_A and 1 for SMALL_B and SMALL_C. The
-    hypotheses bound g against t, the recipes lay out t-1 (SMALL_A, SMALL_B)
-    or t (SMALL_C) twisted blocks, and the generic-line tail starts after
-    them.
-    """
-    if p.case is Case.LARGE_SECTIONS:
-        raise ValueError("the tail threshold applies to small cases only")
-    return p.g + p.k1 - p.d1 - (0 if p.case is Case.SMALL_A else 1)
-
-
 def layout(p: Params) -> dict[str, Sequence[int]]:
     """The labelled parts of a small case's chain (see `construct`), each a
     run of component indices; together they cover 1..g once. An
     alpha-block's first component is in `block_first`, the rest of it in
-    `block_rest`. Raises ValueError for LARGE_SECTIONS, which has none."""
-    g, k1 = p.g, p.k1
-    t = tail_threshold(p)
+    `block_rest`. The recipes lay out t-1 (SMALL_A, SMALL_B) or t (SMALL_C)
+    blocks of w components, and the generic-line tail starts after them.
+    Raises ValueError for LARGE_SECTIONS, which has none."""
+    g, t, w = p.g, p.t, p.w
+    if t is None:
+        raise ValueError("large_sections has no layout")
     if p.case is Case.SMALL_C:
         return {
             "first_component": range(1, 2),
-            "twisted_blocks": range(2, t * k1 + 2),
-            "tail": range(t * k1 + 2, g + 1),
+            "twisted_blocks": range(2, t * w + 2),
+            "tail": range(t * w + 2, g + 1),
         }
-    w = k1 + 1
     return {
         "first_component": range(1, 2),
         "second_component": range(2, 3),
-        "line_chain": range(3, k1 + 3),
+        "line_chain": range(3, w + 2),
         "block_first": range(w + 2, t * w + 2, w),
         "block_rest": [i for i in range(w + 2, t * w + 2) if (i - 2) % w],
         "tail": range(t * w + 2, g + 1),
@@ -184,14 +182,6 @@ class HypothesisCheck(NamedTuple):
         )
 
 
-@dataclass(slots=True)
-class Classification:
-    """Case tag plus the record of every hypothesis inequality evaluated."""
-
-    case: Case
-    checks: tuple[HypothesisCheck, ...]
-
-
 def _hypotheses(p: Params) -> tuple[HypothesisCheck, ...]:
     """The checks of `p.case`, in the order `classify` reads them. The
     auxiliary deficiency condition never fails on its own (off
@@ -199,10 +189,8 @@ def _hypotheses(p: Params) -> tuple[HypothesisCheck, ...]:
     g, r, d, case = p.g, p.r, p.d, p.case
     if case is Case.LARGE_SECTIONS:
         return (HypothesisCheck("section_surplus", "d + r*(1-g) = {} + {}*(1-{})", (d, r, g), d + r * (1 - g), p.k),)
-    d1, k1 = p.d1, p.k1
+    d1, k1, t, w = p.d1, p.k1, p.t, p.w
     name, template, least = _MAIN_HYPOTHESES[case]
-    w = k1 if case is Case.SMALL_C else k1 + 1
-    t = tail_threshold(p)
     checks = (HypothesisCheck(name, template, (g, w, t), g - w * t, least),)
     if case is Case.SMALL_A:
         checks += (HypothesisCheck("generic_bundle_deficit", "g - d1 + k1 = {} - {} + {}", (g, d1, k1), t, 1),)
@@ -211,13 +199,13 @@ def _hypotheses(p: Params) -> tuple[HypothesisCheck, ...]:
     return checks
 
 
-def classify(p: Params) -> Classification:
-    """Read a tuple's classification off its params: its regime `p.case`
-    and the checks `p.hypotheses`. Raises KLERegime for k <= r and
-    HypothesisFailed naming the first check that does not hold."""
+def classify(p: Params) -> Params:
+    """Return `p` if its regime `p.case` can be constructed: raise KLERegime
+    for k <= r and HypothesisFailed naming the first of `p.hypotheses` that
+    does not hold."""
     if p.k <= p.r:
         raise KLERegime(f"k <= r regime not covered (k={p.k}, r={p.r})")
     for check in p.hypotheses:
         if not check.satisfied:
             raise HypothesisFailed(check)
-    return Classification(p.case, p.hypotheses)
+    return p

@@ -15,7 +15,8 @@ multiplicities at each point sum to k is a rule `verify` checks.
 Records carry their summaries, computed once when built: a table its side
 totals and largest multiplicity, a bundle its rank and twist range, the
 skeleton each node's gluing dimension, and `Params` its Euclidean data (d1,
-d2, k1, k2, h, rbar, dbar), case and hypothesis checks. They are derived
+d2, k1, k2, h, rbar, dbar), case, shift s, tail threshold t, block width w
+and hypothesis checks. They are derived
 fields, left out of equality, hashing and repr, so `dataclasses.replace`
 recomputes them and every rule reads them instead of re-summing. Each record
 (and `Params`) is a frozen dataclass with a hand-written `__init__`

@@ -41,7 +41,7 @@ def test_criterion_1_ledger_rho_identity():
     t0 = time.time()
     checked = 0
     mismatches = []
-    for p, _ in constructible_tuples(ACCEPTANCE_SWEEP):
+    for p in constructible_tuples(ACCEPTANCE_SWEEP):
         audit = audit_equals_rho(construct(p))
         checked += 1
         if not audit.ok:
@@ -59,11 +59,11 @@ def test_criterion_2_construction_verification():
     failures = []
     cases = Counter()
     checked = 0
-    for p, classification in constructible_tuples(ACCEPTANCE_SWEEP):
+    for p in constructible_tuples(ACCEPTANCE_SWEEP):
         skeleton = construct(p)
         report = verify(skeleton)
         checked += 1
-        cases[classification.case] += 1
+        cases[p.case] += 1
         bad = [name for name, entry in report.checks.items() if entry.status == "fail"]
         if bad or not report.all_nodes_exact:
             failures.append((p, bad or ["pairing not exact"]))
@@ -101,7 +101,7 @@ def test_criterion_3_oracle_equivalence():
                     disagreements += 1
 
     skeletons = skipped = 0
-    for p, _ in constructible_tuples(ACCEPTANCE_SWEEP):
+    for p in constructible_tuples(ACCEPTANCE_SWEEP):
         validation = cross_validate(construct(p))
         skeletons += 1
         disagreements += len(validation.disagreements)
@@ -125,8 +125,8 @@ def test_criterion_4_worked_instance():
     audit = audit_equals_rho(skeleton)
     ok = (
         classification.case is Case.SMALL_A
-        and classification.checks[0].name == "(***)"
-        and classification.checks[0].slack == 1
+        and classification.hypotheses[0].name == "(***)"
+        and classification.hypotheses[0].slack == 1
         and rho_value(7, 3, 16, 5) == 20
         and skeleton.params.g == 7
         and skeleton.b == 5
@@ -195,7 +195,7 @@ def test_criterion_6_slope_comparator():
 
 def test_criterion_7_round_trip_determinism(tmp_path, capsys):
     rng = random.Random(90210)
-    pool = [p for p, _ in constructible_tuples(ACCEPTANCE_SWEEP)]
+    pool = list(constructible_tuples(ACCEPTANCE_SWEEP))
     sample = rng.sample(pool, 100)
     bad = []
     for idx, p in enumerate(sample):

@@ -757,7 +757,7 @@ def test_analyze_statuses():
 
 def test_built_and_reloaded_skeletons_share_one_verdict():
     # check and sweep analyse a built skeleton, verify-file a reloaded one.
-    for p, _ in constructible_tuples(SweepConfig(g=(2, 8), r=(1, 3))):
+    for p in constructible_tuples(SweepConfig(g=(2, 8), r=(1, 3))):
         built = analyze(p.g, p.r, p.d, p.k)
         reloaded = analyze_skeleton(skeleton_from_json_dict(json.loads(skeleton_to_canonical_json(built.skeleton))))
         assert (reloaded.status, reloaded.rho) == (built.status, built.rho), p

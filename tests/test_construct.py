@@ -201,24 +201,24 @@ def test_tail_count_examples():
 
 def test_tail_nonnegative_whenever_hypotheses_pass():
     cfg = SweepConfig(g=(2, 10), r=(1, 4))
-    for p, classification in constructible_tuples(cfg):
-        if classification.case is Case.LARGE_SECTIONS:
+    for p in constructible_tuples(cfg):
+        if p.case is Case.LARGE_SECTIONS:
             continue
         n = len(layout(p)["tail"])
         assert n >= 0
         # The main hypothesis is the tail budget: (***) and (*) ask for a
         # tail of at least 0 components, (**) for at least 1.
-        assert n == classification.checks[0].value - 1
-        if classification.case is Case.SMALL_C:
+        assert n == p.hypotheses[0].value - 1
+        if p.case is Case.SMALL_C:
             assert n >= 1  # the strict hypothesis forces a nonempty tail
 
 
 def test_construction_invariants_over_small_sweep():
     cfg = SweepConfig(g=(2, 9), r=(1, 4))
     seen = set()
-    for p, classification in constructible_tuples(cfg):
+    for p in constructible_tuples(cfg):
         s = construct(p)
-        seen.add(classification.case)
+        seen.add(p.case)
         assert s.b == p.d1
         assert degree_balance(s) == 0
         assert [b["component"] for b in skeleton_to_json_dict(s)["bundles"]] == list(range(1, p.g + 1))

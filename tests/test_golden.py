@@ -36,8 +36,8 @@ HIGH_K_SWEEP_SHA256 = "0f90d99b0779375a90b24941abad3d9ee66bd44cf1303192ab81c4019
 def test_small_regime_golden_digests():
     skeletons, ledgers, reports = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     count = 0
-    for p, classification in constructible_tuples(SMALL_FRONTIER):
-        if classification.case is Case.LARGE_SECTIONS:
+    for p in constructible_tuples(SMALL_FRONTIER):
+        if p.case is Case.LARGE_SECTIONS:
             continue
         skeleton = construct(p)
         skeletons.update(skeleton_to_canonical_json(skeleton).encode("utf-8") + b"\n")
@@ -53,8 +53,8 @@ def test_small_regime_golden_digests():
 def test_large_sections_ledger_golden_digest():
     ledgers = hashlib.sha256()
     count = 0
-    for p, classification in constructible_tuples(ACCEPTANCE_SWEEP):
-        if classification.case is not Case.LARGE_SECTIONS:
+    for p in constructible_tuples(ACCEPTANCE_SWEEP):
+        if p.case is not Case.LARGE_SECTIONS:
             continue
         ledgers.update(canonical_dumps(ledger(construct(p)).to_json_dict()).encode("utf-8") + b"\n")
         count += 1

@@ -74,7 +74,7 @@ def test_rows_cover_components_exactly_once():
 
 def test_row_dimensions_nonnegative_over_sweep():
     cfg = SweepConfig(g=(2, 9), r=(1, 4))
-    for p, _ in constructible_tuples(cfg):
+    for p in constructible_tuples(cfg):
         for row in ledger(construct(p)).rows:
             assert row.moduli >= 0 and row.autos >= 0 and row.gluing >= 0
 

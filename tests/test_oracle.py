@@ -339,7 +339,7 @@ class TestCrossValidation:
         # special first bundle or the summed summand twists, must give the
         # same verdict on every component.
         searched = 0
-        for p, _ in constructible_tuples(SweepConfig(g=(2, 7), r=(1, 3))):
+        for p in constructible_tuples(SweepConfig(g=(2, 7), r=(1, 3))):
             s = construct(p)
             d1, d2 = p.d1, p.d2
             for bundle, table in zip(s.bundles, s.tables):
@@ -377,7 +377,7 @@ class TestCrossValidation:
         components = {c.index: c.oracle for c in reference.checks if c.kind == "component"}
         assert (components[5], components[6], components[7]) == (True, False, False)
         skeletons = [apart, _unequal_sides()]
-        skeletons += [construct(p) for p, _ in constructible_tuples(SweepConfig(g=(2, 8), r=(1, 3)))]
+        skeletons += [construct(p) for p in constructible_tuples(SweepConfig(g=(2, 8), r=(1, 3)))]
         skeletons += [corrupted for _, _, corrupted in _fuzzed_corruptions()]
         for s in skeletons:
             cv, reference = cross_validate(s), _cross_validate_per_instance(s)

@@ -14,7 +14,6 @@ from ellchain import (
     Params,
     classify,
     rho_value,
-    tail_threshold,
 )
 from ellchain.errors import HypothesisFailed, KLERegime, ParameterError
 
@@ -69,33 +68,33 @@ def test_classify_k_le_r_rejected():
 def test_classify_large_sections():
     c = classify(Params(2, 2, 6, 3))
     assert c.case is Case.LARGE_SECTIONS
-    assert c.checks[0].value == 4  # d + r(1-g) = 6 - 2
-    assert c.checks[0].min_pass == 3
+    assert c.hypotheses[0].value == 4  # d + r(1-g) = 6 - 2
+    assert c.hypotheses[0].min_pass == 3
 
 
 def test_classify_small_a_with_slack():
     c = classify(Params(7, 3, 16, 5))
     assert c.case is Case.SMALL_A
-    main = c.checks[0]
+    main = c.hypotheses[0]
     assert main.name == "(***)"
     assert main.value == 1 and main.satisfied and main.slack == 1
     # the auxiliary deficiency condition is reported independently
-    names = [ch.name for ch in c.checks]
+    names = [ch.name for ch in c.hypotheses]
     assert "generic_bundle_deficit" in names
 
 
 def test_classify_small_b():
     c = classify(Params(7, 3, 14, 4))
     assert c.case is Case.SMALL_B
-    assert c.checks[0].name == "(*)"
-    assert c.checks[0].value == 1 and c.checks[0].satisfied
+    assert c.hypotheses[0].name == "(*)"
+    assert c.hypotheses[0].value == 1 and c.hypotheses[0].satisfied
 
 
 def test_classify_small_c():
     c = classify(Params(4, 2, 8, 4))
     assert c.case is Case.SMALL_C
-    assert c.checks[0].name == "(**)"
-    assert c.checks[0].value == 2 and c.checks[0].min_pass == 2
+    assert c.hypotheses[0].name == "(**)"
+    assert c.hypotheses[0].value == 2 and c.hypotheses[0].min_pass == 2
 
 
 def test_classify_hypothesis_failure_reports_deficit():
@@ -125,7 +124,7 @@ def test_classify_hypothesis_failure_reports_deficit():
 def test_hypothesis_text(tup, lines):
     # The lines `check` prints and a rejection message carries.
     try:
-        checks = classify(Params(*tup)).checks
+        checks = classify(Params(*tup)).hypotheses
     except HypothesisFailed as exc:
         assert [str(exc)] == [exc.failed.describe()] == lines
     else:
@@ -153,7 +152,7 @@ def test_generic_bundle_deficit_never_fails_on_its_own(g, r, d, k):
     p = Params(g, r, d, k)
     case = Case.SMALL_A if p.d2 < p.k2 else Case.SMALL_B if p.d2 else Case.SMALL_C
     assert p.case is case
-    assert tail_threshold(p) >= 1
+    assert p.t >= 1
     try:
         classify(p)
     except HypothesisFailed as exc:
@@ -181,7 +180,7 @@ def test_classify_keeps_the_params_case(g, r, d, k):
         assert exc.failed.name in _REGIME_CHECKS[p.case]
     else:
         assert c.case is p.case
-        assert {check.name for check in c.checks} == _REGIME_CHECKS[p.case]
+        assert {check.name for check in c.hypotheses} == _REGIME_CHECKS[p.case]
 
 
 @given(g=st.integers(2, 30), r=st.integers(1, 12), d=st.integers(0, 400), k=st.integers(1, 60),
@@ -193,6 +192,21 @@ def test_params_carry_their_decomposition(g, r, d, k, new_d):
         h = math.gcd(p.d, p.r)
         expected = dict(d1=d1, d2=d2, k1=k1, k2=k2, h=h, rbar=p.r // h, dbar=p.d // h)
         assert {name: getattr(p, name) for name in expected} == expected
+
+
+@given(g=st.integers(2, 30), r=st.integers(1, 12), d=st.integers(0, 400), k=st.integers(1, 60),
+       new_d=st.integers(0, 400))
+def test_params_carry_their_shift_threshold_and_width(g, r, d, k, new_d):
+    # s, t and w are None exactly on LARGE_SECTIONS; otherwise s is 0 for
+    # SMALL_A and 1 for SMALL_B and SMALL_C, t = g + k1 - d1 - s, and a
+    # twisted block is k1 + 1 components wide (k1 for SMALL_C).
+    for p in (Params(g, r, d, k), dataclasses.replace(Params(g, r, d, k), d=new_d)):
+        if p.case is Case.LARGE_SECTIONS:
+            assert (p.s, p.t, p.w) == (None, None, None)
+            continue
+        s = 0 if p.case is Case.SMALL_A else 1
+        w = p.k1 if p.case is Case.SMALL_C else p.k1 + 1
+        assert (p.s, p.t, p.w) == (s, p.g + p.k1 - p.d1 - s, w)
 
 
 @given(g=st.integers(2, 14), r=st.integers(1, 6), d=st.integers(0, 250), k=st.integers(1, 40))
@@ -214,7 +228,7 @@ def test_classify_total_and_unique_on_k_gt_r(g, r, d, k):
         assert c.case is Case.SMALL_B
     else:
         assert c.case is Case.SMALL_C
-    assert all(ch.satisfied for ch in c.checks)
+    assert all(ch.satisfied for ch in c.hypotheses)
 
 
 @given(g=st.integers(2, 14), r=st.integers(1, 6), d=st.integers(0, 250), k=st.integers(1, 40))
@@ -228,7 +242,7 @@ def test_classify_reads_the_checks_its_params_derived(g, r, d, k):
     except HypothesisFailed as exc:
         assert exc.failed is next(check for check in p.hypotheses if not check.satisfied)
     else:
-        assert c.checks is p.hypotheses and c.case is p.case
+        assert c is p
 
 
 def test_hypothesis_checks_are_immutable_and_outside_equality():

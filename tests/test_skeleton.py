@@ -182,7 +182,7 @@ def test_twist_multiplicity_equals_summed_reference():
         for a in range(-1, 6):
             assert bundle.twist_multiplicity(a) == _summed_twist_multiplicity(bundle, a), (bundle, a)
     seen = 0
-    for p, _ in constructible_tuples(SweepConfig(g=(2, 8), r=(1, 3))):
+    for p in constructible_tuples(SweepConfig(g=(2, 8), r=(1, 3))):
         for bundle in construct(p).bundles:
             for a in range(-1, p.d1 + 2):
                 assert bundle.twist_multiplicity(a) == _summed_twist_multiplicity(bundle, a), (p, bundle, a)
