@@ -596,6 +596,35 @@ def test_loader_rejects_a_summand_that_is_not_an_object(entry, message):
     assert _load_error(doc) == message
 
 
+def _zero_first_mult(bundle):
+    bundle["summands"][0]["mult"] = 0
+
+
+def _insert_descending(bundle):
+    bundle["summands"].insert(0, {"kind": "twisted", "mult": 1, "a": 5})
+    bundle["summands"][1]["mult"] = 0
+
+
+@pytest.mark.parametrize(
+    "entry, edit",
+    [
+        # A bad entry, before a later entry's missing "mult".
+        (1, lambda b: (_zero_first_mult(b), b["summands"].append({"kind": "twisted", "a": 4}))),
+        # A first_special bundle's bad summand, before "has no summands".
+        (0, lambda b: b.update(summands=[{"kind": "twisted", "mult": 0, "a": 1}])),
+        # An unknown kind's bad summand, before "unknown bundle kind".
+        (1, lambda b: (_zero_first_mult(b), b.update(kind="line"))),
+        # Every entry's fault, before a spelling fault (here descending twists).
+        (1, _insert_descending),
+    ],
+    ids=["before_missing_mult", "before_first_special", "before_unknown_kind", "before_spelling"],
+)
+def test_loader_reports_a_bad_summand_first(entry, edit):
+    doc = skeleton_to_json_dict(construct(Params(7, 3, 16, 5)))
+    edit(doc["bundles"][entry])
+    assert _load_error(doc) == f"bundles[{entry}].summands: multiplicity 0, a summand needs at least one copy"
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
