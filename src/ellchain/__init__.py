@@ -27,7 +27,6 @@ from .params import (
 from .skeleton import (
     ComponentBundle,
     LimitSeriesSkeleton,
-    Summand,
     VanishingTable,
     canonical_dumps,
     degree_balance,

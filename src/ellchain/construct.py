@@ -45,7 +45,7 @@ each node by the part it enters, and the ledger groups its rows by them.
 
 Records are built positionally. A summand tuple that a loop repeats (the
 generic lines of each line-chain component and block head, the tail's
-bundle) is built once and shared, which is safe as records are frozen.
+bundle) is built once and shared, which is safe as pairs are immutable.
 
 The verifier re-derives nothing from here: it checks the emitted data against
 the balance, pairing, feasibility and boundary rules independently, exact
@@ -59,16 +59,11 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .params import Case, Params, classify, layout
-from .skeleton import (
-    ComponentBundle,
-    LimitSeriesSkeleton,
-    Summand,
-    VanishingTable,
-    minimal_boundary_table,
-)
+from .skeleton import ComponentBundle, LimitSeriesSkeleton, VanishingTable, minimal_boundary_table
 
 
 Runs = tuple[tuple[int, int], ...]
+Summands = tuple[tuple[int, int | None], ...]  # (mult, twist) pairs
 
 
 def _table(entries: list[tuple[int, int]]) -> Runs:
@@ -78,15 +73,15 @@ def _table(entries: list[tuple[int, int]]) -> Runs:
     return tuple([(order, mult) for order, mult in entries if mult])
 
 
-def _lines(mult: int) -> tuple[Summand, ...]:
-    return (Summand(mult),) if mult else ()
+def _lines(mult: int) -> Summands:
+    return ((mult, None),) if mult else ()
 
 
-def _twisted(a: int, mult: int) -> tuple[Summand, ...]:
-    return (Summand(mult, a),) if mult else ()
+def _twisted(a: int, mult: int) -> Summands:
+    return ((mult, a),) if mult else ()
 
 
-def _mixed(degree: int, summands: tuple[Summand, ...]) -> ComponentBundle:
+def _mixed(degree: int, summands: Summands) -> ComponentBundle:
     return ComponentBundle("mixed", degree, None, None, None, summands)
 
 
@@ -104,7 +99,7 @@ def _staircase_q(hi: int, *, k1: int, r: int, head: int) -> Runs:
     return runs + ((hi, head),) if head else runs
 
 
-def _block_q(base: int, beta: int, width: int, head: int, lines: tuple[Summand, ...], *, r: int,
+def _block_q(base: int, beta: int, width: int, head: int, lines: Summands, *, r: int,
              d1: int) -> tuple[ComponentBundle, Runs]:
     """Component `beta` of a twisted block of `width` components at twist
     base `base`: the bundle carries O((base+2*beta-1)P+...), `head` copies
@@ -115,7 +110,7 @@ def _block_q(base: int, beta: int, width: int, head: int, lines: tuple[Summand, 
     at_q = [(o, r) for o in range(top - width, top) if o != skip]
     if head:
         at_q.append((top, head))
-    summands = _twisted(base + 1, head) + lines if beta == 1 else (Summand(r, base + 2 * beta - 1),)
+    summands = _twisted(base + 1, head) + lines if beta == 1 else ((r, base + 2 * beta - 1),)
     return ComponentBundle("mixed", r * d1, None, None, None, summands), tuple(at_q)
 
 

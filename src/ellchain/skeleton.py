@@ -10,7 +10,9 @@ label from the params' case and the `params.layout` part it enters.
 A vanishing table stores (order, multiplicity) runs at both marked points
 of a component, and the type itself rejects a side that is empty, out of
 order, has a multiplicity below 1 or a run that is not two integers; that
-multiplicities at each point sum to k is a rule `verify` checks.
+multiplicities at each point sum to k is a rule `verify` checks. A bundle's
+summand is a (multiplicity, twist) pair that its bundle checks, as a run is
+a pair that its table checks.
 
 Records carry their summaries, computed once when built: a table its side
 totals and largest multiplicity, a bundle its rank and twist range, the
@@ -62,45 +64,23 @@ def _exact_int(value: Any, name: str) -> int:
 
 
 @dataclass(frozen=True, init=False)
-class Summand:
-    """A direct summand of a component bundle.
-
-    twist = a means `mult` >= 1 copies of the line bundle O(a*P + (d1-a)*Q)
-    on the component; twist = None means `mult` generic lines of degree d1.
-    """
-
-    mult: int
-    twist: int | None = None
-
-    def __init__(self, mult: int, twist: int | None = None) -> None:
-        if type(mult) is not int or not (twist is None or type(twist) is int):
-            _exact_int(mult, "summands")
-            if twist is not None:
-                _exact_int(twist, "summands")
-        if mult < 1:
-            raise ParameterError(f"summands: multiplicity {mult}, a summand needs at least one copy")
-        self.__dict__.update(mult=mult, twist=twist)
-
-    @property
-    def kind(self) -> str:
-        return "generic_line" if self.twist is None else "twisted"
-
-
-@dataclass(frozen=True, init=False)
 class ComponentBundle:
     """Bundle placed on one component.
 
     kind "first_special": h >= 1 generic indecomposable factors of rank
     rbar >= 1 and degree dbar (only on component 1; degree d). kind "mixed":
-    a list of rank-1 summands totalling rank r (degree r*d1).
+    rank-1 summands totalling rank r (degree r*d1), each a (mult, twist)
+    pair: twist a means mult >= 1 copies of the line bundle O(a*P + (d1-a)*Q)
+    on the component, twist None mult generic lines of degree d1.
 
     `rank` (blocks*block_rank, or the summands' total multiplicity),
     `min_twist`/`max_twist` (None without twisted summands) and the ledger's
     `moduli`/`autos` terms are derived here: h blocks give moduli h and
     autos h, m copies of one twisted line 0 and m^2, m generic lines m and m.
-    A bundle has one spelling: each kind holds only its own fields, and
-    twisted summands are strictly ascending by twist, then at most one
-    generic-line entry; anything else raises ParameterError.
+    Each pair is checked as it is read, its integers and then mult >= 1,
+    before the kind's rules. A bundle has one spelling: each kind holds only
+    its own fields, and twisted summands are strictly ascending by twist,
+    then at most one generic-line entry; anything else raises ParameterError.
     """
 
     kind: str  # "first_special" | "mixed"
@@ -108,7 +88,7 @@ class ComponentBundle:
     blocks: int | None = None        # first_special: h
     block_rank: int | None = None    # first_special: rbar
     block_degree: int | None = None  # first_special: dbar
-    summands: tuple[Summand, ...] = ()
+    summands: tuple[tuple[int, int | None], ...] = ()
     rank: int = field(init=False, repr=False, compare=False)
     min_twist: int | None = field(init=False, repr=False, compare=False)
     max_twist: int | None = field(init=False, repr=False, compare=False)
@@ -117,7 +97,7 @@ class ComponentBundle:
 
     def __init__(
         self, kind: str, degree: int, blocks: int | None = None, block_rank: int | None = None,
-        block_degree: int | None = None, summands: Iterable[Summand] = (),
+        block_degree: int | None = None, summands: Iterable[tuple[int, int | None]] = (),
     ) -> None:
         # The fast path: an int degree, and no block scalars (mixed) or three ints (first_special).
         if type(degree) is not int or not (blocks is block_rank is block_degree is None
@@ -126,29 +106,39 @@ class ComponentBundle:
                                    (degree, blocks, block_rank, block_degree)):
                 if name == "degree" or value is not None:
                     _exact_int(value, name)
-        summands = tuple(summands)  # read after the scalars: a loaded bundle passes a generator
+        pairs = []  # read after the scalars and in order: a loaded bundle passes a generator
+        for mult, twist in summands:
+            if type(mult) is not int or not (twist is None or type(twist) is int):
+                _exact_int(mult, "summands")
+                if twist is not None:
+                    _exact_int(twist, "summands")
+            if mult < 1:
+                raise ParameterError(f"summands: multiplicity {mult}, a summand needs at least one copy")
+            pairs.append((mult, twist))
+        summands = tuple(pairs)
         if kind == "mixed":
             if not blocks is block_rank is block_degree is None:
                 name = "blocks" if blocks is not None else "block_rank" if block_rank is not None else "block_degree"
                 raise ParameterError(f"{name}: a mixed bundle has no blocks, block_rank or block_degree")
             rank = moduli = autos = 0
             twists = []
-            for s in summands:
+            for mult, twist in summands:
                 if moduli:  # a generic-line entry came before
+                    entry = "generic_line" if twist is None else "twisted"
                     raise ParameterError(
-                        f"summands: a {s.kind} summand after the generic lines, generic lines must be one last entry"
+                        f"summands: a {entry} summand after the generic lines, generic lines must be one last entry"
                     )
-                rank += s.mult
-                if s.twist is None:
-                    moduli += s.mult
-                    autos += s.mult
+                rank += mult
+                if twist is None:
+                    moduli += mult
+                    autos += mult
                 else:
-                    if twists and s.twist <= twists[-1]:
+                    if twists and twist <= twists[-1]:
                         raise ParameterError(
-                            f"summands: twist {s.twist} after {twists[-1]}, twists must be strictly ascending"
+                            f"summands: twist {twist} after {twists[-1]}, twists must be strictly ascending"
                         )
-                    autos += s.mult * s.mult
-                    twists.append(s.twist)
+                    autos += mult * mult
+                    twists.append(twist)
             lo, hi = (twists[0], twists[-1]) if twists else (None, None)
         elif kind == "first_special":
             if summands:
@@ -165,9 +155,9 @@ class ComponentBundle:
 
     def twist_multiplicity(self, a: int) -> int:
         """Copies of O(a*P + (d1-a)*Q) among the summands (mixed only), 0 outside the twist range."""
-        for s in self.summands:  # twists are distinct: the canonical spelling
-            if s.twist == a:
-                return s.mult
+        for mult, twist in self.summands:  # twists are distinct: the canonical spelling
+            if twist == a:
+                return mult
         return 0
 
 
@@ -349,11 +339,10 @@ def canonical_dumps(obj: Any) -> str:
     return _CANONICAL.encode(obj)
 
 
-def _summand_to_json(s: Summand) -> dict[str, Any]:
-    doc: dict[str, Any] = {"kind": s.kind, "mult": s.mult}
-    if s.twist is not None:
-        doc["a"] = s.twist
-    return doc
+def _summand_to_json(mult: int, twist: int | None) -> dict[str, Any]:
+    if twist is None:
+        return {"kind": "generic_line", "mult": mult}
+    return {"kind": "twisted", "mult": mult, "a": twist}
 
 
 def _bundle_to_json(i: int, b: ComponentBundle) -> dict[str, Any]:
@@ -363,7 +352,7 @@ def _bundle_to_json(i: int, b: ComponentBundle) -> dict[str, Any]:
         doc["block_rank"] = b.block_rank
         doc["block_degree"] = b.block_degree
     else:
-        doc["summands"] = [_summand_to_json(s) for s in b.summands]
+        doc["summands"] = [_summand_to_json(mult, twist) for mult, twist in b.summands]
     return doc
 
 
@@ -397,7 +386,7 @@ def skeleton_to_canonical_json(s: LimitSeriesSkeleton) -> str:
 def _bundle_from_json(bd: Mapping[str, Any]) -> ComponentBundle:
     return ComponentBundle(
         bd["kind"], bd["degree"], bd.get("blocks"), bd.get("block_rank"), bd.get("block_degree"),
-        (Summand(sd["mult"], sd.get("a")) for sd in bd.get("summands", ())),
+        ((sd["mult"], sd.get("a")) for sd in bd.get("summands", ())),
     )
 
 

@@ -17,7 +17,6 @@ from ellchain import (
     Case,
     ComponentBundle,
     Params,
-    Summand,
     cli,
     construct,
     skeleton_from_json_dict,
@@ -374,7 +373,7 @@ class TestVerifyFileAuditAndLoad:
         # Every check passes, but the ledger totals 17 against rho 20.
         s = construct(Params(7, 3, 16, 5))
         bundles = list(s.bundles)
-        bundles[3] = ComponentBundle("mixed", 15, summands=(Summand(3, 2),))
+        bundles[3] = ComponentBundle("mixed", 15, summands=((3, 2),))
         doc = skeleton_to_json_dict(dataclasses.replace(s, bundles=tuple(bundles)))
         path.write_text(json.dumps(doc), encoding="utf-8")
         line = "audit: total 17 != rho 20: MISMATCH"

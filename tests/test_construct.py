@@ -66,11 +66,11 @@ SMALL_C_TABLES = {
 
 
 def _twists(bundle):
-    return sorted((s.twist, s.mult) for s in bundle.summands if s.twist is not None)
+    return sorted((twist, mult) for mult, twist in bundle.summands if twist is not None)
 
 
 def _line_mult(bundle):
-    return sum(s.mult for s in bundle.summands if s.twist is None)
+    return sum(mult for mult, twist in bundle.summands if twist is None)
 
 
 class TestSmallAWorkedInstance:
@@ -228,10 +228,10 @@ def test_construction_invariants_over_small_sweep():
         assert s.tables[0].at_p == minimal_boundary_table(p.r, p.k1, p.k2)
         assert s.tables[-1].at_q == minimal_boundary_table(p.r, p.k1, p.k2)
         for b in s.bundles:
-            for summand in b.summands:
-                assert summand.mult > 0
-                if summand.twist is not None:
-                    assert 0 <= summand.twist <= p.d1
+            for mult, twist in b.summands:
+                assert mult > 0
+                if twist is not None:
+                    assert 0 <= twist <= p.d1
     assert seen == set(Case)
 
 

@@ -11,7 +11,6 @@ from ellchain import (
     audit_equals_rho,
     construct,
     ledger,
-    Summand,
     rho_value,
 )
 from ellchain.cli import SweepConfig
@@ -132,7 +131,7 @@ def test_ledger_reads_gluing_dims_off_the_skeleton():
     # component: C6's bracket goes from 1 - 5 + 7 to 3 - 3 + 9.
     s = construct(Params(7, 3, 16, 5))
     bundles = list(s.bundles)
-    bundles[5] = dataclasses.replace(bundles[5], summands=(Summand(mult=3),))
+    bundles[5] = dataclasses.replace(bundles[5], summands=((3, None),))
     led = ledger(dataclasses.replace(s, bundles=tuple(bundles)))
     rows = {row.label: row for row in led.rows}
     assert "block_first" not in rows

@@ -347,9 +347,9 @@ class TestCrossValidation:
                     full = {a: d2 for a in range(d1 + 1)}
                 else:
                     full = {}
-                    for summand in bundle.summands:
-                        if summand.twist is not None:
-                            full[summand.twist] = full.get(summand.twist, 0) + summand.mult
+                    for mult, twist in bundle.summands:
+                        if twist is not None:
+                            full[twist] = full.get(twist, 0) + mult
                 budget = {o: exceptional_capacity(bundle, o, d2=d2) for o, _ in table.at_p}
                 verdict = exists_feasible_pairing(table.at_p, table.at_q, d1, budget)
                 assert verdict == exists_feasible_pairing(table.at_p, table.at_q, d1, full), p

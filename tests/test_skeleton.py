@@ -16,7 +16,6 @@ from ellchain import (
     ComponentBundle,
     LimitSeriesSkeleton,
     Params,
-    Summand,
     VanishingTable,
     canonical_dumps,
     construct,
@@ -144,21 +143,21 @@ def test_table_summaries_equal_recomputed_runs(at_p, at_q, new_q):
 # Canonical summand lists: twisted summands ascending by twist, then at most
 # one generic-line entry.
 def _canonical(twisted, lines):
-    return tuple(Summand(m, a) for a, m in sorted(twisted.items())) + ((Summand(lines),) if lines else ())
+    return tuple((m, a) for a, m in sorted(twisted.items())) + (((lines, None),) if lines else ())
 
 
 summands = st.builds(_canonical, st.dictionaries(st.integers(-3, 12), st.integers(1, 6), max_size=5), st.integers(0, 6))
 
 
 def _twists(bundle):
-    return [s.twist for s in bundle.summands if s.twist is not None]
+    return [twist for _, twist in bundle.summands if twist is not None]
 
 
 @given(parts=summands, new_parts=summands)
 def test_mixed_bundle_summaries_equal_recomputed_summands(parts, new_parts):
     bundle = ComponentBundle(kind="mixed", degree=0, summands=parts)
     for b in (bundle, dataclasses.replace(bundle, summands=new_parts)):
-        assert b.rank == sum(s.mult for s in b.summands)
+        assert b.rank == sum(mult for mult, _ in b.summands)
         twists = _twists(b)
         assert b.min_twist == (min(twists) if twists else None)
         assert b.max_twist == (max(twists) if twists else None)
@@ -166,16 +165,16 @@ def test_mixed_bundle_summaries_equal_recomputed_summands(parts, new_parts):
 
 def _summed_twist_multiplicity(bundle, a):
     """Copies of twist a among the summands, by walking all of them."""
-    return sum(s.mult for s in bundle.summands if s.twist == a)
+    return sum(mult for mult, twist in bundle.summands if twist == a)
 
 
 def test_twist_multiplicity_equals_summed_reference():
     # twist_multiplicity returns 0 for a twist no summand has: outside
     # [min_twist, max_twist] and in the gaps between twists.
     gapped = [
-        ComponentBundle(kind="mixed", degree=0, summands=(Summand(2, 0), Summand(1, 3))),
-        ComponentBundle(kind="mixed", degree=0, summands=(Summand(2, 0), Summand(1, 3), Summand(1, None))),
-        ComponentBundle(kind="mixed", degree=0, summands=(Summand(2, 1), Summand(1, 4))),
+        ComponentBundle(kind="mixed", degree=0, summands=((2, 0), (1, 3))),
+        ComponentBundle(kind="mixed", degree=0, summands=((2, 0), (1, 3), (1, None))),
+        ComponentBundle(kind="mixed", degree=0, summands=((2, 1), (1, 4))),
     ]
     assert [gapped[0].twist_multiplicity(a) for a in (1, 2, 4)] == [0, 0, 0]
     for bundle in gapped:
@@ -208,12 +207,12 @@ def _ledger_terms(bundle):
     if bundle.kind == "first_special":
         return bundle.blocks, bundle.blocks
     moduli = autos = 0
-    for summand in bundle.summands:
-        if summand.twist is None:
-            moduli += summand.mult
-            autos += summand.mult
+    for mult, twist in bundle.summands:
+        if twist is None:
+            moduli += mult
+            autos += mult
         else:
-            autos += summand.mult * summand.mult
+            autos += mult * mult
     return moduli, autos
 
 
@@ -232,7 +231,7 @@ def _frozen_records():
     input records."""
     s = construct(Params(7, 3, 16, 5))
     return [
-        s.bundles[1].summands[0], s.bundles[0], s.bundles[1], s.tables[0], s,
+        s.bundles[0], s.bundles[1], s.tables[0], s,
         s.params,
         SweepConfig(g=(2, 3), r=(1, 2)),
     ]
@@ -250,7 +249,7 @@ class _Rejected(NamedTuple):
 
 
 def _data_model():
-    """(record, a replacement value for each init field) for the five data-model
+    """(record, a replacement value for each init field) for the four data-model
     records, each built by a hand-written __init__ that derives its summaries.
     Every replacement but a _Rejected one keeps the record valid and changes
     a derived field where the field feeds one. A bundle holds only its
@@ -260,14 +259,13 @@ def _data_model():
     s = construct(Params(6, 2, 9, 3))
     assert s.node_one_reads_q1
     first_special = ComponentBundle("first_special", 16, blocks=1, block_rank=3, block_degree=16)
-    mixed = ComponentBundle("mixed", 16, summands=(Summand(2, 4), Summand(1)))
+    mixed = ComponentBundle("mixed", 16, summands=((2, 4), (1, None)))
     cases = [
-        (Summand(mult=2, twist=1), {"mult": 3, "twist": None}),
         (first_special, {"kind": _Rejected("mixed"), "degree": 17, "blocks": 2, "block_rank": 1, "block_degree": 5,
-                         "summands": _Rejected((Summand(1, 0),))}),
+                         "summands": _Rejected(((1, 0),))}),
         (mixed, {"kind": _Rejected("first_special"), "degree": 17, "blocks": _Rejected(2),
                  "block_rank": _Rejected(1), "block_degree": _Rejected(5),
-                 "summands": (Summand(1, 0), Summand(3, 7))}),
+                 "summands": ((1, 0), (3, 7))}),
         (VanishingTable(((0, 2), (1, 1)), ((0, 1), (2, 2))), {"at_p": ((0, 4),), "at_q": ((5, 1), (6, 4))}),
         (s, {"params": Params(6, 3, 13, 4), "b": s.b + 1, "bundles": s.bundles[::-1], "tables": s.tables[::-1]}),
         (Params(7, 3, 16, 5), {"g": 8, "r": 2, "d": 17, "k": 6}),
@@ -342,8 +340,9 @@ _LINES_LAST = "summands: a twisted summand after the generic lines, generic line
 # (id, build, message): each build breaks one or more checks, and the message
 # is the first one's, in the order each record checks.
 _INVALID = [
-    ("summand_zero", lambda: Summand(0), "summands: multiplicity 0, a summand needs at least one copy"),
-    ("summand_negative", lambda: Summand(mult=-2, twist=3),
+    ("summand_zero", lambda: ComponentBundle("mixed", 10, summands=((0, None),)),
+     "summands: multiplicity 0, a summand needs at least one copy"),
+    ("summand_negative", lambda: ComponentBundle("mixed", 10, summands=((-2, 3),)),
      "summands: multiplicity -2, a summand needs at least one copy"),
     ("bundle_kind", lambda: ComponentBundle("line", 3, blocks=0), "kind: unknown bundle kind 'line'"),
     ("bundle_blocks", lambda: ComponentBundle("first_special", 3, blocks=0, block_rank=2), _AT_LEAST_ONE_BLOCK),
@@ -354,14 +353,14 @@ _INVALID = [
      f"blocks: {_NO_BLOCKS}"),
     ("bundle_block_degree_on_mixed", lambda: ComponentBundle("mixed", 3, block_degree=1), f"block_degree: {_NO_BLOCKS}"),
     ("bundle_summands_on_first_special",
-     lambda: dataclasses.replace(construct(Params(7, 3, 16, 5)).bundles[0], summands=(Summand(1),)),
+     lambda: dataclasses.replace(construct(Params(7, 3, 16, 5)).bundles[0], summands=((1, None),)),
      "summands: a first_special bundle has no summands, got 1"),
-    ("bundle_lines_first", lambda: ComponentBundle("mixed", 10, summands=(Summand(1), Summand(1, 2))), _LINES_LAST),
-    ("bundle_two_line_entries", lambda: ComponentBundle("mixed", 10, summands=(Summand(1), Summand(1))),
+    ("bundle_lines_first", lambda: ComponentBundle("mixed", 10, summands=((1, None), (1, 2))), _LINES_LAST),
+    ("bundle_two_line_entries", lambda: ComponentBundle("mixed", 10, summands=((1, None), (1, None))),
      "summands: a generic_line summand after the generic lines, generic lines must be one last entry"),
-    ("bundle_repeated_twist", lambda: ComponentBundle("mixed", 10, summands=(Summand(1, 2), Summand(1, 2))),
+    ("bundle_repeated_twist", lambda: ComponentBundle("mixed", 10, summands=((1, 2), (1, 2))),
      "summands: twist 2 after 2, twists must be strictly ascending"),
-    ("bundle_descending_twists", lambda: ComponentBundle("mixed", 10, summands=(Summand(1, 3), Summand(1, 2))),
+    ("bundle_descending_twists", lambda: ComponentBundle("mixed", 10, summands=((1, 3), (1, 2))),
      "summands: twist 2 after 3, twists must be strictly ascending"),
     ("table_empty_p", lambda: VanishingTable((), ()), "at_p: empty table side"),
     ("table_empty_q", lambda: VanishingTable(((0, 1),), ()), "at_q: empty table side"),
@@ -487,7 +486,8 @@ def test_records_accept_int_subclasses_other_than_bool():
     count = type("Count", (int,), {})
     s = construct(Params(7, 3, 16, 5))
     assert dataclasses.replace(s, b=count(s.b)) == s
-    assert Summand(count(2), count(1)) == Summand(2, 1)
+    subclassed = ComponentBundle("mixed", count(15), summands=((count(2), count(1)), (count(1), None)))
+    assert subclassed == ComponentBundle("mixed", 15, summands=((2, 1), (1, None)))
     assert VanishingTable(((count(0), count(1)),), ((0, 1),)) == VanishingTable(((0, 1),), ((0, 1),))
 
 
@@ -515,16 +515,17 @@ def _replacements(record, name):
     ints = (st.integers(value - 3, value + 3) | _INTS) if type(value) is int else _INTS
     if name == "kind":
         return st.sampled_from(["first_special", "mixed", "line"])
-    if name in ("blocks", "block_rank", "block_degree", "twist"):
+    if name in ("blocks", "block_rank", "block_degree"):
         return st.none() | ints
-    if name == "summands":
-        return st.lists(st.builds(Summand, st.integers(1, 3), st.none() | st.integers(-1, 8)), max_size=3).map(tuple)
+    if name == "summands":  # (mult, twist) pairs, each field as an int field is drawn
+        pair = st.tuples(st.integers(-2, 4) | _INTS, st.none() | st.integers(-1, 8) | _INTS)
+        return st.lists(pair, max_size=3).map(tuple)
     if name in ("at_p", "at_q"):
         runs = st.dictionaries(st.integers(-1, 8), st.integers(0, 3), max_size=3)
         return runs.map(lambda side: tuple(sorted(side.items())))
     if name in ("bundles", "tables"):
         return (st.permutations(value) | st.lists(st.sampled_from(value), max_size=len(value) + 1)).map(tuple)
-    return ints  # params' g, r, d and k, the skeleton's b, a bundle's degree, a summand's mult
+    return ints  # params' g, r, d and k, the skeleton's b, a bundle's degree
 
 
 def _rebuilt(obj, path, value):
@@ -560,7 +561,8 @@ def test_a_built_skeleton_raises_or_reloads(dump, data):
         edited = _rebuilt(s, path + field, value)
     except ParameterError:
         return
-    assert type(value) in (int, tuple, type(None)) or name == "kind", (path + field, value)
+    leaves = [x for pair in value for x in pair] if name == "summands" else [value]
+    assert all(type(x) in (int, tuple, type(None)) for x in leaves) or name == "kind", (path + field, value)
     assert skeleton_from_json_dict(json.loads(skeleton_to_canonical_json(edited))) == edited
     assert analyze_skeleton(edited, oracle=True).status in ("pass", "verify_fail", "audit_fail")
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from ellchain import (
     ComponentBundle,
     Params,
-    Summand,
     VanishingTable,
     audit_equals_rho,
     check_component_feasibility,
@@ -51,8 +50,8 @@ def _canonical_summands(twists):
     bundle must be: repeated twists merged and ascending, generic lines last."""
     counts = collections.Counter(twists)
     lines = counts.pop(None, 0)
-    twisted = tuple(Summand(mult=m, twist=t) for t, m in sorted(counts.items()))
-    return twisted + ((Summand(mult=lines),) if lines else ())
+    twisted = tuple((m, t) for t, m in sorted(counts.items()))
+    return twisted + (((lines, None),) if lines else ())
 
 
 def _table(at_p, at_q):
@@ -98,14 +97,14 @@ class TestNodePairing:
 class TestComponentFeasibility:
     def test_twisted_pair_within_budget(self):
         # pair summing to d1 = 3 with P-order 2 is covered by the a = 2 twist
-        bundle = _mixed((Summand(mult=1, twist=2), Summand(mult=1)), degree=6)
+        bundle = _mixed(((1, 2), (1, None)), degree=6)
         table = _table({0: 1, 2: 1}, {1: 1, 2: 1})
         verdict = check_component_feasibility(1, bundle, table, d1=3, d2=0, r=2)
         assert verdict.ok
         assert verdict.exceptional == ((2, 1, 1),)
 
     def test_generic_lines_reject_saturated_pair(self):
-        bundle = _mixed((Summand(mult=2),))
+        bundle = _mixed(((2, None),))
         table = _table({0: 1, 1: 1}, {2: 1, 3: 1})
         verdict = check_component_feasibility(1, bundle, table, d1=3, d2=0, r=2)
         assert not verdict.ok
@@ -119,7 +118,7 @@ class TestComponentFeasibility:
         assert verdict.exceptional == ((0, 1, 1), (1, 1, 1))
 
     def test_pair_sum_above_degree_rejected(self):
-        bundle = _mixed((Summand(mult=2),))
+        bundle = _mixed(((2, None),))
         table = _table({3: 2}, {3: 2})
         verdict = check_component_feasibility(1, bundle, table, d1=4, d2=0, r=2)
         assert not verdict.ok
@@ -133,11 +132,11 @@ class TestComponentFeasibility:
              [{"rule": "bundle_shape", "field": "kind", "component": 2, "expected": 1}]),
             (1, ComponentBundle(kind="first_special", degree=16, blocks=1, block_rank=2, block_degree=16),
              [{"rule": "bundle_shape", "field": "block_degree", "gcd": 2, "expected": 1}]),
-            (3, _mixed((Summand(mult=1, twist=2), Summand(mult=1, twist=6)), degree=10),
+            (3, _mixed(((1, 2), (1, 6)), degree=10),
              [{"rule": "bundle_shape", "field": "twist", "lowest": 2, "highest": 6, "min": 0, "max": 5}]),
-            (3, _mixed((Summand(mult=1, twist=-1), Summand(mult=1)), degree=10),
+            (3, _mixed(((1, -1), (1, None)), degree=10),
              [{"rule": "bundle_shape", "field": "twist", "lowest": -1, "highest": -1, "min": 0, "max": 5}]),
-            (2, _mixed((Summand(mult=1, twist=2), Summand(mult=1)), degree=9),
+            (2, _mixed(((1, 2), (1, None)), degree=9),
              [{"rule": "bundle_shape", "field": "degree", "degree": 9, "expected": 10}]),
         ],
         ids=["legal_first_special", "first_special_off_component_1", "common_factor", "twist_above_d1",
@@ -341,10 +340,10 @@ def _component_reference(bundle, table, d1, d2, r):
         if math.gcd(bundle.block_rank, bundle.block_degree) != 1:
             violations.append({"rule": "bundle_shape", "field": "block_degree",
                                "gcd": math.gcd(bundle.block_rank, bundle.block_degree), "expected": 1})
-    elif bundle.degree != sum(s.mult for s in bundle.summands) * d1:
+    elif bundle.degree != sum(mult for mult, _ in bundle.summands) * d1:
         violations.append({"rule": "bundle_shape", "field": "degree", "degree": bundle.degree,
-                           "expected": sum(s.mult for s in bundle.summands) * d1})
-    twists = [s.twist for s in bundle.summands if s.twist is not None]
+                           "expected": sum(mult for mult, _ in bundle.summands) * d1})
+    twists = [twist for _, twist in bundle.summands if twist is not None]
     if any(not 0 <= a <= d1 for a in twists):
         violations.append({"rule": "bundle_shape", "field": "twist", "lowest": min(twists),
                            "highest": max(twists), "min": 0, "max": d1})
