@@ -32,14 +32,20 @@ an integer, got 1.0"). No VanishingTable side trips the second check.
 
 It states no rule of its own: `cross_validate` reads the greedy verdicts,
 the pairing-independent rules and the exceptional capacity from `verify`.
-The chain repeats its instances up to a shift of the orders, so
-`cross_validate` decides each translation class once per call, keeping its
-(greedy, flow) pair. Shifting the left orders by u and the right by v
-moves every pair sum by u + v and each budget with its left order, and
-leaves the guard and the anti-sorted pairing alone; so a key is the sides
-shifted to start at order 0, the threshold less u + v and, capped, the
-budget values in left-run order. The key holds no bundle, so every instance
-checks its own preconditions. A guard error is never stored.
+The chain and a sweep's skeletons repeat their instances up to a shift of
+the orders, so `cross_validate` decides each translation class once per
+process, keeping its (greedy, flow) pair in `_VERDICTS`. Shifting the left
+orders by u and the right by v moves every pair sum by u + v and each
+budget with its left order, and leaves the guard and the anti-sorted
+pairing alone; so a key is the sides shifted to start at order 0, the
+threshold less u + v and, capped, the budget values in left-run order.
+Neither verdict reads anything else, so a stored pair is a pure function
+of its key, whichever skeleton stored it. The key holds no bundle, so
+every instance checks its own preconditions. A guard error is never
+stored. Stored keys share one copy of each side through `_SIDES`, and both
+dicts are cleared together when the table reaches `_MAX_CLASSES` classes.
+Threads may share the table: a race can repeat a flow, pass the bound by a
+few classes or leave a side unshared, but never store a wrong pair.
 """
 
 from __future__ import annotations
@@ -55,6 +61,19 @@ from .verify import (
     exceptional_capacity,
     node_verdicts,
 )
+
+
+_MAX_CLASSES = 1 << 14
+_VERDICTS: dict[tuple, tuple[bool, bool]] = {}  # translation class -> (greedy, flow)
+_SIDES: dict[tuple, tuple] = {}  # each shifted side of a stored key -> its one shared copy
+
+
+def _store(key: tuple, pair: tuple[bool, bool]) -> tuple[bool, bool]:
+    """Keep `pair` as the verdicts of class `key`, sharing its sides' copies."""
+    if len(_VERDICTS) >= _MAX_CLASSES:
+        _VERDICTS.clear(), _SIDES.clear()
+    _VERDICTS[(_SIDES.setdefault(key[0], key[0]), _SIDES.setdefault(key[1], key[1]), *key[2:])] = pair
+    return pair
 
 
 def _total(left: Runs, right: Runs) -> int:
@@ -181,23 +200,22 @@ def cross_validate(s: LimitSeriesSkeleton) -> CrossValidation:
     and component of a skeleton. An instance the oracle cannot take, with
     sides that total differently (no bijection exists, and `verify` already
     fails it), is skipped with the guard's own message as its notice, not
-    failed. Each translation class is decided once, keyed as the module
-    docstring says."""
+    failed. Each translation class is decided once per process, while the
+    table holds it, keyed as the module docstring says."""
     checks: list[CrossCheck] = []
     skipped: list[str] = []
     d1, d2, r, b = s.params.d1, s.params.d2, s.params.r, s.b
-    verdicts: dict[tuple, tuple[bool, bool]] = {}  # translation class -> (greedy, flow)
     # Each table's (P side, Q side), each shifted to start at order 0 and paired with its first order.
     shifted = [[(tuple([(o - side[0][0], m) for o, m in side]), side[0][0]) for side in (t.at_p, t.at_q)] for t in s.tables]
 
     for node, (q_table, p_table, (_, (q, q_lo)), ((p, p_lo), _)) in enumerate(
         zip(s.tables, s.tables[1:], shifted, shifted[1:]), 1
     ):
-        pair = verdicts.get(key := (q, p, b - q_lo - p_lo))
+        pair = _VERDICTS.get(key := (q, p, b - q_lo - p_lo))
         try:
             if pair is None:  # a guard error raises before anything is stored
                 found = min_sum_pairing_exists(q_table.at_q, p_table.at_p, b)
-                pair = verdicts[key] = (node_verdicts((q_table, p_table), b)[0].satisfiable, found)
+                pair = _store(key, (node_verdicts((q_table, p_table), b)[0].satisfiable, found))
         except ValueError as exc:
             skipped.append(f"node {node}: {exc}")
             continue
@@ -207,13 +225,13 @@ def cross_validate(s: LimitSeriesSkeleton) -> CrossValidation:
         # The flow charges a pair summing to d1 to its left (P) order
         # only, so the table's P-orders are the budget's whole domain.
         budget = {o: exceptional_capacity(bundle, o, d2=d2) for o, _ in table.at_p}
-        pair = verdicts.get(key := (p, q, d1 - p_lo - q_lo, tuple(budget.values())))
+        pair = _VERDICTS.get(key := (p, q, d1 - p_lo - q_lo, tuple(budget.values())))
         preconditions = component_preconditions(i, bundle, table, d1=d1, r=r)
         try:
             if pair is None:
                 found = exists_feasible_pairing(table.at_p, table.at_q, d1, budget)
                 greedy = check_component_feasibility(i, bundle, table, d1=d1, d2=d2, r=r)
-                pair = verdicts[key] = (len(greedy.violations) == len(preconditions), found)
+                pair = _store(key, (len(greedy.violations) == len(preconditions), found))
         except ValueError as exc:
             skipped.append(f"component {i}: {exc}")
             continue

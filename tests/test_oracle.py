@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -17,6 +19,7 @@ from ellchain import (
     cross_validate,
     exists_feasible_pairing,
     min_sum_pairing_exists,
+    oracle,
 )
 from ellchain.cli import SweepConfig
 from ellchain.oracle import CrossCheck, CrossValidation
@@ -358,8 +361,9 @@ class TestCrossValidation:
 
     @pytest.mark.parametrize("wrong", [2, 3])
     def test_preconditions_checked_per_instance(self, wrong):
-        # The wrong bundle sits on the class's first instance (2), whose
-        # flow and greedy verdict fill the memo, or on a later one (3).
+        # The class table starts empty (conftest's fixture), so the wrong
+        # bundle sits on the class's first instance (2), whose flow and
+        # greedy verdict are stored, or on a later one (3).
         s = _precondition_apart(wrong)
         cv = cross_validate(s)
         reference = _cross_validate_per_instance(s)
@@ -382,3 +386,83 @@ class TestCrossValidation:
         for s in skeletons:
             cv, reference = cross_validate(s), _cross_validate_per_instance(s)
             assert (cv.checks, cv.skipped) == (reference.checks, reference.skipped), s.params
+
+
+class TestClassTable:
+    """cross_validate keeps its translation-class verdicts for the process,
+    so no verdict may depend on what the table already holds."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        """test_memo_changes_no_cross_validation's skeletons, each with its
+        one-flow-per-instance reference."""
+        skeletons = [_translates_apart(), _unequal_sides()]
+        skeletons += [construct(p) for p in constructible_tuples(SweepConfig(g=(2, 8), r=(1, 3)))]
+        skeletons += [corrupted for _, _, corrupted in _fuzzed_corruptions()]
+        return [(s, _cross_validate_per_instance(s)) for s in skeletons]
+
+    @staticmethod
+    def _agree(cases, after_each=lambda: None):
+        for s, reference in cases:
+            cv = cross_validate(s)
+            assert (cv.checks, cv.skipped) == (reference.checks, reference.skipped), s.params
+            after_each()
+
+    def test_cold_then_warm_table(self, cases):
+        assert not oracle._VERDICTS and not oracle._SIDES
+        self._agree(cases)
+        stored = dict(oracle._VERDICTS)
+        self._agree(cases)  # every class is now a hit
+        assert oracle._VERDICTS == stored
+
+    def test_reverse_order_after_a_clear(self, cases):
+        self._agree(cases)
+        oracle._VERDICTS.clear(), oracle._SIDES.clear()
+        self._agree(cases[::-1])
+
+    def test_bounded_table_clears_both_dicts(self, cases, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_CLASSES", 3)
+
+        def bounded():
+            assert len(oracle._VERDICTS) <= 3
+            # _SIDES holds exactly the stored keys' sides, each key sharing its copy.
+            sides = {id(side): side for key in oracle._VERDICTS for side in key[:2]}
+            assert len(oracle._SIDES) == len(sides)
+            assert all(oracle._SIDES[side] is side for side in sides.values())
+
+        self._agree(cases, bounded)
+
+    def test_threads_share_the_table(self, cases, monkeypatch):
+        # More threads than cores, each in its own order, a short switch
+        # interval and a table that clears every few classes: a lost or
+        # crossed update would hand some thread another class's verdicts.
+        monkeypatch.setattr(oracle, "_MAX_CLASSES", 5)
+        subset, wrong = cases[::7], []
+
+        def work(offset):
+            for s, reference in subset[offset:] + subset[:offset]:
+                cv = cross_validate(s)
+                if (cv.checks, cv.skipped) != (reference.checks, reference.skipped):
+                    wrong.append(s.params)
+
+        threads = [threading.Thread(target=work, args=(13 * n,)) for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not wrong
+
+    def test_skipped_instances_store_nothing(self):
+        s = _unequal_sides()
+        first = cross_validate(s)
+        stored = dict(oracle._VERDICTS)
+        second = cross_validate(s)
+        assert second.skipped == first.skipped == ("node 1: sides total 5 and 4", "component 2: sides total 4 and 5")
+        assert second.checks == first.checks and oracle._VERDICTS == stored
+        # Only instances whose sides total the same reach the table.
+        assert all(sum(m for _, m in key[0]) == sum(m for _, m in key[1]) for key in stored)
