@@ -32,20 +32,22 @@ an integer, got 1.0"). No VanishingTable side trips the second check.
 
 It states no rule of its own: `cross_validate` reads the greedy verdicts,
 the pairing-independent rules and the exceptional capacity from `verify`.
-The chain and a sweep's skeletons repeat their instances up to a shift of
-the orders, so `cross_validate` decides each translation class once per
-process, keeping its (greedy, flow) pair in `_VERDICTS`. Shifting the left
-orders by u and the right by v moves every pair sum by u + v and each
-budget with its left order, and leaves the guard and the anti-sorted
-pairing alone; so a key is the sides shifted to start at order 0, the
-threshold less u + v and, capped, the budget values in left-run order.
-Neither verdict reads anything else, so a stored pair is a pure function
-of its key, whichever skeleton stored it. The key holds no bundle, so
-every instance checks its own preconditions. A guard error is never
-stored. Stored keys share one copy of each side through `_SIDES`, and both
-dicts are cleared together when the table reaches `_MAX_CLASSES` classes.
-Threads may share the table: a race can repeat a flow, pass the bound by a
-few classes or leave a side unshared, but never store a wrong pair.
+Instances repeat up to a shift of the orders along a chain and across
+skeletons, so `cross_validate` decides each translation class once per
+process, keeping its (greedy, flow) pair in `_VERDICTS`. Only a process
+that checks many skeletons, as the acceptance gate does, reuses a class
+across them; `check` and `verify-file` check one. Shifting the left orders
+by u and the right by v moves every pair sum by u + v and each budget with
+its left order, and leaves the guard and the anti-sorted pairing alone; so
+a key is the sides shifted to start at order 0, the threshold less u + v
+and, capped, the budget values in left-run order. Neither verdict reads
+anything else, so a stored pair is a pure function of its key, whichever
+skeleton stored it. The key holds no bundle, so every instance checks its
+own preconditions. A guard error is never stored. Stored keys share one
+copy of each side through `_SIDES`, and both dicts are cleared together
+when the table reaches `_MAX_CLASSES` classes. Threads may share the
+table: a race can repeat a flow, pass the bound by a few classes or leave
+a side unshared, but never store a wrong pair.
 """
 
 from __future__ import annotations
