@@ -63,12 +63,18 @@ machine-checkable in this model and is carried as an assumption with its own
 status, so an overall pass reads "pass modulo genericity assumptions".
 
 Witnesses are built only when read: every check keeps what its witness
-needs and builds it on the first read (`CheckEntry(status, build)`), and a
-node verdict keeps its two sides and merges them when a report's JSON
-expands the node's pairs and sums. A sweep, which reads statuses only,
-pays for none of them. The report maps each check's name to its entry, in
-report order, and keeps the node verdicts: `all_nodes_exact` reads their
-`exact` flags, as the witness's `all_exact` does, so it builds no witness.
+needs and writes its canonical JSON text on the first read
+(`CheckEntry(status, build)`), so a sweep, which reads statuses only, pays
+for none. The report maps each check's name to its entry, in report order,
+and keeps the node verdicts: `all_nodes_exact` reads their `exact` flags,
+as the witness's `all_exact` does, so it builds no witness. The regular
+parts are written as text from their runs, with no tree for the encoder to
+walk: the report, each node (its sides merged, each stretch's pair and sum
+formatted once and repeated over its count), each component's exceptional
+triples and the boundary's run lists. The irregular dicts (violations,
+offenders, the degree-balance, passing multiplicity and genericity
+witnesses) go through `canonical_dumps`. Every `to_json_dict` and
+`witness` parses that text, so there is no second writer.
 
 The skeleton and its parts are frozen, because the summaries the rules read
 are right only while the fields they come from cannot change. The verdicts
@@ -80,6 +86,7 @@ component whose walk returns no stretch at or above d1 reads no capacity.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import partial
 from math import gcd
@@ -96,7 +103,13 @@ from .skeleton import (
 
 Runs = Sequence[tuple[int, int]]
 Stretch = tuple[int, int, int]
-_GENERICITY_WITNESS = partial(dict, note="sections determined by nodal values: genericity assumption, not verified")
+_GENERICITY_WITNESS = partial(canonical_dumps, {"note": "sections determined by nodal values: genericity assumption, not verified"})
+_TRUTH = ("false", "true")  # a JSON boolean, indexed by a bool
+
+
+def _runs_json(runs: Runs) -> str:
+    """The JSON text of (order, multiplicity) runs."""
+    return "[" + ",".join([f"[{order},{mult}]" for order, mult in runs]) + "]"
 
 
 def merge_runs(up: Runs, down: Runs, floor: int) -> tuple[int, int, list[Stretch]]:
@@ -148,25 +161,23 @@ class NodeVerdict:
     satisfiable: bool
     exact: bool
 
-    @property
-    def stretches(self) -> list[Stretch]:
-        """(P-order, Q-order, count), P ascending: merged on every read."""
-        return merge_runs(self.at_p, self.at_q, self.min_sum)[2]
+    def to_canonical_json(self) -> str:
+        """The node's record, with one [Q-order, P-order] pair and one sum
+        per section, P ascending: the sides are merged on every call, and
+        each stretch's pair and sum are formatted once and repeated."""
+        pairs = sums = ""
+        for p, q, count in merge_runs(self.at_p, self.at_q, self.min_sum)[2]:
+            pairs += f"[{q},{p}]," * count
+            sums += f"{q + p}," * count
+        # "oracle_used" is always false since the run merge alone decides a
+        # node. Report schema 1 keeps the key: REPORT_SHA256 and
+        # bench/digests.json pin the report bytes, and bench/spans.py reads it.
+        return (f'{{"exact":{_TRUTH[self.exact]},"min_sum":{self.min_sum},"node":{self.node},'
+                f'"oracle_used":false,"pairs":[{pairs[:-1]}],"satisfiable":{_TRUTH[self.satisfiable]},'
+                f'"sums":[{sums[:-1]}]}}')
 
     def to_json_dict(self) -> dict[str, Any]:
-        pairs = [[q, p] for p, q, count in self.stretches for _ in range(count)]
-        return {
-            "node": self.node,
-            "pairs": pairs,
-            "sums": [q + p for q, p in pairs],
-            "min_sum": self.min_sum,
-            "satisfiable": self.satisfiable,
-            "exact": self.exact,
-            # Always false since the run merge alone decides a node. Report
-            # schema 1 keeps the key: REPORT_SHA256 and bench/digests.json
-            # pin the report bytes, and bench/spans.py reads it.
-            "oracle_used": False,
-        }
+        return json.loads(self.to_canonical_json())
 
 
 def node_verdicts(tables: Sequence[VanishingTable], b: int) -> tuple[NodeVerdict, ...]:
@@ -191,13 +202,15 @@ class ComponentVerdict:
     violations: tuple[dict[str, Any], ...]
     exceptional: tuple[tuple[int, int, int], ...]  # (P-order, pairs, capacity)
 
+    def to_canonical_json(self) -> str:
+        exceptional = ",".join([f"[{order},{pairs},{capacity}]" for order, pairs, capacity in self.exceptional])
+        # Most components have no violation: "[]" spares an encoder call each.
+        violations = canonical_dumps(self.violations) if self.violations else "[]"
+        return (f'{{"component":{self.component},"exceptional":[{exceptional}],"ok":{_TRUTH[self.ok]},'
+                f'"violations":{violations}}}')
+
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "component": self.component,
-            "ok": self.ok,
-            "violations": list(self.violations),
-            "exceptional": [list(e) for e in self.exceptional],
-        }
+        return json.loads(self.to_canonical_json())
 
 
 def component_preconditions(
@@ -272,24 +285,27 @@ def check_component_feasibility(
 
 
 class CheckEntry:
-    """A check's status and its witness, which `build`, a function of no
-    arguments, returns on the first read of `witness`."""
+    """A check's status and its witness's canonical JSON text, which
+    `build`, a function of no arguments, returns on the first read of
+    `witness_json`."""
 
-    __slots__ = ("status", "_witness", "_build")
+    __slots__ = ("status", "_witness_json", "_build")
 
-    def __init__(self, status: str, build: Callable[[], Any]) -> None:
+    def __init__(self, status: str, build: Callable[[], str]) -> None:
         self.status = status  # "pass" | "fail" | "assumed"
-        self._witness = None
-        self._build: Callable[[], Any] | None = build
+        self._witness_json = ""
+        self._build: Callable[[], str] | None = build
+
+    @property
+    def witness_json(self) -> str:
+        if self._build is not None:
+            self._witness_json, self._build = self._build(), None
+        return self._witness_json
 
     @property
     def witness(self) -> Any:
-        if self._build is not None:
-            self._witness, self._build = self._build(), None
-        return self._witness
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"status": self.status, "witness": self.witness}
+        """The witness text parsed, afresh on every read."""
+        return json.loads(self.witness_json)
 
 
 @dataclass(slots=True)
@@ -308,14 +324,13 @@ class VerificationReport:
     def all_nodes_exact(self) -> bool:
         return all(n.exact for n in self.nodes)
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "overall": "pass" if self.overall else "fail",
-            "checks": {name: entry.to_json_dict() for name, entry in self.checks.items()},
-        }
-
     def to_canonical_json(self) -> str:
-        return canonical_dumps(self.to_json_dict())
+        checks = ",".join([f'"{name}":{{"status":"{entry.status}","witness":{entry.witness_json}}}'
+                           for name, entry in sorted(self.checks.items())])
+        return f'{{"checks":{{{checks}}},"overall":"{"pass" if self.overall else "fail"}"}}'
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return json.loads(self.to_canonical_json())
 
 
 def check_boundary(s: LimitSeriesSkeleton) -> CheckEntry:
@@ -328,11 +343,11 @@ def check_boundary(s: LimitSeriesSkeleton) -> CheckEntry:
     return CheckEntry("pass" if ok else "fail", partial(_boundary_witness, r, k1, k2, first_p, last_q))
 
 
-def _boundary_witness(r: int, k1: int, k2: int, first_p: Runs, last_q: Runs) -> dict[str, Any]:
+def _boundary_witness(r: int, k1: int, k2: int, first_p: Runs, last_q: Runs) -> str:
     expected = minimal_boundary_table(r, k1, k2)
-    witness: dict[str, Any] = {"expected": list(expected), "first_p": list(first_p), "last_q": list(last_q)}
+    sides = f'"expected":{_runs_json(expected)},"first_p":{_runs_json(first_p)},"last_q":{_runs_json(last_q)}'
     if first_p == expected and last_q == expected:
-        return witness
+        return f"{{{sides}}}"
     want = dict(expected)
     offenders = []
     for label, side in (("P1", first_p), ("Qg", last_q)):
@@ -340,8 +355,7 @@ def _boundary_witness(r: int, k1: int, k2: int, first_p: Runs, last_q: Runs) -> 
         for order in sorted(set(got) | set(want)):
             if got.get(order) != want.get(order):
                 offenders.append({"point": label, "order": order, "got": got.get(order, 0), "expected": want.get(order, 0)})
-    witness["offenders"] = offenders
-    return witness
+    return f'{{{sides},"offenders":{canonical_dumps(offenders)}}}'
 
 
 def check_multiplicity_bounds(s: LimitSeriesSkeleton) -> CheckEntry:
@@ -363,19 +377,17 @@ def check_multiplicity_bounds(s: LimitSeriesSkeleton) -> CheckEntry:
                 if mult > r or not 0 <= order <= d1:
                     offenders.append({"component": i, "point": point, "order": order, "mult": mult})
     if offenders:
-        return CheckEntry("fail", partial(dict, offenders=offenders))
-    return CheckEntry("pass", partial(dict, components=len(s.tables), max_multiplicity=r))
+        return CheckEntry("fail", partial(canonical_dumps, {"offenders": offenders}))
+    return CheckEntry("pass", partial(canonical_dumps, {"components": len(s.tables), "max_multiplicity": r}))
 
 
-def _node_witness(nodes: tuple[NodeVerdict, ...]) -> dict[str, Any]:
-    return {
-        "nodes": [n.to_json_dict() for n in nodes],
-        "all_exact": all(n.exact for n in nodes),
-    }
+def _node_witness(nodes: tuple[NodeVerdict, ...]) -> str:
+    text = ",".join([n.to_canonical_json() for n in nodes])
+    return f'{{"all_exact":{_TRUTH[all(n.exact for n in nodes)]},"nodes":[{text}]}}'
 
 
-def _component_witness(comps: list[ComponentVerdict]) -> dict[str, Any]:
-    return {"components": [c.to_json_dict() for c in comps]}
+def _component_witness(comps: list[ComponentVerdict]) -> str:
+    return f'{{"components":[{",".join([c.to_canonical_json() for c in comps])}]}}'
 
 
 def verify(s: LimitSeriesSkeleton) -> VerificationReport:
@@ -389,7 +401,7 @@ def verify(s: LimitSeriesSkeleton) -> VerificationReport:
     ]
     checks = {
         "degree_balance": CheckEntry("pass" if residual == 0 else "fail",
-                                     partial(dict, residual=residual, b=s.b)),
+                                     partial(canonical_dumps, {"residual": residual, "b": s.b})),
         "node_pairing": CheckEntry("pass" if all(n.satisfiable for n in nodes) else "fail",
                                    partial(_node_witness, nodes)),
         "component_feasibility": CheckEntry("pass" if all(c.ok for c in comps) else "fail",

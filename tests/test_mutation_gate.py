@@ -16,7 +16,9 @@ both sit on the two sides of one node (`tables[n-1].at_q` and
 +-1 in all four sign combinations.
 
 Each mutated document must fail to load or get a status other than pass
-from `analyze_skeleton`, the verdict `verify-file` reports. The only
+from `analyze_skeleton`, the verdict `verify-file` reports. Every mutant
+that loads, failing or not, must also write the report bytes of
+`test_verify.report_reference`, the per-section reference. The only
 survivors are the mutations an allowlist names, each with its reason, and
 every one of them must survive. Each family also pins how its mutants fail:
 a tally of outcomes, each a load failure or the failing checks and audit.
@@ -43,6 +45,7 @@ from itertools import combinations, product
 
 import pytest
 
+from test_verify import assert_report_matches_reference
 from ellchain import Case, Params, construct, skeleton_from_json_dict, skeleton_to_json_dict
 from ellchain.cli import analyze_skeleton
 from ellchain.errors import ParameterError
@@ -227,6 +230,7 @@ def _outcome(doc) -> tuple[str, ...]:
     except ParameterError:
         return ("load",)
     analysis = analyze_skeleton(skeleton)
+    assert_report_matches_reference(skeleton, analysis.report)
     failed = tuple(name for name, entry in analysis.report.checks.items() if entry.status == "fail")
     return failed + (() if analysis.audit.ok else ("audit",))
 

@@ -4,7 +4,9 @@ import collections
 import dataclasses
 import importlib
 import itertools
+import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,7 @@ from ellchain import (
     merge_runs,
     verify,
 )
-from ellchain.skeleton import skeleton_from_json_dict, skeleton_to_json_dict
+from ellchain.skeleton import canonical_dumps, skeleton_from_json_dict, skeleton_to_json_dict
 from ellchain.verify import check_multiplicity_bounds, node_verdicts
 
 # The package's `verify` is the function, so the module is looked up by name.
@@ -271,6 +273,24 @@ class TestFullVerify:
             {"rule": "pair_sum", "pair": [3, 4], "sum": 7, "max": 5, "count": m}]
         assert len(report.to_canonical_json()) < 8192
 
+    def test_a_passing_node_of_multiplicity_m_is_written_in_memory_linear_in_its_bytes(self):
+        # Node 3 of 7 3 16 5 pairs M sections, all summing to b, so it passes
+        # and report schema 1 lists M pairs and M sums. Writing them costs a
+        # few times the report's bytes, not one list per section.
+        doc = skeleton_to_json_dict(construct(Params(7, 3, 16, 5)))
+        m = 10**5
+        doc["tables"][2]["at_q"], doc["tables"][3]["at_p"] = [[3, m]], [[2, m]]
+        report = verify(skeleton_from_json_dict(doc))
+        assert report.entry("node_pairing").status == "pass"
+        tracemalloc.start()
+        try:
+            text = report.to_canonical_json()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 802_232
+        assert peak <= 6 * len(text)
+
     def test_report_json_shape(self):
         doc = verify(construct(Params(4, 2, 8, 4))).to_json_dict()
         assert doc["overall"] == "pass"
@@ -326,9 +346,9 @@ def _runs(orders):
 run_tables = st.lists(st.integers(0, 9), min_size=1, max_size=12).map(_runs)
 
 
-def _component_reference(bundle, table, d1, d2, r):
+def _component_reference(bundle, table, d1, d2, r, component=1):
     """The component rules applied pair by pair to the expanded anti-sorted
-    pairing."""
+    pairing, as the component's per-section dict."""
     total_p, total_q = len(expand_ascending(table.at_p)), len(expand_ascending(table.at_q))
     violations = [{"rule": "bundle_rank", "rank": bundle.rank, "expected": r}] if bundle.rank != r else []
     if bundle.kind == "first_special":
@@ -340,6 +360,8 @@ def _component_reference(bundle, table, d1, d2, r):
         if math.gcd(bundle.block_rank, bundle.block_degree) != 1:
             violations.append({"rule": "bundle_shape", "field": "block_degree",
                                "gcd": math.gcd(bundle.block_rank, bundle.block_degree), "expected": 1})
+        if component != 1:
+            violations.append({"rule": "bundle_shape", "field": "kind", "component": component, "expected": 1})
     elif bundle.degree != sum(mult for mult, _ in bundle.summands) * d1:
         violations.append({"rule": "bundle_shape", "field": "degree", "degree": bundle.degree,
                            "expected": sum(mult for mult, _ in bundle.summands) * d1})
@@ -365,8 +387,79 @@ def _component_reference(bundle, table, d1, d2, r):
             violations.append(
                 {"rule": "exceptional_capacity", "order": a, "pairs": top_groups[a], "capacity": capacity}
             )
-    return {"component": 1, "ok": not violations, "violations": violations,
+    return {"component": component, "ok": not violations, "violations": violations,
             "exceptional": exceptional}
+
+
+def _node_reference(node, at_q, at_p, b):
+    """A node's dict with one pair and one sum per section, from the
+    expanded sides zipped (Q descending against P ascending)."""
+    pairs = [[q, p] for q, p in zip(expand_descending(at_q), expand_ascending(at_p))]
+    sums = [q + p for q, p in pairs]
+    return {
+        "node": node,
+        "pairs": pairs,
+        "sums": sums,
+        "min_sum": min(sums),
+        "satisfiable": min(sums) >= b and len(expand_ascending(at_q)) == len(expand_ascending(at_p)),
+        "exact": all(v == b for v in sums),
+        "oracle_used": False,
+    }
+
+
+def _boundary_reference(s):
+    """The boundary witness: both boundary sides against the minimal table
+    {0..k1-1: r, k1: k2}, with every order where a side differs from it."""
+    p = s.params
+    expected = [[order, p.r] for order in range(p.k1)] + ([[p.k1, p.k2]] if p.k2 else [])
+    first_p, last_q = [list(run) for run in s.tables[0].at_p], [list(run) for run in s.tables[-1].at_q]
+    witness = {"expected": expected, "first_p": first_p, "last_q": last_q}
+    if first_p == last_q == expected:
+        return "pass", witness
+    want = dict(map(tuple, expected))
+    witness["offenders"] = [
+        {"point": label, "order": order, "got": dict(side).get(order, 0), "expected": want.get(order, 0)}
+        for label, side in (("P1", s.tables[0].at_p), ("Qg", s.tables[-1].at_q))
+        for order in sorted(set(dict(side)) | set(want))
+        if dict(side).get(order) != want.get(order)
+    ]
+    return "fail", witness
+
+
+def report_reference(s):
+    """The report of `s` as per-section dicts: every node pair and sum from
+    the expanded sides, every component from `_component_reference`, and
+    each other witness from its rule. `verify`'s text must equal its
+    canonical encoding byte for byte."""
+    p = s.params
+    residual = sum(bundle.degree for bundle in s.bundles) - p.r * (p.g - 1) * s.b - p.d
+    nodes = [_node_reference(n, q_table.at_q, p_table.at_p, s.b)
+             for n, (q_table, p_table) in enumerate(zip(s.tables, s.tables[1:]), 1)]
+    comps = [_component_reference(bundle, table, p.d1, p.d2, p.r, i)
+             for i, (bundle, table) in enumerate(zip(s.bundles, s.tables), 1)]
+    boundary, boundary_witness = _boundary_reference(s)
+    bounds = _bounds_reference(s)
+    checks = {
+        "degree_balance": ("pass" if residual == 0 else "fail", {"residual": residual, "b": s.b}),
+        "node_pairing": ("pass" if all(n["satisfiable"] for n in nodes) else "fail",
+                         {"nodes": nodes, "all_exact": all(n["exact"] for n in nodes)}),
+        "component_feasibility": ("pass" if all(c["ok"] for c in comps) else "fail", {"components": comps}),
+        "boundary_minimality": (boundary, boundary_witness),
+        "multiplicity_bounds": ("fail" if "offenders" in bounds else "pass", bounds),
+        "genericity": ("assumed", {"note": "sections determined by nodal values: genericity assumption, not verified"}),
+    }
+    return {
+        "overall": "fail" if any(status == "fail" for status, _ in checks.values()) else "pass",
+        "checks": {name: {"status": status, "witness": witness} for name, (status, witness) in checks.items()},
+    }
+
+
+def assert_report_matches_reference(s, report):
+    """`report`, verify's report of `s`, writes the reference's canonical
+    bytes, and its text is canonical: it reads back to the same bytes."""
+    text = report.to_canonical_json()
+    assert text == canonical_dumps(report_reference(s))
+    assert canonical_dumps(json.loads(text)) == text
 
 
 def _bounds_reference(s):
@@ -465,13 +558,10 @@ class TestRunMerge:
             VanishingTable(at_p, s.tables[1].at_q),
         )
         verdict = node_verdicts(tables, b)[0]
-        pairs = list(zip(expand_descending(at_q), expand_ascending(at_p)))
-        sums = [q + p for q, p in pairs]
-        assert verdict.to_json_dict()["pairs"] == [list(pair) for pair in pairs]
-        assert verdict.min_sum == min(sums)
-        assert verdict.exact == all(v == b for v in sums)
-        assert verdict.satisfiable == (min(sums) >= b and sum(m for _, m in at_q) == sum(m for _, m in at_p))
-        assert verdict.to_json_dict()["sums"] == sums
+        reference = _node_reference(1, at_q, at_p, b)
+        assert verdict.to_canonical_json() == canonical_dumps(reference)
+        assert (verdict.min_sum, verdict.exact, verdict.satisfiable) == (
+            reference["min_sum"], reference["exact"], reference["satisfiable"])
 
     @given(
         at_p=run_tables,
@@ -508,4 +598,15 @@ class TestRunMerge:
         else:
             bundle = _mixed(_canonical_summands(twists), len(twists) * d1 + degree_shift)
         verdict = check_component_feasibility(1, bundle, table, d1=d1, d2=d2, r=r)
-        assert verdict.to_json_dict() == _component_reference(bundle, table, d1, d2, r)
+        assert verdict.to_canonical_json() == canonical_dumps(_component_reference(bundle, table, d1, d2, r))
+
+    @given(first_p=run_tables, at_q=run_tables, at_p=run_tables, last_q=run_tables)
+    @example(first_p=((0, 2), (1, 1)), at_q=((2, 2),), at_p=((1, 1),), last_q=((0, 2), (1, 1)))  # unequal totals
+    @example(first_p=((0, 3),), at_q=((3, 3),), at_p=((0, 3),), last_q=((0, 2), (1, 1)))  # saturated stretches
+    @settings(max_examples=300)
+    def test_report_text_matches_the_per_section_reference(self, first_p, at_q, at_p, last_q):
+        # Both components of 2 2 6 3 (d1 = 3, d2 = 1; a first_special bundle,
+        # then two generic lines) and the boundary take drawn sides.
+        s = construct(Params(2, 2, 6, 3))
+        s = dataclasses.replace(s, tables=(VanishingTable(first_p, at_q), VanishingTable(at_p, last_q)))
+        assert_report_matches_reference(s, verify(s))
