@@ -66,8 +66,7 @@ Witnesses are built only when read: every check keeps what its witness
 needs and writes its canonical JSON text on the first read
 (`CheckEntry(status, build)`), so a sweep, which reads statuses only, pays
 for none. The report maps each check's name to its entry, in report order,
-and keeps the node verdicts: `all_nodes_exact` reads their `exact` flags,
-as the witness's `all_exact` does, so it builds no witness. The regular
+and stores `all_nodes_exact`, so the flag builds no witness. The regular
 parts are written as text from their runs, with no tree for the encoder to
 walk: the report, each node (its sides merged, each stretch's pair and sum
 formatted once and repeated over its count), each component's exceptional
@@ -80,8 +79,13 @@ The skeleton and its parts are frozen, because the summaries the rules read
 are right only while the fields they come from cannot change. The verdicts
 and the report are result records, built once per call and handed to the
 caller, so they are plain slotted dataclasses, as CheckEntry is a plain
-slotted class. Each verdict is built positionally from its one walk, and a
-component whose walk returns no stretch at or above d1 reads no capacity.
+slotted class. `verify` walks each node and component once, in one loop,
+and keeps a verdict, by index, only for an instance that needs one: a
+plain node (exact, with equal totals) or component (no violation and no
+stretch at or above d1), nearly every one in a sweep, keeps none, and the
+witness writes it from the tables and its index when read. Each verdict
+is built positionally from its one walk, and a component whose walk
+returns no stretch at or above d1 reads no capacity.
 """
 
 from __future__ import annotations
@@ -103,7 +107,8 @@ from .skeleton import (
 
 Runs = Sequence[tuple[int, int]]
 Stretch = tuple[int, int, int]
-_GENERICITY_WITNESS = partial(canonical_dumps, {"note": "sections determined by nodal values: genericity assumption, not verified"})
+_GENERICITY_WITNESS = partial(str, canonical_dumps(
+    {"note": "sections determined by nodal values: genericity assumption, not verified"}))  # formatted once
 _TRUTH = ("false", "true")  # a JSON boolean, indexed by a bool
 
 
@@ -186,13 +191,13 @@ def node_verdicts(tables: Sequence[VanishingTable], b: int) -> tuple[NodeVerdict
     (else no bijection exists) and the greedy pairing's minimum sum is at
     least b. With unequal totals the pairing stops at the shorter side."""
     above = b + 1  # only a cost bound: the walk's stretches are discarded, and an exact node has none
-    verdicts = []
-    for node, (q_table, p_table) in enumerate(zip(tables, tables[1:]), 1):
-        at_p, at_q = p_table.at_p, q_table.at_q
-        lowest, highest, _ = merge_runs(at_p, at_q, above)
-        verdicts.append(NodeVerdict(node, at_p, at_q, lowest, lowest >= b and q_table.total_q == p_table.total_p,
-                                    lowest == highest == b))
-    return tuple(verdicts)
+    return tuple(_node_verdict(node, q, p, b, *merge_runs(p.at_p, q.at_q, above)[:2])
+                 for node, (q, p) in enumerate(zip(tables, tables[1:]), 1))
+
+
+def _node_verdict(node: int, q: VanishingTable, p: VanishingTable, b: int, lowest: int, highest: int) -> NodeVerdict:
+    """The node joining `q`'s Q side to `p`'s P side, from its walk's extreme pair sums."""
+    return NodeVerdict(node, p.at_p, q.at_q, lowest, lowest >= b and q.total_q == p.total_p, lowest == highest == b)
 
 
 @dataclass(slots=True)
@@ -223,7 +228,12 @@ def component_preconditions(
     coprime rank and degree; a mixed bundle, a sum of degree-d1 lines, has
     degree rank*d1; every twist lies in [0, d1]) and `side_totals` (the
     two sides total the same, else no pairing exists). O(1) on the stored
-    summaries. A multiplicity above r is `check_multiplicity_bounds`'s."""
+    summaries, with a fast accept when a mixed bundle's are all in range.
+    A multiplicity above r is `check_multiplicity_bounds`'s."""
+    lo, hi = bundle.min_twist, bundle.max_twist
+    if (bundle.rank == r and table.total_p == table.total_q and bundle.kind == "mixed"
+            and bundle.degree == r * d1 and (lo is None or lo >= 0 and hi <= d1)):  # type: ignore[operator]
+        return []
     violations: list[dict[str, Any]] = []
     if bundle.rank != r:
         violations.append({"rule": "bundle_rank", "rank": bundle.rank, "expected": r})
@@ -241,7 +251,6 @@ def component_preconditions(
     elif bundle.degree != bundle.rank * d1:
         expected = bundle.rank * d1
         violations.append({"rule": "bundle_shape", "field": "degree", "degree": bundle.degree, "expected": expected})
-    lo, hi = bundle.min_twist, bundle.max_twist
     if lo is not None and (lo < 0 or hi > d1):  # type: ignore[operator]
         violations.append(
             {"rule": "bundle_shape", "field": "twist", "lowest": lo, "highest": hi, "min": 0, "max": d1}
@@ -269,7 +278,12 @@ def check_component_feasibility(
     at d1 is its P-order's whole saturated group, since y changes between
     stretches of equal x."""
     violations = component_preconditions(component, bundle, table, d1=d1, r=r)
-    saturated = merge_runs(table.at_p, table.at_q, d1)[2]
+    return _component_verdict(component, bundle, violations, merge_runs(table.at_p, table.at_q, d1)[2], d1, d2)
+
+
+def _component_verdict(component: int, bundle: ComponentBundle, violations: list[dict[str, Any]],
+                       saturated: list[Stretch], d1: int, d2: int) -> ComponentVerdict:
+    """The component from its precondition violations (extended) and its walk's stretches at or above d1."""
     if not saturated:
         return ComponentVerdict(component, not violations, tuple(violations), ())
     exceptional = []
@@ -311,7 +325,7 @@ class CheckEntry:
 @dataclass(slots=True)
 class VerificationReport:
     checks: dict[str, CheckEntry]  # by check name, in report order
-    nodes: tuple[NodeVerdict, ...]
+    all_nodes_exact: bool  # every node pairs its sections to sums of exactly b
 
     def entry(self, name: str) -> CheckEntry:
         return self.checks[name]
@@ -319,10 +333,6 @@ class VerificationReport:
     @property
     def overall(self) -> bool:
         return all(entry.status != "fail" for entry in self.checks.values())
-
-    @property
-    def all_nodes_exact(self) -> bool:
-        return all(n.exact for n in self.nodes)
 
     def to_canonical_json(self) -> str:
         checks = ",".join([f'"{name}":{{"status":"{entry.status}","witness":{entry.witness_json}}}'
@@ -381,33 +391,43 @@ def check_multiplicity_bounds(s: LimitSeriesSkeleton) -> CheckEntry:
     return CheckEntry("pass", partial(canonical_dumps, {"components": len(s.tables), "max_multiplicity": r}))
 
 
-def _node_witness(nodes: tuple[NodeVerdict, ...]) -> str:
-    text = ",".join([n.to_canonical_json() for n in nodes])
-    return f'{{"all_exact":{_TRUTH[all(n.exact for n in nodes)]},"nodes":[{text}]}}'
+def _node_witness(tables: Sequence[VanishingTable], b: int, nodes: dict[int, NodeVerdict]) -> str:
+    text = ",".join([(nodes.get(n) or _node_verdict(n, q_table, p_table, b, b, b)).to_canonical_json()
+                     for n, (q_table, p_table) in enumerate(zip(tables, tables[1:]), 1)])
+    return f'{{"all_exact":{_TRUTH[all(n.exact for n in nodes.values())]},"nodes":[{text}]}}'
 
 
-def _component_witness(comps: list[ComponentVerdict]) -> str:
-    return f'{{"components":[{",".join([c.to_canonical_json() for c in comps])}]}}'
+def _component_witness(count: int, comps: dict[int, ComponentVerdict]) -> str:
+    plain = '{{"component":{},"exceptional":[],"ok":true,"violations":[]}}'.format
+    text = ",".join([comps[i].to_canonical_json() if i in comps else plain(i) for i in range(1, count + 1)])
+    return f'{{"components":[{text}]}}'
 
 
 def verify(s: LimitSeriesSkeleton) -> VerificationReport:
-    """Run every check and aggregate the verdicts into one report."""
-    d1, d2, r = s.params.d1, s.params.d2, s.params.r
+    """Run every check and aggregate the verdicts into one report, keeping
+    the verdicts of the nodes and components that are not plain."""
+    d1, d2, r, b, tables = s.params.d1, s.params.d2, s.params.r, s.b, s.tables
+    nodes: dict[int, NodeVerdict] = {}
+    comps: dict[int, ComponentVerdict] = {}
+    for i, (bundle, table, q_table) in enumerate(zip(s.bundles, tables, (None, *tables)), 1):
+        if q_table is not None:  # node i - 1 joins Q_{i-1} to P_i; b + 1 only bounds the walk's cost
+            lowest, highest, _ = merge_runs(table.at_p, q_table.at_q, b + 1)
+            if lowest != b or highest != b or q_table.total_q != table.total_p:
+                nodes[i - 1] = _node_verdict(i - 1, q_table, table, b, lowest, highest)
+        violations = component_preconditions(i, bundle, table, d1=d1, r=r)
+        saturated = merge_runs(table.at_p, table.at_q, d1)[2]
+        if violations or saturated:
+            comps[i] = _component_verdict(i, bundle, violations, saturated, d1, d2)
     residual = degree_balance(s)
-    nodes = node_verdicts(s.tables, s.b)
-    comps = [
-        check_component_feasibility(i, bundle, table, d1=d1, d2=d2, r=r)
-        for i, (bundle, table) in enumerate(zip(s.bundles, s.tables), 1)
-    ]
     checks = {
         "degree_balance": CheckEntry("pass" if residual == 0 else "fail",
-                                     partial(canonical_dumps, {"residual": residual, "b": s.b})),
-        "node_pairing": CheckEntry("pass" if all(n.satisfiable for n in nodes) else "fail",
-                                   partial(_node_witness, nodes)),
-        "component_feasibility": CheckEntry("pass" if all(c.ok for c in comps) else "fail",
-                                            partial(_component_witness, comps)),
+                                     partial(canonical_dumps, {"residual": residual, "b": b})),
+        "node_pairing": CheckEntry("pass" if all(n.satisfiable for n in nodes.values()) else "fail",
+                                   partial(_node_witness, tables, b, nodes)),
+        "component_feasibility": CheckEntry("pass" if all(c.ok for c in comps.values()) else "fail",
+                                            partial(_component_witness, len(tables), comps)),
         "boundary_minimality": check_boundary(s),
         "multiplicity_bounds": check_multiplicity_bounds(s),
         "genericity": CheckEntry("assumed", _GENERICITY_WITNESS),
     }
-    return VerificationReport(checks, nodes)
+    return VerificationReport(checks, all(n.exact for n in nodes.values()))

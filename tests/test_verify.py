@@ -23,7 +23,13 @@ from ellchain import (
     verify,
 )
 from ellchain.skeleton import canonical_dumps, skeleton_from_json_dict, skeleton_to_json_dict
-from ellchain.verify import check_multiplicity_bounds, node_verdicts
+from ellchain.verify import (
+    CheckEntry,
+    VerificationReport,
+    check_multiplicity_bounds,
+    component_preconditions,
+    node_verdicts,
+)
 
 # The package's `verify` is the function, so the module is looked up by name.
 verify_module = importlib.import_module("ellchain.verify")
@@ -237,6 +243,35 @@ class TestFullVerify:
         ]
         assert len(calls) == reads and calls == saturated
 
+    @pytest.fixture
+    def records(self, monkeypatch):
+        """(type name, index) of every verdict record verify's module builds."""
+        built = []
+        for name in ("NodeVerdict", "ComponentVerdict"):
+            def counting(*args, _record=getattr(verify_module, name), _name=name):
+                built.append((_name, args[0]))
+                return _record(*args)
+
+            monkeypatch.setattr(verify_module, name, counting)
+        return built
+
+    def test_a_plain_instance_keeps_no_record_until_its_witness_is_read(self, records, merge_calls):
+        report = verify(construct(Params(7, 3, 30, 5)))
+        assert report.overall and report.all_nodes_exact and records == [] and len(merge_calls) == 13
+        report.entry("component_feasibility").witness_json  # a plain component's text is fixed
+        assert records == [] and len(merge_calls) == 13
+        report.entry("node_pairing").witness_json  # a plain node's record is built from its tables
+        assert records == [("NodeVerdict", node) for node in range(1, 7)] and len(merge_calls) == 19
+
+    def test_only_a_component_with_a_stretch_at_d1_keeps_a_record(self, records):
+        # Every node of 6 2 9 3 is plain, and so is every component without a saturated stretch.
+        s = construct(Params(6, 2, 9, 3))
+        saturated = [i for i, t in enumerate(s.tables, 1) if merge_runs(t.at_p, t.at_q, s.params.d1)[2]]
+        report = verify(s)
+        assert report.overall and 0 < len(saturated) < len(s.tables)
+        assert records == [("ComponentVerdict", i) for i in saturated]
+        assert_report_matches_records(s, report)
+
     @pytest.mark.parametrize(
         "at_q,expected",
         [
@@ -346,9 +381,9 @@ def _runs(orders):
 run_tables = st.lists(st.integers(0, 9), min_size=1, max_size=12).map(_runs)
 
 
-def _component_reference(bundle, table, d1, d2, r, component=1):
-    """The component rules applied pair by pair to the expanded anti-sorted
-    pairing, as the component's per-section dict."""
+def _preconditions_reference(component, bundle, table, d1, r):
+    """Every rule on the component that no pairing can change, read off the
+    summands and the expanded sides."""
     total_p, total_q = len(expand_ascending(table.at_p)), len(expand_ascending(table.at_q))
     violations = [{"rule": "bundle_rank", "rank": bundle.rank, "expected": r}] if bundle.rank != r else []
     if bundle.kind == "first_special":
@@ -371,6 +406,13 @@ def _component_reference(bundle, table, d1, d2, r, component=1):
                            "highest": max(twists), "min": 0, "max": d1})
     if total_p != total_q:
         violations.append({"rule": "side_totals", "total_p": total_p, "total_q": total_q})
+    return violations
+
+
+def _component_reference(bundle, table, d1, d2, r, component=1):
+    """The component rules applied pair by pair to the expanded anti-sorted
+    pairing, as the component's per-section dict."""
+    violations = _preconditions_reference(component, bundle, table, d1, r)
     top_groups = {}
     pairs = zip(expand_ascending(table.at_p), expand_descending(table.at_q))
     for (x, y), stretch in itertools.groupby(pairs):
@@ -460,6 +502,25 @@ def assert_report_matches_reference(s, report):
     text = report.to_canonical_json()
     assert text == canonical_dumps(report_reference(s))
     assert canonical_dumps(json.loads(text)) == text
+
+
+def assert_report_matches_records(s, report):
+    """`report`, verify's report of `s`, writes the bytes of the record
+    path, which keeps one verdict per node from `node_verdicts` and one per
+    component from `check_component_feasibility`, and stores its flag."""
+    p = s.params
+    nodes = node_verdicts(s.tables, s.b)
+    comps = [check_component_feasibility(i, bundle, table, d1=p.d1, d2=p.d2, r=p.r)
+             for i, (bundle, table) in enumerate(zip(s.bundles, s.tables), 1)]
+    all_exact = all(n.exact for n in nodes)
+    node_text = f'{{"all_exact":{json.dumps(all_exact)},"nodes":[{",".join(n.to_canonical_json() for n in nodes)}]}}'
+    component_text = f'{{"components":[{",".join(c.to_canonical_json() for c in comps)}]}}'
+    checks = dict(verify(s).checks)
+    checks["node_pairing"] = CheckEntry("pass" if all(n.satisfiable for n in nodes) else "fail", lambda: node_text)
+    checks["component_feasibility"] = CheckEntry("pass" if all(c.ok for c in comps) else "fail",
+                                                 lambda: component_text)
+    assert report.all_nodes_exact == all_exact
+    assert report.to_canonical_json() == VerificationReport(checks, all_exact).to_canonical_json()
 
 
 def _bounds_reference(s):
@@ -610,3 +671,74 @@ class TestRunMerge:
         s = construct(Params(2, 2, 6, 3))
         s = dataclasses.replace(s, tables=(VanishingTable(first_p, at_q), VanishingTable(at_p, last_q)))
         assert_report_matches_reference(s, verify(s))
+
+
+@st.composite
+def precondition_inputs(draw):
+    """(component, bundle, table, d1, r) for `component_preconditions`:
+    either bundle kind, twists at -1, 0, d1 and d1 + 1, a degree off by
+    one, a rank other than r and sides of unequal totals, each drawn often."""
+    d1 = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        twists = draw(st.lists(st.sampled_from([None, -1, 0, 1, d1, d1 + 1]), min_size=1, max_size=4))
+        bundle = _mixed(_canonical_summands(twists), len(twists) * d1 + draw(st.sampled_from([0, 0, -1, 1])))
+    else:
+        blocks, block_rank, block_degree = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(0, 4))
+        degree = blocks * block_degree + draw(st.sampled_from([0, 0, -1, 1]))
+        bundle = ComponentBundle(kind="first_special", degree=degree, blocks=blocks, block_rank=block_rank,
+                                 block_degree=block_degree)
+    r = bundle.rank + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    total_p = draw(st.integers(1, 4))
+    total_q = total_p + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    table = VanishingTable(((0, total_p),), ((0, max(total_q, 1)),))
+    return draw(st.sampled_from([1, 1, 2])), bundle, table, d1, r
+
+
+@given(inputs=precondition_inputs())
+@settings(max_examples=400)
+def test_preconditions_fast_accept_agrees_with_the_full_rules(inputs):
+    # The fast accept returns no violation exactly when the full rules find
+    # none, and otherwise the full rules name every broken condition.
+    component, bundle, table, d1, r = inputs
+    got = component_preconditions(component, bundle, table, d1=d1, r=r)
+    expected = _preconditions_reference(component, bundle, table, d1, r)
+    assert (got == []) == (expected == [])
+    assert got == expected
+
+
+PERTURBED_BASES = tuple(construct(Params(*t)) for t in ((7, 3, 30, 5), (7, 3, 16, 5), (6, 2, 9, 3), (6, 2, 10, 4)))
+
+
+@st.composite
+def perturbed_skeletons(draw):
+    """A constructed skeleton of each case whose tables take one to three
+    section moves: one section's order raised or lowered by one, dropped
+    (a side's last section is raised instead), or copied. The loader would
+    reject a move that changes a derived gluing, so the tables are replaced
+    in the skeleton itself."""
+    s = draw(st.sampled_from(PERTURBED_BASES))
+    tables = [{"at_p": t.at_p, "at_q": t.at_q} for t in s.tables]
+    for _ in range(draw(st.integers(1, 3))):
+        table = draw(st.sampled_from(tables))
+        side = draw(st.sampled_from(["at_p", "at_q"]))
+        orders = expand_ascending(table[side])
+        j = draw(st.integers(0, len(orders) - 1))
+        move = draw(st.sampled_from(["raise", "lower", "drop", "copy"]))
+        if move == "drop" and len(orders) > 1:
+            del orders[j]
+        elif move == "copy":
+            orders.append(orders[j])
+        else:
+            orders[j] += -1 if move == "lower" else 1
+        table[side] = _runs(orders)
+    return dataclasses.replace(s, tables=tuple(VanishingTable(t["at_p"], t["at_q"]) for t in tables))
+
+
+@given(s=perturbed_skeletons())
+@settings(max_examples=200)
+def test_report_bytes_match_the_record_path_on_perturbed_skeletons(s):
+    # No digest pins a failing report: the record path and the per-section
+    # reference are what its bytes are held to.
+    report = verify(s)
+    assert_report_matches_records(s, report)
+    assert_report_matches_reference(s, report)
