@@ -228,12 +228,7 @@ def component_preconditions(
     coprime rank and degree; a mixed bundle, a sum of degree-d1 lines, has
     degree rank*d1; every twist lies in [0, d1]) and `side_totals` (the
     two sides total the same, else no pairing exists). O(1) on the stored
-    summaries, with a fast accept when a mixed bundle's are all in range.
-    A multiplicity above r is `check_multiplicity_bounds`'s."""
-    lo, hi = bundle.min_twist, bundle.max_twist
-    if (bundle.rank == r and table.total_p == table.total_q and bundle.kind == "mixed"
-            and bundle.degree == r * d1 and (lo is None or lo >= 0 and hi <= d1)):  # type: ignore[operator]
-        return []
+    summaries. A multiplicity above r is `check_multiplicity_bounds`'s."""
     violations: list[dict[str, Any]] = []
     if bundle.rank != r:
         violations.append({"rule": "bundle_rank", "rank": bundle.rank, "expected": r})
@@ -251,6 +246,7 @@ def component_preconditions(
     elif bundle.degree != bundle.rank * d1:
         expected = bundle.rank * d1
         violations.append({"rule": "bundle_shape", "field": "degree", "degree": bundle.degree, "expected": expected})
+    lo, hi = bundle.min_twist, bundle.max_twist
     if lo is not None and (lo < 0 or hi > d1):  # type: ignore[operator]
         violations.append(
             {"rule": "bundle_shape", "field": "twist", "lowest": lo, "highest": hi, "min": 0, "max": d1}
@@ -391,10 +387,10 @@ def check_multiplicity_bounds(s: LimitSeriesSkeleton) -> CheckEntry:
     return CheckEntry("pass", partial(canonical_dumps, {"components": len(s.tables), "max_multiplicity": r}))
 
 
-def _node_witness(tables: Sequence[VanishingTable], b: int, nodes: dict[int, NodeVerdict]) -> str:
+def _node_witness(tables: Sequence[VanishingTable], b: int, nodes: dict[int, NodeVerdict], all_exact: bool) -> str:
     text = ",".join([(nodes.get(n) or _node_verdict(n, q_table, p_table, b, b, b)).to_canonical_json()
                      for n, (q_table, p_table) in enumerate(zip(tables, tables[1:]), 1)])
-    return f'{{"all_exact":{_TRUTH[all(n.exact for n in nodes.values())]},"nodes":[{text}]}}'
+    return f'{{"all_exact":{_TRUTH[all_exact]},"nodes":[{text}]}}'
 
 
 def _component_witness(count: int, comps: dict[int, ComponentVerdict]) -> str:
@@ -419,15 +415,16 @@ def verify(s: LimitSeriesSkeleton) -> VerificationReport:
         if violations or saturated:
             comps[i] = _component_verdict(i, bundle, violations, saturated, d1, d2)
     residual = degree_balance(s)
+    all_exact = all(n.exact for n in nodes.values())
     checks = {
         "degree_balance": CheckEntry("pass" if residual == 0 else "fail",
                                      partial(canonical_dumps, {"residual": residual, "b": b})),
         "node_pairing": CheckEntry("pass" if all(n.satisfiable for n in nodes.values()) else "fail",
-                                   partial(_node_witness, tables, b, nodes)),
+                                   partial(_node_witness, tables, b, nodes, all_exact)),
         "component_feasibility": CheckEntry("pass" if all(c.ok for c in comps.values()) else "fail",
                                             partial(_component_witness, len(tables), comps)),
         "boundary_minimality": check_boundary(s),
         "multiplicity_bounds": check_multiplicity_bounds(s),
         "genericity": CheckEntry("assumed", _GENERICITY_WITNESS),
     }
-    return VerificationReport(checks, all(n.exact for n in nodes.values()))
+    return VerificationReport(checks, all_exact)

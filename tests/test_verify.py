@@ -27,7 +27,6 @@ from ellchain.verify import (
     CheckEntry,
     VerificationReport,
     check_multiplicity_bounds,
-    component_preconditions,
     node_verdicts,
 )
 
@@ -381,9 +380,9 @@ def _runs(orders):
 run_tables = st.lists(st.integers(0, 9), min_size=1, max_size=12).map(_runs)
 
 
-def _preconditions_reference(component, bundle, table, d1, r):
-    """Every rule on the component that no pairing can change, read off the
-    summands and the expanded sides."""
+def _component_reference(bundle, table, d1, d2, r, component=1):
+    """The component rules applied pair by pair to the expanded anti-sorted
+    pairing, as the component's per-section dict."""
     total_p, total_q = len(expand_ascending(table.at_p)), len(expand_ascending(table.at_q))
     violations = [{"rule": "bundle_rank", "rank": bundle.rank, "expected": r}] if bundle.rank != r else []
     if bundle.kind == "first_special":
@@ -406,13 +405,6 @@ def _preconditions_reference(component, bundle, table, d1, r):
                            "highest": max(twists), "min": 0, "max": d1})
     if total_p != total_q:
         violations.append({"rule": "side_totals", "total_p": total_p, "total_q": total_q})
-    return violations
-
-
-def _component_reference(bundle, table, d1, d2, r, component=1):
-    """The component rules applied pair by pair to the expanded anti-sorted
-    pairing, as the component's per-section dict."""
-    violations = _preconditions_reference(component, bundle, table, d1, r)
     top_groups = {}
     pairs = zip(expand_ascending(table.at_p), expand_descending(table.at_q))
     for (x, y), stretch in itertools.groupby(pairs):
@@ -671,39 +663,6 @@ class TestRunMerge:
         s = construct(Params(2, 2, 6, 3))
         s = dataclasses.replace(s, tables=(VanishingTable(first_p, at_q), VanishingTable(at_p, last_q)))
         assert_report_matches_reference(s, verify(s))
-
-
-@st.composite
-def precondition_inputs(draw):
-    """(component, bundle, table, d1, r) for `component_preconditions`:
-    either bundle kind, twists at -1, 0, d1 and d1 + 1, a degree off by
-    one, a rank other than r and sides of unequal totals, each drawn often."""
-    d1 = draw(st.integers(1, 6))
-    if draw(st.booleans()):
-        twists = draw(st.lists(st.sampled_from([None, -1, 0, 1, d1, d1 + 1]), min_size=1, max_size=4))
-        bundle = _mixed(_canonical_summands(twists), len(twists) * d1 + draw(st.sampled_from([0, 0, -1, 1])))
-    else:
-        blocks, block_rank, block_degree = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(0, 4))
-        degree = blocks * block_degree + draw(st.sampled_from([0, 0, -1, 1]))
-        bundle = ComponentBundle(kind="first_special", degree=degree, blocks=blocks, block_rank=block_rank,
-                                 block_degree=block_degree)
-    r = bundle.rank + draw(st.sampled_from([0, 0, 0, 1, -1]))
-    total_p = draw(st.integers(1, 4))
-    total_q = total_p + draw(st.sampled_from([0, 0, 0, 1, -1]))
-    table = VanishingTable(((0, total_p),), ((0, max(total_q, 1)),))
-    return draw(st.sampled_from([1, 1, 2])), bundle, table, d1, r
-
-
-@given(inputs=precondition_inputs())
-@settings(max_examples=400)
-def test_preconditions_fast_accept_agrees_with_the_full_rules(inputs):
-    # The fast accept returns no violation exactly when the full rules find
-    # none, and otherwise the full rules name every broken condition.
-    component, bundle, table, d1, r = inputs
-    got = component_preconditions(component, bundle, table, d1=d1, r=r)
-    expected = _preconditions_reference(component, bundle, table, d1, r)
-    assert (got == []) == (expected == [])
-    assert got == expected
 
 
 PERTURBED_BASES = tuple(construct(Params(*t)) for t in ((7, 3, 30, 5), (7, 3, 16, 5), (6, 2, 9, 3), (6, 2, 10, 4)))
